@@ -1,8 +1,6 @@
 package core
 
 import (
-	"strconv"
-
 	"perfiso/internal/cpumodel"
 	"perfiso/internal/obs"
 	"perfiso/internal/osmodel"
@@ -81,7 +79,7 @@ func (b *BlindIsolation) SetSimTracer(tr *simtrace.Tracer) { b.strace = tr }
 // traceDecision emits one controller instant on the control track.
 func (b *BlindIsolation) traceDecision(name string, cores int) {
 	b.strace.Instant(b.os.Now(), simtrace.TrackControl, name, "controller",
-		simtrace.KV{Key: "allocated", Value: strconv.Itoa(cores)})
+		simtrace.Int("allocated", cores))
 }
 
 // NewBlindIsolation builds the isolator for a secondary job. It does not

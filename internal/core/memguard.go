@@ -110,7 +110,7 @@ func (g *MemoryGuard) kill(reason string) {
 	}
 	if g.strace != nil {
 		g.strace.Instant(g.os.Now(), simtrace.TrackControl, "memory-evict", "controller",
-			simtrace.KV{Key: "reason", Value: reason})
+			simtrace.String("reason", reason))
 	}
 	if g.OnKill != nil {
 		g.OnKill(reason)

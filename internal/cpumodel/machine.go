@@ -2,7 +2,6 @@ package cpumodel
 
 import (
 	"fmt"
-	"strconv"
 
 	"perfiso/internal/sim"
 	"perfiso/internal/simtrace"
@@ -318,7 +317,7 @@ func (m *Machine) SetSimTracer(tr *simtrace.Tracer) {
 func (m *Machine) traceSlice(c *core, t *Thread, now sim.Time) {
 	if d := now.Sub(c.sliceStart); d > 0 {
 		m.trace.Slice(c.sliceStart, d, c.id, t.Proc.Name, "cpu",
-			simtrace.KV{Key: "tid", Value: strconv.Itoa(t.ID)})
+			simtrace.Int("tid", t.ID))
 	}
 }
 

@@ -158,8 +158,8 @@ func (s *Scheduler) SetSimTracer(tr *simtrace.Tracer) { s.strace = tr }
 // traceDecision emits one scheduler instant on the control track.
 func (s *Scheduler) traceDecision(name string, t *Task) {
 	s.strace.Instant(s.c.Eng.Now(), simtrace.TrackControl, name, "harvest",
-		simtrace.KV{Key: "job", Value: t.Job.Spec.Name},
-		simtrace.KV{Key: "task", Value: fmt.Sprintf("%d", t.Index)})
+		simtrace.String("job", t.Job.Spec.Name),
+		simtrace.Int("task", t.Index))
 }
 
 // NewScheduler builds a scheduler over c and subscribes to its machine

@@ -1,8 +1,6 @@
 package indexserve
 
 import (
-	"strconv"
-
 	"perfiso/internal/cpumodel"
 	"perfiso/internal/diskmodel"
 	"perfiso/internal/netmodel"
@@ -228,7 +226,7 @@ func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
 	all := cpumodel.AllCores(s.cpu.Cores())
 	if s.trace != nil {
 		s.trace.Begin(q.arrival, q.id, "query", "query",
-			simtrace.KV{Key: "workers", Value: strconv.Itoa(k)})
+			simtrace.Int("workers", k))
 	}
 
 	for i := 0; i < k; i++ {
@@ -279,7 +277,7 @@ func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
 			}
 			if s.trace != nil {
 				s.trace.Instant(s.eng.Now(), simtrace.TrackControl, "spec-checkpoint", "query",
-					simtrace.KV{Key: "query", Value: strconv.Itoa(q.id)})
+					simtrace.Int("query", q.id))
 			}
 			for i := 0; i < s.cfg.SpecWorkers; i++ {
 				t := s.cpu.Spawn(s.Proc, s.cfg.SpecBurst, all, nil)
@@ -367,13 +365,8 @@ func (s *Server) finish(q *query, dropped bool) {
 		s.OnRecord(s.forensics(q, latency, dropped))
 	}
 	if s.trace != nil {
-		drop := "false"
-		if dropped {
-			drop = "true"
-		}
 		s.trace.End(s.eng.Now(), q.id, "query", "query",
-			simtrace.KV{Key: "dropped", Value: drop},
-			simtrace.KV{Key: "latency_us", Value: strconv.FormatInt(int64(latency)/1000, 10)})
+			simtrace.Bool("dropped", dropped), simtrace.Int64("latency_us", int64(latency)/1000))
 	}
 	resp := Response{ID: q.id, Latency: latency, Dropped: dropped}
 	if s.OnResponse != nil {

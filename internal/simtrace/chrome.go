@@ -1,9 +1,6 @@
 package simtrace
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -19,27 +16,9 @@ func tid(track int) int {
 	return track
 }
 
-// tsMicros renders a sim timestamp as microseconds with fixed
-// 3-decimal nanosecond precision — a deterministic decimal string.
-func tsMicros(ns int64) string {
-	if ns < 0 {
-		ns = 0
-	}
-	return strconv.FormatInt(ns/1000, 10) + "." + fmt.Sprintf("%03d", ns%1000)
-}
-
-func writeArgs(w io.Writer, args []KV) {
-	io.WriteString(w, `,"args":{`)
-	for i, a := range args {
-		if i > 0 {
-			io.WriteString(w, ",")
-		}
-		io.WriteString(w, strconv.Quote(a.Key))
-		io.WriteString(w, ":")
-		io.WriteString(w, strconv.Quote(a.Value))
-	}
-	io.WriteString(w, "}")
-}
+// flushAt is the size at which WriteChrome hands its buffer to the
+// writer.
+const flushAt = 64 << 10
 
 // WriteChrome serializes the tracer's events as Chrome trace-event
 // JSON (the {"traceEvents":[...]} object form), loadable in Perfetto
@@ -47,116 +26,124 @@ func writeArgs(w io.Writer, args []KV) {
 // track-name metadata, and every field is rendered with a fixed
 // format, so the output bytes are a pure function of the capture.
 func WriteChrome(w io.Writer, t *Tracer) error {
-	bw := bufio.NewWriter(w)
-	io.WriteString(bw, "{\"traceEvents\":[\n")
-	io.WriteString(bw, `{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"perfiso-sim"}}`)
+	b := make([]byte, 0, flushAt+1024)
+	b = append(b, "{\"traceEvents\":[\n"...)
+	b = append(b, `{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"perfiso-sim"}}`...)
 	for _, tr := range t.Tracks() {
-		fmt.Fprintf(bw, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":%s}}",
-			tid(tr.ID), strconv.Quote(tr.Name))
+		b = appendThreadName(b, tid(tr.ID), tr.Name)
 	}
-	fmt.Fprintf(bw, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"control\"}}", controlTID)
-	for _, e := range t.Events() {
-		io.WriteString(bw, ",\n{")
-		io.WriteString(bw, `"name":`)
-		io.WriteString(bw, strconv.Quote(e.Name))
-		if e.Cat != "" {
-			io.WriteString(bw, `,"cat":`)
-			io.WriteString(bw, strconv.Quote(e.Cat))
+	b = appendThreadName(b, controlTID, "control")
+	for _, i := range t.order() {
+		b = appendEvent(b, t.at(i))
+		if len(b) >= flushAt {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
 		}
-		switch e.Kind {
-		case KindSlice:
-			fmt.Fprintf(bw, `,"ph":"X","pid":0,"tid":%d,"ts":%s,"dur":%s`,
-				tid(e.Track), tsMicros(int64(e.TS)), tsMicros(int64(e.Dur)))
-		case KindBegin:
-			fmt.Fprintf(bw, `,"ph":"b","pid":0,"tid":%d,"id":"%d","ts":%s`,
-				tid(e.Track), e.ID, tsMicros(int64(e.TS)))
-		case KindEnd:
-			fmt.Fprintf(bw, `,"ph":"e","pid":0,"tid":%d,"id":"%d","ts":%s`,
-				tid(e.Track), e.ID, tsMicros(int64(e.TS)))
-		case KindInstant:
-			fmt.Fprintf(bw, `,"ph":"i","s":"t","pid":0,"tid":%d,"ts":%s`,
-				tid(e.Track), tsMicros(int64(e.TS)))
-		}
-		if len(e.Args) > 0 {
-			writeArgs(bw, e.Args)
-		}
-		io.WriteString(bw, "}")
 	}
-	io.WriteString(bw, "\n]}\n")
-	return bw.Flush()
+	b = append(b, "\n]}\n"...)
+	_, err := w.Write(b)
+	return err
 }
 
-type chromeEvent struct {
-	Name string           `json:"name"`
-	Cat  string           `json:"cat"`
-	Ph   string           `json:"ph"`
-	Pid  int              `json:"pid"`
-	Tid  int              `json:"tid"`
-	TS   *float64         `json:"ts"`
-	Dur  *float64         `json:"dur"`
-	ID   *json.RawMessage `json:"id"`
+func appendThreadName(b []byte, tid int, name string) []byte {
+	b = append(b, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"...)
+	b = strconv.AppendInt(b, int64(tid), 10)
+	b = append(b, `,"args":{"name":`...)
+	b = appendQuoted(b, name)
+	return append(b, "}}"...)
 }
 
-type chromeFile struct {
-	TraceEvents []chromeEvent `json:"traceEvents"`
+func appendEvent(b []byte, e *Event) []byte {
+	b = append(b, ",\n{\"name\":"...)
+	b = appendQuoted(b, e.Name)
+	if e.Cat != "" {
+		b = append(b, `,"cat":`...)
+		b = appendQuoted(b, e.Cat)
+	}
+	switch e.Kind {
+	case KindSlice:
+		b = append(b, `,"ph":"X","pid":0,"tid":`...)
+		b = strconv.AppendInt(b, int64(tid(e.Track)), 10)
+		b = append(b, `,"ts":`...)
+		b = appendMicros(b, int64(e.TS))
+		b = append(b, `,"dur":`...)
+		b = appendMicros(b, int64(e.Dur))
+	case KindBegin, KindEnd:
+		if e.Kind == KindBegin {
+			b = append(b, `,"ph":"b","pid":0,"tid":`...)
+		} else {
+			b = append(b, `,"ph":"e","pid":0,"tid":`...)
+		}
+		b = strconv.AppendInt(b, int64(tid(e.Track)), 10)
+		b = append(b, `,"id":"`...)
+		b = strconv.AppendInt(b, int64(e.ID), 10)
+		b = append(b, `","ts":`...)
+		b = appendMicros(b, int64(e.TS))
+	case KindInstant:
+		b = append(b, `,"ph":"i","s":"t","pid":0,"tid":`...)
+		b = strconv.AppendInt(b, int64(tid(e.Track)), 10)
+		b = append(b, `,"ts":`...)
+		b = appendMicros(b, int64(e.TS))
+	}
+	if e.Args[0].typ != argNone {
+		b = append(b, `,"args":{`...)
+		for i, a := range e.Args {
+			if a.typ == argNone {
+				break
+			}
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendQuoted(b, a.key)
+			b = append(b, ':')
+			b = appendArgValue(b, a)
+		}
+		b = append(b, '}')
+	}
+	return append(b, '}')
 }
 
-// ValidateChrome checks that data is a well-formed Chrome trace-event
-// JSON object: known phases only, timestamps present where required,
-// non-negative durations, per-track monotone non-decreasing
-// timestamps, and every async end matching a previously opened begin
-// (spans still open at end-of-capture are legal — they are queries in
-// flight when the simulation stopped).
-func ValidateChrome(data []byte) error {
-	var f chromeFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return fmt.Errorf("parse: %w", err)
-	}
-	if len(f.TraceEvents) == 0 {
-		return fmt.Errorf("no traceEvents")
-	}
-	lastTS := make(map[[2]int]float64)
-	open := make(map[string]int)
-	for i, e := range f.TraceEvents {
-		if e.Name == "" {
-			return fmt.Errorf("event %d: missing name", i)
+// appendArgValue renders an arg's value as a JSON string, the form
+// every arg takes in the export.
+func appendArgValue(b []byte, a Arg) []byte {
+	switch a.typ {
+	case argInt:
+		b = append(b, '"')
+		b = strconv.AppendInt(b, a.num, 10)
+		return append(b, '"')
+	case argBool:
+		if a.num != 0 {
+			return append(b, `"true"`...)
 		}
-		switch e.Ph {
-		case "M":
-			continue
-		case "X":
-			if e.TS == nil || e.Dur == nil {
-				return fmt.Errorf("event %d (%s): slice missing ts/dur", i, e.Name)
-			}
-			if *e.Dur < 0 {
-				return fmt.Errorf("event %d (%s): negative dur %g", i, e.Name, *e.Dur)
-			}
-		case "b", "e":
-			if e.TS == nil || e.ID == nil {
-				return fmt.Errorf("event %d (%s): async event missing ts/id", i, e.Name)
-			}
-			key := e.Cat + "\x00" + e.Name + "\x00" + string(*e.ID)
-			if e.Ph == "b" {
-				open[key]++
-			} else {
-				if open[key] == 0 {
-					return fmt.Errorf("event %d (%s): async end without begin", i, e.Name)
-				}
-				open[key]--
-			}
-		case "i":
-			if e.TS == nil {
-				return fmt.Errorf("event %d (%s): instant missing ts", i, e.Name)
-			}
-		default:
-			return fmt.Errorf("event %d (%s): unknown phase %q", i, e.Name, e.Ph)
-		}
-		track := [2]int{e.Pid, e.Tid}
-		if prev, ok := lastTS[track]; ok && *e.TS < prev {
-			return fmt.Errorf("event %d (%s): ts %g regresses below %g on track %d/%d",
-				i, e.Name, *e.TS, prev, e.Pid, e.Tid)
-		}
-		lastTS[track] = *e.TS
+		return append(b, `"false"`...)
 	}
-	return nil
+	return appendQuoted(b, a.str)
+}
+
+// appendQuoted appends strconv.Quote(s). Printable ASCII with no quote
+// or backslash, which is every name and key the simulator emits, is
+// copied between quotes as is; anything else goes through strconv.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return strconv.AppendQuote(b, s)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendMicros renders a sim timestamp (ns) as microseconds with fixed
+// 3-decimal nanosecond precision — a deterministic decimal string.
+// Negative times clamp to zero.
+func appendMicros(b []byte, ns int64) []byte {
+	if ns < 0 {
+		ns = 0
+	}
+	b = strconv.AppendInt(b, ns/1000, 10)
+	r := ns % 1000
+	return append(b, '.', byte('0'+r/100), byte('0'+r/10%10), byte('0'+r%10))
 }

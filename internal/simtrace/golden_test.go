@@ -2,6 +2,7 @@ package simtrace_test
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -25,13 +26,19 @@ const goldenChrome = "testdata/cell.chrome.json"
 // "latency_us", checkpoint instants with "query", buffer decisions with
 // "allocated"). Synthetic events add the string args the cluster-level
 // call sites emit and strings that need escaping.
-func goldenTracer(t *testing.T) *simtrace.Tracer {
+func goldenTracer(t testing.TB) *simtrace.Tracer {
+	return tracedCell(t, 12*sim.Millisecond, 4*sim.Millisecond)
+}
+
+// tracedCell runs the golden cell's configuration for span of
+// simulated time with the given query deadline.
+func tracedCell(t testing.TB, span, deadline sim.Duration) *simtrace.Tracer {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := node.DefaultConfig()
 	cfg.Seed = 7
 	is := indexserve.DefaultConfig()
-	is.Deadline = 4 * sim.Millisecond
+	is.Deadline = deadline
 	is.SpecCheckpoint = 2 * sim.Millisecond
 	cfg.IndexServe = &is
 	n := node.New(eng, cfg)
@@ -50,20 +57,21 @@ func goldenTracer(t *testing.T) *simtrace.Tracer {
 	n.Server.SetSimTracer(tr)
 	pol.Governor().SetSimTracer(tr)
 
-	trace := workload.GenerateTrace(workload.TraceConfig{Queries: 60, Rate: 4000, Seed: 7})
+	// One query per 200 µs of span: more than 4000 QPS delivers in it.
+	queries := int(span / (200 * sim.Microsecond))
+	trace := workload.GenerateTrace(workload.TraceConfig{Queries: queries, Rate: 4000, Seed: 7})
 	workload.NewClient(eng, func(q workload.QuerySpec) { n.Server.Submit(q) }).Replay(trace)
-	end := sim.Time(12 * sim.Millisecond)
+	end := sim.Time(span)
 	eng.Run(end)
 
 	tr.NameTrack(60, "core \"60\"\t\\ ☃ ")
 	tr.Instant(end, simtrace.TrackControl, "memory-evict", "controller",
-		simtrace.KV{Key: "reason", Value: "job over memory limit"})
+		simtrace.String("reason", "job over memory limit"))
 	tr.Instant(end, simtrace.TrackControl, "placement", "harvest",
-		simtrace.KV{Key: "job", Value: "batch \"q\"\n☃"}, simtrace.KV{Key: "task", Value: "12"})
-	tr.Slice(end, 0, 60, "sl\\ice", "", simtrace.KV{Key: "ok", Value: "true"})
+		simtrace.String("job", "batch \"q\"\n☃"), simtrace.Int("task", 12))
+	tr.Slice(end, 0, 60, "sl\\ice", "", simtrace.Bool("ok", true))
 	tr.Begin(-5, -3, "query", "query")
-	tr.End(end, -3, "query", "query", simtrace.KV{Key: "dropped", Value: "true"},
-		simtrace.KV{Key: "latency_us", Value: "-1"})
+	tr.End(end, -3, "query", "query", simtrace.Bool("dropped", true), simtrace.Int64("latency_us", -1))
 	return tr
 }
 
@@ -95,5 +103,38 @@ func TestChromeGolden(t *testing.T) {
 	}
 	if err := simtrace.ValidateChrome(got); err != nil {
 		t.Errorf("golden trace fails validation: %v", err)
+	}
+}
+
+// benchTrace exports 100 ms of the golden cell at the default deadline,
+// about 8k events.
+func benchTrace(b *testing.B) (*simtrace.Tracer, []byte) {
+	tr := tracedCell(b, 100*sim.Millisecond, indexserve.DefaultConfig().Deadline)
+	var buf bytes.Buffer
+	if err := simtrace.WriteChrome(&buf, tr); err != nil {
+		b.Fatal(err)
+	}
+	return tr, buf.Bytes()
+}
+
+func BenchmarkWriteChrome(b *testing.B) {
+	tr, data := benchTrace(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := simtrace.WriteChrome(io.Discard, tr); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkValidateChrome(b *testing.B) {
+	_, data := benchTrace(b)
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := simtrace.ValidateChrome(data); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -12,11 +12,11 @@ func sampleTracer() *Tracer {
 	tr := New()
 	tr.NameTrack(0, "core 0")
 	tr.NameTrack(1, "core 1")
-	tr.Begin(10, 7, "query", "query", KV{"qps", "2000"})
+	tr.Begin(10, 7, "query", "query", Int("qps", 2000))
 	tr.Slice(20, 5, 0, "primary", "cpu")
-	tr.Instant(22, TrackControl, "buffer-grow", "controller", KV{"cores", "41"})
+	tr.Instant(22, TrackControl, "buffer-grow", "controller", Int("cores", 41))
 	tr.Slice(25, 3, 1, "bully", "cpu")
-	tr.End(30, 7, "query", "query", KV{"dropped", "false"})
+	tr.End(30, 7, "query", "query", Bool("dropped", false))
 	return tr
 }
 
@@ -32,6 +32,45 @@ func TestNilTracerIsInert(t *testing.T) {
 	tr.Instant(0, 0, "a", "b")
 	if tr.Len() != 0 || tr.Events() != nil || tr.Tracks() != nil {
 		t.Fatal("nil tracer captured something")
+	}
+}
+
+// TestRecordingDoesNotAllocate pins doc.go's cost contract. Once
+// storage is warm, recording an event with typed args allocates
+// nothing, and every method on a nil tracer allocates nothing.
+func TestRecordingDoesNotAllocate(t *testing.T) {
+	const runs = 100
+	tr := New()
+	record := func() {
+		tr.Slice(1, 2, 3, "bully", "cpu", Int("tid", 7))
+		tr.Begin(1, 9, "query", "query", Int("workers", 4))
+		tr.End(2, 9, "query", "query", Bool("dropped", false), Int64("latency_us", 12))
+		tr.Instant(3, TrackControl, "memory-evict", "controller", String("reason", "low"))
+	}
+	for tr.Len() < 4*(runs+1) {
+		record()
+	}
+	tr.n = 0 // rewind over the warmed chunks
+	if a := testing.AllocsPerRun(runs, record); a != 0 {
+		t.Errorf("recording allocates %v per 4 events, want 0", a)
+	}
+	if tr.Len() != 4*(runs+1) {
+		t.Fatalf("recorded %d events, want %d", tr.Len(), 4*(runs+1))
+	}
+
+	var off *Tracer
+	if a := testing.AllocsPerRun(runs, func() {
+		off.NameTrack(0, "core 0")
+		off.Slice(1, 2, 3, "bully", "cpu", Int("tid", 7))
+		off.Begin(1, 9, "query", "query", Int("workers", 4))
+		off.End(2, 9, "query", "query", Bool("dropped", false), Int64("latency_us", 12))
+		off.Instant(3, TrackControl, "memory-evict", "controller", String("reason", "low"))
+		_ = off.Enabled()
+		_ = off.Len()
+		_ = off.Events()
+		_ = off.Tracks()
+	}); a != 0 {
+		t.Errorf("nil tracer allocates %v per call set, want 0", a)
 	}
 }
 
@@ -67,20 +106,30 @@ func TestEventsSortedBySimTimeThenSeq(t *testing.T) {
 	}
 }
 
+// chromeDefects are traces the validator must reject, one per rule.
+var chromeDefects = map[string]string{
+	"garbage":            `not json`,
+	"empty":              `{"traceEvents":[]}`,
+	"unknown phase":      `{"traceEvents":[{"name":"a","ph":"Z","ts":1}]}`,
+	"slice without dur":  `{"traceEvents":[{"name":"a","ph":"X","ts":1}]}`,
+	"slice without ts":   `{"traceEvents":[{"name":"a","ph":"X","dur":1}]}`,
+	"negative dur":       `{"traceEvents":[{"name":"a","ph":"X","ts":1,"dur":-2}]}`,
+	"end without begin":  `{"traceEvents":[{"name":"a","ph":"e","id":"1","ts":1}]}`,
+	"async without id":   `{"traceEvents":[{"name":"a","ph":"b","ts":1}]}`,
+	"instant without ts": `{"traceEvents":[{"name":"a","ph":"i","tid":3}]}`,
+	"missing name":       `{"traceEvents":[{"ph":"i","ts":1}]}`,
+	"events not array":   `{"traceEvents":{"name":"a","ph":"i","ts":1}}`,
+	"ts regression": `{"traceEvents":[{"name":"a","ph":"i","ts":5,"tid":3},` +
+		`{"name":"b","ph":"i","ts":4,"tid":3}]}`,
+}
+
 func TestValidateChromeCatchesDefects(t *testing.T) {
-	cases := map[string]string{
-		"garbage":           `not json`,
-		"empty":             `{"traceEvents":[]}`,
-		"unknown phase":     `{"traceEvents":[{"name":"a","ph":"Z","ts":1}]}`,
-		"slice without dur": `{"traceEvents":[{"name":"a","ph":"X","ts":1}]}`,
-		"negative dur":      `{"traceEvents":[{"name":"a","ph":"X","ts":1,"dur":-2}]}`,
-		"end without begin": `{"traceEvents":[{"name":"a","ph":"e","id":"1","ts":1}]}`,
-		"ts regression": `{"traceEvents":[{"name":"a","ph":"i","ts":5,"tid":3},` +
-			`{"name":"b","ph":"i","ts":4,"tid":3}]}`,
-	}
-	for name, data := range cases {
+	for name, data := range chromeDefects {
 		if err := ValidateChrome([]byte(data)); err == nil {
 			t.Errorf("%s: validator accepted a defective trace", name)
+		}
+		if err := refValidateChrome([]byte(data)); err == nil {
+			t.Errorf("%s: reference validator accepted a defective trace", name)
 		}
 	}
 	ok := `{"traceEvents":[{"name":"a","ph":"b","id":"1","ts":1}]}`

@@ -1,6 +1,8 @@
 package simtrace
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"perfiso/internal/sim"
@@ -21,11 +23,44 @@ const (
 	KindInstant
 )
 
-// KV is one ordered key/value argument attached to an event. A slice
-// of KV (not a map) keeps serialization order deterministic.
-type KV struct {
-	Key   string
-	Value string
+// MaxArgs is the number of args an event carries inline.
+const MaxArgs = 2
+
+type argType uint8
+
+const (
+	argNone argType = iota
+	argInt
+	argString
+	argBool
+)
+
+// Arg is one typed key/value argument attached to an event, built by
+// Int, Int64, String or Bool. The value is stored as given and
+// formatted only at export, so attaching an arg never allocates.
+type Arg struct {
+	key string
+	str string
+	num int64
+	typ argType
+}
+
+// Int is an integer arg.
+func Int(key string, v int) Arg { return Arg{key: key, num: int64(v), typ: argInt} }
+
+// Int64 is an integer arg.
+func Int64(key string, v int64) Arg { return Arg{key: key, num: v, typ: argInt} }
+
+// String is a string arg.
+func String(key, v string) Arg { return Arg{key: key, str: v, typ: argString} }
+
+// Bool is a boolean arg.
+func Bool(key string, v bool) Arg {
+	a := Arg{key: key, typ: argBool}
+	if v {
+		a.num = 1
+	}
+	return a
 }
 
 // Event is one sim-domain trace record. TS is the simulated clock;
@@ -40,19 +75,27 @@ type Event struct {
 	Cat   string
 	Track int // core id, or TrackControl for machine-wide events
 	ID    int // async span id (query id); ignored unless Begin/End
-	Args  []KV
+	// Args holds the event's args in order; unused slots are zero.
+	Args [MaxArgs]Arg
 }
 
 // TrackControl is the synthetic track carrying controller decisions
 // and query milestones that are not tied to one core.
 const TrackControl = -1
 
+// Events live in fixed-size chunks, so recording never copies earlier
+// events and a capture allocates only what it keeps.
+const (
+	chunkBits = 10
+	chunkSize = 1 << chunkBits
+)
+
 // Tracer accumulates sim-domain events for one cell. The zero value
 // is ready to use; a nil *Tracer discards everything, which is how
 // instrumented packages keep the tracing-off path at one branch.
 type Tracer struct {
-	events []Event
-	seq    uint64
+	chunks [][]Event
+	n      int
 	tracks []trackName
 }
 
@@ -82,43 +125,56 @@ func (t *Tracer) NameTrack(id int, name string) {
 	t.tracks = append(t.tracks, trackName{id: id, name: name})
 }
 
-func (t *Tracer) push(e Event) {
-	e.Seq = t.seq
-	t.seq++
-	t.events = append(t.events, e)
+// push stores e with the next sequence number. It panics on more than
+// MaxArgs args.
+func (t *Tracer) push(e Event, args []Arg) {
+	if len(args) > MaxArgs {
+		panic("simtrace: more than MaxArgs args on one event")
+	}
+	c := t.n >> chunkBits
+	if c == len(t.chunks) {
+		t.chunks = append(t.chunks, make([]Event, chunkSize))
+	}
+	e.Seq = uint64(t.n)
+	copy(e.Args[:], args)
+	t.chunks[c][t.n&(chunkSize-1)] = e
+	t.n++
 }
+
+// at returns the event with sequence number i.
+func (t *Tracer) at(i int) *Event { return &t.chunks[i>>chunkBits][i&(chunkSize-1)] }
 
 // Slice records a completed execution slice [start, start+dur) on a
 // core track.
-func (t *Tracer) Slice(start sim.Time, dur sim.Duration, track int, name, cat string, args ...KV) {
+func (t *Tracer) Slice(start sim.Time, dur sim.Duration, track int, name, cat string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.push(Event{TS: start, Dur: dur, Kind: KindSlice, Name: name, Cat: cat, Track: track, Args: args})
+	t.push(Event{TS: start, Dur: dur, Kind: KindSlice, Name: name, Cat: cat, Track: track}, args)
 }
 
 // Begin opens the async span id at ts.
-func (t *Tracer) Begin(ts sim.Time, id int, name, cat string, args ...KV) {
+func (t *Tracer) Begin(ts sim.Time, id int, name, cat string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.push(Event{TS: ts, Kind: KindBegin, Name: name, Cat: cat, Track: TrackControl, ID: id, Args: args})
+	t.push(Event{TS: ts, Kind: KindBegin, Name: name, Cat: cat, Track: TrackControl, ID: id}, args)
 }
 
 // End closes the async span id at ts.
-func (t *Tracer) End(ts sim.Time, id int, name, cat string, args ...KV) {
+func (t *Tracer) End(ts sim.Time, id int, name, cat string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.push(Event{TS: ts, Kind: KindEnd, Name: name, Cat: cat, Track: TrackControl, ID: id, Args: args})
+	t.push(Event{TS: ts, Kind: KindEnd, Name: name, Cat: cat, Track: TrackControl, ID: id}, args)
 }
 
 // Instant records a point event at ts on the given track.
-func (t *Tracer) Instant(ts sim.Time, track int, name, cat string, args ...KV) {
+func (t *Tracer) Instant(ts sim.Time, track int, name, cat string, args ...Arg) {
 	if t == nil {
 		return
 	}
-	t.push(Event{TS: ts, Kind: KindInstant, Name: name, Cat: cat, Track: track, Args: args})
+	t.push(Event{TS: ts, Kind: KindInstant, Name: name, Cat: cat, Track: track}, args)
 }
 
 // Len returns the number of captured events.
@@ -126,7 +182,34 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.events)
+	return t.n
+}
+
+// order returns the sequence numbers of the captured events sorted by
+// (TS, Seq).
+func (t *Tracer) order() []int {
+	if t == nil {
+		return nil
+	}
+	type key struct {
+		ts  sim.Time
+		seq int
+	}
+	keys := make([]key, t.n)
+	for i := range keys {
+		keys[i] = key{t.at(i).TS, i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.ts, b.ts); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	seqs := make([]int, len(keys))
+	for i, k := range keys {
+		seqs[i] = k.seq
+	}
+	return seqs
 }
 
 // Events returns the captured events sorted by (TS, Seq). The slice
@@ -135,14 +218,10 @@ func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].TS != out[j].TS {
-			return out[i].TS < out[j].TS
-		}
-		return out[i].Seq < out[j].Seq
-	})
+	out := make([]Event, 0, t.n)
+	for _, i := range t.order() {
+		out = append(out, *t.at(i))
+	}
 	return out
 }
 
