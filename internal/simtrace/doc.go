@@ -29,6 +29,34 @@
 // pays one predictable branch — the same contract as the cached
 // tracker booleans from internal/obs.
 //
+// # Event storage and export
+//
+// Recording formats nothing. An event keeps its name and category as
+// the caller's strings, which are constants or long-lived process
+// names, and carries at most MaxArgs inline typed args built by Int,
+// Int64, String or Bool. Events go into fixed-size chunks, so a
+// capture never copies earlier events as it grows. With storage warm,
+// recording allocates nothing, and every method on a nil tracer
+// allocates nothing; TestRecordingDoesNotAllocate pins both.
+//
+// Formatting happens once, in WriteChrome. It sorts (TS, Seq) keys
+// rather than the events themselves, and renders each event into one
+// reused byte buffer with strconv.Append*. Every arg value is written
+// as a JSON string ("tid":"12", "dropped":"true"), whatever its type.
+// A golden file (testdata/cell.chrome.json) pins the bytes.
+//
+// ValidateChrome reads a trace in one pass. Its hand-written scanner
+// checks JSON syntax and applies the per-event rules as each event
+// goes by, without building the event list. It accepts exactly the
+// inputs that a json.Unmarshal of the whole file plus the same rules
+// would accept, down to encoding/json's quirks: case-folded keys,
+// duplicate keys, null fields and its nesting limit. A repeated
+// traceEvents key makes encoding/json decode later arrays over earlier
+// elements, and only that case gets a second, element-keeping pass.
+// The Unmarshal-based validator lives on in validate_ref_test.go as
+// the oracle of FuzzValidateChrome, which requires the two to agree on
+// every input.
+//
 // # Attribution categories
 //
 // The forensics pass partitions each measured query's latency into

@@ -579,10 +579,8 @@ func (s *scanner) str() (jstr, error) {
 		case c < ' ':
 			s.pos = i
 			return jstr{}, s.syntaxError()
-		default:
-			if c >= utf8.RuneSelf {
-				ascii = false
-			}
+		default: // c >= utf8.RuneSelf
+			ascii = false
 			i++
 		}
 	}
