@@ -366,7 +366,7 @@ func (s *Server) finish(q *query, dropped bool) {
 	}
 	if s.trace != nil {
 		s.trace.End(s.eng.Now(), q.id, "query", "query",
-			simtrace.Bool("dropped", dropped), simtrace.Int64("latency_us", int64(latency)/1000))
+			simtrace.Bool("dropped", dropped), simtrace.Int("latency_us", int(latency/sim.Microsecond)))
 	}
 	resp := Response{ID: q.id, Latency: latency, Dropped: dropped}
 	if s.OnResponse != nil {

@@ -34,7 +34,7 @@
 // Recording formats nothing. An event keeps its name and category as
 // the caller's strings, which are constants or long-lived process
 // names, and carries at most MaxArgs inline typed args built by Int,
-// Int64, String or Bool. Events go into fixed-size chunks, so a
+// String or Bool. Events go into fixed-size chunks, so a
 // capture never copies earlier events as it grows. With storage warm,
 // recording allocates nothing, and every method on a nil tracer
 // allocates nothing; TestRecordingDoesNotAllocate pins both.

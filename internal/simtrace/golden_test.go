@@ -71,7 +71,7 @@ func tracedCell(t testing.TB, span, deadline sim.Duration) *simtrace.Tracer {
 		simtrace.String("job", "batch \"q\"\n☃"), simtrace.Int("task", 12))
 	tr.Slice(end, 0, 60, "sl\\ice", "", simtrace.Bool("ok", true))
 	tr.Begin(-5, -3, "query", "query")
-	tr.End(end, -3, "query", "query", simtrace.Bool("dropped", true), simtrace.Int64("latency_us", -1))
+	tr.End(end, -3, "query", "query", simtrace.Bool("dropped", true), simtrace.Int("latency_us", -1))
 	return tr
 }
 

@@ -44,7 +44,7 @@ func TestRecordingDoesNotAllocate(t *testing.T) {
 	record := func() {
 		tr.Slice(1, 2, 3, "bully", "cpu", Int("tid", 7))
 		tr.Begin(1, 9, "query", "query", Int("workers", 4))
-		tr.End(2, 9, "query", "query", Bool("dropped", false), Int64("latency_us", 12))
+		tr.End(2, 9, "query", "query", Bool("dropped", false), Int("latency_us", 12))
 		tr.Instant(3, TrackControl, "memory-evict", "controller", String("reason", "low"))
 	}
 	for tr.Len() < 4*(runs+1) {
@@ -63,7 +63,7 @@ func TestRecordingDoesNotAllocate(t *testing.T) {
 		off.NameTrack(0, "core 0")
 		off.Slice(1, 2, 3, "bully", "cpu", Int("tid", 7))
 		off.Begin(1, 9, "query", "query", Int("workers", 4))
-		off.End(2, 9, "query", "query", Bool("dropped", false), Int64("latency_us", 12))
+		off.End(2, 9, "query", "query", Bool("dropped", false), Int("latency_us", 12))
 		off.Instant(3, TrackControl, "memory-evict", "controller", String("reason", "low"))
 		_ = off.Enabled()
 		_ = off.Len()

@@ -36,7 +36,7 @@ const (
 )
 
 // Arg is one typed key/value argument attached to an event, built by
-// Int, Int64, String or Bool. The value is stored as given and
+// Int, String or Bool. The value is stored as given and
 // formatted only at export, so attaching an arg never allocates.
 type Arg struct {
 	key string
@@ -47,9 +47,6 @@ type Arg struct {
 
 // Int is an integer arg.
 func Int(key string, v int) Arg { return Arg{key: key, num: int64(v), typ: argInt} }
-
-// Int64 is an integer arg.
-func Int64(key string, v int64) Arg { return Arg{key: key, num: v, typ: argInt} }
 
 // String is a string arg.
 func String(key, v string) Arg { return Arg{key: key, str: v, typ: argString} }
