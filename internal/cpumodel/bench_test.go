@@ -72,3 +72,35 @@ func BenchmarkIdleMaskQuery(b *testing.B) {
 	}
 	_ = acc
 }
+
+// BenchmarkIdleStealFutile measures a primary burst completing on a
+// buffer core while a saturated 48-thread bully, confined to the other
+// 40 cores, has threads queued there: the freed core's steal attempt
+// can find nothing it may run. This is the idle-core path blind
+// isolation exercises on nearly every primary completion.
+func BenchmarkIdleStealFutile(b *testing.B) {
+	eng := sim.NewEngine()
+	m := New(eng, sim.NewRNG(1), DefaultConfig())
+	bully := m.NewProcess("bully", stats.ClassSecondary)
+	m.SetAffinity(bully, TopCores(48, 40))
+	for i := 0; i < 48; i++ {
+		m.Spawn(bully, Forever, AllCores(48), nil)
+	}
+	eng.Run(sim.Time(sim.Millisecond))
+	p := m.NewProcess("svc", stats.ClassPrimary)
+	buffer := AllCores(8)
+	done := false
+	onDone := func() { done = true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done = false
+		m.Spawn(p, sim.Microsecond, buffer, onDone)
+		for !done && eng.Step() {
+		}
+	}
+	b.StopTimer()
+	if m.QueuedThreads() != 8 {
+		b.Fatalf("%d threads queued, want the bully's 8", m.QueuedThreads())
+	}
+}

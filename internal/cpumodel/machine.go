@@ -108,6 +108,7 @@ type Process struct {
 	// an allocation and an O(n log n) sort on every affinity sweep.
 	threads []*Thread
 	live    int          // threads not yet Done (tombstones excluded)
+	queued  int          // run-queue entries (this process's share of queuedCount)
 	cpuTime sim.Duration // total CPU consumed (progress metric)
 
 	// Windowed cycle budget (CPU rate control). capFrac <= 0 disables.
@@ -173,7 +174,7 @@ type core struct {
 	epoch      uint64   // invalidates stale slice events
 
 	// sliceEv/sliceTimer track the armed slice event so preemption can
-	// cancel it instead of leaving a dead event in the heap.
+	// cancel it; see preempt.
 	sliceEv    *sliceEvent
 	sliceTimer sim.Timer
 }
@@ -266,6 +267,9 @@ type Machine struct {
 	nextThread  int
 	queuedCount int // total threads sitting in run queues
 	slicePool   []*sliceEvent
+	// quantum is the engine lane quantum-expiry slices are armed on:
+	// every one fires exactly Config.Quantum after it was armed.
+	quantum *sim.Delay
 
 	// pendingEvictions counts delayed evictions scheduled by evictLater
 	// that have not fired yet; ready waits beginning while it is
@@ -287,7 +291,7 @@ func New(eng *sim.Engine, rng *sim.RNG, cfg Config) *Machine {
 	if cfg.Quantum <= 0 {
 		panic("cpumodel: non-positive quantum")
 	}
-	m := &Machine{eng: eng, cfg: cfg, rng: rng}
+	m := &Machine{eng: eng, cfg: cfg, rng: rng, quantum: eng.NewDelay(cfg.Quantum)}
 	m.core = make([]*core, cfg.Cores)
 	for i := range m.core {
 		m.core[i] = &core{id: i, idleStart: eng.Now()}
@@ -506,6 +510,7 @@ func (m *Machine) makeReady(t *Thread) {
 	copy(c.queue[pos+1:], c.queue[pos:])
 	c.queue[pos] = t
 	m.queuedCount++
+	t.Proc.queued++
 }
 
 // boosted reports whether the process's threads receive the wake-time
@@ -600,7 +605,11 @@ func (m *Machine) scheduleSlice(c *core) {
 	ev := m.getSliceEvent()
 	ev.c, ev.t, ev.epoch, ev.completes = c, t, c.epoch, completes
 	c.sliceEv = ev
-	c.sliceTimer = m.eng.AfterTimer(slice, ev.fn)
+	if completes {
+		c.sliceTimer = m.eng.AfterTimer(slice, ev.fn)
+	} else {
+		c.sliceTimer = m.quantum.After(ev.fn)
+	}
 }
 
 // completeSlice retires the running thread's burst.
@@ -653,6 +662,7 @@ func (m *Machine) expireQuantum(c *core) {
 	t.waitKind = m.classifyWait(t)
 	c.queue = append(c.queue, t)
 	m.queuedCount++
+	t.Proc.queued++
 	m.pickNext(c)
 }
 
@@ -664,6 +674,7 @@ func (m *Machine) pickNext(c *core) {
 		t := c.queue[0]
 		c.queue = c.queue[1:]
 		m.queuedCount--
+		t.Proc.queued--
 		if t.State != StateReady {
 			continue // killed or migrated while queued
 		}
@@ -694,7 +705,16 @@ func (m *Machine) pickNext(c *core) {
 
 // oldestEligible finds the queued thread with the earliest readyAt whose
 // effective affinity admits the given core.
+//
+// A thread's effective affinity is a subset of its process's mask, so
+// when no process with queued threads admits the core the scan cannot
+// succeed and is skipped. That is the common case under blind
+// isolation: a buffer core going idle finds only the secondary's
+// threads queued, and the secondary's mask excludes the buffer.
 func (m *Machine) oldestEligible(coreID int) *Thread {
+	if !m.mayAdmit(coreID) {
+		return nil
+	}
 	var best *Thread
 	for _, c := range m.core {
 		for _, t := range c.queue {
@@ -707,6 +727,18 @@ func (m *Machine) oldestEligible(coreID int) *Thread {
 		}
 	}
 	return best
+}
+
+// mayAdmit reports whether some process with queued threads has coreID
+// in its affinity mask — a necessary condition for any queued thread to
+// be eligible there.
+func (m *Machine) mayAdmit(coreID int) bool {
+	for _, p := range m.procs {
+		if p.queued > 0 && p.affinity.Has(coreID) {
+			return true
+		}
+	}
+	return false
 }
 
 // remove takes a ready thread out of its queue.
@@ -728,6 +760,7 @@ func (m *Machine) remove(t *Thread) {
 	}
 	c.queue = append(q[:idx], q[idx+1:]...)
 	m.queuedCount--
+	t.Proc.queued--
 	m.accrueWait(t, m.eng.Now())
 	t.core = -1
 }
@@ -751,9 +784,12 @@ func (m *Machine) preempt(t *Thread) {
 	c.running = nil
 	c.epoch++
 	t.core = -1
-	// The armed slice event is now stale; cancel it so it never
-	// surfaces (it would have been an epoch-check no-op) and reclaim
-	// its record.
+	// The armed slice event is now stale; cancel it so it never runs
+	// (it would have been an epoch-check no-op) and reclaim its record.
+	// Cancellation alone does not shrink the event queue — the entry
+	// stays until it surfaces — which is why quantum expiries, the
+	// slices preemption usually revokes, wait in their own fixed-delay
+	// lane instead of the heap.
 	if m.eng.Cancel(c.sliceTimer) {
 		ev := c.sliceEv
 		ev.c, ev.t = nil, nil
@@ -978,6 +1014,7 @@ func (m *Machine) freeze(p *Process) {
 // call it after stress runs.
 func (m *Machine) CheckInvariants() {
 	queued := 0
+	perProc := make(map[*Process]int, len(m.procs))
 	for _, c := range m.core {
 		if c.running != nil {
 			if m.idleMask.Has(c.id) {
@@ -997,10 +1034,16 @@ func (m *Machine) CheckInvariants() {
 		for _, t := range c.queue {
 			if t.State == StateReady {
 				queued++
+				perProc[t.Proc]++
 			}
 		}
 	}
 	if queued != m.queuedCount {
 		panic(fmt.Sprintf("queuedCount=%d but %d ready threads in queues", m.queuedCount, queued))
+	}
+	for _, p := range m.procs {
+		if p.queued != perProc[p] {
+			panic(fmt.Sprintf("process %s queued=%d but %d of its ready threads in queues", p.Name, p.queued, perProc[p]))
+		}
 	}
 }

@@ -124,6 +124,11 @@ type Server struct {
 	nic      *netmodel.NIC
 	trace    *simtrace.Tracer
 	inFlight int
+
+	// deadlineLane and specLane are the engine's fixed-delay lanes for
+	// Config.Deadline and Config.SpecCheckpoint (see query.deadline).
+	deadlineLane *sim.Delay
+	specLane     *sim.Delay
 }
 
 // SetSimTracer attaches a sim-domain tracer capturing query lifecycle
@@ -144,9 +149,13 @@ type query struct {
 	done        bool
 	threads     []*cpumodel.Thread
 	observer    func(Response)
-	// deadline and spec are cancelled at finish so a completed query
-	// leaves nothing behind in the event heap; both events were pure
+	// deadline and spec are cancelled at finish; both events were pure
 	// no-ops once done was set, so cancelling them changes no outcome.
+	// A cancelled entry still waits in its queue until it surfaces: a
+	// 350 ms deadline cancelled after a 4 ms query stays queued for the
+	// rest of its delay, so at 4000 QPS about 1,400 of them are always
+	// pending. Both timers therefore live in fixed-delay lanes
+	// (Server.deadlineLane, Server.specLane), off the event heap.
 	deadline sim.Timer
 	spec     sim.Timer
 
@@ -177,15 +186,21 @@ func New(m *cpumodel.Machine, cfg Config, ssd, hdd *diskmodel.Volume) *Server {
 	if cfg.Deadline <= 0 {
 		panic("indexserve: non-positive deadline")
 	}
-	return &Server{
-		cfg:     cfg,
-		eng:     m.Engine(),
-		cpu:     m,
-		Proc:    m.NewProcess("indexserve", stats.ClassPrimary),
-		SSD:     ssd,
-		HDD:     hdd,
-		Latency: stats.NewHistogram(),
+	eng := m.Engine()
+	s := &Server{
+		cfg:          cfg,
+		eng:          eng,
+		cpu:          m,
+		Proc:         m.NewProcess("indexserve", stats.ClassPrimary),
+		SSD:          ssd,
+		HDD:          hdd,
+		Latency:      stats.NewHistogram(),
+		deadlineLane: eng.NewDelay(cfg.Deadline),
 	}
+	if cfg.SpecWorkers > 0 {
+		s.specLane = eng.NewDelay(cfg.SpecCheckpoint)
+	}
+	return s
 }
 
 // Config returns the server's calibration.
@@ -259,7 +274,7 @@ func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
 
 	// Deadline: unanswered queries are dropped and their workers
 	// abandoned.
-	q.deadline = s.eng.AfterTimer(s.cfg.Deadline, func() {
+	q.deadline = s.deadlineLane.After(func() {
 		if q.done {
 			return
 		}
@@ -268,7 +283,7 @@ func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
 
 	// Compensation checkpoint (target-driven parallelism).
 	if s.cfg.SpecWorkers > 0 {
-		q.spec = s.eng.AfterTimer(s.cfg.SpecCheckpoint, func() {
+		q.spec = s.specLane.After(func() {
 			if q.done {
 				return
 			}
@@ -331,7 +346,7 @@ func (s *Server) finish(q *query, dropped bool) {
 	q.done = true
 	s.inFlight--
 	// Revoke the pending deadline/compensation events; each would be a
-	// no-op now that done is set, so cancellation only trims the heap.
+	// no-op now that done is set, so cancellation changes no outcome.
 	// (When finish IS the deadline firing, its own Cancel is a no-op.)
 	s.eng.Cancel(q.deadline)
 	s.eng.Cancel(q.spec)

@@ -52,10 +52,11 @@
 // literal, var declaration, new(), Push/Pop/Min/Reset/Grow) and
 // re-stamping engine sequencing fields outside internal/sim. Heap pop
 // order between equal elements is explicitly unspecified; only
-// sim.Engine and sim.Agenda make event order total by stamping seq at
-// schedule time, so event ordering built anywhere else has no
-// reproducibility contract. Holding an opaque sim.Timer (including
-// the zero value) and calling Heap.Len remain legal.
+// sim.Engine, sim.Agenda and the fixed-delay lanes' sim.Delay.After
+// make event order total by stamping seq at schedule time, so event
+// ordering built anywhere else has no reproducibility contract.
+// Holding an opaque sim.Timer (including the zero value) and calling
+// Heap.Len remain legal.
 //
 // # Suppressions
 //

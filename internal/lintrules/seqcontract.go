@@ -12,13 +12,14 @@ import (
 // builds its own sim.Heap, pushes into one, or re-stamps sequencing
 // fields is reconstructing event ordering without the contract that
 // makes it reproducible — it must go through Engine.At/AtTimer/
-// After/NewAgenda instead. (Holding a sim.Timer value, including the
-// documented-valid zero Timer, is fine: Timers are opaque handles.)
+// After/NewAgenda or a fixed-delay lane's Delay.After instead.
+// (Holding a sim.Timer value, including the documented-valid zero
+// Timer, is fine: Timers are opaque handles.)
 var SeqContract = &Analyzer{
 	Name: "seqcontract",
 	Doc: "forbids constructing or mutating sim.Heap and re-stamping engine " +
 		"sequencing fields outside internal/sim; the (at, seq) FIFO contract " +
-		"is only upheld by sim.Engine/sim.Agenda scheduling",
+		"is only upheld by sim.Engine/sim.Agenda/sim.Delay scheduling",
 	InScope: func(pkgPath string) bool { return pkgPath != "perfiso/internal/sim" },
 	Run:     runSeqContract,
 }

@@ -1,6 +1,6 @@
 // Package fixture seeds seqcontract violations: building and mutating
 // sim.Heap outside internal/sim, next to the legal uses (Len, opaque
-// sim.Timer handles, Engine scheduling).
+// sim.Timer handles, Engine and Delay scheduling).
 package fixture
 
 import "perfiso/internal/sim"
@@ -39,6 +39,11 @@ func okEngine(e *sim.Engine) {
 	var tm sim.Timer // the zero Timer is a documented-valid handle
 	tm = e.AfterTimer(sim.Second, func() {})
 	e.Cancel(tm)
+}
+
+func okDelay(e *sim.Engine) {
+	lane := e.NewDelay(sim.Second) // fixed-delay lanes stamp seq like the engine
+	e.Cancel(lane.After(func() {}))
 }
 
 func suppressed(h *sim.Heap[ev]) {

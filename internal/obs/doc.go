@@ -10,8 +10,9 @@
 // mid-run. Every instrumented layer holds a Tracker and reports its
 // hot-path events through it:
 //
-//   - sim.Engine: events pushed/popped (with heap depth) and virtual
-//     time advanced per Run.
+//   - sim.Engine: events pushed/popped (with heap depth, which leaves
+//     out events waiting in fixed-delay lanes) and virtual time
+//     advanced per Run.
 //   - core.BlindIsolation / core.MemoryGuard: buffer grow/shrink
 //     decisions, grow attempts deferred by the holdoff, and
 //     memory-guard evictions.

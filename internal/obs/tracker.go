@@ -12,9 +12,12 @@ type Tracker interface {
 	Enabled() bool
 
 	// EventPushed reports one event scheduled on a sim engine; depth is
-	// the event-heap size after the push.
+	// the event-heap size after the push. Events waiting in the
+	// engine's fixed-delay lanes (sim.Delay) are not in the heap and
+	// do not count toward depth, though pushing one is reported.
 	EventPushed(depth int)
-	// EventPopped reports one event dispatched by a sim engine.
+	// EventPopped reports one event taken off a sim engine's queue,
+	// heap or lane: dispatched, or discarded because it was cancelled.
 	EventPopped()
 	// SimAdvanced reports virtual nanoseconds advanced by one
 	// Run/RunAll call.

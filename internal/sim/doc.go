@@ -30,12 +30,34 @@
 //     new events can never alias the closure it is executing.
 //
 //   - Cancellation (Timer, Engine.Cancel) is lazy: the slot's seq stamp
-//     is invalidated and the heap entry is discarded when it surfaces,
+//     is invalidated and the queued entry is discarded when it surfaces,
 //     without advancing the clock or counting as executed. Removing an
 //     entry from a totally ordered queue never reorders the remainder,
 //     so cancelling a would-have-been-no-op event is observationally
-//     invisible — services use it to keep dead deadline/quantum events
-//     from deepening the heap.
+//     invisible. It does not shrink the queue, though: the entry stays
+//     until its time comes. With every timer in the heap, a colocated
+//     cell (IndexServe at 4,000 QPS beside a CPU bully) averaged about
+//     1,780 heap entries, 1,668 of them cancelled: about 1,400 were
+//     350 ms query deadlines cancelled when their ~4 ms query finished,
+//     about 270 were quantum expiries cancelled at preemption, and the
+//     rest spec checkpoints. Every pop sifted through that to serve
+//     about 100 live events.
+//
+//   - Fixed-delay lanes (Delay, from Engine.NewDelay) hold those timers
+//     instead. A lane is a FIFO ring of (at, seq, slot) entries that all
+//     fire the same d after they were scheduled; NewDelay returns one
+//     shared lane per distinct d. Because the clock never goes back and
+//     seq only grows, appending (now+d, seq) keeps each lane sorted by
+//     (at, seq) with no sifting. Step and Run take the least (at, seq)
+//     among the heap top and the lane fronts, cancelled entries
+//     included, so the heap and lanes behave exactly as one heap
+//     holding every entry: execution order, cancelled-entry discards
+//     and obs pushed/popped counts are unchanged, which the
+//     differential and fuzz tests check against the container/heap
+//     reference and against the same programs run through AfterTimer.
+//     A colocated cell's heap now averages about 50 entries, none of
+//     them cancelled. This is libevent's "common timeouts" idea under
+//     the engine's (at, seq) contract.
 //
 //   - Agenda streams a pre-planned batch (a query trace) by reserving
 //     its seq range up front and feeding events in one at a time as

@@ -66,9 +66,13 @@ func (a event) Less(b event) bool {
 // Engine is a discrete-event simulator. The zero value is not usable;
 // construct with NewEngine.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  Heap[event]
+	now    Time
+	seq    uint64
+	events Heap[event]
+	// lanes are the fixed-delay FIFOs handed out by NewDelay, one per
+	// distinct delay. Each is sorted by (at, seq) on its own, so the
+	// next event is the least of the heap top and the lane fronts.
+	lanes   []*Delay
 	stopped bool
 
 	// fns is the pooled callback storage: events carry slot indices
@@ -83,8 +87,8 @@ type Engine struct {
 	slotSeq []uint64
 	free    []int32
 	// live counts scheduled-and-not-cancelled events; it is what
-	// Pending reports (the heap may additionally hold cancelled
-	// entries awaiting lazy removal).
+	// Pending reports (the heap and lanes may additionally hold
+	// cancelled entries awaiting lazy removal).
 	live int
 
 	// executed counts dispatched events, exposed for tests and stats.
@@ -185,11 +189,11 @@ type Timer struct {
 // already ran (or was already cancelled) is a harmless no-op. The seq
 // stamp makes stale Timers safe even after their slot is recycled.
 //
-// Cancellation is lazy: the heap entry stays queued and is discarded
-// when it surfaces. Removing an entry from a totally ordered queue
-// never reorders the remaining events — and a cancelled entry neither
-// advances the clock nor counts as executed — so cancelling an event
-// that would have been a no-op is observationally invisible.
+// Cancellation is lazy: the heap or lane entry stays queued and is
+// discarded when it surfaces. Removing an entry from a totally ordered
+// queue never reorders the remaining events — and a cancelled entry
+// neither advances the clock nor counts as executed — so cancelling an
+// event that would have been a no-op is observationally invisible.
 func (e *Engine) Cancel(tm Timer) bool {
 	if tm.seq == 0 || int(tm.slot) >= len(e.fns) || e.slotSeq[tm.slot] != tm.seq {
 		return false
@@ -200,34 +204,72 @@ func (e *Engine) Cancel(tm Timer) bool {
 	return true
 }
 
+// next returns the least (at, seq) entry among the heap top and the
+// lane fronts, cancelled entries included, and the lane holding it
+// (nil for the heap). ok is false when nothing is queued. Treating
+// the union this way makes the heap and lanes behave as one queue, so
+// execution order — and which cancelled entries have been discarded at
+// any point — is exactly what a single heap holding every entry gives.
+func (e *Engine) next() (ev event, lane *Delay, ok bool) {
+	if e.events.Len() > 0 {
+		ev, ok = e.events.Min(), true
+	}
+	for _, l := range e.lanes {
+		if l.n == 0 {
+			continue
+		}
+		if f := l.buf[l.head]; !ok || f.Less(ev) {
+			ev, lane, ok = f, l, true
+		}
+	}
+	return ev, lane, ok
+}
+
+// drop removes the entry next just returned from its queue.
+func (e *Engine) drop(lane *Delay) {
+	if lane == nil {
+		e.events.Pop()
+	} else {
+		lane.pop()
+	}
+	if e.track {
+		e.trk.EventPopped()
+	}
+}
+
+// fire runs a live entry that has just been removed from its queue.
+func (e *Engine) fire(ev event) {
+	// Copy the callback out and recycle its slot before running it: the
+	// callback may schedule new events into the freed slot, and must
+	// never observe (or clobber) the closure it is itself executing.
+	fn := e.fns[ev.slot]
+	e.fns[ev.slot] = nil
+	e.slotSeq[ev.slot] = 0
+	e.free = append(e.free, ev.slot)
+	e.live--
+	e.now = ev.at
+	e.executed++
+	fn()
+}
+
 // Step dispatches the next event. It reports false when no events remain.
 func (e *Engine) Step() bool {
-	for e.events.Len() > 0 {
-		ev := e.events.Pop()
-		if e.track {
-			e.trk.EventPopped()
+	for {
+		ev, lane, ok := e.next()
+		if !ok {
+			return false
 		}
+		e.drop(lane)
 		if e.slotSeq[ev.slot] != ev.seq {
 			// Cancelled: recycle the slot (held since Cancel so the
-			// stale heap entry could never alias a newer event) and
-			// keep the clock where it is.
+			// stale entry could never alias a newer event) and keep
+			// the clock where it is.
 			e.free = append(e.free, ev.slot)
 			continue
 		}
-		// Copy the callback out and recycle its slot before running it: the
-		// callback may schedule new events into the freed slot, and must
-		// never observe (or clobber) the closure it is itself executing.
-		fn := e.fns[ev.slot]
-		e.fns[ev.slot] = nil
-		e.slotSeq[ev.slot] = 0
-		e.free = append(e.free, ev.slot)
-		e.live--
-		e.now = ev.at
-		e.executed++
-		fn()
+		e.fire(ev)
 		return true
 	}
-	return false
 }
 
 // Run dispatches events until the queue is empty or the next event lies
@@ -236,21 +278,22 @@ func (e *Engine) Step() bool {
 func (e *Engine) Run(until Time) uint64 {
 	start := e.executed
 	from := e.now
-	for e.events.Len() > 0 && !e.stopped {
-		ev := e.events.Min()
+	for !e.stopped {
+		ev, lane, ok := e.next()
+		if !ok {
+			break
+		}
 		if e.slotSeq[ev.slot] != ev.seq {
 			// Cancelled head: discard without touching the clock.
-			e.events.Pop()
+			e.drop(lane)
 			e.free = append(e.free, ev.slot)
-			if e.track {
-				e.trk.EventPopped()
-			}
 			continue
 		}
 		if ev.at > until {
 			break
 		}
-		e.Step()
+		e.drop(lane)
+		e.fire(ev)
 	}
 	if e.now < until {
 		e.now = until
@@ -331,6 +374,79 @@ func (a *Agenda) At(t Time, fn func()) {
 	if e.track {
 		e.trk.EventPushed(e.events.Len())
 	}
+}
+
+// Delay is a fixed-delay lane: a FIFO of events that each fire d after
+// they were scheduled. The clock never goes back and seq only grows, so
+// appending (now+d, seq) keeps a lane sorted by (at, seq) with no
+// sifting, and the engine dispatches the least of the heap top and the
+// lane fronts — execution order is exactly what AfterTimer(d, ...)
+// gives. A timer that is nearly always cancelled (a query deadline, a
+// quantum expiry) thereby waits in its lane rather than deepening the
+// heap every other event is popped through.
+type Delay struct {
+	e   *Engine
+	d   Duration
+	buf []event // ring buffer; its length is zero or a power of two
+	// head indexes the front entry; n entries follow it, wrapping.
+	head, n int
+}
+
+// NewDelay returns the engine's lane for delay d, creating it on first
+// use. Every caller asking for the same d shares one lane. A negative d
+// panics: it would schedule into the past.
+func (e *Engine) NewDelay(d Duration) *Delay {
+	if d < 0 {
+		panic(fmt.Sprintf("sim: negative lane delay %v", d))
+	}
+	for _, l := range e.lanes {
+		if l.d == d {
+			return l
+		}
+	}
+	l := &Delay{e: e, d: d}
+	e.lanes = append(e.lanes, l)
+	return l
+}
+
+// After schedules fn to run the lane's delay d from now and returns a
+// Timer that Engine.Cancel accepts. It is AfterTimer(d, fn) in every
+// observable respect: the same seq is stamped, the event runs at the
+// same point of the total order, and obs sees one push (whose depth,
+// the heap's length, does not count lane entries).
+func (l *Delay) After(fn func()) Timer {
+	e := l.e
+	e.seq++
+	seq := e.seq
+	slot := e.takeSlot(fn, seq)
+	e.live++
+	if l.n == len(l.buf) {
+		l.grow()
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = event{at: e.now.Add(l.d), seq: seq, slot: slot}
+	l.n++
+	if e.track {
+		e.trk.EventPushed(e.events.Len())
+	}
+	return Timer{slot: slot, seq: seq}
+}
+
+// pop removes the front entry.
+func (l *Delay) pop() {
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+}
+
+// grow doubles the full ring, unwrapping it so the front is at index 0.
+func (l *Delay) grow() {
+	size := 2 * len(l.buf)
+	if size == 0 {
+		size = 16
+	}
+	buf := make([]event, size)
+	k := copy(buf, l.buf[l.head:])
+	copy(buf[k:], l.buf[:l.head])
+	l.buf, l.head = buf, 0
 }
 
 // Ticker invokes fn every period until it returns false. The first call

@@ -6,7 +6,11 @@ import (
 )
 
 // FuzzEventHeap drives the flat 4-ary heap with an arbitrary encoded
-// sequence of operations and checks it against a brute-force model.
+// sequence of operations and checks it against a brute-force model,
+// then runs the same bytes as an engine program (runProgram: lane and
+// heap timers, agendas, cancels, Step and Run cut-offs) against the
+// container/heap reference and against itself with every fixed-delay
+// event routed through AfterTimer instead of a lane.
 // Each 3-byte group is one op: an odd first byte pops (when anything
 // is queued), an even one pushes at the little-endian uint16 timestamp
 // that follows — so the fuzzer freely explores interleavings, equal-
@@ -70,5 +74,12 @@ func FuzzEventHeap(f *testing.F) {
 				t.Fatalf("drain order violated at %d: %+v then %+v (FIFO tie-break broken)", i, p, c)
 			}
 		}
+
+		got := runProgram(newEngineAPI(NewEngine(), false), data, nil)
+		want := runProgram(refAPI{&refEngine{}}, data, nil)
+		if d := diffLogs(got, want); d != "" {
+			t.Fatalf("engine program vs reference: %s", d)
+		}
+		checkLaneCounts(t, data)
 	})
 }

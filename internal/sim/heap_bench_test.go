@@ -47,3 +47,43 @@ func BenchmarkEventHeap(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkEngineFixedDelayCancel prices IndexServe's deadline pattern:
+// every 250 µs of simulated time (4000 QPS) one 350 ms timer is armed
+// and the one armed 16 steps (4 ms) earlier is cancelled, with a live
+// short event dispatched in between — so about 1,400 cancelled timers
+// are always waiting to surface. heap arms them with AfterTimer; lane
+// arms them on a fixed-delay lane, which keeps them out of the heap.
+func BenchmarkEngineFixedDelayCancel(b *testing.B) {
+	const (
+		step     = 250 * Microsecond
+		deadline = 350 * Millisecond
+		finishIn = 16 // steps between arming and cancelling
+	)
+	for _, mode := range []string{"heap", "lane"} {
+		b.Run(mode, func(b *testing.B) {
+			e := NewEngine()
+			arm := func(fn func()) Timer { return e.AfterTimer(deadline, fn) }
+			if mode == "lane" {
+				arm = e.NewDelay(deadline).After
+			}
+			noop := func() {}
+			var armed [finishIn]Timer
+			iter := func(i int) {
+				k := i % finishIn
+				e.Cancel(armed[k])
+				armed[k] = arm(noop)
+				e.After(step/2, noop)
+				e.Run(e.Now().Add(step))
+			}
+			for i := 0; i < int(deadline/step); i++ { // warm up to steady state
+				iter(i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				iter(i)
+			}
+		})
+	}
+}

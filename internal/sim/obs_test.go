@@ -27,6 +27,53 @@ func TestEngineTracker(t *testing.T) {
 	}
 }
 
+// laneCounts runs a lane program (runProgram) on a recorded engine and
+// returns its log and the obs pushed/popped counts after every op and
+// at the end. viaHeap sends the fixed-delay events through AfterTimer
+// instead of lanes.
+func laneCounts(data []byte, viaHeap bool) ([]progRecord, [][2]uint64) {
+	rec := obs.NewRecording()
+	e := NewEngine()
+	e.SetTracker(rec)
+	var counts [][2]uint64
+	snap := func() {
+		s := rec.Snapshot()
+		counts = append(counts, [2]uint64{s.SimEventsPushed, s.SimEventsPopped})
+	}
+	log := runProgram(newEngineAPI(e, viaHeap), data, snap)
+	snap()
+	return log, counts
+}
+
+// checkLaneCounts requires a program to behave identically with its
+// fixed-delay events in lanes or in the heap: the same log, and the
+// same obs pushed/popped counts after every op — lanes discard a
+// cancelled entry exactly when the heap would have.
+func checkLaneCounts(t *testing.T, data []byte) {
+	t.Helper()
+	laneLog, viaLane := laneCounts(data, false)
+	heapLog, viaHeap := laneCounts(data, true)
+	if d := diffLogs(laneLog, heapLog); d != "" {
+		t.Fatalf("lane vs AfterTimer: %s", d)
+	}
+	for i := range viaLane {
+		if viaLane[i] != viaHeap[i] {
+			t.Fatalf("after op %d: lanes pushed/popped %v, AfterTimer %v", i, viaLane[i], viaHeap[i])
+		}
+	}
+}
+
+func TestLaneObsCountsMatchHeap(t *testing.T) {
+	for seed := uint64(1); seed <= 100; seed++ {
+		rng := NewRNG(seed)
+		data := make([]byte, 2*(20+rng.Intn(200)))
+		for i := range data {
+			data[i] = byte(rng.Uint64())
+		}
+		checkLaneCounts(t, data)
+	}
+}
+
 func TestEngineTrackerRun(t *testing.T) {
 	rec := obs.NewRecording()
 	e := NewEngine()

@@ -9,9 +9,10 @@ import (
 // This file keeps the engine's original container/heap design alive as
 // a test-only reference implementation: boxed events ordered by the
 // same (at, seq) key, driven through heap.Interface. The differential
-// test below runs randomized schedules — equal-timestamp bursts,
-// self-rescheduling callbacks, cancellations, mixed Step/Run draining —
-// against both implementations and requires identical execution traces.
+// tests below run randomized schedules — equal-timestamp bursts,
+// self-rescheduling callbacks, cancellations, mixed Step/Run draining,
+// fixed-delay lanes and agendas — against both implementations and
+// require identical execution traces.
 // BenchmarkEventHeap (heap_bench_test.go) uses the same reference as
 // its "old" side.
 
@@ -54,11 +55,17 @@ type refEngine struct {
 }
 
 func (e *refEngine) At(t Time, fn func()) *refEvent {
+	e.seq++
+	return e.atSeq(t, e.seq, fn)
+}
+
+// atSeq schedules fn at t under a seq reserved earlier; it is how the
+// reference replays an Agenda.
+func (e *refEngine) atSeq(t Time, seq uint64, fn func()) *refEvent {
 	if t < e.now {
 		panic(fmt.Sprintf("refsim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.seq++
-	ev := &refEvent{at: t, seq: e.seq, fn: fn}
+	ev := &refEvent{at: t, seq: seq, fn: fn}
 	heap.Push(&e.q, ev)
 	e.live++
 	return ev
@@ -112,23 +119,55 @@ func (e *refEngine) Run(until Time) {
 type simAPI interface {
 	now() Time
 	schedule(t Time, fn func()) (cancel func() bool)
+	// after schedules fn progDelays[lane] from now.
+	after(lane int, fn func()) (cancel func() bool)
+	// agenda reserves n seqs and returns the function that feeds them.
+	agenda(n int) (at func(t Time, fn func()))
 	step() bool
 	run(until Time)
 	pending() int
 	numExecuted() uint64
 }
 
-type newAPI struct{ e *Engine }
+// progDelays are the fixed delays lane programs draw from: zero, and
+// 17 twice so that two callers share one lane.
+var progDelays = []Duration{0, 3, 17, 17, 250}
+
+// newAPI drives an Engine. Fixed-delay events go through lanes, or
+// through AfterTimer when viaHeap is set.
+type newAPI struct {
+	e       *Engine
+	lanes   []*Delay
+	viaHeap bool
+}
+
+func newEngineAPI(e *Engine, viaHeap bool) newAPI {
+	a := newAPI{e: e, viaHeap: viaHeap}
+	for _, d := range progDelays {
+		a.lanes = append(a.lanes, e.NewDelay(d))
+	}
+	return a
+}
 
 func (a newAPI) now() Time { return a.e.Now() }
 func (a newAPI) schedule(t Time, fn func()) func() bool {
 	tm := a.e.AtTimer(t, fn)
 	return func() bool { return a.e.Cancel(tm) }
 }
-func (a newAPI) step() bool          { return a.e.Step() }
-func (a newAPI) run(until Time)      { a.e.Run(until) }
-func (a newAPI) pending() int        { return a.e.Pending() }
-func (a newAPI) numExecuted() uint64 { return a.e.Executed() }
+func (a newAPI) after(lane int, fn func()) func() bool {
+	var tm Timer
+	if a.viaHeap {
+		tm = a.e.AfterTimer(progDelays[lane], fn)
+	} else {
+		tm = a.lanes[lane].After(fn)
+	}
+	return func() bool { return a.e.Cancel(tm) }
+}
+func (a newAPI) agenda(n int) func(t Time, fn func()) { return a.e.NewAgenda(n).At }
+func (a newAPI) step() bool                           { return a.e.Step() }
+func (a newAPI) run(until Time)                       { a.e.Run(until) }
+func (a newAPI) pending() int                         { return a.e.Pending() }
+func (a newAPI) numExecuted() uint64                  { return a.e.Executed() }
 
 type refAPI struct{ e *refEngine }
 
@@ -136,6 +175,17 @@ func (a refAPI) now() Time { return a.e.now }
 func (a refAPI) schedule(t Time, fn func()) func() bool {
 	ev := a.e.At(t, fn)
 	return func() bool { return a.e.Cancel(ev) }
+}
+func (a refAPI) after(lane int, fn func()) func() bool {
+	return a.schedule(a.e.now.Add(progDelays[lane]), fn)
+}
+func (a refAPI) agenda(n int) func(t Time, fn func()) {
+	next := a.e.seq + 1
+	a.e.seq += uint64(n)
+	return func(t Time, fn func()) {
+		a.e.atSeq(t, next, fn)
+		next++
+	}
 }
 func (a refAPI) step() bool          { return a.e.Step() }
 func (a refAPI) run(until Time)      { a.e.Run(until) }
@@ -203,7 +253,7 @@ func driveScript(e simAPI, seed uint64) (trace []firing, executed uint64, end Ti
 
 func TestEngineDifferential(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
-		gotTrace, gotExec, gotEnd := driveScript(newAPI{NewEngine()}, seed)
+		gotTrace, gotExec, gotEnd := driveScript(newEngineAPI(NewEngine(), false), seed)
 		wantTrace, wantExec, wantEnd := driveScript(refAPI{&refEngine{}}, seed)
 		if len(gotTrace) != len(wantTrace) {
 			t.Fatalf("seed %d: %d firings, reference %d", seed, len(gotTrace), len(wantTrace))
@@ -268,6 +318,197 @@ func TestEngineDifferentialAgenda(t *testing.T) {
 			if gotTrace[i] != wantTrace[i] {
 				t.Fatalf("seed %d: firing %d = %+v, reference %+v", seed, i, gotTrace[i], wantTrace[i])
 			}
+		}
+	}
+}
+
+// progRecord is one line of a lane program's log: an event firing
+// (kind 'f'), a cancel or step result ('c', 's'), or the engine's state
+// after an op ('o'). Two engines with identical semantics write
+// identical logs.
+type progRecord struct {
+	kind byte
+	id   uint64
+	at   Time
+	n    uint64 // pending after an op; executed count otherwise
+	ok   bool
+}
+
+// runProgram interprets data as a scheduling program and returns its
+// log. Each op is a code byte and one parameter byte:
+//
+//	0     heap timer at now+p (At/AtTimer)
+//	1, 2  lane timer on progDelays[p%len] (Delay.After)
+//	3     agenda of 1+p%4 events, fed one at a time as each fires
+//	4     cancel timer p%len of every timer made so far, live or not
+//	5     Step
+//	6     Run(now+4p)
+//	7     heap timer at now+p%4, dense ties
+//
+// Callbacks also act: by id, a firing schedules a lane or heap child
+// (to depth 2) or cancels an earlier timer, so same-instant scheduling
+// from inside a callback is covered. After the ops the queue is
+// drained with Step. afterOp, if set, runs after every op.
+func runProgram(e simAPI, data []byte, afterOp func()) []progRecord {
+	var log []progRecord
+	var cancels []func() bool
+	var nextID uint64
+	var fired func(id uint64, depth int) func()
+	fired = func(id uint64, depth int) func() {
+		return func() {
+			log = append(log, progRecord{kind: 'f', id: id, at: e.now(), n: e.numExecuted()})
+			if depth >= 2 {
+				return
+			}
+			switch id % 5 {
+			case 0:
+				cid := nextID
+				nextID++
+				cancels = append(cancels, e.after(int(id/5)%len(progDelays), fired(cid, depth+1)))
+			case 1:
+				cid := nextID
+				nextID++
+				cancels = append(cancels, e.schedule(e.now().Add(Duration(id%3)), fired(cid, depth+1)))
+			case 2:
+				ok := cancels[int(id)%len(cancels)]()
+				log = append(log, progRecord{kind: 'c', id: id, ok: ok})
+			}
+		}
+	}
+	for i := 0; i+1 < len(data); i += 2 {
+		op, p := data[i]%8, data[i+1]
+		switch op {
+		case 0, 7:
+			off := Duration(p)
+			if op == 7 {
+				off %= 4
+			}
+			id := nextID
+			nextID++
+			cancels = append(cancels, e.schedule(e.now().Add(off), fired(id, 0)))
+		case 1, 2:
+			id := nextID
+			nextID++
+			cancels = append(cancels, e.after(int(p)%len(progDelays), fired(id, 0)))
+		case 3:
+			n := 1 + int(p)%4
+			at := e.agenda(n)
+			var feed func(k int, t Time)
+			feed = func(k int, t Time) {
+				id := nextID
+				nextID++
+				at(t, func() {
+					log = append(log, progRecord{kind: 'f', id: id, at: e.now(), n: e.numExecuted()})
+					if k+1 < n {
+						feed(k+1, e.now().Add(Duration(id*7%5)))
+					}
+				})
+			}
+			feed(0, e.now().Add(Duration(p%16)))
+		case 4:
+			if len(cancels) > 0 {
+				ok := cancels[int(p)%len(cancels)]()
+				log = append(log, progRecord{kind: 'c', id: uint64(p), ok: ok})
+			}
+		case 5:
+			log = append(log, progRecord{kind: 's', ok: e.step(), n: e.numExecuted()})
+		case 6:
+			e.run(e.now().Add(4 * Duration(p)))
+		}
+		log = append(log, progRecord{kind: 'o', id: uint64(i / 2), at: e.now(), n: uint64(e.pending())})
+		if afterOp != nil {
+			afterOp()
+		}
+	}
+	for e.step() {
+	}
+	log = append(log, progRecord{kind: 'o', at: e.now(), n: e.numExecuted()})
+	return log
+}
+
+// diffLogs reports the first difference between two program logs.
+func diffLogs(got, want []progRecord) string {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			return fmt.Sprintf("record %d = %+v, reference %+v", i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d records, reference %d", len(got), len(want))
+	}
+	return ""
+}
+
+// TestEngineDifferentialLanes runs random programs mixing lane timers
+// (several delays, zero, one delay shared by two callers), heap timers,
+// agendas, cancels of both kinds and Run cut-offs on the engine and on
+// the container/heap reference. Execution order, cancel results,
+// pending counts and clocks must agree record for record.
+func TestEngineDifferentialLanes(t *testing.T) {
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := NewRNG(seed)
+		data := make([]byte, 2*(20+rng.Intn(200)))
+		for i := range data {
+			data[i] = byte(rng.Uint64())
+		}
+		got := runProgram(newEngineAPI(NewEngine(), false), data, nil)
+		want := runProgram(refAPI{&refEngine{}}, data, nil)
+		if d := diffLogs(got, want); d != "" {
+			t.Fatalf("seed %d: %s", seed, d)
+		}
+	}
+}
+
+func TestNewDelaySharesLanes(t *testing.T) {
+	e := NewEngine()
+	a, b := e.NewDelay(17), e.NewDelay(17)
+	if a != b {
+		t.Fatal("two NewDelay calls for one duration returned different lanes")
+	}
+	if c := e.NewDelay(18); c == a || c.d != 18 {
+		t.Fatalf("NewDelay(18) = lane for %v", c.d)
+	}
+	if len(e.lanes) != 2 {
+		t.Fatalf("%d lanes, want 2", len(e.lanes))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative lane delay did not panic")
+		}
+	}()
+	e.NewDelay(-1)
+}
+
+// TestDelayRingWraps grows a lane while its ring has wrapped, and
+// checks entries still come out in order.
+func TestDelayRingWraps(t *testing.T) {
+	e := NewEngine()
+	l := e.NewDelay(10)
+	var got []int
+	next := 0
+	push := func() {
+		id := next
+		next++
+		l.After(func() { got = append(got, id) })
+	}
+	for i := 0; i < 12; i++ {
+		push()
+	}
+	e.Run(10) // all 12 fire; head has moved to 12
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 40; i++ { // wraps the 16-entry ring, then grows it
+			push()
+		}
+		e.Step()
+		e.Run(e.Now().Add(5))
+	}
+	e.RunAll()
+	if len(got) != next {
+		t.Fatalf("%d of %d lane events fired", len(got), next)
+	}
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("firing %d is event %d: lane order broken", i, id)
 		}
 	}
 }

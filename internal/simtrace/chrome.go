@@ -3,6 +3,8 @@ package simtrace
 import (
 	"io"
 	"strconv"
+	"unicode/utf16"
+	"unicode/utf8"
 )
 
 // controlTID is the Chrome thread id carrying TrackControl events;
@@ -122,17 +124,60 @@ func appendArgValue(b []byte, a Arg) []byte {
 	return appendQuoted(b, a.str)
 }
 
-// appendQuoted appends strconv.Quote(s). Printable ASCII with no quote
-// or backslash, which is every name and key the simulator emits, is
-// copied between quotes as is; anything else goes through strconv.
+// appendQuoted appends s as a JSON string. Printable ASCII with no
+// quote or backslash — every name the simulator emits — is copied
+// verbatim; anything else takes appendQuotedSlow.
 func appendQuoted(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
-			return strconv.AppendQuote(b, s)
+			return appendQuotedSlow(b, s)
 		}
 	}
 	b = append(b, '"')
 	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendQuotedSlow writes the bytes strconv.Quote would wherever those
+// are valid JSON (\", \\, \b, \f, \n, \r, \t, \uXXXX and raw printable
+// runes) and JSON escapes where they are not: \u00NN for the control
+// bytes strconv renders as \a, \v or \xNN and for DEL, \ufffd for each
+// invalid UTF-8 byte (as encoding/json does), and a surrogate pair for
+// a non-printable rune above U+FFFF.
+func appendQuotedSlow(b []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	b = append(b, '"')
+	for len(s) > 0 {
+		r, width := rune(s[0]), 1
+		if r >= utf8.RuneSelf {
+			r, width = utf8.DecodeRuneInString(s)
+		}
+		s = s[width:]
+		switch {
+		case width == 1 && r == utf8.RuneError:
+			b = append(b, `\ufffd`...)
+		case r == '"' || r == '\\':
+			b = append(b, '\\', byte(r))
+		case strconv.IsPrint(r):
+			b = utf8.AppendRune(b, r)
+		case r == '\b':
+			b = append(b, `\b`...)
+		case r == '\f':
+			b = append(b, `\f`...)
+		case r == '\n':
+			b = append(b, `\n`...)
+		case r == '\r':
+			b = append(b, `\r`...)
+		case r == '\t':
+			b = append(b, `\t`...)
+		case r < 0x10000:
+			b = append(b, '\\', 'u', hex[r>>12&0xf], hex[r>>8&0xf], hex[r>>4&0xf], hex[r&0xf])
+		default:
+			hi, lo := utf16.EncodeRune(r)
+			b = append(b, '\\', 'u', hex[hi>>12&0xf], hex[hi>>8&0xf], hex[hi>>4&0xf], hex[hi&0xf])
+			b = append(b, '\\', 'u', hex[lo>>12&0xf], hex[lo>>8&0xf], hex[lo>>4&0xf], hex[lo&0xf])
+		}
+	}
 	return append(b, '"')
 }
 

@@ -2,6 +2,7 @@ package simtrace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -103,6 +104,48 @@ func TestEventsSortedBySimTimeThenSeq(t *testing.T) {
 	ev := tr.Events()
 	if ev[0].Name != "early" || ev[1].Name != "early2" || ev[2].Name != "late" {
 		t.Fatalf("bad order: %s %s %s", ev[0].Name, ev[1].Name, ev[2].Name)
+	}
+}
+
+// TestWriteChromeEscapesAsJSON exports strings that strconv.Quote
+// renders with escapes JSON lacks (\a, \v, \xNN, \UXXXXXXXX) in an
+// event's name, its cat and a string arg. The export must validate and
+// decode back to the input, each invalid UTF-8 byte read as U+FFFD.
+func TestWriteChromeEscapesAsJSON(t *testing.T) {
+	inputs := map[string]string{
+		"control": "a\x00\x01\a\b\f\n\r\t\v\x1f\x7f z",
+		"invalid": "x\xff\xfe y\xc3 \xe2\x98",
+		"astral":  "tag\U000E0001 emoji\U0001F600 max\U0010FFFF",
+		"kept":    "q\"b\\s \u2028 \u00e9 \u2603",
+	}
+	for label, in := range inputs {
+		tr := New()
+		tr.Instant(1, TrackControl, in, in, String("s", in))
+		var buf bytes.Buffer
+		if err := WriteChrome(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateChrome(buf.Bytes()); err != nil {
+			t.Errorf("%s: export fails validation: %v\n%s", label, err, buf.Bytes())
+			continue
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string
+				Ph   string
+				Cat  string
+				Args map[string]string
+			}
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Errorf("%s: export is not JSON: %v", label, err)
+			continue
+		}
+		want := string([]rune(in)) // one U+FFFD per invalid byte
+		ev := doc.TraceEvents[len(doc.TraceEvents)-1]
+		if ev.Ph != "i" || ev.Name != want || ev.Cat != want || ev.Args["s"] != want {
+			t.Errorf("%s: decoded name %q cat %q arg %q, want %q", label, ev.Name, ev.Cat, ev.Args["s"], want)
+		}
 	}
 }
 
