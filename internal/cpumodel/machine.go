@@ -44,6 +44,11 @@ const Forever = sim.Duration(1) << 58
 // Thread is a single CPU burst of work owned by a process. Latency-
 // sensitive services spawn one thread per unit of parallel work; bullies
 // spawn Forever threads.
+//
+// A Thread's owner may hand it back with Machine.Release once it is
+// Done; the machine then reuses the struct for a later Spawn, so after
+// Release the owner must drop every reference to it. Owners that never
+// release leave finished threads to the garbage collector.
 type Thread struct {
 	ID        int
 	Proc      *Process
@@ -69,6 +74,14 @@ type Thread struct {
 	fxPark    sim.Duration // parked (freeze or empty affinity)
 	waitKind  uint8
 	parkedAt  sim.Time
+
+	// Recycling state (see Machine.Release). gen counts incarnations of
+	// the struct, so a delayed eviction armed for an earlier one can
+	// tell; listed means Proc.threads still holds the thread, live or
+	// as a tombstone; released means the owner handed it back.
+	gen      uint32
+	listed   bool
+	released bool
 }
 
 // Ready-wait blame classes, decided when the wait begins.
@@ -106,7 +119,9 @@ type Process struct {
 	// StateDone tombstones and are compacted in batches: removal is
 	// O(1) amortized where the old map+sort("thread-map") layout paid
 	// an allocation and an O(n log n) sort on every affinity sweep.
+	// Compaction alternates between two buffers, threads and spare.
 	threads []*Thread
+	spare   []*Thread
 	live    int          // threads not yet Done (tombstones excluded)
 	queued  int          // run-queue entries (this process's share of queuedCount)
 	cpuTime sim.Duration // total CPU consumed (progress metric)
@@ -138,24 +153,50 @@ func (p *Process) LiveThreads() int { return p.live }
 // monotonically, so appending keeps p.threads in ID order.
 func (p *Process) addThread(t *Thread) {
 	p.threads = append(p.threads, t)
+	t.listed = true
 	p.live++
 }
 
 // dropThread retires a thread that has just entered StateDone. The
 // entry stays behind as a tombstone until enough accumulate, then one
-// pass copies the survivors into a fresh slice — never in place, so a
-// scheduling sweep ranging over the old header mid-drop still sees a
-// stable snapshot.
+// pass copies the survivors into the spare buffer — never in place, so
+// a scheduling sweep ranging over the old header mid-drop still sees a
+// stable snapshot. The old storage becomes the spare, overwritten only
+// by the next compaction, so compacting allocates nothing once both
+// buffers have grown. Dropping a tombstone is what lets a released
+// thread be reused.
 func (p *Process) dropThread() {
 	p.live--
 	if len(p.threads) >= 32 && p.live*2 < len(p.threads) {
-		kept := make([]*Thread, 0, p.live)
+		kept := p.spare[:0]
 		for _, t := range p.threads {
 			if t.State != StateDone {
 				kept = append(kept, t)
+				continue
 			}
+			p.m.unlist(t)
 		}
+		p.spare = p.threads[:0]
 		p.threads = kept
+	}
+}
+
+// unlist records that t, a Done thread, has left its process's thread
+// list; if its owner already released it, it becomes reusable now.
+func (m *Machine) unlist(t *Thread) {
+	t.listed = false
+	if t.released {
+		m.free = append(m.free, t)
+	}
+}
+
+// unpark removes t from the parked list, keeping the others' order.
+func (p *Process) unpark(t *Thread) {
+	for i, x := range p.parked {
+		if x == t {
+			p.parked = append(p.parked[:i], p.parked[i+1:]...)
+			return
+		}
 	}
 }
 
@@ -267,6 +308,9 @@ type Machine struct {
 	nextThread  int
 	queuedCount int // total threads sitting in run queues
 	slicePool   []*sliceEvent
+	// free holds released threads that no machine structure references
+	// any more; Spawn reuses them (see Release).
+	free []*Thread
 	// quantum is the engine lane quantum-expiry slices are armed on:
 	// every one fires exactly Config.Quantum after it was armed.
 	quantum *sim.Delay
@@ -419,7 +463,8 @@ func (m *Machine) Spawn(p *Process, burst sim.Duration, aff CPUSet, onDone func(
 		panic("cpumodel: non-positive burst")
 	}
 	m.nextThread++
-	t := &Thread{
+	t := m.newThread()
+	*t = Thread{
 		ID:        m.nextThread,
 		Proc:      p,
 		Affinity:  aff,
@@ -429,10 +474,48 @@ func (m *Machine) Spawn(p *Process, burst sim.Duration, aff CPUSet, onDone func(
 		ideal:     m.nextThread % m.cfg.Cores,
 		core:      -1,
 		parkedAt:  m.eng.Now(),
+		gen:       t.gen + 1,
 	}
 	p.addThread(t)
 	m.makeReady(t)
 	return t
+}
+
+// newThread returns a released thread for reuse, or a fresh one.
+func (m *Machine) newThread() *Thread {
+	if n := len(m.free); n > 0 {
+		t := m.free[n-1]
+		m.free = m.free[:n-1]
+		return t
+	}
+	return new(Thread)
+}
+
+// Release hands a finished thread back for reuse by a later Spawn.
+// t must be Done — completed, cancelled or killed — and released at
+// most once; Release panics otherwise. After Release the caller must
+// not touch t: Spawn may return the same pointer as a new thread.
+//
+// Reuse waits until no machine structure refers to t: a thread still
+// listed as a tombstone in its process's thread list becomes reusable
+// when the list is compacted. Cancel takes a parked thread off the
+// parked list, and a delayed eviction armed for t checks its
+// incarnation before acting, so neither can reach a later one.
+func (m *Machine) Release(t *Thread) {
+	if t.Proc.m != m {
+		panic("cpumodel: release of another machine's thread")
+	}
+	if t.State != StateDone {
+		panic(fmt.Sprintf("cpumodel: release of %v thread %d", t.State, t.ID))
+	}
+	if t.released {
+		panic(fmt.Sprintf("cpumodel: thread %d released twice", t.ID))
+	}
+	t.released = true
+	t.OnDone = nil
+	if !t.listed {
+		m.free = append(m.free, t)
+	}
 }
 
 // makeReady places a thread: an idle core in its effective affinity if
@@ -844,12 +927,15 @@ func (m *Machine) SetAffinity(p *Process, mask CPUSet) {
 // dispatcher takes to notice an affinity change and reschedule the
 // thread. The check re-validates at fire time: the thread may have
 // finished, been killed, or had its affinity restored meanwhile.
+//
+// The thread may also have been released and reused meanwhile; the
+// incarnation check keeps the eviction from reaching the new thread.
 func (m *Machine) evictLater(t *Thread) {
-	coreAt := t.core
+	coreAt, gen := t.core, t.gen
 	m.pendingEvictions++
 	m.eng.After(m.cfg.EvictionLatency, func() {
 		m.pendingEvictions--
-		if t.State != StateRunning || t.core != coreAt || t.eff().Has(t.core) {
+		if t.gen != gen || t.State != StateRunning || t.core != coreAt || t.eff().Has(t.core) {
 			return
 		}
 		m.preempt(t)
@@ -904,8 +990,8 @@ func (m *Machine) Cancel(t *Thread) {
 	case StateReady:
 		m.remove(t)
 	case StateParked:
-		// Leave it in the parked slice; unparkAll skips Done threads.
 		t.fxPark += m.eng.Now().Sub(t.parkedAt)
+		t.Proc.unpark(t)
 	}
 	t.State = StateDone
 	t.Proc.dropThread()
@@ -914,9 +1000,6 @@ func (m *Machine) Cancel(t *Thread) {
 // Kill terminates every thread of p without firing OnDone.
 func (m *Machine) Kill(p *Process) {
 	for _, t := range p.threads {
-		if t.State == StateDone {
-			continue
-		}
 		switch t.State {
 		case StateRunning:
 			m.preempt(t)
@@ -924,6 +1007,7 @@ func (m *Machine) Kill(p *Process) {
 			m.remove(t)
 		}
 		t.State = StateDone
+		m.unlist(t)
 	}
 	p.threads = nil
 	p.live = 0
@@ -1013,10 +1097,55 @@ func (m *Machine) freeze(p *Process) {
 // CheckInvariants panics if internal bookkeeping is inconsistent; tests
 // call it after stress runs.
 func (m *Machine) CheckInvariants() {
+	// Thread lists: ID order, the listed flag and live counts; parked
+	// lists hold exactly their process's parked threads.
+	listed := make(map[*Thread]bool)
+	parked := make(map[*Thread]bool)
+	for _, p := range m.procs {
+		live, nParked := 0, 0
+		for i, t := range p.threads {
+			if t.Proc != p || !t.listed || listed[t] || (i > 0 && t.ID <= p.threads[i-1].ID) {
+				panic(fmt.Sprintf("process %s: thread %d misfiled in its thread list", p.Name, t.ID))
+			}
+			if t.released && t.State != StateDone {
+				panic(fmt.Sprintf("process %s: released thread %d is %v", p.Name, t.ID, t.State))
+			}
+			listed[t] = true
+			if t.State != StateDone {
+				live++
+			}
+			if t.State == StateParked {
+				nParked++
+			}
+		}
+		if live != p.live {
+			panic(fmt.Sprintf("process %s live=%d but %d live threads listed", p.Name, p.live, live))
+		}
+		if len(p.parked) != nParked {
+			panic(fmt.Sprintf("process %s: %d parked entries for %d parked threads", p.Name, len(p.parked), nParked))
+		}
+		for _, t := range p.parked {
+			if t.Proc != p || t.State != StateParked || parked[t] {
+				panic(fmt.Sprintf("process %s: parked list holds %v thread %d", p.Name, t.State, t.ID))
+			}
+			parked[t] = true
+		}
+	}
+	// The free list: released threads nothing else references.
+	free := make(map[*Thread]bool, len(m.free))
+	for _, t := range m.free {
+		if free[t] || !t.released || t.listed || t.State != StateDone || listed[t] || parked[t] {
+			panic(fmt.Sprintf("free thread %d (%v) still referenced", t.ID, t.State))
+		}
+		free[t] = true
+	}
 	queued := 0
 	perProc := make(map[*Process]int, len(m.procs))
 	for _, c := range m.core {
 		if c.running != nil {
+			if !listed[c.running] {
+				panic(fmt.Sprintf("core %d runs unlisted thread %d", c.id, c.running.ID))
+			}
 			if m.idleMask.Has(c.id) {
 				panic(fmt.Sprintf("core %d running but marked idle", c.id))
 			}
@@ -1032,6 +1161,9 @@ func (m *Machine) CheckInvariants() {
 			panic(fmt.Sprintf("core %d idle but not in idle mask", c.id))
 		}
 		for _, t := range c.queue {
+			if !listed[t] {
+				panic(fmt.Sprintf("core %d queues unlisted thread %d", c.id, t.ID))
+			}
 			if t.State == StateReady {
 				queued++
 				perProc[t.Proc]++

@@ -118,6 +118,30 @@ type Volume struct {
 	latency *stats.Histogram
 	// TotalOps counts completed operations.
 	TotalOps uint64
+
+	donePool []*ioDone
+}
+
+// ioDone is a pooled service-completion record. Its fn is bound once,
+// so starting an operation allocates nothing: the record cycles
+// between the volume's pool and the engine, and fire returns it to the
+// pool before completing (the completion may start the next operation,
+// which can legally reuse this very record).
+type ioDone struct {
+	v  *Volume
+	r  *Request
+	fn func()
+}
+
+func (d *ioDone) fire() {
+	v, r := d.v, d.r
+	d.r = nil
+	v.donePool = append(v.donePool, d)
+	v.busyDrives--
+	v.complete(r)
+	if v.busyDrives < v.cfg.Drives {
+		v.startNext()
+	}
 }
 
 // NewVolume creates a volume driven by eng.
@@ -241,7 +265,15 @@ func (v *Volume) drainPending(name string, p *procState) {
 		if p.opsPerSec > 0 {
 			p.opsTokens--
 		}
-		p.pending = p.pending[1:]
+		// An emptied queue restarts at the start of its remaining
+		// storage, so one-at-a-time traffic reuses one array instead
+		// of sliding off its end and reallocating.
+		p.pending[0] = nil
+		if len(p.pending) == 1 {
+			p.pending = p.pending[:0]
+		} else {
+			p.pending = p.pending[1:]
+		}
 		v.admit(r, p)
 	}
 }
@@ -317,14 +349,16 @@ func (v *Volume) startNext() {
 		return
 	}
 	v.busyDrives++
-	svc := v.serviceTime(r)
-	v.eng.After(svc, func() {
-		v.busyDrives--
-		v.complete(r)
-		if v.busyDrives < v.cfg.Drives {
-			v.startNext()
-		}
-	})
+	var d *ioDone
+	if n := len(v.donePool); n > 0 {
+		d = v.donePool[n-1]
+		v.donePool = v.donePool[:n-1]
+	} else {
+		d = &ioDone{v: v}
+		d.fn = d.fire
+	}
+	d.r = r
+	v.eng.After(v.serviceTime(r), d.fn)
 }
 
 func (v *Volume) complete(r *Request) {

@@ -124,11 +124,22 @@ type Server struct {
 	nic      *netmodel.NIC
 	trace    *simtrace.Tracer
 	inFlight int
+	all      cpumodel.CPUSet // every core: no query thread is pinned
 
 	// deadlineLane and specLane are the engine's fixed-delay lanes for
 	// Config.Deadline and Config.SpecCheckpoint (see query.deadline).
 	deadlineLane *sim.Delay
 	specLane     *sim.Delay
+
+	// free holds query records ready for reuse (records counts every
+	// record made); logs and replies hold the HDD log writes and NIC
+	// reply packets no I/O is using. All three grow to their peak
+	// in-flight count and are then recycled, so the steady-state query
+	// path allocates nothing.
+	free    []*query
+	records int
+	logs    []*diskmodel.Request
+	replies []*netmodel.Packet
 }
 
 // SetSimTracer attaches a sim-domain tracer capturing query lifecycle
@@ -141,14 +152,26 @@ func (s *Server) SetSimTracer(tr *simtrace.Tracer) { s.trace = tr }
 // service time; the NIC protects throughput).
 func (s *Server) AttachNIC(nic *netmodel.NIC) { s.nic = nic }
 
+// query is the record of one query. Records are pooled per server: a
+// record binds its callbacks once, when it is first made, and returns
+// to Server.free when the query is done and refs is zero — that is,
+// when nothing can call back into it. finish cancels the query's
+// threads and its deadline and spec timers, so only the callbacks refs
+// counts can still arrive after it.
 type query struct {
+	s           *Server
 	id          int
 	arrival     sim.Time
 	rng         sim.RNG
 	outstanding int
 	done        bool
-	threads     []*cpumodel.Thread
-	observer    func(Response)
+	// refs counts the record's wake events that have not fired and its
+	// SSD reads in flight. A deadline drop can leave a read queued on a
+	// slow SSD; recycling the record before it completes would start a
+	// matcher for whichever query held the record next.
+	refs     int
+	threads  []*cpumodel.Thread
+	observer func(Response)
 	// deadline and spec are cancelled at finish; both events were pure
 	// no-ops once done was set, so cancelling them changes no outcome.
 	// A cancelled entry still waits in its queue until it surfaces: a
@@ -159,12 +182,18 @@ type query struct {
 	deadline sim.Timer
 	spec     sim.Timer
 
-	// Per-matcher forensic bookkeeping. critical is the index of the
-	// worker whose completion released ranking (-1 until known); rank
-	// is the serial aggregation thread.
-	workers  []qworker
+	// Per-matcher forensic bookkeeping. The first k worker slots belong
+	// to this query; slots beyond k are kept from earlier, wider
+	// queries. critical is the index of the worker whose completion
+	// released ranking (-1 until known); rank is the serial aggregation
+	// thread.
+	k        int
+	workers  []*qworker
 	critical int
 	rank     *cpumodel.Thread
+
+	// Callbacks bound once per record.
+	onDeadline, onSpec, onRanked func()
 }
 
 // qworker tracks one matcher burst for critical-path attribution.
@@ -172,11 +201,30 @@ type query struct {
 // its SSD read in that same event, so started-planned is precisely
 // the disk gate and planned-arrival the deliberate wake spread.
 type qworker struct {
+	q        *query
+	idx      int
+	phase    workerPhase
+	demand   sim.Duration
+	miss     bool
 	t        *cpumodel.Thread // nil until the burst is spawned
 	planned  sim.Time
 	started  sim.Time
 	finished bool
+	// read is the slot's SSD index read, made on its first miss.
+	read *diskmodel.Request
+	// step is advance bound once: the wake event, the read's
+	// completion and the thread's OnDone all call it.
+	step func()
 }
+
+// workerPhase is where a matcher slot stands; advance moves it along.
+type workerPhase uint8
+
+const (
+	phaseWake workerPhase = iota // wake event pending
+	phaseRead                    // SSD index read in flight
+	phaseRun                     // matcher thread spawned
+)
 
 // New binds a server to a machine. ssd and hdd may be nil.
 func New(m *cpumodel.Machine, cfg Config, ssd, hdd *diskmodel.Volume) *Server {
@@ -195,6 +243,7 @@ func New(m *cpumodel.Machine, cfg Config, ssd, hdd *diskmodel.Volume) *Server {
 		SSD:          ssd,
 		HDD:          hdd,
 		Latency:      stats.NewHistogram(),
+		all:          cpumodel.AllCores(m.Cores()),
 		deadlineLane: eng.NewDelay(cfg.Deadline),
 	}
 	if cfg.SpecWorkers > 0 {
@@ -226,80 +275,151 @@ func (s *Server) Submit(spec workload.QuerySpec) { s.SubmitObserved(spec, nil) }
 // outcome to fn; the cluster MLAs use this to collect fan-out
 // responses without sharing the server-wide OnResponse hook.
 func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
-	q := &query{
-		id:       spec.ID,
-		arrival:  s.eng.Now(),
-		rng:      sim.SeededRNG(spec.Seed),
-		observer: fn,
-		critical: -1,
-	}
+	q := s.newQuery()
+	q.id = spec.ID
+	q.arrival = s.eng.Now()
+	q.rng = sim.SeededRNG(spec.Seed)
+	q.observer = fn
+	q.done = false
+	q.critical = -1
+	q.spec = sim.Timer{}
 	s.inFlight++
 
 	k := q.rng.IntBetween(s.cfg.WorkersMin, s.cfg.WorkersMax)
 	q.outstanding = k
-	q.workers = make([]qworker, k)
-	all := cpumodel.AllCores(s.cpu.Cores())
+	q.k = k
+	for len(q.workers) < k {
+		w := &qworker{q: q, idx: len(q.workers)}
+		w.step = w.advance
+		q.workers = append(q.workers, w)
+	}
 	if s.trace != nil {
 		s.trace.Begin(q.arrival, q.id, "query", "query",
 			simtrace.Int("workers", k))
 	}
 
-	for i := 0; i < k; i++ {
-		idx := i
-		demand := s.workerDemand(q, i)
+	for i, w := range q.workers[:k] {
+		w.demand = s.workerDemand(q, i)
 		wake := sim.Duration(0)
 		if k > 1 {
 			wake = s.cfg.BurstSpread * sim.Duration(i) / sim.Duration(k)
 		}
-		q.workers[i].planned = q.arrival.Add(wake)
-		miss := s.SSD != nil && q.rng.Float64() < s.cfg.CacheMissProb
-		s.eng.After(wake, func() {
-			if q.done {
-				return
-			}
-			if miss {
-				// Index read gates this matcher's start.
-				s.SSD.Submit(&diskmodel.Request{
-					Proc:       s.Proc.Name,
-					Kind:       diskmodel.OpRead,
-					Bytes:      s.cfg.MissReadBytes,
-					Sequential: false,
-					OnComplete: func() { s.startWorker(q, idx, demand, all) },
-				})
-				return
-			}
-			s.startWorker(q, idx, demand, all)
-		})
+		w.phase = phaseWake
+		w.t = nil
+		w.planned = q.arrival.Add(wake)
+		w.started = 0
+		w.finished = false
+		w.miss = s.SSD != nil && q.rng.Float64() < s.cfg.CacheMissProb
+		q.refs++
+		s.eng.After(wake, w.step)
 	}
 
 	// Deadline: unanswered queries are dropped and their workers
 	// abandoned.
-	q.deadline = s.deadlineLane.After(func() {
-		if q.done {
-			return
-		}
-		s.finish(q, true)
-	})
+	q.deadline = s.deadlineLane.After(q.onDeadline)
 
 	// Compensation checkpoint (target-driven parallelism).
 	if s.cfg.SpecWorkers > 0 {
-		q.spec = s.specLane.After(func() {
-			if q.done {
-				return
-			}
-			if s.cfg.SpecInFlightCap > 0 && s.inFlight > s.cfg.SpecInFlightCap {
-				return
-			}
-			if s.trace != nil {
-				s.trace.Instant(s.eng.Now(), simtrace.TrackControl, "spec-checkpoint", "query",
-					simtrace.Int("query", q.id))
-			}
-			for i := 0; i < s.cfg.SpecWorkers; i++ {
-				t := s.cpu.Spawn(s.Proc, s.cfg.SpecBurst, all, nil)
-				q.threads = append(q.threads, t)
-			}
-		})
+		q.spec = s.specLane.After(q.onSpec)
 	}
+}
+
+// newQuery takes a record from the pool, or makes one and binds its
+// callbacks.
+func (s *Server) newQuery() *query {
+	if n := len(s.free); n > 0 {
+		q := s.free[n-1]
+		s.free = s.free[:n-1]
+		return q
+	}
+	s.records++
+	q := &query{s: s}
+	q.onDeadline = q.deadlineFired
+	q.onSpec = q.specFired
+	q.onRanked = q.ranked
+	return q
+}
+
+// deadlineFired drops the query if it is still unanswered.
+func (q *query) deadlineFired() {
+	if q.done {
+		return
+	}
+	q.s.finish(q, true)
+}
+
+// specFired is the compensation checkpoint: a query still running
+// spawns its speculative workers unless too many queries are in flight.
+func (q *query) specFired() {
+	s := q.s
+	if q.done {
+		return
+	}
+	if s.cfg.SpecInFlightCap > 0 && s.inFlight > s.cfg.SpecInFlightCap {
+		return
+	}
+	if s.trace != nil {
+		s.trace.Instant(s.eng.Now(), simtrace.TrackControl, "spec-checkpoint", "query",
+			simtrace.Int("query", q.id))
+	}
+	for i := 0; i < s.cfg.SpecWorkers; i++ {
+		t := s.cpu.Spawn(s.Proc, s.cfg.SpecBurst, s.all, nil)
+		q.threads = append(q.threads, t)
+	}
+}
+
+// ranked completes the query once its ranking stage finishes.
+func (q *query) ranked() {
+	if q.done {
+		return
+	}
+	q.s.finish(q, false)
+}
+
+// advance moves the matcher slot through its phases. The wake event
+// submits the index read on a cache miss and otherwise spawns the
+// matcher; the read's completion spawns it; the matcher's completion
+// releases ranking once it is the query's last.
+func (w *qworker) advance() {
+	q := w.q
+	s := q.s
+	if w.phase == phaseRun {
+		if q.done {
+			return
+		}
+		w.finished = true
+		q.outstanding--
+		if q.outstanding == 0 {
+			q.critical = w.idx
+			s.rank(q)
+		}
+		return
+	}
+	q.refs--
+	if q.done {
+		s.recycle(q)
+		return
+	}
+	if w.phase == phaseWake && w.miss {
+		// Index read gates this matcher's start.
+		if w.read == nil {
+			w.read = &diskmodel.Request{
+				Proc:       s.Proc.Name,
+				Kind:       diskmodel.OpRead,
+				Bytes:      s.cfg.MissReadBytes,
+				Sequential: false,
+				OnComplete: w.step,
+			}
+		}
+		w.phase = phaseRead
+		q.refs++
+		s.SSD.Submit(w.read)
+		return
+	}
+	w.phase = phaseRun
+	w.t = s.cpu.Spawn(s.Proc, w.demand, s.all, w.step)
+	w.started = s.eng.Now()
+	q.threads = append(q.threads, w.t)
 }
 
 func (s *Server) workerDemand(q *query, i int) sim.Duration {
@@ -309,35 +429,10 @@ func (s *Server) workerDemand(q *query, i int) sim.Duration {
 	return q.rng.LogNormalDuration(s.cfg.HelperMedian, s.cfg.HelperSigma)
 }
 
-func (s *Server) startWorker(q *query, idx int, demand sim.Duration, aff cpumodel.CPUSet) {
-	if q.done {
-		return
-	}
-	t := s.cpu.Spawn(s.Proc, demand, aff, func() {
-		if q.done {
-			return
-		}
-		q.workers[idx].finished = true
-		q.outstanding--
-		if q.outstanding == 0 {
-			q.critical = idx
-			s.rank(q)
-		}
-	})
-	q.workers[idx].t = t
-	q.workers[idx].started = s.eng.Now()
-	q.threads = append(q.threads, t)
-}
-
 // rank runs the serial aggregation stage, after which the query
 // completes.
 func (s *Server) rank(q *query) {
-	t := s.cpu.Spawn(s.Proc, s.cfg.RankCost, cpumodel.AllCores(s.cpu.Cores()), func() {
-		if q.done {
-			return
-		}
-		s.finish(q, false)
-	})
+	t := s.cpu.Spawn(s.Proc, s.cfg.RankCost, s.all, q.onRanked)
 	q.rank = t
 	q.threads = append(q.threads, t)
 }
@@ -362,19 +457,10 @@ func (s *Server) finish(q *query, dropped bool) {
 	}
 	s.Latency.AddDuration(latency)
 	if !dropped && s.HDD != nil && s.cfg.LogBytes > 0 {
-		s.HDD.Submit(&diskmodel.Request{
-			Proc:       s.Proc.Name,
-			Kind:       diskmodel.OpWrite,
-			Bytes:      s.cfg.LogBytes,
-			Sequential: true,
-		})
+		s.HDD.Submit(s.logWrite())
 	}
 	if !dropped && s.nic != nil && s.cfg.ResponseBytes > 0 {
-		s.nic.Send(&netmodel.Packet{
-			Proc:  s.Proc.Name,
-			Class: netmodel.PriorityHigh,
-			Bytes: s.cfg.ResponseBytes,
-		})
+		s.nic.Send(s.reply())
 	}
 	if s.OnRecord != nil {
 		s.OnRecord(s.forensics(q, latency, dropped))
@@ -390,6 +476,62 @@ func (s *Server) finish(q *query, dropped bool) {
 	if q.observer != nil {
 		q.observer(resp)
 	}
+	s.recycle(q)
+}
+
+// recycle returns a finished record to the pool once refs is zero,
+// releasing every thread the query spawned — matchers, rank and
+// speculative workers, all Done since finish cancelled them.
+func (s *Server) recycle(q *query) {
+	if q.refs > 0 {
+		return
+	}
+	for _, t := range q.threads {
+		s.cpu.Release(t)
+	}
+	clear(q.threads)
+	q.threads = q.threads[:0]
+	for _, w := range q.workers[:q.k] {
+		w.t = nil
+	}
+	q.rank = nil
+	q.observer = nil
+	s.free = append(s.free, q)
+}
+
+// logWrite returns a pooled HDD log write; it rejoins the pool when
+// the write completes.
+func (s *Server) logWrite() *diskmodel.Request {
+	if n := len(s.logs); n > 0 {
+		r := s.logs[n-1]
+		s.logs = s.logs[:n-1]
+		return r
+	}
+	r := &diskmodel.Request{
+		Proc:       s.Proc.Name,
+		Kind:       diskmodel.OpWrite,
+		Bytes:      s.cfg.LogBytes,
+		Sequential: true,
+	}
+	r.OnComplete = func() { s.logs = append(s.logs, r) }
+	return r
+}
+
+// reply returns a pooled high-priority reply packet; it rejoins the
+// pool once sent.
+func (s *Server) reply() *netmodel.Packet {
+	if n := len(s.replies); n > 0 {
+		p := s.replies[n-1]
+		s.replies = s.replies[:n-1]
+		return p
+	}
+	p := &netmodel.Packet{
+		Proc:  s.Proc.Name,
+		Class: netmodel.PriorityHigh,
+		Bytes: s.cfg.ResponseBytes,
+	}
+	p.OnSent = func() { s.replies = append(s.replies, p) }
+	return p
 }
 
 // forensics decomposes the query's latency along its critical path.
@@ -405,8 +547,8 @@ func (s *Server) forensics(q *query, latency sim.Duration, dropped bool) simtrac
 	// is a deterministic and exact choice.
 	idx := q.critical
 	if idx < 0 {
-		for i := range q.workers {
-			if !q.workers[i].finished {
+		for i, w := range q.workers[:q.k] {
+			if !w.finished {
 				idx = i
 				break
 			}
@@ -418,7 +560,7 @@ func (s *Server) forensics(q *query, latency sim.Duration, dropped bool) simtrac
 		rec.Other = latency
 		return rec
 	}
-	w := &q.workers[idx]
+	w := q.workers[idx]
 	rec.Spread = w.planned.Sub(q.arrival)
 	if w.t != nil {
 		rec.Disk = w.started.Sub(w.planned)

@@ -8,6 +8,7 @@ import (
 	"perfiso/internal/simtrace"
 
 	"perfiso/internal/cpumodel"
+	"perfiso/internal/diskmodel"
 	"perfiso/internal/sim"
 	"perfiso/internal/workload"
 )
@@ -350,4 +351,70 @@ func TestSimTraceQuerySpans(t *testing.T) {
 	if err := simtrace.ValidateChrome(buf.Bytes()); err != nil {
 		t.Fatalf("emitted trace fails validation: %v", err)
 	}
+}
+
+// TestDeadlineDropsWithQueuedReads drops queries at the deadline while
+// their index reads still wait on a slow SSD. Each record must stay out
+// of the pool until its last read completes — recycled earlier, the
+// read's completion would start a matcher for whichever query held the
+// record next. Every query responds exactly once, the forensic
+// partition holds, and once the engine drains every record is back in
+// the pool with no reference outstanding.
+func TestDeadlineDropsWithQueuedReads(t *testing.T) {
+	eng := sim.NewEngine()
+	m := cpumodel.New(eng, sim.NewRNG(3), cpumodel.DefaultConfig())
+	ssd := diskmodel.NewVolume(eng, diskmodel.VolumeConfig{
+		Name:              "slow-ssd",
+		Drives:            1,
+		SeekTime:          2 * sim.Millisecond,
+		PerDriveBandwidth: 450e6,
+	})
+	cfg := DefaultConfig()
+	cfg.CacheMissProb = 1
+	cfg.Deadline = 5 * sim.Millisecond
+	s := New(m, cfg, ssd, nil)
+	responses := map[int]int{}
+	s.OnResponse = func(r Response) { responses[r.ID]++ }
+	var recs []simtrace.QueryRecord
+	s.OnRecord = func(r simtrace.QueryRecord) { recs = append(recs, r) }
+
+	const queries = 300
+	trace := workload.GenerateTrace(workload.TraceConfig{Queries: queries, Rate: 2000, Seed: 5})
+	workload.NewClient(eng, s.Submit).Replay(trace)
+	eng.Run(trace[queries-1].Arrival.Add(cfg.Deadline))
+	if held := s.records - len(s.free) - s.InFlight(); held == 0 {
+		t.Fatal("no finished query's record waits on a queued read; the case went untested")
+	}
+	eng.RunAll()
+
+	if s.Dropped == 0 || s.Completed+s.Dropped != queries {
+		t.Fatalf("completed %d, dropped %d of %d queries; want every query finished, some dropped", s.Completed, s.Dropped, queries)
+	}
+	for _, q := range trace {
+		if n := responses[q.ID]; n != 1 {
+			t.Fatalf("query %d responded %d times", q.ID, n)
+		}
+	}
+	if len(recs) != queries {
+		t.Fatalf("%d forensic records for %d queries", len(recs), queries)
+	}
+	for _, r := range recs {
+		if r.Attributed()+r.Other != r.Latency {
+			t.Fatalf("query %d: components sum to %v, latency %v", r.ID, r.Attributed()+r.Other, r.Latency)
+		}
+		for _, c := range simtrace.Causes {
+			if r.Cause(c) < 0 {
+				t.Fatalf("query %d: negative %s component %v", r.ID, c, r.Cause(c))
+			}
+		}
+	}
+	if len(s.free) != s.records {
+		t.Fatalf("%d of %d query records back in the pool after draining", len(s.free), s.records)
+	}
+	for _, q := range s.free {
+		if q.refs != 0 || !q.done {
+			t.Fatalf("pooled record has refs=%d done=%v", q.refs, q.done)
+		}
+	}
+	m.CheckInvariants()
 }

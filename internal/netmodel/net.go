@@ -50,6 +50,10 @@ type NIC struct {
 	busy bool
 	high []*Packet
 	low  []*Packet
+	// cur is the packet on the wire; sent, bound once as sentFn, retires
+	// it. Only one transmission is ever in flight.
+	cur    *Packet
+	sentFn func()
 	// Low-priority token bucket; lowRate <= 0 means unthrottled.
 	lowRate   float64
 	lowTokens float64
@@ -65,11 +69,13 @@ func NewNIC(eng *sim.Engine, cfg NICConfig) *NIC {
 	if cfg.Bandwidth <= 0 {
 		panic("netmodel: non-positive bandwidth")
 	}
-	return &NIC{
+	n := &NIC{
 		eng:   eng,
 		cfg:   cfg,
 		delay: [2]*stats.Histogram{stats.NewHistogram(), stats.NewHistogram()},
 	}
+	n.sentFn = n.sent
+	return n
 }
 
 // SetLowPriorityRate caps secondary egress at bytesPerSec (≤0 removes
@@ -141,10 +147,10 @@ func (n *NIC) transmitNext() {
 	switch {
 	case len(n.high) > 0:
 		p = n.high[0]
-		n.high = n.high[1:]
+		n.high = popFront(n.high)
 	case n.eligibleLow():
 		p = n.low[0]
-		n.low = n.low[1:]
+		n.low = popFront(n.low)
 		if n.lowRate > 0 {
 			n.lowTokens -= float64(p.Bytes)
 		}
@@ -158,14 +164,31 @@ func (n *NIC) transmitNext() {
 	n.busy = true
 	n.delay[p.Class].AddDuration(n.eng.Now().Sub(p.enqueued))
 	txTime := sim.Duration(float64(p.Bytes) / n.cfg.Bandwidth * float64(sim.Second))
-	n.eng.After(txTime+n.cfg.WireLatency, func() {
-		n.busy = false
-		n.classBytes[p.Class] += p.Bytes
-		if p.OnSent != nil {
-			p.OnSent()
-		}
-		n.transmitNext()
-	})
+	n.cur = p
+	n.eng.After(txTime+n.cfg.WireLatency, n.sentFn)
+}
+
+// sent retires the packet on the wire and starts the next one.
+func (n *NIC) sent() {
+	p := n.cur
+	n.cur = nil
+	n.busy = false
+	n.classBytes[p.Class] += p.Bytes
+	if p.OnSent != nil {
+		p.OnSent()
+	}
+	n.transmitNext()
+}
+
+// popFront drops the head of a FIFO. An emptied FIFO restarts at the
+// start of its remaining storage, so one-at-a-time traffic reuses one
+// array instead of sliding off its end and reallocating.
+func popFront(q []*Packet) []*Packet {
+	q[0] = nil
+	if len(q) == 1 {
+		return q[:0]
+	}
+	return q[1:]
 }
 
 func (n *NIC) armGate() {

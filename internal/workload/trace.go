@@ -88,18 +88,20 @@ func (c *Client) Replay(trace []QuerySpec) {
 			return
 		}
 	}
-	var next func(i int)
-	next = func(i int) {
+	// One cursor callback serves the whole trace: each arrival plans
+	// its successor before submitting itself.
+	i := 0
+	var arrive func()
+	arrive = func() {
 		q := trace[i]
-		a.At(q.Arrival, func() {
-			if i+1 < len(trace) {
-				next(i + 1)
-			}
-			c.Sent++
-			c.submit(q)
-		})
+		i++
+		if i < len(trace) {
+			a.At(trace[i].Arrival, arrive)
+		}
+		c.Sent++
+		c.submit(q)
 	}
-	next(0)
+	a.At(trace[0].Arrival, arrive)
 }
 
 // GenerateCurvedTrace produces an open-loop trace whose instantaneous
