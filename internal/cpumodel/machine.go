@@ -47,8 +47,8 @@ const Forever = sim.Duration(1) << 58
 //
 // A Thread's owner may hand it back with Machine.Release once it is
 // Done; the machine then reuses the struct for a later Spawn, so after
-// Release the owner must drop every reference to it. Owners that never
-// release leave finished threads to the garbage collector.
+// Release the owner must not use it again. Owners that never release
+// leave finished threads to the garbage collector.
 type Thread struct {
 	ID        int
 	Proc      *Process

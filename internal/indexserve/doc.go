@@ -14,4 +14,40 @@
 //     Fig. 4b;
 //   - index reads hit a striped SSD volume on cache misses, and query
 //     logging trickles onto the shared HDD volume.
+//
+// # Query records
+//
+// A query's state lives in a record that each Server pools, so the
+// steady-state query path allocates nothing. A record is made the first
+// time the pool is empty, and binds its callbacks then: one per matcher
+// slot, plus one each for the deadline, the compensation checkpoint and
+// rank completion. A matcher slot's callback steps through the slot's
+// phases — the wake event, then an SSD index read on a cache miss, then
+// the running matcher, whose thread's OnDone is the same callback.
+// Slots are made lazily, up to the widest burst the record has served,
+// and a slot's read request on its first miss; both are reused after.
+//
+// A record serves one query at a time:
+//
+//  1. Submit takes it from the pool, draws the burst and schedules k
+//     wake events, the deadline and the checkpoint.
+//  2. finish — at rank completion or at the deadline — records the
+//     outcome and cancels the query's threads and both timers, so none
+//     of their callbacks can fire later.
+//  3. The record goes back to the pool once the query is done and its
+//     refs count is zero, and hands every thread it spawned (matchers,
+//     rank, speculative workers) back to the machine with
+//     cpumodel.Machine.Release.
+//
+// refs counts the callbacks finish cannot revoke: wake events that
+// have not fired and SSD reads in flight. A deadline drop can leave a
+// read queued on a slow SSD; until it completes the record stays out
+// of the pool, since its completion would otherwise start a matcher for
+// whichever query held the record next. HDD log writes and NIC reply
+// packets are pooled the same way and rejoin their pools when the
+// device finishes with them.
+//
+// Pooling changes no schedule: the same engine calls happen in the same
+// order, so every result is bit-identical to building each query from
+// scratch.
 package indexserve

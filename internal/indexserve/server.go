@@ -282,7 +282,6 @@ func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
 	q.observer = fn
 	q.done = false
 	q.critical = -1
-	q.spec = sim.Timer{}
 	s.inFlight++
 
 	k := q.rng.IntBetween(s.cfg.WorkersMin, s.cfg.WorkersMax)
@@ -305,9 +304,7 @@ func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
 			wake = s.cfg.BurstSpread * sim.Duration(i) / sim.Duration(k)
 		}
 		w.phase = phaseWake
-		w.t = nil
 		w.planned = q.arrival.Add(wake)
-		w.started = 0
 		w.finished = false
 		w.miss = s.SSD != nil && q.rng.Float64() < s.cfg.CacheMissProb
 		q.refs++
@@ -322,6 +319,13 @@ func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
 	if s.cfg.SpecWorkers > 0 {
 		q.spec = s.specLane.After(q.onSpec)
 	}
+}
+
+func (s *Server) workerDemand(q *query, i int) sim.Duration {
+	if i == 0 {
+		return q.rng.LogNormalDuration(s.cfg.DominantMedian, s.cfg.DominantSigma)
+	}
+	return q.rng.LogNormalDuration(s.cfg.HelperMedian, s.cfg.HelperSigma)
 }
 
 // newQuery takes a record from the pool, or makes one and binds its
@@ -422,13 +426,6 @@ func (w *qworker) advance() {
 	q.threads = append(q.threads, w.t)
 }
 
-func (s *Server) workerDemand(q *query, i int) sim.Duration {
-	if i == 0 {
-		return q.rng.LogNormalDuration(s.cfg.DominantMedian, s.cfg.DominantSigma)
-	}
-	return q.rng.LogNormalDuration(s.cfg.HelperMedian, s.cfg.HelperSigma)
-}
-
 // rank runs the serial aggregation stage, after which the query
 // completes.
 func (s *Server) rank(q *query) {
@@ -479,9 +476,10 @@ func (s *Server) finish(q *query, dropped bool) {
 	s.recycle(q)
 }
 
-// recycle returns a finished record to the pool once refs is zero,
-// releasing every thread the query spawned — matchers, rank and
-// speculative workers, all Done since finish cancelled them.
+// recycle returns a finished record to the pool once refs is zero. It
+// releases every thread the query spawned — matchers, rank and
+// speculative workers, all Done since finish cancelled them — and
+// drops the record's references to them.
 func (s *Server) recycle(q *query) {
 	if q.refs > 0 {
 		return
@@ -495,7 +493,6 @@ func (s *Server) recycle(q *query) {
 		w.t = nil
 	}
 	q.rank = nil
-	q.observer = nil
 	s.free = append(s.free, q)
 }
 
