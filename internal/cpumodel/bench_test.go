@@ -22,6 +22,27 @@ func BenchmarkSpawnDispatchIdle(b *testing.B) {
 	}
 }
 
+// BenchmarkSpawnCompleteRelease measures a primary burst's full cycle
+// on an idle machine — spawn, dispatch, completion, OnDone, release —
+// the per-matcher path of every query once its owner recycles threads.
+func BenchmarkSpawnCompleteRelease(b *testing.B) {
+	eng := sim.NewEngine()
+	m := New(eng, sim.NewRNG(1), DefaultConfig())
+	p := m.NewProcess("svc", stats.ClassPrimary)
+	all := AllCores(48)
+	done := false
+	onDone := func() { done = true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		done = false
+		th := m.Spawn(p, sim.Microsecond, all, onDone)
+		for !done && eng.Step() {
+		}
+		m.Release(th)
+	}
+}
+
 // BenchmarkSpawnEnqueueSaturated measures wake→enqueue with every core
 // busy — the contended path of the no-isolation experiments.
 func BenchmarkSpawnEnqueueSaturated(b *testing.B) {

@@ -132,15 +132,15 @@ func TestReleaseMisusePanics(t *testing.T) {
 	eng, m := testMachine(4)
 	p := m.NewProcess("svc", stats.ClassPrimary)
 	th := m.Spawn(p, sim.Millisecond, AllCores(4), nil)
-	mustPanicCPU(t, "release of a running thread", func() { m.Release(th) })
+	mustPanic(t, "release of a running thread", func() { m.Release(th) })
 	eng.RunAll()
 	m.Release(th)
-	mustPanicCPU(t, "second release", func() { m.Release(th) })
+	mustPanic(t, "second release", func() { m.Release(th) })
 
 	other := New(eng, sim.NewRNG(2), m.cfg)
 	foreign := other.Spawn(other.NewProcess("x", stats.ClassPrimary), sim.Millisecond, AllCores(4), nil)
 	other.Cancel(foreign)
-	mustPanicCPU(t, "release on another machine", func() { m.Release(foreign) })
+	mustPanic(t, "release on another machine", func() { m.Release(foreign) })
 }
 
 // TestReleasedTombstoneWaitsForCompaction: a thread released while its
@@ -235,7 +235,7 @@ func TestDelayedEvictionSkipsNextIncarnation(t *testing.T) {
 	m.CheckInvariants()
 }
 
-func mustPanicCPU(t *testing.T, what string, fn func()) {
+func mustPanic(t *testing.T, what string, fn func()) {
 	t.Helper()
 	defer func() {
 		if recover() == nil {
@@ -243,26 +243,4 @@ func mustPanicCPU(t *testing.T, what string, fn func()) {
 		}
 	}()
 	fn()
-}
-
-// BenchmarkSpawnCompleteRelease measures a primary burst's full cycle
-// on an idle machine — spawn, dispatch, completion, OnDone, release —
-// the per-matcher path of every query once its owner recycles threads.
-func BenchmarkSpawnCompleteRelease(b *testing.B) {
-	eng := sim.NewEngine()
-	m := New(eng, sim.NewRNG(1), DefaultConfig())
-	p := m.NewProcess("svc", stats.ClassPrimary)
-	all := AllCores(48)
-	var done *Thread
-	var th *Thread
-	onDone := func() { done = th }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		th = m.Spawn(p, sim.Microsecond, all, onDone)
-		for done == nil && eng.Step() {
-		}
-		m.Release(done)
-		done = nil
-	}
 }
