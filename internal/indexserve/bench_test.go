@@ -71,9 +71,9 @@ func BenchmarkQuery(b *testing.B) {
 	}
 }
 
-// TestQueryPathDoesNotAllocate pins the steady-state query path on a
-// machine with no devices: pooled query records and recycled threads
-// leave it at most one allocation per query (about 40 before pooling).
+// TestQueryPathDoesNotAllocate holds the steady-state query path on a
+// machine with no devices to at most one allocation per query: records
+// come from the server's pool and threads from the machine's.
 func TestQueryPathDoesNotAllocate(t *testing.T) {
 	l := newSteadyLoad(false)
 	if allocs := testing.AllocsPerRun(2000, l.query); allocs > 1 {
