@@ -48,6 +48,6 @@
 // device finishes with them.
 //
 // Pooling changes no schedule: the same engine calls happen in the same
-// order, so every result is bit-identical to building each query from
-// scratch.
+// order, so every result is bit-identical to building every query
+// afresh.
 package indexserve
