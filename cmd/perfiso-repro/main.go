@@ -71,6 +71,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -134,6 +135,18 @@ func parseScale(name string, stderr io.Writer) (experiments.ScaleSpec, bool) {
 	}
 	fmt.Fprintf(stderr, "perfiso-repro: unknown scale %q\n", name)
 	return experiments.ScaleSpec{}, false
+}
+
+// checkTolerance rejects a -tolerance the report cannot honour: a
+// negative band flags every row, NaN flags none, and an infinite one
+// is no band at all. Zero keeps the default.
+func checkTolerance(tol float64, stderr io.Writer) bool {
+	if tol >= 0 && !math.IsInf(tol, 1) {
+		return true
+	}
+	fmt.Fprintf(stderr, "perfiso-repro: bad -tolerance %v, want a finite value >= 0 (0 = default %g)\n",
+		tol, experiments.DefaultTolerance)
+	return false
 }
 
 // parseShard parses -shard "i/N" (zero-based i). The whole token must
@@ -485,6 +498,9 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if !checkTolerance(*tolerance, stderr) {
+		return 2
+	}
 	if *dispatchN < 0 {
 		fmt.Fprintf(stderr, "perfiso-repro: -dispatch %d, want >= 1 (or 0 for the static pool)\n", *dispatchN)
 		return 2
@@ -749,6 +765,9 @@ func mergeCmd(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if !checkTolerance(*tolerance, stderr) {
+		return 2
+	}
 	spec, ok := parseScale(*scaleName, stderr)
 	if !ok {
 		return 2
@@ -829,6 +848,9 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	tables := fs.Bool("tables", false, "print each experiment's table to stdout")
 	quiet := fs.Bool("quiet", false, "suppress scheduling events on stderr")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if !checkTolerance(*tolerance, stderr) {
 		return 2
 	}
 

@@ -64,6 +64,21 @@ func TestBadFlags(t *testing.T) {
 	if code := run([]string{"serve", "-scale", "huge"}, &out, &errb); code != 2 {
 		t.Fatalf("serve with a bad scale: exit %d", code)
 	}
+	// A negative or non-finite -tolerance is refused before any cell
+	// runs or any socket opens.
+	for _, sub := range [][]string{
+		{"run", "-run", "^fig10$", "-results", "", "-report", ""},
+		{"merge", "-shards", t.TempDir(), "-results", "", "-report", ""},
+		{"serve", "-addr", "127.0.0.1:0", "-results", "", "-report", ""},
+	} {
+		for _, tol := range []string{"-0.1", "NaN", "+Inf"} {
+			errb.Reset()
+			args := append(append([]string(nil), sub...), "-tolerance", tol)
+			if code := run(args, &out, &errb); code != 2 || !strings.Contains(errb.String(), "bad -tolerance") {
+				t.Errorf("%v: exit %d, stderr %q; want 2 naming -tolerance", args, code, errb.String())
+			}
+		}
+	}
 }
 
 // TestZeroMatchFilterListsNames: run, manifest and merge all refuse a

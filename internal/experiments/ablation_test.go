@@ -8,14 +8,19 @@ import "testing"
 // dispatched run) executes each baseline exactly once. Cell
 // construction is side-effect free, so this runs no simulations.
 func TestAblationSweepCellsShareBaselines(t *testing.T) {
-	scale := TestScale()
-	buffer := ablationBufferCells(scale)
-	poll := ablationPollCells(scale)
-	holdoff := ablationHoldoffCells(scale)
-	base := baselineCells(scale) // one per load, Loads order: 2000, 4000
+	reg, spec := DefaultRegistry(), TestSpec()
+	cells := func(name string) []Cell {
+		e, ok := reg.Get(name)
+		if !ok {
+			t.Fatalf("%s not registered", name)
+		}
+		return e.Cells(spec)
+	}
+	buffer, poll, holdoff := cells("ablation-buffer"), cells("ablation-poll"), cells("ablation-holdoff")
+	base := cells("fig5")[:2] // the standalone baselines, 2,000 then 4,000 QPS
 
-	if len(poll) != 1+len(ablationPolls) || len(holdoff) != 1+len(ablationHoldoffs) {
-		t.Fatalf("sweep sizes: poll %d, holdoff %d", len(poll), len(holdoff))
+	if len(buffer) != 7 || len(poll) != 5 || len(holdoff) != 5 {
+		t.Fatalf("sweep sizes: buffer %d, poll %d, holdoff %d", len(buffer), len(poll), len(holdoff))
 	}
 	if k := poll[0].Key; k == "" || k != buffer[0].Key || k != base[1].Key {
 		t.Errorf("poll baseline key %q not shared (buffer %q, figs %q)", k, buffer[0].Key, base[1].Key)

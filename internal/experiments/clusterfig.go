@@ -93,20 +93,11 @@ func assembleFig9(results []any) Fig9 {
 	}
 }
 
-// RunFig9 executes all three scenarios: the standalone baseline and the
-// PerfIso-managed CPU-bound and disk-bound colocations.
-func RunFig9(scale Fig9Scale) Fig9 {
-	return assembleFig9(RunCells(fig9Cells(scale), 0))
-}
-
 // fig10Cells wraps the fluid model as a single cell. The fluid model
 // is cheap at full size — a fixed nominal cost keeps it scheduled
 // late and packed into any shard.
 func fig10Cells() []Cell {
-	return []Cell{{Name: "production-hour", Cost: 2000, Run: func() any { return RunFig10() }}}
-}
-
-// RunFig10 executes the 650-machine production fluid model (Fig. 10).
-func RunFig10() cluster.ProductionResult {
-	return cluster.RunProduction(cluster.DefaultProductionConfig())
+	return []Cell{{Name: "production-hour", Cost: 2000, Run: func() any {
+		return cluster.RunProduction(cluster.DefaultProductionConfig())
+	}}}
 }

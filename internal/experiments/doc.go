@@ -10,13 +10,16 @@
 // Every experiment registers in the Registry as a named set of
 // independent Cells — one seeded simulation per sweep point — plus an
 // Assemble hook that folds completed cell results back into the
-// figure's typed value and table. Cells share nothing (each builds its
+// figure's typed value and table. The single-machine experiments
+// (Figs. 4–8, the headline and the controller ablations) are declared
+// as data in sweep.go: a table of sweeps, each a list of points (cell
+// name, table label, load, bully, policy, baseline cell), run and
+// reported by one generic path. Cells share nothing (each builds its
 // own engine from its own seed), so the pool in pool.go executes them
-// concurrently with results bit-identical to a sequential run; the
-// RunFigN convenience wrappers drive their cells through the same
-// pool. Reports
-// flow out three ways: the classic ASCII tables, flat JSON/CSV
-// artifact rows (WriteArtifacts), and the committed markdown
-// reproduction report (RenderMarkdown → RESULTS.md), which CI
-// regenerates and diffs as an evaluation-regression gate.
+// concurrently with results bit-identical to a sequential run.
+// Registry.Run is the only way to execute an experiment. Reports flow
+// out three ways: the classic ASCII tables, flat JSON/CSV artifact
+// rows (WriteArtifacts), and the committed markdown reproduction
+// report (RenderMarkdown → RESULTS.md), which CI regenerates and diffs
+// as an evaluation-regression gate.
 package experiments

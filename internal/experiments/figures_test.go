@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"errors"
+	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -13,17 +15,28 @@ import (
 // calibration_test.go at the larger TestScale.
 func tinyScale() Scale { return Scale{Queries: 3000, Warmup: 500, Seed: 5} }
 
+// runTiny runs one registered experiment at tinyScale and tinySpec's
+// reduced cluster.
+func runTiny(t *testing.T, name string) ExperimentResult {
+	t.Helper()
+	spec := tinySpec()
+	spec.Single = tinyScale()
+	res, err := DefaultRegistry().Run(RunOptions{Spec: spec, Filter: regexp.MustCompile("^" + name + "$")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Experiments[0]
+}
+
 func TestRunFig6Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := RunFig6(tinyScale())
-	if len(f.CoreCounts) != 3 {
-		t.Fatalf("core counts = %v", f.CoreCounts)
-	}
-	for _, cores := range f.CoreCounts {
-		for _, qps := range Loads {
-			r, ok := f.Cells[cores][qps]
+	e := runTiny(t, "fig6")
+	v := e.Value.(SweepResult)
+	for _, cores := range []int{24, 16, 8} {
+		for _, qps := range []int{2000, 4000} {
+			r, ok := v[fmt.Sprintf("cores=%d/qps=%d", cores, qps)]
 			if !ok {
 				t.Fatalf("missing cell cores=%d qps=%v", cores, qps)
 			}
@@ -37,7 +50,7 @@ func TestRunFig6Structure(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(f.Table(), "cores=24") {
+	if !strings.Contains(e.Report.Table, "cores=24") {
 		t.Fatal("table missing rows")
 	}
 }
@@ -46,10 +59,11 @@ func TestRunFig7Structure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	f := RunFig7(tinyScale())
-	for _, frac := range f.Fractions {
-		for _, qps := range Loads {
-			r := f.Cells[frac][qps]
+	e := runTiny(t, "fig7")
+	v := e.Value.(SweepResult)
+	for _, frac := range []float64{0.45, 0.25, 0.05} {
+		for _, qps := range []int{2000, 4000} {
+			r := v[fmt.Sprintf("cycles=%.0f%%/qps=%d", frac*100, qps)]
 			if r.Latency.Count == 0 {
 				t.Fatalf("empty cell frac=%v qps=%v", frac, qps)
 			}
@@ -62,7 +76,7 @@ func TestRunFig7Structure(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(f.Table(), "cycles=45%") {
+	if !strings.Contains(e.Report.Table, "cycles=45%") {
 		t.Fatal("table missing rows")
 	}
 }
@@ -71,9 +85,8 @@ func TestRunFig9Smoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	scale := TestFig9Scale()
-	scale.Queries, scale.Warmup = 1200, 200
-	f := RunFig9(scale)
+	e := runTiny(t, "fig9")
+	f := e.Value.(Fig9)
 	for name, r := range map[string]cluster.Result{
 		"standalone": f.Standalone, "cpu": f.CPUBound, "disk": f.DiskBound,
 	} {
@@ -90,29 +103,24 @@ func TestRunFig9Smoke(t *testing.T) {
 	if f.Standalone.Secondary != "standalone" || f.CPUBound.Secondary != "cpu-bound" {
 		t.Errorf("scenario labels: %q / %q", f.Standalone.Secondary, f.CPUBound.Secondary)
 	}
-	tbl := f.Table()
 	for _, want := range []string{"standalone", "cpu-bound", "disk-bound"} {
-		if !strings.Contains(tbl, want) {
+		if !strings.Contains(e.Report.Table, want) {
 			t.Errorf("fig9 table missing %q", want)
 		}
 	}
 }
 
 func TestRunFig10Smoke(t *testing.T) {
-	r := RunFig10()
+	e := runTiny(t, "fig10")
+	r := e.Value.(cluster.ProductionResult)
 	if len(r.Samples) != 3600 {
 		t.Fatalf("samples = %d, want 3600 (1h at 1s steps)", len(r.Samples))
 	}
 	if r.AvgCPUUsedPct < 60 || r.AvgCPUUsedPct > 80 {
 		t.Fatalf("avg CPU = %.1f%%, want ≈70%%", r.AvgCPUUsedPct)
 	}
-	tbl := Fig10Table(r, 600)
-	if !strings.Contains(tbl, "p99ms") || !strings.Contains(tbl, "avg CPU") {
+	if tbl := e.Report.Table; !strings.Contains(tbl, "p99ms") || !strings.Contains(tbl, "avg CPU") {
 		t.Fatalf("fig10 table malformed:\n%s", tbl)
-	}
-	// every<=0 falls back to printing all rows without crashing.
-	if len(Fig10Table(r, 0)) < len(tbl) {
-		t.Fatal("every=0 table shorter than sampled table")
 	}
 }
 

@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"regexp"
+	"testing"
+)
 
 // TestHarvestFrontier is the acceptance gate for the batch-harvest
 // scheduler: on the default cluster config, the harvest-aware policy
@@ -10,7 +13,11 @@ func TestHarvestFrontier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("frontier run is seconds-long; skipped in -short")
 	}
-	f := RunHarvestFrontier(DefaultHarvestScale())
+	res, err := DefaultRegistry().Run(RunOptions{Spec: TestSpec(), Filter: regexp.MustCompile(`^harvest-frontier$`)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Value("harvest-frontier").(HarvestFrontier)
 	if len(f.Points) != 3 {
 		t.Fatalf("got %d policy points, want 3", len(f.Points))
 	}

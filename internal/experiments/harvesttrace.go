@@ -119,13 +119,6 @@ func assembleHarvestTraceFrontier(s ScaleSpec, cells []Cell, results []any) Harv
 	return f
 }
 
-// RunHarvestTraceFrontier runs the comparison once per placement
-// policy and source.
-func RunHarvestTraceFrontier(s ScaleSpec) HarvestTraceFrontier {
-	cells := harvestTraceCells(s)
-	return assembleHarvestTraceFrontier(s, cells, RunCells(cells, 0))
-}
-
 // Point returns the cell for a (policy, source) pair.
 func (f HarvestTraceFrontier) Point(policy, source string) (HarvestTracePoint, bool) {
 	for _, p := range f.Points {

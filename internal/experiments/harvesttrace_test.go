@@ -33,8 +33,13 @@ func TestHarvestTraceFrontierShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("frontier run is seconds-long; skipped in -short")
 	}
-	spec := traceFrontierSpec()
-	f := RunHarvestTraceFrontier(spec)
+	res, err := DefaultRegistry().Run(RunOptions{
+		Spec: traceFrontierSpec(), Filter: regexp.MustCompile(`^harvest-trace-frontier$`),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Value("harvest-trace-frontier").(HarvestTraceFrontier)
 	if len(f.Points) != 6 {
 		t.Fatalf("got %d points, want 3 policies × 2 sources", len(f.Points))
 	}

@@ -59,82 +59,9 @@ func clusterRow(name string, r cluster.Result) Row {
 func DefaultRegistry() *Registry {
 	r := NewRegistry()
 
-	r.MustRegister(Experiment{
-		Name:         "fig4",
-		DecodeResult: DecodeJSONResult[SingleResult],
-		Describe:     "Figs. 4a/4b — standalone vs unrestricted mid/high secondary at both loads",
-		Cells:        func(s ScaleSpec) []Cell { return fig4Cells(s.Single) },
-		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
-			f := assembleFig4(results)
-			return f, Report{Table: f.Table(), Rows: singleRows(cells, results),
-				Series: singleSeries(cells, results), Forensics: singleForensics(cells, results)}
-		},
-	})
-
-	r.MustRegister(Experiment{
-		Name:         "fig5",
-		DecodeResult: DecodeJSONResult[SingleResult],
-		Describe:     "Figs. 5a/5b — blind isolation with 4 and 8 buffer cores under the high secondary",
-		Cells:        func(s ScaleSpec) []Cell { return fig5Cells(s.Single) },
-		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
-			f := assembleFig5(results)
-			return f, Report{Table: f.Table(), Rows: singleRows(cells, results),
-				Series: singleSeries(cells, results), Forensics: singleForensics(cells, results)}
-		},
-	})
-
-	r.MustRegister(Experiment{
-		Name:         "fig6",
-		DecodeResult: DecodeJSONResult[SingleResult],
-		Describe:     "Figs. 6a/6b — secondary statically restricted to 24/16/8 cores",
-		Cells:        func(s ScaleSpec) []Cell { return fig6Cells(s.Single) },
-		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
-			f := assembleFig6(results)
-			return f, Report{Table: f.Table(), Rows: singleRows(cells, results),
-				Forensics: singleForensics(cells, results)}
-		},
-	})
-
-	r.MustRegister(Experiment{
-		Name:         "fig7",
-		DecodeResult: DecodeJSONResult[SingleResult],
-		Describe:     "Figs. 7a–7c — secondary capped at 45%/25%/5% of CPU cycles",
-		Cells:        func(s ScaleSpec) []Cell { return fig7Cells(s.Single) },
-		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
-			f := assembleFig7(results)
-			return f, Report{Table: f.Table(), Rows: singleRows(cells, results),
-				Forensics: singleForensics(cells, results)}
-		},
-	})
-
-	r.MustRegister(Experiment{
-		Name:         "fig8",
-		DecodeResult: DecodeJSONResult[SingleResult],
-		Describe:     "Figs. 8a–8c — five-way isolation comparison at the paper's 2,000 QPS",
-		Cells:        func(s ScaleSpec) []Cell { return fig8Cells(s.Fig8QPS, s.Single) },
-		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
-			f := assembleFig8(results)
-			return f, Report{Table: f.Table(), Rows: singleRows(cells, results),
-				Forensics: singleForensics(cells, results)}
-		},
-	})
-
-	r.MustRegister(Experiment{
-		Name:         "headline",
-		DecodeResult: DecodeJSONResult[SingleResult],
-		Describe:     "§1 headline — average CPU utilization standalone vs colocated (21% → 66%)",
-		Cells:        func(s ScaleSpec) []Cell { return headlineCells(s.Single) },
-		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
-			h := assembleHeadline(results)
-			rows := []Row{{Cell: "headline", Metrics: []Metric{
-				{"standalone_used_pct", h.StandaloneUsedPct},
-				{"colocated_used_pct", h.ColocatedUsedPct},
-				{"secondary_pct", h.SecondaryPct},
-			}}}
-			return h, Report{Table: h.Table(), Rows: rows,
-				Forensics: singleForensics(cells, results)}
-		},
-	})
+	for _, sw := range paperSweeps {
+		r.MustRegister(sw.experiment())
+	}
 
 	r.MustRegister(Experiment{
 		Name:         "fig9",
@@ -166,7 +93,7 @@ func DefaultRegistry() *Registry {
 				{"samples", float64(len(p.Samples))},
 			}}}
 			series := []SeriesRow{{Cell: "production-hour", Tracks: productionSeries(p)}}
-			return p, Report{Table: Fig10Table(p, 600), Rows: rows, Series: series}
+			return p, Report{Table: Fig10Table(p), Rows: rows, Series: series}
 		},
 	})
 
@@ -221,7 +148,7 @@ func DefaultRegistry() *Registry {
 				{"windows", float64(len(t.Samples))},
 			}}}
 			series := []SeriesRow{{Cell: "diurnal", Tracks: t.SeriesTracks()}}
-			return t, Report{Table: t.Table(5), Rows: rows, Series: series}
+			return t, Report{Table: t.Table(), Rows: rows, Series: series}
 		},
 	})
 
@@ -278,41 +205,9 @@ func DefaultRegistry() *Registry {
 		},
 	})
 
-	r.MustRegister(Experiment{
-		Name:         "ablation-buffer",
-		DecodeResult: DecodeJSONResult[SingleResult],
-		Describe:     "ablation — blind-isolation buffer size swept beyond the paper's {4,8} at peak load",
-		Cells:        func(s ScaleSpec) []Cell { return ablationBufferCells(s.Single) },
-		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
-			a := assembleAblationBuffer(results)
-			return a, Report{Table: a.Table(), Rows: ablationRows(cells, results, a.Baseline),
-				Forensics: singleForensics(cells, results)}
-		},
-	})
-
-	r.MustRegister(Experiment{
-		Name:         "ablation-poll",
-		DecodeResult: DecodeJSONResult[SingleResult],
-		Describe:     "ablation — governor poll cadence swept around the §4.1 100 µs loop at peak load",
-		Cells:        func(s ScaleSpec) []Cell { return ablationPollCells(s.Single) },
-		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
-			a := assembleAblationPoll(results)
-			return a, Report{Table: a.Table(), Rows: ablationRows(cells, results, a.Baseline),
-				Forensics: singleForensics(cells, results)}
-		},
-	})
-
-	r.MustRegister(Experiment{
-		Name:         "ablation-holdoff",
-		DecodeResult: DecodeJSONResult[SingleResult],
-		Describe:     "ablation — blind-isolation grow holdoff swept: harvest bought vs tail risked",
-		Cells:        func(s ScaleSpec) []Cell { return ablationHoldoffCells(s.Single) },
-		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
-			a := assembleAblationHoldoff(results)
-			return a, Report{Table: a.Table(), Rows: ablationRows(cells, results, a.Baseline),
-				Forensics: singleForensics(cells, results)}
-		},
-	})
+	for _, sw := range ablationSweeps {
+		r.MustRegister(sw.experiment())
+	}
 
 	return r
 }

@@ -272,7 +272,7 @@ type ExperimentResult struct {
 	Name      string
 	Describe  string
 	CellNames []string
-	// Value is the typed figure result (Fig4, Fig9, Headline, …).
+	// Value is the typed figure result (SweepResult, Fig9, …).
 	Value any
 	// Report carries the rendered table and the artifact rows.
 	Report Report

@@ -155,16 +155,13 @@ func TestParallelMatchesSequential(t *testing.T) {
 		t.Error("rendered reports differ between workers=1 and workers=8")
 	}
 
-	// The parallel fig4 must also equal the legacy sequential runner,
-	// and the headline's shared standalone cell must not change its
-	// numbers versus a standalone RunHeadline.
-	f4 := seq.Value("fig4").(Fig4)
-	if legacy := RunFig4(tinySpec().Single); !reflect.DeepEqual(f4, legacy) {
-		t.Error("registry fig4 differs from RunFig4")
-	}
-	h := seq.Value("headline").(Headline)
-	if legacy := RunHeadline(tinySpec().Single); !reflect.DeepEqual(h, legacy) {
-		t.Error("registry headline (shared baseline) differs from RunHeadline")
+	// Keyed dedup must not change numbers: the headline's standalone
+	// cell, whose result the run shared from fig4's by key, equals a
+	// fresh run of the cell itself.
+	e, _ := DefaultRegistry().Get("headline")
+	alone := e.Cells(tinySpec())[0]
+	if got := seq.Value("headline").(SweepResult)[alone.Name]; !reflect.DeepEqual(got, alone.Run()) {
+		t.Error("headline's shared standalone cell differs from running it alone")
 	}
 }
 

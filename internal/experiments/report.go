@@ -310,20 +310,14 @@ func mark(ok bool) string {
 	return "✗"
 }
 
-// probe guards the comparison lookups against sweep-constant drift: if
-// a probed cell vanishes from a figure (someone edited Loads,
-// fig5Buffers, …), the comparison reports a loud missing-cell row with
+// missing is the loud row a comparison becomes when a cell it probes
+// is absent (a sweep or policy list changed) or measured nothing:
 // Match ✗ instead of comparing zero values and passing.
-func probe(cells map[float64]SingleResult, qps float64) (SingleResult, bool) {
-	r, ok := cells[qps]
-	return r, ok && r.Latency.Count > 0
-}
-
 func missing(figure, what string) comparison {
 	return comparison{
 		Figure:     figure,
 		Paper:      what,
-		Reproduced: "probed cell missing — sweep constants changed; update comparisons()",
+		Reproduced: "probed cell missing — an experiment's cells changed; update its comparison",
 		Match:      false,
 	}
 }
@@ -333,116 +327,7 @@ func missing(figure, what string) comparison {
 // calibration tests: they assert the published shape, not the absolute
 // testbed numbers.
 func comparisons(res RunResult) []comparison {
-	var out []comparison
-
-	if v, ok := res.Value("fig4").(Fig4); ok {
-		const paper4 = "unrestricted high secondary: ≈29× P99 degradation, 11–32% of queries dropped (§6.1.2)"
-		base, okBase := probe(v.Cells[BullyOff], 2000)
-		high, okHigh := probe(v.Cells[BullyHigh], 2000)
-		if !okBase || !okHigh {
-			out = append(out, missing("Fig. 4", paper4))
-		} else {
-			ratio := 0.0
-			if base.Latency.P99Ms > 0 {
-				ratio = high.Latency.P99Ms / base.Latency.P99Ms
-			}
-			minDrop, maxDrop := 1.0, 0.0
-			for _, r := range v.Cells[BullyHigh] {
-				if r.DropRate < minDrop {
-					minDrop = r.DropRate
-				}
-				if r.DropRate > maxDrop {
-					maxDrop = r.DropRate
-				}
-			}
-			out = append(out, comparison{
-				Figure:     "Fig. 4",
-				Paper:      paper4,
-				Reproduced: fmt.Sprintf("P99 %.0f× standalone at 2,000 QPS; drops %.0f–%.0f%%", ratio, 100*minDrop, 100*maxDrop),
-				Match:      ratio >= 10 && maxDrop >= 0.03,
-				HasRel:     true, PaperVal: 29, GotVal: ratio,
-			})
-		}
-	}
-
-	if v, ok := res.Value("fig5").(Fig5); ok {
-		const paper5 = "blind isolation with 8 buffer cores keeps P99 within ~1 ms of standalone (§6.1.3)"
-		r2k, ok2k := probe(v.Cells[8], 2000)
-		r4k, ok4k := probe(v.Cells[8], 4000)
-		b2k, okb2 := probe(v.Baseline, 2000)
-		b4k, okb4 := probe(v.Baseline, 4000)
-		if !ok2k || !ok4k || !okb2 || !okb4 {
-			out = append(out, missing("Fig. 5", paper5))
-		} else {
-			_, _, d2k := r2k.DegradationMs(b2k)
-			_, _, d4k := r4k.DegradationMs(b4k)
-			out = append(out, comparison{
-				Figure:     "Fig. 5",
-				Paper:      paper5,
-				Reproduced: fmt.Sprintf("∆P99 %+.2f ms at 2,000 QPS, %+.2f ms at 4,000 QPS", d2k, d4k),
-				Match:      d2k <= 1.0 && d4k <= 1.0,
-			})
-		}
-	}
-
-	if v, ok := res.Value("fig6").(Fig6); ok {
-		const paper6 = "8 static secondary cores protect the tail at peak; 24 do not (§6.1.3, Fig. 6a)"
-		r8, ok8 := probe(v.Cells[8], 4000)
-		r24, ok24 := probe(v.Cells[24], 4000)
-		b4k, okb := probe(v.Baseline, 4000)
-		if !ok8 || !ok24 || !okb {
-			out = append(out, missing("Fig. 6", paper6))
-		} else {
-			_, _, d8 := r8.DegradationMs(b4k)
-			_, _, d24 := r24.DegradationMs(b4k)
-			out = append(out, comparison{
-				Figure:     "Fig. 6",
-				Paper:      paper6,
-				Reproduced: fmt.Sprintf("∆P99 at 4,000 QPS: cores=8 %+.2f ms, cores=24 %+.2f ms", d8, d24),
-				Match:      d8 < d24 && d8 <= 4,
-			})
-		}
-	}
-
-	if v, ok := res.Value("fig7").(Fig7); ok {
-		const paper7 = "even a 5% cycle cap visibly degrades the tail, and larger caps are worse (§6.1.3)"
-		base, okb := probe(v.Baseline, 2000)
-		r5, ok5 := probe(v.Cells[0.05], 2000)
-		r45, ok45 := probe(v.Cells[0.45], 2000)
-		if !okb || !ok5 || !ok45 {
-			out = append(out, missing("Fig. 7", paper7))
-		} else {
-			_, _, d5 := r5.DegradationMs(base)
-			out = append(out, comparison{
-				Figure:     "Fig. 7",
-				Paper:      paper7,
-				Reproduced: fmt.Sprintf("∆P99 at 2,000 QPS: cap=5%% %+.2f ms; cap=45%% P99 %.1f ms vs cap=5%% %.1f ms", d5, r45.Latency.P99Ms, r5.Latency.P99Ms),
-				Match:      d5 >= 1 && r45.Latency.P99Ms >= r5.Latency.P99Ms,
-			})
-		}
-	}
-
-	if v, ok := res.Value("fig8").(Fig8); ok {
-		blind, cores, cycles := v.ProgressShares()
-		out = append(out, comparison{
-			Figure:     "Fig. 8",
-			Paper:      "secondary progress vs unrestricted: blind 62%, cores 45%, cycles 9% (§6.1.4)",
-			Reproduced: fmt.Sprintf("blind %.0f%%, cores %.0f%%, cycles %.0f%%", 100*blind, 100*cores, 100*cycles),
-			Match:      blind > cores && cores > cycles && cycles <= 0.25,
-			HasRel:     true, PaperVal: 0.62, GotVal: blind,
-		})
-	}
-
-	if v, ok := res.Value("headline").(Headline); ok {
-		out = append(out, comparison{
-			Figure:     "Headline",
-			Paper:      "average CPU utilization rises from 21% to 66% for co-located servers (§1)",
-			Reproduced: fmt.Sprintf("%.0f%% → %.0f%% (secondary %.0f%%)", v.StandaloneUsedPct, v.ColocatedUsedPct, v.SecondaryPct),
-			Match: v.StandaloneUsedPct >= 10 && v.StandaloneUsedPct <= 35 &&
-				v.ColocatedUsedPct >= 55 && v.ColocatedUsedPct <= 90,
-			HasRel: true, PaperVal: 66, GotVal: v.ColocatedUsedPct,
-		})
-	}
+	out := sweepComparisons(res, paperSweeps)
 
 	if v, ok := res.Value("fig9").(Fig9); ok {
 		s, c, d := v.Standalone.TLA.P99Ms, v.CPUBound.TLA.P99Ms, v.DiskBound.TLA.P99Ms
@@ -506,38 +391,7 @@ func extensionSummaries(res RunResult) []comparison {
 			})
 		}
 	}
-	if v, ok := res.Value("ablation-buffer").(AblationBuffer); ok && len(v.Cells) > 0 {
-		_, _, d4 := v.Cells[4].DegradationMs(v.Baseline)
-		_, _, d8 := v.Cells[8].DegradationMs(v.Baseline)
-		_, _, d16 := v.Cells[16].DegradationMs(v.Baseline)
-		out = append(out, comparison{
-			Figure:     "ablation-buffer",
-			Paper:      "buffer sweep beyond the paper's {4,8}: how much buffer the tail needs vs harvest it costs",
-			Reproduced: fmt.Sprintf("∆P99 at %d QPS: B=4 %+.2f ms, B=8 %+.2f ms, B=16 %+.2f ms (sec%% %.1f/%.1f/%.1f)", ablationQPS, d4, d8, d16, v.Cells[4].Breakdown.SecondaryPct, v.Cells[8].Breakdown.SecondaryPct, v.Cells[16].Breakdown.SecondaryPct),
-			Match:      true,
-		})
-	}
-	if v, ok := res.Value("ablation-poll").(AblationPoll); ok && len(v.Cells) > 0 {
-		fast, slow := v.Polls[0], v.Polls[len(v.Polls)-1]
-		_, _, dFast := v.Cells[fast].DegradationMs(v.Baseline)
-		_, _, dSlow := v.Cells[slow].DegradationMs(v.Baseline)
-		out = append(out, comparison{
-			Figure:     "ablation-poll",
-			Paper:      "poll cadence sweep around §4.1's 100 µs loop: rescue latency vs harvest kept",
-			Reproduced: fmt.Sprintf("at %d QPS: poll=%s ∆P99 %+.2f ms / sec%% %.1f vs poll=%s ∆P99 %+.2f ms / sec%% %.1f", ablationQPS, durLabel(fast), dFast, v.Cells[fast].Breakdown.SecondaryPct, durLabel(slow), dSlow, v.Cells[slow].Breakdown.SecondaryPct),
-			Match:      true,
-		})
-	}
-	if v, ok := res.Value("ablation-holdoff").(AblationHoldoff); ok && len(v.Cells) > 0 {
-		fast, slow := v.Holdoffs[0], v.Holdoffs[len(v.Holdoffs)-1]
-		rFast, rSlow := v.Cells[fast], v.Cells[slow]
-		out = append(out, comparison{
-			Figure:     "ablation-holdoff",
-			Paper:      "grow holdoff sweep: faster growth harvests more but re-shrinks more often",
-			Reproduced: fmt.Sprintf("at %d QPS: holdoff=%s sec%% %.1f / P99 %.2f ms vs holdoff=%s sec%% %.1f / P99 %.2f ms", ablationHoldoffQPS, durLabel(fast), rFast.Breakdown.SecondaryPct, rFast.Latency.P99Ms, durLabel(slow), rSlow.Breakdown.SecondaryPct, rSlow.Latency.P99Ms),
-			Match:      true,
-		})
-	}
+	out = append(out, sweepComparisons(res, ablationSweeps)...)
 	if v, ok := res.Value("harvest-trace-frontier").(HarvestTraceFrontier); ok && len(v.Points) > 0 {
 		const what = "placement frontier holds under a replayed bursty, heavy-tailed batch trace"
 		synth, okS := v.Point("harvest-aware", "synthetic")

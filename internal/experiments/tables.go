@@ -23,83 +23,6 @@ func header(b *strings.Builder, title string) {
 	b.WriteString(strings.Repeat("-", 100) + "\n")
 }
 
-// Table renders Fig. 4 in the paper's bar order.
-func (f Fig4) Table() string {
-	var b strings.Builder
-	header(&b, "Fig. 4 — IndexServe standalone vs unrestricted secondary (no isolation)")
-	for _, mode := range []BullyMode{BullyOff, BullyMid, BullyHigh} {
-		for _, qps := range Loads {
-			row(&b, mode.String(), f.Cells[mode][qps])
-		}
-	}
-	return b.String()
-}
-
-// Table renders Fig. 5 with degradation columns against standalone.
-func (f Fig5) Table() string {
-	var b strings.Builder
-	header(&b, "Fig. 5 — blind isolation, high secondary (degradation vs standalone)")
-	for _, buf := range f.Buffers {
-		for _, qps := range Loads {
-			r := f.Cells[buf][qps]
-			d50, d95, d99 := r.DegradationMs(f.Baseline[qps])
-			row(&b, fmt.Sprintf("blind B=%d", buf), r)
-			fmt.Fprintf(&b, "%-22s %6s  %+7.2f %+7.2f %+7.2f\n", "  ∆ vs standalone", "", d50, d95, d99)
-		}
-	}
-	return b.String()
-}
-
-// Table renders Fig. 6.
-func (f Fig6) Table() string {
-	var b strings.Builder
-	header(&b, "Fig. 6 — static CPU cores, high secondary")
-	for _, cores := range f.CoreCounts {
-		for _, qps := range Loads {
-			r := f.Cells[cores][qps]
-			d50, d95, d99 := r.DegradationMs(f.Baseline[qps])
-			row(&b, fmt.Sprintf("cores=%d", cores), r)
-			fmt.Fprintf(&b, "%-22s %6s  %+7.2f %+7.2f %+7.2f\n", "  ∆ vs standalone", "", d50, d95, d99)
-		}
-	}
-	return b.String()
-}
-
-// Table renders Fig. 7.
-func (f Fig7) Table() string {
-	var b strings.Builder
-	header(&b, "Fig. 7 — static CPU cycles, high secondary")
-	for _, frac := range f.Fractions {
-		for _, qps := range Loads {
-			r := f.Cells[frac][qps]
-			d50, d95, d99 := r.DegradationMs(f.Baseline[qps])
-			row(&b, fmt.Sprintf("cycles=%.0f%%", frac*100), r)
-			fmt.Fprintf(&b, "%-22s %6s  %+7.2f %+7.2f %+7.2f\n", "  ∆ vs standalone", "", d50, d95, d99)
-		}
-	}
-	return b.String()
-}
-
-// Table renders Fig. 8's three panels.
-func (f Fig8) Table() string {
-	var b strings.Builder
-	header(&b, "Fig. 8 — isolation comparison (high secondary)")
-	labels := []string{"standalone", "no isolation", "blind isolation", "cpu cores", "cpu cycles"}
-	for i, r := range f.All() {
-		row(&b, labels[i], r)
-	}
-	blind, cores, cycles := f.ProgressShares()
-	fmt.Fprintf(&b, "\nsecondary progress vs unrestricted: blind %.0f%%, cores %.0f%%, cycles %.0f%%\n",
-		100*blind, 100*cores, 100*cycles)
-	return b.String()
-}
-
-// Table renders the headline utilization numbers.
-func (h Headline) Table() string {
-	return fmt.Sprintf("headline — avg CPU used: standalone %.0f%% → colocated %.0f%% (secondary %.0f%%)\n",
-		h.StandaloneUsedPct, h.ColocatedUsedPct, h.SecondaryPct)
-}
-
 // Table renders Fig. 9's three per-layer panels.
 func (f Fig9) Table() string {
 	var b strings.Builder
@@ -125,17 +48,18 @@ func (f Fig9) Table() string {
 	return b.String()
 }
 
+// fig10TableEvery is the sampling stride of the Fig. 10 table: one row
+// per ten simulated minutes of the one-second production series.
+const fig10TableEvery = 600
+
 // Fig10Table renders the production series as sampled rows plus the
 // headline aggregate.
-func Fig10Table(r cluster.ProductionResult, every int) string {
+func Fig10Table(r cluster.ProductionResult) string {
 	var b strings.Builder
 	b.WriteString("Fig. 10 — 650-machine production hour (fluid model)\n")
 	fmt.Fprintf(&b, "%8s  %8s  %8s  %8s  %8s\n", "t", "qps", "p99ms", "cpu%", "sec%")
-	if every <= 0 {
-		every = 1
-	}
 	for i, s := range r.Samples {
-		if i%every != 0 {
+		if i%fig10TableEvery != 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "%8.0fs  %8.0f  %8.2f  %8.1f  %8.1f\n",

@@ -175,16 +175,17 @@ func RunTimeline(cfg TimelineConfig) TimelineResult {
 	return out
 }
 
+// timelineTableEvery is the sampling stride of the timeline table, in
+// reporting windows.
+const timelineTableEvery = 5
+
 // Table renders the timeline series.
-func (r TimelineResult) Table(every int) string {
+func (r TimelineResult) Table() string {
 	var b strings.Builder
 	b.WriteString("timeline — single-machine DES under the diurnal curve\n")
 	fmt.Fprintf(&b, "%8s  %8s  %8s  %8s  %8s\n", "t", "qps", "p99ms", "cpu%", "sec%")
-	if every <= 0 {
-		every = 1
-	}
 	for i, s := range r.Samples {
-		if i%every != 0 {
+		if i%timelineTableEvery != 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "%8.0fs  %8.0f  %8.2f  %8.1f  %8.1f\n",

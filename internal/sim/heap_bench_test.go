@@ -14,8 +14,8 @@ import (
 //	      per push, like the closure-carrying events it stored);
 //	new — the flat 4-ary Heap[event] with pointer-free entries.
 //
-// scripts/bench.sh runs these and warns (or fails, under
-// BENCH_STRICT=1) when the new/old ns-per-op ratio regresses past 1.2.
+// CI's micro-benchmark smoke step runs both once so they keep building;
+// compare them with repeated runs on one host.
 func BenchmarkEventHeap(b *testing.B) {
 	for _, depth := range []int{1_000, 100_000} {
 		name := fmt.Sprintf("depth=%dk", depth/1000)
