@@ -146,7 +146,7 @@ func RunSingleTraced(qps float64, bully BullyMode, pol isolation.Policy, scale S
 	// Tail forensics: collect the critical-path decomposition of every
 	// finished query; the warmup reset below truncates the unreported
 	// prefix so the blame table covers exactly the measured window.
-	var records []simtrace.QueryRecord
+	records := make([]simtrace.QueryRecord, 0, scale.Queries)
 	n.Server.OnRecord = func(r simtrace.QueryRecord) { records = append(records, r) }
 
 	trace := workload.GenerateTrace(workload.TraceConfig{

@@ -48,15 +48,14 @@
 // own goroutine carries the //perfiso:allow nogoroutine annotation
 // marking that boundary.
 //
-// seqcontract — forbids constructing or mutating sim.Heap (composite
-// literal, var declaration, new(), Push/Pop/Min/Reset/Grow) and
-// re-stamping engine sequencing fields outside internal/sim. Heap pop
-// order between equal elements is explicitly unspecified; only
-// sim.Engine, sim.Agenda and the fixed-delay lanes' sim.Delay.After
-// make event order total by stamping seq at schedule time, so event
-// ordering built anywhere else has no reproducibility contract.
-// Holding an opaque sim.Timer (including the zero value) and calling
-// Heap.Len remain legal.
+// seqcontract — forbids re-stamping engine sequencing fields (at,
+// seq, slot) of sim types outside internal/sim. Only sim.Engine,
+// sim.Agenda and the fixed-delay lanes' sim.Delay.After make event
+// order total by stamping seq at schedule time, so event ordering
+// built anywhere else has no reproducibility contract. The engine's
+// event queue is unexported, so the compiler already rejects building
+// or mutating one outside the package. Holding an opaque sim.Timer
+// (including the zero value) remains legal.
 //
 // # Suppressions
 //

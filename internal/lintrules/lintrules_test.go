@@ -75,7 +75,7 @@ func TestSeqContract(t *testing.T) {
 }
 
 func TestSeqContractOutOfScopeInsideSim(t *testing.T) {
-	// internal/sim is the one place allowed to manage heap entries.
+	// internal/sim is the one place allowed to stamp sequencing fields.
 	linttest.RunClean(t, "testdata/seqcontract/basic", "perfiso/internal/sim", nil, lintrules.SeqContract)
 }
 

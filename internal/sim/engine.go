@@ -41,13 +41,13 @@ func (d Duration) Milliseconds() float64 { return float64(d) / float64(Milliseco
 func (t Time) String() string     { return fmt.Sprintf("t+%.6fs", t.Seconds()) }
 func (d Duration) String() string { return fmt.Sprintf("%.6fs", d.Seconds()) }
 
-// event is one scheduled entry in the engine's heap: the (at, seq) key
-// plus the index of its callback in the engine's slot pool. seq breaks
-// ties so that events scheduled earlier at the same timestamp run
-// first (stable FIFO ordering) — the contract bit-identical
-// reproduction rests on. The struct is pointer-free on purpose: the
-// heap's backing array is never scanned by the GC and sift moves incur
-// no write barriers.
+// event is one scheduled entry in the engine's queue or a lane: the
+// (at, seq) key plus the index of its callback in the engine's slot
+// pool. seq breaks ties so that events scheduled earlier at the same
+// timestamp run first (stable FIFO ordering) — the contract
+// bit-identical reproduction rests on. The struct is pointer-free on
+// purpose: the queue's buckets are never scanned by the GC and moving
+// entries incurs no write barriers.
 type event struct {
 	at   Time
 	seq  uint64
@@ -68,26 +68,27 @@ func (a event) Less(b event) bool {
 type Engine struct {
 	now    Time
 	seq    uint64
-	events Heap[event]
+	events queue
 	// lanes are the fixed-delay FIFOs handed out by NewDelay, one per
 	// distinct delay. Each is sorted by (at, seq) on its own, so the
-	// next event is the least of the heap top and the lane fronts.
+	// next event is the least of the queue's minimum and the lane
+	// fronts.
 	lanes   []*Delay
 	stopped bool
 
 	// fns is the pooled callback storage: events carry slot indices
-	// into it, so the heap stays pointer-free and popped slots are
+	// into it, so the queue stays pointer-free and popped slots are
 	// recycled through free instead of churning the allocator. A slot
 	// is cleared (and recycled) before its callback runs, so a
 	// callback that schedules new events reuses storage without ever
 	// aliasing a live closure. slotSeq pairs each occupied slot with
-	// the seq of its event; a heap entry whose seq no longer matches
+	// the seq of its event; a queued entry whose seq no longer matches
 	// was cancelled and is discarded on pop (lazy deletion).
 	fns     []func()
 	slotSeq []uint64
 	free    []int32
 	// live counts scheduled-and-not-cancelled events; it is what
-	// Pending reports (the heap and lanes may additionally hold
+	// Pending reports (the queue and lanes may additionally hold
 	// cancelled entries awaiting lazy removal).
 	live int
 
@@ -162,7 +163,7 @@ func (e *Engine) AtTimer(t Time, fn func()) Timer {
 	seq := e.seq
 	slot := e.takeSlot(fn, seq)
 	e.live++
-	e.events.Push(event{at: t, seq: seq, slot: slot})
+	e.events.push(event{at: t, seq: seq, slot: slot}, e.now)
 	if e.track {
 		e.trk.EventPushed(e.events.Len())
 	}
@@ -189,7 +190,7 @@ type Timer struct {
 // already ran (or was already cancelled) is a harmless no-op. The seq
 // stamp makes stale Timers safe even after their slot is recycled.
 //
-// Cancellation is lazy: the heap or lane entry stays queued and is
+// Cancellation is lazy: the queue or lane entry stays queued and is
 // discarded when it surfaces. Removing an entry from a totally ordered
 // queue never reorders the remaining events — and a cancelled entry
 // neither advances the clock nor counts as executed — so cancelling an
@@ -204,15 +205,15 @@ func (e *Engine) Cancel(tm Timer) bool {
 	return true
 }
 
-// next returns the least (at, seq) entry among the heap top and the
-// lane fronts, cancelled entries included, and the lane holding it
-// (nil for the heap). ok is false when nothing is queued. Treating
-// the union this way makes the heap and lanes behave as one queue, so
+// next returns the least (at, seq) entry among the queue's minimum and
+// the lane fronts, cancelled entries included, and the lane holding it
+// (nil for the queue). ok is false when nothing is queued. Treating
+// the union this way makes the queue and lanes behave as one queue, so
 // execution order — and which cancelled entries have been discarded at
-// any point — is exactly what a single heap holding every entry gives.
+// any point — is exactly what a single queue holding every entry gives.
 func (e *Engine) next() (ev event, lane *Delay, ok bool) {
 	if e.events.Len() > 0 {
-		ev, ok = e.events.Min(), true
+		ev, ok = e.events.min(), true
 	}
 	for _, l := range e.lanes {
 		if l.n == 0 {
@@ -225,12 +226,17 @@ func (e *Engine) next() (ev event, lane *Delay, ok bool) {
 	return ev, lane, ok
 }
 
-// drop removes the entry next just returned from its queue.
-func (e *Engine) drop(lane *Delay) {
-	if lane == nil {
-		e.events.Pop()
-	} else {
+// drop removes the entry next just returned from its queue. Taking it
+// out of the event queue moves the queue's base to its time, unless
+// hold is set because the clock will not follow.
+func (e *Engine) drop(lane *Delay, hold bool) {
+	switch {
+	case lane != nil:
 		lane.pop()
+	case hold:
+		e.events.remove()
+	default:
+		e.events.pop()
 	}
 	if e.track {
 		e.trk.EventPopped()
@@ -259,7 +265,7 @@ func (e *Engine) Step() bool {
 		if !ok {
 			return false
 		}
-		e.drop(lane)
+		e.drop(lane, false)
 		if e.slotSeq[ev.slot] != ev.seq {
 			// Cancelled: recycle the slot (held since Cancel so the
 			// stale entry could never alias a newer event) and keep
@@ -273,30 +279,31 @@ func (e *Engine) Step() bool {
 }
 
 // Run dispatches events until the queue is empty or the next event lies
-// beyond until; the clock is then advanced to until. It returns the number
-// of events dispatched.
+// beyond until, and then advances the clock to until. After Stop it
+// returns at once, with the clock at the stopping event. It returns the
+// number of events dispatched.
 func (e *Engine) Run(until Time) uint64 {
 	start := e.executed
 	from := e.now
 	for !e.stopped {
 		ev, lane, ok := e.next()
-		if !ok {
-			break
-		}
-		if e.slotSeq[ev.slot] != ev.seq {
-			// Cancelled head: discard without touching the clock.
-			e.drop(lane)
+		if ok && e.slotSeq[ev.slot] != ev.seq {
+			// Cancelled head: discard without touching the clock. Past
+			// until the clock stops short of it, so the queue must not
+			// move its base there: events may yet be scheduled between
+			// until and ev.at.
+			e.drop(lane, ev.at > until)
 			e.free = append(e.free, ev.slot)
 			continue
 		}
-		if ev.at > until {
+		if !ok || ev.at > until {
+			if e.now < until {
+				e.now = until
+			}
 			break
 		}
-		e.drop(lane)
+		e.drop(lane, false)
 		e.fire(ev)
-	}
-	if e.now < until {
-		e.now = until
 	}
 	e.stopped = false
 	if e.track {
@@ -325,14 +332,13 @@ func (e *Engine) RunAll() uint64 {
 func (e *Engine) Stop() { e.stopped = true }
 
 // Agenda streams a pre-planned batch of events into the engine without
-// holding them all in the heap at once. NewAgenda reserves the next n
+// holding them all in the queue at once. NewAgenda reserves the next n
 // sequence numbers at call time, so events fed through Agenda.At keep
 // exactly the (at, seq) order they would have had if all n had been
 // scheduled up front at that point — including FIFO ties against one
-// another and against every other event — while the heap only ever
+// another and against every other event — while the queue only ever
 // holds the handful actually in flight. Replayers use this to chain
-// half-million-query traces: pop cost is O(log of live events), not
-// O(log of the whole trace).
+// half-million-query traces without queueing the whole trace.
 //
 // Agenda.At calls must be made in planning order (they consume the
 // reserved seqs sequentially) and, as with Engine.At, may not schedule
@@ -370,7 +376,7 @@ func (a *Agenda) At(t Time, fn func()) {
 	a.next++
 	slot := e.takeSlot(fn, seq)
 	e.live++
-	e.events.Push(event{at: t, seq: seq, slot: slot})
+	e.events.push(event{at: t, seq: seq, slot: slot}, e.now)
 	if e.track {
 		e.trk.EventPushed(e.events.Len())
 	}
@@ -378,12 +384,12 @@ func (a *Agenda) At(t Time, fn func()) {
 
 // Delay is a fixed-delay lane: a FIFO of events that each fire d after
 // they were scheduled. The clock never goes back and seq only grows, so
-// appending (now+d, seq) keeps a lane sorted by (at, seq) with no
-// sifting, and the engine dispatches the least of the heap top and the
-// lane fronts — execution order is exactly what AfterTimer(d, ...)
-// gives. A timer that is nearly always cancelled (a query deadline, a
-// quantum expiry) thereby waits in its lane rather than deepening the
-// heap every other event is popped through.
+// appending (now+d, seq) keeps a lane sorted by (at, seq), and the
+// engine dispatches the least of the queue's minimum and the lane
+// fronts — execution order is exactly what AfterTimer(d, ...) gives.
+// A timer that is nearly always cancelled (a query deadline, a quantum
+// expiry) thereby waits in its lane rather than crowding the queue
+// every other event is popped through.
 type Delay struct {
 	e   *Engine
 	d   Duration
@@ -413,7 +419,7 @@ func (e *Engine) NewDelay(d Duration) *Delay {
 // Timer that Engine.Cancel accepts. It is AfterTimer(d, fn) in every
 // observable respect: the same seq is stamped, the event runs at the
 // same point of the total order, and obs sees one push (whose depth,
-// the heap's length, does not count lane entries).
+// the queue's length, does not count lane entries).
 func (l *Delay) After(fn func()) Timer {
 	e := l.e
 	e.seq++

@@ -1,10 +1,13 @@
 package sim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // Edge cases of the rewritten engine core: same-instant scheduling,
-// empty-heap panics, burst growth and slot-pool reuse, cancellation,
-// and the Agenda streaming contract.
+// empty-queue panics and the queue's base rules, burst growth and
+// slot-pool reuse, cancellation, and the Agenda streaming contract.
 
 func TestEngineScheduleAtCurrentInstant(t *testing.T) {
 	e := NewEngine()
@@ -25,25 +28,117 @@ func TestEngineScheduleAtCurrentInstant(t *testing.T) {
 func TestHeapPopEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Pop on an empty heap did not panic")
+			t.Fatal("pop on an empty queue did not panic")
 		}
 	}()
-	var h Heap[event]
-	h.Pop()
+	var q queue
+	q.pop()
 }
 
 func TestHeapMinEmptyPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Min on an empty heap did not panic")
+			t.Fatal("min on an empty queue did not panic")
 		}
 	}()
-	var h Heap[event]
-	h.Min()
+	var q queue
+	q.min()
+}
+
+func TestQueuePushBelowBasePanics(t *testing.T) {
+	var q queue
+	q.push(event{at: 10, seq: 1}, 10)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("push below the base did not panic")
+		}
+	}()
+	q.push(event{at: 5, seq: 2}, 10)
+}
+
+// The next three tests pin the rules that keep the queue's base from
+// passing the clock; breaking any one makes a legal schedule panic.
+
+func TestQueuePeekKeepsBase(t *testing.T) {
+	// The engine peeks the queue (minimum 100) to compare it with a
+	// lane front (10). The lane wins, and its callback schedules at 50,
+	// below the queue's minimum.
+	e := NewEngine()
+	var got []Time
+	e.At(100, func() { got = append(got, e.Now()) })
+	e.NewDelay(10).After(func() {
+		e.At(50, func() { got = append(got, e.Now()) })
+	})
+	e.RunAll()
+	if len(got) != 2 || got[0] != 50 || got[1] != 100 {
+		t.Fatalf("fired at %v, want [50 100]", got)
+	}
+}
+
+func TestQueueDiscardPastUntilKeepsBase(t *testing.T) {
+	// Run(50) discards the cancelled head at 100 and stops the clock at
+	// 50, so 60 is still a legal time to schedule at.
+	e := NewEngine()
+	var got []Time
+	tm := e.AtTimer(100, func() { t.Error("cancelled event fired") })
+	e.At(200, func() { got = append(got, e.Now()) })
+	e.Cancel(tm)
+	e.Run(50)
+	e.At(60, func() { got = append(got, e.Now()) })
+	e.RunAll()
+	if len(got) != 2 || got[0] != 60 || got[1] != 200 {
+		t.Fatalf("fired at %v, want [60 200]", got)
+	}
+}
+
+func TestQueueEmptyTakesClockAsBase(t *testing.T) {
+	// An empty queue takes the clock, not the first pushed time, as its
+	// base: a later push may be earlier.
+	e := NewEngine()
+	var got []Time
+	record := func() { got = append(got, e.Now()) }
+	e.At(100, record)
+	e.At(50, record)
+	e.RunAll()
+	// Step discards the last entry, a cancelled one at 300, which may
+	// move the base past the clock (100); the next push must reset it.
+	e.Cancel(e.AtTimer(300, record))
+	if e.Step() {
+		t.Fatal("Step ran a cancelled event")
+	}
+	e.At(e.Now(), record)
+	e.RunAll()
+	if len(got) != 3 || got[0] != 50 || got[1] != 100 || got[2] != 100 {
+		t.Fatalf("fired at %v, want [50 100 100]", got)
+	}
+}
+
+func TestQueueBucketZeroSeqOrder(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	record := func(s string) func() { return func() { got = append(got, s) } }
+	// By push: an Agenda's reserved seq is smaller than the seqs
+	// already queued at the base.
+	a := e.NewAgenda(1)
+	e.At(0, record("b"))
+	e.At(0, record("c"))
+	a.At(0, record("a"))
+	// By redistribution: discarding the cancelled entry at 64 past
+	// until swaps the last entry of its bucket (e) into its place,
+	// ahead of d.
+	x := e.AtTimer(64, record("x"))
+	e.At(100, record("d"))
+	e.At(100, record("e"))
+	e.Cancel(x)
+	e.Run(50)
+	e.RunAll()
+	if s := strings.Join(got, " "); s != "a b c d e" {
+		t.Fatalf("order %q, want \"a b c d e\"", s)
+	}
 }
 
 func TestEngineBurstGrowthAndReuse(t *testing.T) {
-	// A 100k-event burst must grow the heap and slot pool, drain
+	// A 100k-event burst must grow the queue and slot pool, drain
 	// cleanly, and leave both fully reusable.
 	const n = 100_000
 	e := NewEngine()

@@ -108,6 +108,21 @@ func TestEngineStop(t *testing.T) {
 	if fired != 2 {
 		t.Fatalf("fired = %d after resume, want 2", fired)
 	}
+
+	// A stopped Run leaves the clock at the stopping event, not at
+	// until, so the event still queued before until runs on time.
+	e = NewEngine()
+	ranAt := Time(-1)
+	e.At(1, e.Stop)
+	e.At(5, func() { ranAt = e.Now() })
+	e.Run(10)
+	if e.Now() != 1 || e.Pending() != 1 {
+		t.Fatalf("after a stopped Run(10): now %v, pending %d; want t=1 and 1", e.Now(), e.Pending())
+	}
+	e.Run(20)
+	if ranAt != 5 || e.Now() != 20 {
+		t.Fatalf("resumed Run(20): event ran at %v, clock %v; want 5 and 20", ranAt, e.Now())
+	}
 }
 
 func TestTicker(t *testing.T) {

@@ -46,9 +46,9 @@ func laneCounts(data []byte, viaHeap bool) ([]progRecord, [][2]uint64) {
 }
 
 // checkLaneCounts requires a program to behave identically with its
-// fixed-delay events in lanes or in the heap: the same log, and the
-// same obs pushed/popped counts after every op — lanes discard a
-// cancelled entry exactly when the heap would have.
+// fixed-delay events in lanes or in the event queue: the same log, and
+// the same obs pushed/popped counts after every op — lanes discard a
+// cancelled entry exactly when the queue would have.
 func checkLaneCounts(t *testing.T, data []byte) {
 	t.Helper()
 	laneLog, viaLane := laneCounts(data, false)

@@ -14,7 +14,7 @@ import (
 // fixed-delay lanes and agendas — against both implementations and
 // require identical execution traces.
 // BenchmarkEventHeap (heap_bench_test.go) uses the same reference as
-// its "old" side.
+// its "ref" side.
 
 type refEvent struct {
 	at        Time

@@ -85,30 +85,29 @@ var quantileValues = map[string]float64{
 // BlameTable builds the per-cell blame table from the measured query
 // records. Quantile queries are selected deterministically: records
 // are sorted by (latency, id) and the ceil(q*n)-th record is taken,
-// matching the usual order-statistic convention. Returns nil when no
+// matching the usual order-statistic convention. It sorts records in
+// place, so the caller's slice is left reordered. Returns nil when no
 // queries were measured.
 func BlameTable(records []QueryRecord) *CellForensics {
 	if len(records) == 0 {
 		return nil
 	}
-	sorted := make([]QueryRecord, len(records))
-	copy(sorted, records)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Latency != sorted[j].Latency {
-			return sorted[i].Latency < sorted[j].Latency
+	sort.Slice(records, func(i, j int) bool {
+		if records[i].Latency != records[j].Latency {
+			return records[i].Latency < records[j].Latency
 		}
-		return sorted[i].ID < sorted[j].ID
+		return records[i].ID < records[j].ID
 	})
 	cf := &CellForensics{Queries: len(records)}
 	for _, q := range Quantiles {
-		idx := int(float64(len(sorted))*quantileValues[q]+0.999999) - 1
+		idx := int(float64(len(records))*quantileValues[q]+0.999999) - 1
 		if idx < 0 {
 			idx = 0
 		}
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
+		if idx >= len(records) {
+			idx = len(records) - 1
 		}
-		cf.Rows = append(cf.Rows, BlameRow{Quantile: q, Record: sorted[idx]})
+		cf.Rows = append(cf.Rows, BlameRow{Quantile: q, Record: records[idx]})
 	}
 	return cf
 }
