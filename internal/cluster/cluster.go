@@ -140,18 +140,11 @@ type IndexMachine struct {
 	// machine acted as MLA.
 	MLALatency *stats.Histogram
 
-	pending map[int]*pendingMLA
-	down    bool
+	down bool
 }
 
 // Down reports whether the machine is marked failed.
 func (m *IndexMachine) Down() bool { return m.down }
-
-type pendingMLA struct {
-	remaining int
-	started   sim.Time
-	onDone    func()
-}
 
 // Cluster is the assembled deployment.
 type Cluster struct {
@@ -186,6 +179,9 @@ type Cluster struct {
 	unserved uint64
 	// Completed counts end-to-end responses delivered.
 	Completed uint64
+
+	// fanouts holds the query records no query is using (see fanout).
+	fanouts []*fanout
 }
 
 // New assembles the cluster on eng. Every index machine is a full node
@@ -217,10 +213,9 @@ func New(eng *sim.Engine, cfg Config) *Cluster {
 				Column:     col,
 				Node:       n,
 				MLALatency: stats.NewHistogram(),
-				pending:    map[int]*pendingMLA{},
 			}
 			// Route every local response into the cluster-wide server
-			// histogram and the per-request MLA bookkeeping.
+			// histogram; the fan-out's column slots collect their own.
 			n.Server.OnResponse = func(resp indexserve.Response) {
 				c.ServerLatency.AddDuration(resp.Latency)
 			}
@@ -358,63 +353,147 @@ func (c *Cluster) Submit() {
 	c.nextMLA[row]++
 
 	c.nextQID++
-	qid := c.nextQID
 	c.inFlight++
-	tlaStart := c.Eng.Now()
-	mla := c.Machines[row][mlaIdx]
+	f := c.newFanout()
+	f.tla = tla
+	f.row = row
+	f.mlaIdx = mlaIdx
+	f.mla = c.Machines[row][mlaIdx]
+	f.qid = c.nextQID
+	f.tlaStart = c.Eng.Now()
 
 	// TLA → MLA hop.
-	c.Eng.After(c.hop(), func() {
-		mlaStart := c.Eng.Now()
-		p := &pendingMLA{remaining: c.cfg.Columns, started: mlaStart}
-		mla.pending[qid] = p
-		p.onDone = func() {
-			delete(mla.pending, qid)
-			// Aggregation burst on the MLA machine's own CPU.
-			all := cpumodel.AllCores(mla.Node.CPU.Cores())
-			mla.Node.CPU.Spawn(mla.Node.Server.Proc, c.cfg.MLAAggCost, all, func() {
-				agg := c.Eng.Now().Sub(mlaStart)
-				mla.MLALatency.AddDuration(agg)
-				c.MLALatency.AddDuration(agg)
-				// MLA → TLA hop, then the TLA's own merge.
-				c.Eng.After(c.hop()+c.cfg.TLAAggCost, func() {
-					e2e := c.Eng.Now().Sub(tlaStart)
-					tla.Latency.AddDuration(e2e)
-					c.TLALatency.AddDuration(e2e)
-					c.inFlight--
-					c.Completed++
-				})
-			})
+	c.Eng.After(c.hop(), f.onMLA)
+}
+
+// fanout is the record of one user query's trip through the cluster:
+// the TLA→MLA hop, the MLA's fan-out to every column of its row, the
+// column replies, the aggregation burst on the MLA, and the MLA→TLA
+// hop with the TLA's merge. Records are pooled per cluster. A record
+// binds its callbacks once, when it is made, and has one column slot
+// per column whose callbacks are bound then too. Submit takes a record
+// from Cluster.fanouts, and merged — the last callback of the query —
+// returns it: by then every hop has arrived, every column has replied
+// and the aggregation burst has finished, so nothing can call back
+// into it.
+type fanout struct {
+	c        *Cluster
+	tla      *TLA
+	row      int
+	mlaIdx   int
+	mla      *IndexMachine
+	qid      int
+	tlaStart sim.Time
+	mlaStart sim.Time
+	// remaining counts the columns whose replies have not reached the
+	// MLA yet.
+	remaining int
+	cols      []*column
+
+	// Callbacks bound once per record.
+	onMLA, onAggregated, onMerged func()
+}
+
+// column is a fanout's slot for one column of the chosen row.
+type column struct {
+	f      *fanout
+	target *IndexMachine
+	local  bool // the MLA's own column: no network hops
+	seed   uint64
+
+	// Callbacks bound once per slot: deliver submits the query to the
+	// column's server, respond takes its reply, and arrive counts the
+	// reply in at the MLA.
+	deliver func()
+	respond func(indexserve.Response)
+	arrive  func()
+}
+
+// newFanout takes a record from the pool, or makes one and binds its
+// callbacks.
+func (c *Cluster) newFanout() *fanout {
+	if n := len(c.fanouts); n > 0 {
+		f := c.fanouts[n-1]
+		c.fanouts = c.fanouts[:n-1]
+		return f
+	}
+	f := &fanout{c: c, cols: make([]*column, c.cfg.Columns)}
+	f.onMLA = f.reachMLA
+	f.onAggregated = f.aggregated
+	f.onMerged = f.merged
+	for i := range f.cols {
+		col := &column{f: f}
+		col.deliver = col.submit
+		col.respond = col.reply
+		col.arrive = col.arrived
+		f.cols[i] = col
+	}
+	return f
+}
+
+// reachMLA runs when the query reaches its MLA: it fans the query out
+// to every column of the row. The local column skips the network.
+func (f *fanout) reachMLA() {
+	c := f.c
+	f.mlaStart = c.Eng.Now()
+	f.remaining = c.cfg.Columns
+	for i, col := range f.cols {
+		col.local = i == f.mlaIdx
+		col.target = c.Machines[f.row][i]
+		col.seed = querySeed(c.cfg.Seed, f.qid, f.row, i)
+		if col.local {
+			col.submit()
+		} else {
+			c.Eng.After(c.hop(), col.deliver)
 		}
-		// MLA → columns fan-out. The local column skips the network.
-		for col := 0; col < c.cfg.Columns; col++ {
-			local := col == mlaIdx
-			target := c.Machines[row][col]
-			seed := querySeed(c.cfg.Seed, qid, row, col)
-			deliver := func() {
-				target.Node.Server.SubmitObserved(workload.QuerySpec{ID: qid, Seed: seed},
-					func(indexserve.Response) {
-						// Column response travels back to the MLA.
-						arrive := func() {
-							p.remaining--
-							if p.remaining == 0 {
-								p.onDone()
-							}
-						}
-						if local {
-							arrive()
-						} else {
-							c.Eng.After(c.hop(), arrive)
-						}
-					})
-			}
-			if local {
-				deliver()
-			} else {
-				c.Eng.After(c.hop(), deliver)
-			}
-		}
-	})
+	}
+}
+
+// submit hands the query to the column's server.
+func (col *column) submit() {
+	col.target.Node.Server.SubmitObserved(workload.QuerySpec{ID: col.f.qid, Seed: col.seed}, col.respond)
+}
+
+// reply sends the column's response back to the MLA.
+func (col *column) reply(indexserve.Response) {
+	if col.local {
+		col.arrived()
+	} else {
+		col.f.c.Eng.After(col.f.c.hop(), col.arrive)
+	}
+}
+
+// arrived counts a column's response in at the MLA; the last one starts
+// the aggregation burst on the MLA machine's own CPU.
+func (col *column) arrived() {
+	f := col.f
+	f.remaining--
+	if f.remaining == 0 {
+		cpu := f.mla.Node.CPU
+		cpu.SpawnDetached(f.mla.Node.Server.Proc, f.c.cfg.MLAAggCost, cpumodel.AllCores(cpu.Cores()), f.onAggregated)
+	}
+}
+
+// aggregated records the MLA latency and sends the result to the TLA:
+// the MLA → TLA hop, then the TLA's own merge.
+func (f *fanout) aggregated() {
+	c := f.c
+	agg := c.Eng.Now().Sub(f.mlaStart)
+	f.mla.MLALatency.AddDuration(agg)
+	c.MLALatency.AddDuration(agg)
+	c.Eng.After(c.hop()+c.cfg.TLAAggCost, f.onMerged)
+}
+
+// merged records the end-to-end latency and returns the record to the
+// pool.
+func (f *fanout) merged() {
+	c := f.c
+	e2e := c.Eng.Now().Sub(f.tlaStart)
+	f.tla.Latency.AddDuration(e2e)
+	c.TLALatency.AddDuration(e2e)
+	c.inFlight--
+	c.Completed++
+	c.fanouts = append(c.fanouts, f)
 }
 
 func querySeed(base uint64, qid, row, col int) uint64 {
@@ -480,19 +559,24 @@ func (c *Cluster) Run(queries, warmup int, rate float64, seed uint64) Result {
 	// makes the chained replay order-identical to scheduling every
 	// arrival up front, while the event heap stays shallow.
 	agenda := c.Eng.NewAgenda(queries + 1)
-	var schedule func(i int)
-	schedule = func(i int) {
-		if i == warmup {
-			agenda.At(arrivals[i], func() { c.ResetMeasurement() })
+	// One cursor callback serves the whole trace: each arrival plans its
+	// successor before submitting itself.
+	next := 0
+	var arrive func()
+	plan := func() {
+		if next == warmup {
+			agenda.At(arrivals[next], c.ResetMeasurement)
 		}
-		agenda.At(arrivals[i], func() {
-			if i+1 < queries {
-				schedule(i + 1)
-			}
-			c.Submit()
-		})
+		agenda.At(arrivals[next], arrive)
 	}
-	schedule(0)
+	arrive = func() {
+		next++
+		if next < queries {
+			plan()
+		}
+		c.Submit()
+	}
+	plan()
 	// Drain: every query resolves within the deadline plus aggregation
 	// and hops; one extra second is ample.
 	c.Eng.Run(lastArrival.Add(sim.Duration(c.cfg.Node.IndexServe.Deadline) + sim.Second))

@@ -45,10 +45,17 @@ const Forever = sim.Duration(1) << 58
 // sensitive services spawn one thread per unit of parallel work; bullies
 // spawn Forever threads.
 //
-// A Thread's owner may hand it back with Machine.Release once it is
-// Done; the machine then reuses the struct for a later Spawn, so after
-// Release the owner must not use it again. Owners that never release
-// leave finished threads to the garbage collector.
+// A finished thread is reclaimed in one of three ways:
+//   - its owner hands it back with Machine.Release once it is Done, and
+//     must not use it again (IndexServe's query records do this);
+//   - it was started with Machine.SpawnDetached, which returns no handle,
+//     and the machine releases it itself when it completes or is killed
+//     (background bursts and MLA aggregations);
+//   - its owner keeps it and never releases it, leaving the struct to the
+//     garbage collector (bully workers, harvest task threads).
+//
+// A released struct is reused by a later spawn only once it is Done and
+// no longer listed in its process's threads.
 type Thread struct {
 	ID        int
 	Proc      *Process
@@ -78,10 +85,12 @@ type Thread struct {
 	// Recycling state (see Machine.Release). gen counts incarnations of
 	// the struct, so a delayed eviction armed for an earlier one can
 	// tell; listed means Proc.threads still holds the thread, live or
-	// as a tombstone; released means the owner handed it back.
+	// as a tombstone; released means the owner handed it back, or, for
+	// a detached thread, that it finished.
 	gen      uint32
 	listed   bool
 	released bool
+	detached bool
 }
 
 // Ready-wait blame classes, decided when the wait begins.
@@ -132,6 +141,7 @@ type Process struct {
 	windowUsed  sim.Duration
 	frozen      bool
 	parked      []*Thread
+	parkedSpare []*Thread // unparkAll alternates parked with this buffer
 	throttleOn  bool
 	wakeCounter uint64 // diagnostic: freeze/unfreeze cycles
 }
@@ -311,6 +321,9 @@ type Machine struct {
 	// free holds released threads that no machine structure references
 	// any more; Spawn reuses them (see Release).
 	free []*Thread
+	// scratch collects the threads SetAffinity displaces and freeze
+	// parks, so neither allocates once it has grown.
+	scratch []*Thread
 	// quantum is the engine lane quantum-expiry slices are armed on:
 	// every one fires exactly Config.Quantum after it was armed.
 	quantum *sim.Delay
@@ -459,6 +472,19 @@ func (m *Machine) accrueIdle(c *core, now sim.Time) {
 // thread affinity (use AllCores for no thread-level restriction). onDone
 // may be nil.
 func (m *Machine) Spawn(p *Process, burst sim.Duration, aff CPUSet, onDone func()) *Thread {
+	return m.spawn(p, burst, aff, onDone, false)
+}
+
+// SpawnDetached starts a fire-and-forget burst: it schedules exactly as
+// Spawn does, but returns no handle, and the machine releases the
+// thread itself when it completes (after reading OnDone) or is killed.
+// Loads that never look at their threads again use it, so their bursts
+// draw from and refill the free list that Release feeds.
+func (m *Machine) SpawnDetached(p *Process, burst sim.Duration, aff CPUSet, onDone func()) {
+	m.spawn(p, burst, aff, onDone, true)
+}
+
+func (m *Machine) spawn(p *Process, burst sim.Duration, aff CPUSet, onDone func(), detached bool) *Thread {
 	if burst <= 0 {
 		panic("cpumodel: non-positive burst")
 	}
@@ -475,6 +501,7 @@ func (m *Machine) Spawn(p *Process, burst sim.Duration, aff CPUSet, onDone func(
 		core:      -1,
 		parkedAt:  m.eng.Now(),
 		gen:       t.gen + 1,
+		detached:  detached,
 	}
 	p.addThread(t)
 	m.makeReady(t)
@@ -495,6 +522,7 @@ func (m *Machine) newThread() *Thread {
 // t must be Done — completed, cancelled or killed — and released at
 // most once; Release panics otherwise. After Release the caller must
 // not touch t: Spawn may return the same pointer as a new thread.
+// Detached threads are released by the machine (see SpawnDetached).
 //
 // Reuse waits until no machine structure refers to t: a thread still
 // listed as a tombstone in its process's thread list becomes reusable
@@ -706,12 +734,20 @@ func (m *Machine) completeSlice(c *core) {
 	t.Remaining = 0
 	t.State = StateDone
 	t.core = -1
+	// Read OnDone first: a detached thread is released here, and the
+	// compaction dropThread may run can put it on the free list, where
+	// OnDone's own spawns may reuse it.
+	onDone := t.OnDone
+	if t.detached {
+		t.released = true
+		t.OnDone = nil
+	}
 	t.Proc.dropThread()
 	c.running = nil
 	c.epoch++
 	m.pickNext(c)
-	if t.OnDone != nil {
-		t.OnDone()
+	if onDone != nil {
+		onDone()
 	}
 }
 
@@ -754,8 +790,13 @@ func (m *Machine) expireQuantum(c *core) {
 // balancing), else the core goes idle.
 func (m *Machine) pickNext(c *core) {
 	for len(c.queue) > 0 {
+		// Shift the queue down rather than slicing its head off, so it
+		// stays at the front of its storage and makeReady's append never
+		// has to reallocate it. Queues are a few entries long.
 		t := c.queue[0]
-		c.queue = c.queue[1:]
+		n := copy(c.queue, c.queue[1:])
+		c.queue[n] = nil
+		c.queue = c.queue[:n]
 		m.queuedCount--
 		t.Proc.queued--
 		if t.State != StateReady {
@@ -890,7 +931,7 @@ func (m *Machine) preempt(t *Thread) {
 // non-empty are re-placed.
 func (m *Machine) SetAffinity(p *Process, mask CPUSet) {
 	p.affinity = mask
-	var displaced []*Thread
+	displaced := m.scratch[:0]
 	// p.threads is kept in ID order (tombstones skipped), so the sweep
 	// visits threads exactly as the old sorted snapshot did — thread
 	// handling order reaches scheduling decisions, and any other order
@@ -916,6 +957,8 @@ func (m *Machine) SetAffinity(p *Process, mask CPUSet) {
 	for _, t := range displaced {
 		m.makeReady(t)
 	}
+	clear(displaced)
+	m.scratch = displaced[:0]
 	if !mask.IsEmpty() && !p.frozen {
 		m.unparkAll(p)
 	}
@@ -967,15 +1010,21 @@ func (m *Machine) pullIdle() {
 	}
 }
 
-// unparkAll re-places every parked thread of p.
+// unparkAll re-places every parked thread of p. makeReady may park a
+// thread again while the old list is walked, so the list alternates
+// between two buffers: re-parks go to the spare one, and the walked one
+// becomes the next spare.
 func (m *Machine) unparkAll(p *Process) {
 	parked := p.parked
-	p.parked = nil
+	p.parked = p.parkedSpare[:0]
+	p.parkedSpare = nil
 	for _, t := range parked {
 		if t.State == StateParked {
 			m.makeReady(t)
 		}
 	}
+	clear(parked)
+	p.parkedSpare = parked[:0]
 }
 
 // Cancel terminates a single thread without firing OnDone; services use
@@ -997,7 +1046,8 @@ func (m *Machine) Cancel(t *Thread) {
 	t.Proc.dropThread()
 }
 
-// Kill terminates every thread of p without firing OnDone.
+// Kill terminates every thread of p without firing OnDone; detached
+// threads are released.
 func (m *Machine) Kill(p *Process) {
 	for _, t := range p.threads {
 		switch t.State {
@@ -1007,6 +1057,10 @@ func (m *Machine) Kill(p *Process) {
 			m.remove(t)
 		}
 		t.State = StateDone
+		if t.detached {
+			t.released = true
+			t.OnDone = nil
+		}
 		m.unlist(t)
 	}
 	p.threads = nil
@@ -1078,7 +1132,7 @@ func (m *Machine) runThrottle(p *Process) {
 // freeze parks every live thread of p until the window resets.
 func (m *Machine) freeze(p *Process) {
 	p.frozen = true
-	var victims []*Thread
+	victims := m.scratch[:0]
 	for _, t := range p.threads {
 		switch t.State {
 		case StateRunning:
@@ -1092,6 +1146,8 @@ func (m *Machine) freeze(p *Process) {
 	for _, t := range victims {
 		m.park(t)
 	}
+	clear(victims)
+	m.scratch = victims[:0]
 }
 
 // CheckInvariants panics if internal bookkeeping is inconsistent; tests
@@ -1109,6 +1165,9 @@ func (m *Machine) CheckInvariants() {
 			}
 			if t.released && t.State != StateDone {
 				panic(fmt.Sprintf("process %s: released thread %d is %v", p.Name, t.ID, t.State))
+			}
+			if t.detached && t.State == StateDone && !t.released {
+				panic(fmt.Sprintf("process %s: finished detached thread %d not released", p.Name, t.ID))
 			}
 			listed[t] = true
 			if t.State != StateDone {

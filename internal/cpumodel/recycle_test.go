@@ -128,6 +128,148 @@ func TestRecycleRandomized(t *testing.T) {
 	}
 }
 
+// TestDetachedRecycleRandomized drives random detached spawns (some
+// of whose OnDone callbacks spawn again at once), owned spawns and
+// releases, affinity changes, cycle caps, kills and engine advances,
+// with CheckInvariants after every step. Every detached burst must
+// fire its OnDone exactly once if it completes and never if it is
+// killed, and a spawn may only reuse a struct that is Done and no
+// longer listed in its process's threads.
+func TestDetachedRecycleRandomized(t *testing.T) {
+	const cores = 8
+	all := AllCores(cores)
+	reused := 0
+	for _, evict := range []sim.Duration{0, 300 * sim.Microsecond} {
+		for seed := uint64(1); seed <= 20; seed++ {
+			eng := sim.NewEngine()
+			cfg := DefaultConfig()
+			cfg.Cores = cores
+			cfg.Quantum = 2 * sim.Millisecond
+			cfg.ThrottleCheck = 100 * sim.Microsecond
+			cfg.EvictionLatency = evict
+			m := New(eng, sim.NewRNG(seed), cfg)
+			procs := []*Process{
+				m.NewProcess("primary", stats.ClassPrimary),
+				m.NewProcess("batch", stats.ClassSecondary),
+				m.NewProcess("os", stats.ClassOS),
+			}
+			r := sim.NewRNG(seed)
+			// burst is one detached spawn: the struct it got, that
+			// incarnation's ID, and what happened to it.
+			type burst struct {
+				t      *Thread
+				id     int
+				fired  int
+				killed bool
+			}
+			var bursts []*burst
+			seen := map[*Thread]bool{}
+			// spawned checks a fresh spawn's struct against every
+			// tracked one: reusing a struct still listed or not Done
+			// would alias a live thread.
+			spawned := func(th *Thread, inUse map[*Thread]bool, step int) {
+				if inUse[th] {
+					t.Fatalf("seed %d step %d: spawn reused thread %d's struct while it was in use", seed, step, th.ID)
+				}
+				if seen[th] {
+					reused++
+				}
+				seen[th] = true
+			}
+			inUse := func() map[*Thread]bool {
+				u := map[*Thread]bool{}
+				for _, b := range bursts {
+					if b.t.ID == b.id && (b.t.State != StateDone || b.t.listed) {
+						u[b.t] = true
+					}
+				}
+				return u
+			}
+			var detach func(p *Process, step int, again bool)
+			detach = func(p *Process, step int, again bool) {
+				b := &burst{}
+				u := inUse()
+				m.SpawnDetached(p, sim.Duration(r.IntBetween(10, 3000))*sim.Microsecond, all, func() {
+					b.fired++
+					if b.fired > 1 || b.killed {
+						t.Fatalf("seed %d: burst %d fired %d times (killed %v)", seed, b.id, b.fired, b.killed)
+					}
+					if again {
+						detach(p, step, r.Intn(2) == 0)
+					}
+				})
+				b.t = p.threads[len(p.threads)-1]
+				b.id = b.t.ID
+				spawned(b.t, u, step)
+				bursts = append(bursts, b)
+			}
+			var owned []*Thread
+			for step := 0; step < 400; step++ {
+				p := procs[r.Intn(len(procs))]
+				switch r.Intn(10) {
+				case 0, 1, 2, 3:
+					detach(p, step, r.Intn(3) == 0)
+				case 4:
+					u := inUse()
+					th := m.Spawn(p, sim.Duration(r.IntBetween(10, 3000))*sim.Microsecond, all, nil)
+					spawned(th, u, step)
+					owned = append(owned, th)
+				case 5:
+					for i, th := range owned {
+						if th.State == StateDone {
+							m.Release(th)
+							owned = append(owned[:i], owned[i+1:]...)
+							break
+						}
+					}
+				case 6:
+					m.SetAffinity(p, CPUSet(r.Uint64())&all)
+				case 7:
+					if r.Intn(2) == 0 {
+						m.SetCycleCap(p, 0.05, sim.Millisecond)
+					} else {
+						m.SetCycleCap(p, 0, 0)
+					}
+				case 8:
+					if r.Intn(4) == 0 {
+						for _, b := range bursts {
+							if b.t.Proc == p && b.t.ID == b.id && b.t.State != StateDone {
+								b.killed = true
+							}
+						}
+						m.Kill(p)
+					} else {
+						eng.Step()
+					}
+				default:
+					eng.Run(eng.Now().Add(sim.Duration(r.IntBetween(1, 2000)) * sim.Microsecond))
+				}
+				m.CheckInvariants()
+			}
+			// Drain: lift every restriction so each surviving burst
+			// completes.
+			for _, p := range procs {
+				m.SetCycleCap(p, 0, 0)
+				m.SetAffinity(p, all)
+			}
+			eng.RunAll()
+			m.CheckInvariants()
+			for _, b := range bursts {
+				want := 1
+				if b.killed {
+					want = 0
+				}
+				if b.fired != want {
+					t.Fatalf("seed %d: burst %d (killed %v) fired %d times, want %d", seed, b.id, b.killed, b.fired, want)
+				}
+			}
+		}
+	}
+	if reused == 0 {
+		t.Fatal("no detached thread's struct came back from a spawn; reuse went untested")
+	}
+}
+
 func TestReleaseMisusePanics(t *testing.T) {
 	eng, m := testMachine(4)
 	p := m.NewProcess("svc", stats.ClassPrimary)

@@ -102,6 +102,9 @@ type procState struct {
 	pending     []*Request // requests gated by the limiter
 	priority    int
 	gateArmed   bool
+	// retry is the gate's retry, bound once per process state, so a
+	// throttled flow arms its gate without allocating.
+	retry func()
 }
 
 // Volume is a striped set of identical drives fed from one priority
@@ -170,6 +173,10 @@ func (v *Volume) proc(name string) *procState {
 	p, ok := v.procs[name]
 	if !ok {
 		p = &procState{lastRefill: v.eng.Now()}
+		p.retry = func() {
+			p.gateArmed = false
+			v.drainPending(p)
+		}
 		v.procs[name] = p
 	}
 	return p
@@ -244,19 +251,19 @@ func (v *Volume) Submit(r *Request) {
 	v.nextSeq++
 	r.seq = v.nextSeq
 	p.pending = append(p.pending, r)
-	v.drainPending(r.Proc, p)
+	v.drainPending(p)
 }
 
 // drainPending admits as many of proc's gated requests as its token
 // buckets allow, scheduling a retry when the bucket runs dry.
-func (v *Volume) drainPending(name string, p *procState) {
+func (v *Volume) drainPending(p *procState) {
 	v.refill(p)
 	for len(p.pending) > 0 {
 		r := p.pending[0]
 		needBytes := p.bytesPerSec > 0 && p.bytesTokens < float64(r.Bytes)
 		needOps := p.opsPerSec > 0 && p.opsTokens < 1
 		if needBytes || needOps {
-			v.armGate(name, p, r)
+			v.armGate(p, r)
 			return
 		}
 		if p.bytesPerSec > 0 {
@@ -280,7 +287,7 @@ func (v *Volume) drainPending(name string, p *procState) {
 
 // armGate schedules the retry that re-admits gated requests once tokens
 // accrue.
-func (v *Volume) armGate(name string, p *procState, r *Request) {
+func (v *Volume) armGate(p *procState, r *Request) {
 	if p.gateArmed {
 		return
 	}
@@ -299,10 +306,7 @@ func (v *Volume) armGate(name string, p *procState, r *Request) {
 		wait = sim.Microsecond
 	}
 	p.gateArmed = true
-	v.eng.After(wait, func() {
-		p.gateArmed = false
-		v.drainPending(name, p)
-	})
+	v.eng.After(wait, p.retry)
 }
 
 // admit puts a request in the device queue (priority order) and starts

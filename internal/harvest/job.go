@@ -118,6 +118,9 @@ type Task struct {
 	// (a disk op still in flight on the old machine, say) recognize
 	// themselves as stale and stop.
 	epoch int
+	// ops holds the task's disk ops whose completions have fired (see
+	// diskOp).
+	ops []*diskOp
 }
 
 // Remaining reports the CPU work left on a CPU-bound task.

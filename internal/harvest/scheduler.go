@@ -473,27 +473,62 @@ func (s *Scheduler) issueDiskOp(ms *machineState, t *Task, epoch int) {
 	if t.epoch != epoch || t.opsLeft <= 0 {
 		return
 	}
-	kind := diskmodel.OpWrite
+	op := s.newDiskOp(t)
+	op.ms, op.epoch = ms, epoch
+	op.req.Kind = diskmodel.OpWrite
 	if t.opsLeft%3 == 0 {
-		kind = diskmodel.OpRead
+		op.req.Kind = diskmodel.OpRead
 	}
-	ms.m.Node.HDD.Submit(&diskmodel.Request{
+	ms.m.Node.HDD.Submit(&op.req)
+}
+
+// diskOp is one of a disk task's operations: its request, with the
+// completion bound once, and the placement that issued it. A task
+// reuses an op only after its completion has fired. A preempted task
+// can restart elsewhere while its last op is still queued on the old
+// machine, so that op must not be resubmitted until it completes; the
+// new chain takes another op meanwhile.
+type diskOp struct {
+	s     *Scheduler
+	t     *Task
+	ms    *machineState
+	epoch int
+	req   diskmodel.Request
+}
+
+// newDiskOp takes one of t's completed ops, or makes one and binds
+// its completion.
+func (s *Scheduler) newDiskOp(t *Task) *diskOp {
+	if n := len(t.ops); n > 0 {
+		op := t.ops[n-1]
+		t.ops = t.ops[:n-1]
+		return op
+	}
+	op := &diskOp{s: s, t: t}
+	op.req = diskmodel.Request{
 		Proc:       "harvest-disk",
-		Kind:       kind,
 		Bytes:      8 << 10,
 		Sequential: true,
-		OnComplete: func() {
-			if t.epoch != epoch {
-				return
-			}
-			t.opsLeft--
-			if t.opsLeft == 0 {
-				s.complete(t)
-				return
-			}
-			s.issueDiskOp(ms, t, epoch)
-		},
-	})
+		OnComplete: op.completed,
+	}
+	return op
+}
+
+// completed returns the op to its task and, unless its placement has
+// been superseded, counts it and chains the next.
+func (op *diskOp) completed() {
+	s, t, ms, epoch := op.s, op.t, op.ms, op.epoch
+	op.ms = nil
+	t.ops = append(t.ops, op)
+	if t.epoch != epoch {
+		return
+	}
+	t.opsLeft--
+	if t.opsLeft == 0 {
+		s.complete(t)
+		return
+	}
+	s.issueDiskOp(ms, t, epoch)
 }
 
 // complete retires a finished task.

@@ -217,6 +217,52 @@ func TestDiskTaskFailoverRunsFullStream(t *testing.T) {
 	}
 }
 
+// TestDiskTaskRestartWhileOpInFlight: a disk task preempted and
+// restarted on another machine in the same instant leaves its current
+// op queued on the old machine. That op's request must not be
+// resubmitted before it completes: the old machine serves it uncounted,
+// and the new machine serves exactly the ops that were left.
+func TestDiskTaskRestartWhileOpInFlight(t *testing.T) {
+	eng := sim.NewEngine()
+	c := cluster.New(eng, cluster.ScaledConfig(2))
+	sched, err := NewScheduler(c, DefaultConfig()) // not started: the test places by hand
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := sched.Submit(JobSpec{Name: "disk", Tasks: 1, TaskOps: 2000, Kind: cluster.DiskSecondary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := j.Tasks()[0]
+	sched.pending = nil
+	from, to := sched.machines[0], sched.machines[1]
+	served := func(ms *machineState) uint64 { return ms.m.Node.HDD.Stats("harvest-disk").Ops }
+
+	sched.start(from, task)
+	eng.Run(sim.Time(20 * sim.Millisecond))
+	sched.preempt(task)
+	left, before := task.OpsLeft(), served(from)
+	if left == 0 || left == 2000 {
+		t.Fatalf("%d ops left at the preemption; want the stream part-way through", left)
+	}
+	sched.start(to, task)
+	for !j.Done() && eng.Now() < sim.Time(10*sim.Second) && eng.Step() {
+	}
+	if !j.Done() {
+		t.Fatalf("task incomplete: %d ops left", task.OpsLeft())
+	}
+	if got := served(to); got != uint64(left) {
+		t.Fatalf("new machine served %d ops by the task's completion, want the %d left", got, left)
+	}
+	eng.Run(eng.Now().Add(sim.Second))
+	if got := served(from); got != before+1 {
+		t.Fatalf("old machine served %d ops after the preemption, want its one in-flight op", got-before)
+	}
+	if got := served(to); got != uint64(left) || task.OpsLeft() != 0 {
+		t.Fatalf("after completion the new machine served %d ops of %d, with %d left", got, left, task.OpsLeft())
+	}
+}
+
 // TestDisabledControllerAttractsNoWork: a kill-switched PerfIso
 // controller offers no harvest guarantee, so its machine must stop
 // receiving placements and lose the tasks it has. Round-robin is the

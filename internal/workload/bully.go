@@ -84,7 +84,8 @@ func DefaultDiskBullyConfig() DiskBullyConfig {
 
 // DiskBully issues a continuous synchronous I/O stream at the given
 // volume: each worker submits one operation and submits the next upon
-// completion.
+// completion. A worker re-submits one request for its whole chain, so
+// the stream allocates nothing once started.
 type DiskBully struct {
 	cfg     DiskBullyConfig
 	vol     *diskmodel.Volume
@@ -105,37 +106,40 @@ func NewDiskBully(vol *diskmodel.Volume, cfg DiskBullyConfig) *DiskBully {
 // Start launches the workers.
 func (d *DiskBully) Start() {
 	for i := 0; i < d.cfg.Outstanding; i++ {
-		d.issue()
+		r := &diskmodel.Request{
+			Proc:       d.cfg.ProcName,
+			Bytes:      d.cfg.ChunkBytes,
+			Sequential: true,
+		}
+		r.OnComplete = func() {
+			d.Ops++
+			d.issue(r)
+		}
+		d.issue(r)
 	}
 }
 
 // Stop ends the stream after in-flight operations complete.
 func (d *DiskBully) Stop() { d.stopped = true }
 
-func (d *DiskBully) issue() {
+// issue submits the worker's next operation in its request r, whose
+// previous operation (if any) has completed.
+func (d *DiskBully) issue(r *diskmodel.Request) {
 	if d.stopped {
 		return
 	}
-	kind := diskmodel.OpWrite
+	r.Kind = diskmodel.OpWrite
 	if d.rng.Float64() < d.cfg.ReadFrac {
-		kind = diskmodel.OpRead
+		r.Kind = diskmodel.OpRead
 	}
-	d.vol.Submit(&diskmodel.Request{
-		Proc:       d.cfg.ProcName,
-		Kind:       kind,
-		Bytes:      d.cfg.ChunkBytes,
-		Sequential: true,
-		OnComplete: func() {
-			d.Ops++
-			d.issue()
-		},
-	})
+	d.vol.Submit(r)
 }
 
 // BackgroundCPU keeps a process at a target fraction of machine CPU by
 // spawning short periodic bursts: it models OS housekeeping (~2%) and
 // the HDFS client's CPU share (~5%, §6.2). Bursts are spread over cores
-// by the scheduler's normal placement.
+// by the scheduler's normal placement; they are detached, so the
+// machine recycles their threads.
 type BackgroundCPU struct {
 	Proc *cpumodel.Process
 	m    *cpumodel.Machine
@@ -146,7 +150,10 @@ type BackgroundCPU struct {
 	// Streams is the number of parallel bursts per volley.
 	Streams int
 
-	stopped bool
+	// gen counts Starts; a volley ticker runs only while its Start's
+	// generation is current and the load is running.
+	running bool
+	gen     int
 }
 
 // NewBackgroundCPU builds the load generator; call Start to begin.
@@ -163,23 +170,32 @@ func NewBackgroundCPU(m *cpumodel.Machine, name string, class stats.Class, fract
 	}
 }
 
-// Start begins the periodic volleys.
+// Start begins the periodic volleys, the first one Period from now.
+// Starting a running load is a no-op. After Stop, Start resumes exactly
+// one stream, even within a Period of the Stop: the stopped stream's
+// ticker sees a newer generation and ends.
 func (b *BackgroundCPU) Start() {
 	burst := sim.Duration(b.Fraction * float64(b.m.Cores()) * float64(b.Period) / float64(b.Streams))
 	if burst <= 0 {
 		panic("workload: background burst rounds to zero")
 	}
+	if b.running {
+		return
+	}
+	b.running = true
+	b.gen++
+	gen := b.gen
 	all := cpumodel.AllCores(b.m.Cores())
 	b.m.Engine().Ticker(b.Period, func() bool {
-		if b.stopped {
+		if !b.running || b.gen != gen {
 			return false
 		}
 		for i := 0; i < b.Streams; i++ {
-			b.m.Spawn(b.Proc, burst, all, nil)
+			b.m.SpawnDetached(b.Proc, burst, all, nil)
 		}
 		return true
 	})
 }
 
 // Stop ends the volleys (in-flight bursts still finish).
-func (b *BackgroundCPU) Stop() { b.stopped = true }
+func (b *BackgroundCPU) Stop() { b.running = false }

@@ -60,6 +60,11 @@ func DefaultHDFSConfig() HDFSConfig {
 // HDFS is the assembled tenant: two disk flows, an egress stream, and a
 // CPU trickle. It exposes the pieces so tests and experiments can
 // read their counters.
+//
+// The flows are open-loop, so several of each flow's operations can be
+// in flight at once. Each flow keeps the requests and packets no device
+// is using in a free list, with completions bound when they are made,
+// so the steady-state tenant allocates nothing.
 type HDFS struct {
 	cfg HDFSConfig
 	eng *sim.Engine
@@ -70,7 +75,15 @@ type HDFS struct {
 	// CPU is the background CPU component (nil when CPUFraction is 0).
 	CPU *BackgroundCPU
 
-	stopped bool
+	// gen counts Starts; a flow chain continues only while its Start's
+	// generation is current and the tenant is running.
+	running bool
+	gen     int
+
+	clientReqs []*diskmodel.Request
+	replReqs   []*diskmodel.Request
+	packets    []*netmodel.Packet
+
 	// ClientOps / ReplicationOps count completed disk operations.
 	ClientOps      uint64
 	ReplicationOps uint64
@@ -91,76 +104,118 @@ func NewHDFS(eng *sim.Engine, hdd *diskmodel.Volume, nic *netmodel.NIC, cpu *cpu
 	return h
 }
 
-// Start launches all flows.
+// Start launches all flows. Starting a running tenant is a no-op.
+// After Stop, Start resumes exactly one of each flow, even while the
+// stopped flows' next operations are still pending: those see a newer
+// generation and end.
 func (h *HDFS) Start() {
+	if h.running {
+		return
+	}
+	h.running = true
+	h.gen++
 	if h.CPU != nil {
 		h.CPU.Start()
 	}
-	h.clientNext()
-	h.replicationNext()
+	gen := h.gen
+	clientGap := sim.Duration(float64(h.cfg.ClientChunk) / h.cfg.ClientRate * float64(sim.Second))
+	replGap := sim.Duration(float64(h.cfg.ReplicationChunk) / h.cfg.ReplicationRate * float64(sim.Second))
+	// Each flow is one chain of events, bound here once: an operation
+	// draws the gap to its successor when it schedules it, and the
+	// client draws the op kind when the operation fires.
+	var client, replicate func()
+	client = func() {
+		if !h.running || h.gen != gen {
+			return
+		}
+		r := h.clientRequest()
+		r.Kind = diskmodel.OpWrite
+		if h.rng.Float64() < h.cfg.ClientReadFrac {
+			r.Kind = diskmodel.OpRead
+		}
+		h.hdd.Submit(r)
+		h.eng.After(h.rng.ExpDuration(clientGap), client)
+	}
+	replicate = func() {
+		if !h.running || h.gen != gen {
+			return
+		}
+		h.hdd.Submit(h.replicationRequest())
+		h.eng.After(h.rng.ExpDuration(replGap), replicate)
+	}
+	h.eng.After(h.rng.ExpDuration(clientGap), client)
+	h.eng.After(h.rng.ExpDuration(replGap), replicate)
 }
 
 // Stop winds the tenant down; in-flight operations complete.
 func (h *HDFS) Stop() {
-	h.stopped = true
+	h.running = false
 	if h.CPU != nil {
 		h.CPU.Stop()
 	}
 }
 
-// clientNext issues the client flow open-loop at its offered rate.
-func (h *HDFS) clientNext() {
-	if h.stopped {
-		return
+// clientRequest returns a pooled client request; it rejoins the pool
+// when it completes.
+func (h *HDFS) clientRequest() *diskmodel.Request {
+	if n := len(h.clientReqs); n > 0 {
+		r := h.clientReqs[n-1]
+		h.clientReqs = h.clientReqs[:n-1]
+		return r
 	}
-	gap := sim.Duration(float64(h.cfg.ClientChunk) / h.cfg.ClientRate * float64(sim.Second))
-	h.eng.After(h.rng.ExpDuration(gap), func() {
-		if h.stopped {
-			return
-		}
-		kind := diskmodel.OpWrite
-		if h.rng.Float64() < h.cfg.ClientReadFrac {
-			kind = diskmodel.OpRead
-		}
-		h.hdd.Submit(&diskmodel.Request{
-			Proc:       h.cfg.ClientProc,
-			Kind:       kind,
-			Bytes:      h.cfg.ClientChunk,
-			Sequential: true,
-			OnComplete: func() { h.ClientOps++ },
-		})
-		h.clientNext()
-	})
+	r := &diskmodel.Request{
+		Proc:       h.cfg.ClientProc,
+		Bytes:      h.cfg.ClientChunk,
+		Sequential: true,
+	}
+	r.OnComplete = func() {
+		h.ClientOps++
+		h.clientReqs = append(h.clientReqs, r)
+	}
+	return r
 }
 
-// replicationNext ingests a block (HDD write) and forwards it to the
-// next replica over the NIC at low priority.
-func (h *HDFS) replicationNext() {
-	if h.stopped {
-		return
+// replicationRequest returns a pooled block ingest (an HDD write) whose
+// completion forwards the block to the next replica over the NIC at low
+// priority; it rejoins the pool when it completes.
+func (h *HDFS) replicationRequest() *diskmodel.Request {
+	if n := len(h.replReqs); n > 0 {
+		r := h.replReqs[n-1]
+		h.replReqs = h.replReqs[:n-1]
+		return r
 	}
-	gap := sim.Duration(float64(h.cfg.ReplicationChunk) / h.cfg.ReplicationRate * float64(sim.Second))
-	h.eng.After(h.rng.ExpDuration(gap), func() {
-		if h.stopped {
-			return
+	r := &diskmodel.Request{
+		Proc:       h.cfg.ReplicationProc,
+		Kind:       diskmodel.OpWrite,
+		Bytes:      h.cfg.ReplicationChunk,
+		Sequential: true,
+	}
+	r.OnComplete = func() {
+		h.ReplicationOps++
+		if h.nic != nil {
+			h.nic.Send(h.packet())
 		}
-		h.hdd.Submit(&diskmodel.Request{
-			Proc:       h.cfg.ReplicationProc,
-			Kind:       diskmodel.OpWrite,
-			Bytes:      h.cfg.ReplicationChunk,
-			Sequential: true,
-			OnComplete: func() {
-				h.ReplicationOps++
-				if h.nic != nil {
-					h.nic.Send(&netmodel.Packet{
-						Proc:   h.cfg.ReplicationProc,
-						Class:  netmodel.PriorityLow,
-						Bytes:  h.cfg.ReplicationChunk,
-						OnSent: func() { h.ReplicatedBytes += h.cfg.ReplicationChunk },
-					})
-				}
-			},
-		})
-		h.replicationNext()
-	})
+		h.replReqs = append(h.replReqs, r)
+	}
+	return r
+}
+
+// packet returns a pooled replication packet; it rejoins the pool once
+// sent.
+func (h *HDFS) packet() *netmodel.Packet {
+	if n := len(h.packets); n > 0 {
+		p := h.packets[n-1]
+		h.packets = h.packets[:n-1]
+		return p
+	}
+	p := &netmodel.Packet{
+		Proc:  h.cfg.ReplicationProc,
+		Class: netmodel.PriorityLow,
+		Bytes: h.cfg.ReplicationChunk,
+	}
+	p.OnSent = func() {
+		h.ReplicatedBytes += h.cfg.ReplicationChunk
+		h.packets = append(h.packets, p)
+	}
+	return p
 }

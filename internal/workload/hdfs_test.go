@@ -84,6 +84,59 @@ func TestHDFSStop(t *testing.T) {
 	}
 }
 
+// TestHDFSStartIsIdempotent: a second Start on a running tenant must
+// not launch second client, replication or CPU streams — every counter
+// matches a single Start's exactly.
+func TestHDFSStartIsIdempotent(t *testing.T) {
+	type readout struct {
+		client, repl uint64
+		egress       int64
+		cpu          sim.Duration
+	}
+	run := func(starts int) readout {
+		eng, hdd, nic, cpu := hdfsFixture(t)
+		h := NewHDFS(eng, hdd, nic, cpu, DefaultHDFSConfig())
+		for i := 0; i < starts; i++ {
+			h.Start()
+		}
+		eng.Run(sim.Time(3 * sim.Second))
+		return readout{h.ClientOps, h.ReplicationOps, h.ReplicatedBytes, h.CPU.Proc.CPUTime()}
+	}
+	if once, twice := run(1), run(2); once != twice {
+		t.Fatalf("two Starts gave %+v, one Start %+v", twice, once)
+	}
+}
+
+// TestHDFSRestartAfterStop: Start after Stop resumes exactly one of
+// each flow at its configured rate, and the CPU trickle at its
+// configured share, even when it comes before the stopped flows' next
+// operations have fired.
+func TestHDFSRestartAfterStop(t *testing.T) {
+	eng, hdd, nic, cpu := hdfsFixture(t)
+	cfg := DefaultHDFSConfig()
+	h := NewHDFS(eng, hdd, nic, cpu, cfg)
+	h.Start()
+	eng.Run(sim.Time(sim.Second))
+	h.Stop()
+	eng.Run(sim.Time(sim.Second + 100*sim.Microsecond))
+	h.Start()
+	eng.Run(sim.Time(2 * sim.Second))
+	client, repl, cpuMark := h.ClientOps, h.ReplicationOps, h.CPU.Proc.CPUTime()
+	const span = 4
+	eng.Run(sim.Time((2 + span) * sim.Second))
+	rate := func(ops uint64) float64 { return float64(ops) / span }
+	if got, want := rate(h.ClientOps-client), cfg.ClientRate/float64(cfg.ClientChunk); got < 0.9*want || got > 1.1*want {
+		t.Fatalf("client flow after a restart: %.0f ops/s, want ≈%.0f", got, want)
+	}
+	if got, want := rate(h.ReplicationOps-repl), cfg.ReplicationRate/float64(cfg.ReplicationChunk); got < 0.85*want || got > 1.15*want {
+		t.Fatalf("replication flow after a restart: %.0f ops/s, want ≈%.0f", got, want)
+	}
+	share := (h.CPU.Proc.CPUTime() - cpuMark).Seconds() / (span * float64(cpu.Cores()))
+	if share < 0.9*cfg.CPUFraction || share > 1.1*cfg.CPUFraction {
+		t.Fatalf("CPU share after a restart = %.4f, want ≈%.2f", share, cfg.CPUFraction)
+	}
+}
+
 func TestHDFSNilComponents(t *testing.T) {
 	eng, hdd, _, _ := hdfsFixture(t)
 	h := NewHDFS(eng, hdd, nil, nil, DefaultHDFSConfig())

@@ -29,6 +29,10 @@ type NetFlow struct {
 	eng     *sim.Engine
 	rng     *sim.RNG
 	stopped bool
+	// sendFn is send bound once; packets holds the packets not on the
+	// wire, so the steady-state stream allocates nothing.
+	sendFn  func()
+	packets []*netmodel.Packet
 
 	// Sent counts packets handed to the NIC; Delivered counts
 	// completed transmissions.
@@ -41,7 +45,9 @@ func NewNetFlow(eng *sim.Engine, nic *netmodel.NIC, cfg NetFlowConfig) *NetFlow 
 	if cfg.PacketBytes <= 0 || cfg.TargetRate <= 0 {
 		panic("workload: invalid net flow config")
 	}
-	return &NetFlow{cfg: cfg, nic: nic, eng: eng, rng: sim.NewRNG(cfg.Seed)}
+	f := &NetFlow{cfg: cfg, nic: nic, eng: eng, rng: sim.NewRNG(cfg.Seed)}
+	f.sendFn = f.send
+	return f
 }
 
 // Start begins the open-loop stream.
@@ -55,19 +61,36 @@ func (f *NetFlow) next() {
 		return
 	}
 	meanGap := sim.Duration(float64(f.cfg.PacketBytes) / f.cfg.TargetRate * float64(sim.Second))
-	f.eng.After(f.rng.ExpDuration(meanGap), func() {
-		if f.stopped {
-			return
-		}
-		f.Sent++
-		f.nic.Send(&netmodel.Packet{
-			Proc:   f.cfg.ProcName,
-			Class:  f.cfg.Class,
-			Bytes:  f.cfg.PacketBytes,
-			OnSent: func() { f.Delivered++ },
-		})
-		f.next()
-	})
+	f.eng.After(f.rng.ExpDuration(meanGap), f.sendFn)
+}
+
+// send hands the next packet to the NIC and plans the one after it.
+func (f *NetFlow) send() {
+	if f.stopped {
+		return
+	}
+	f.Sent++
+	f.nic.Send(f.packet())
+	f.next()
+}
+
+// packet returns a pooled packet; it rejoins the pool once sent.
+func (f *NetFlow) packet() *netmodel.Packet {
+	if n := len(f.packets); n > 0 {
+		p := f.packets[n-1]
+		f.packets = f.packets[:n-1]
+		return p
+	}
+	p := &netmodel.Packet{
+		Proc:  f.cfg.ProcName,
+		Class: f.cfg.Class,
+		Bytes: f.cfg.PacketBytes,
+	}
+	p.OnSent = func() {
+		f.Delivered++
+		f.packets = append(f.packets, p)
+	}
+	return p
 }
 
 // DeliveredBytes reports bytes actually put on the wire by this flow.

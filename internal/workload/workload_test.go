@@ -215,6 +215,46 @@ func TestBackgroundCPUHoldsFraction(t *testing.T) {
 	}
 }
 
+// TestBackgroundCPUStartIsIdempotent: a second Start on a running load
+// must not launch a second volley stream.
+func TestBackgroundCPUStartIsIdempotent(t *testing.T) {
+	run := func(starts int) sim.Duration {
+		eng := sim.NewEngine()
+		m := cpumodel.New(eng, sim.NewRNG(1), cpumodel.DefaultConfig())
+		bg := NewBackgroundCPU(m, "os-housekeeping", stats.ClassOS, 0.02)
+		for i := 0; i < starts; i++ {
+			bg.Start()
+		}
+		eng.Run(sim.Time(3 * sim.Second))
+		return bg.Proc.CPUTime()
+	}
+	if once, twice := run(1), run(2); once != twice {
+		t.Fatalf("two Starts burned %v of CPU, one Start %v", twice, once)
+	}
+}
+
+// TestBackgroundCPURestartAfterStop: Start after Stop resumes exactly
+// one stream at the configured fraction, even when it comes within one
+// period of the Stop, while the stopped stream's next volley is still
+// pending.
+func TestBackgroundCPURestartAfterStop(t *testing.T) {
+	eng := sim.NewEngine()
+	m := cpumodel.New(eng, sim.NewRNG(1), cpumodel.DefaultConfig())
+	bg := NewBackgroundCPU(m, "os-housekeeping", stats.ClassOS, 0.02)
+	bg.Start()
+	eng.Run(sim.Time(sim.Second))
+	bg.Stop()
+	eng.Run(sim.Time(sim.Second + bg.Period/4))
+	bg.Start()
+	eng.Run(sim.Time(2 * sim.Second))
+	mark := bg.Proc.CPUTime()
+	eng.Run(sim.Time(5 * sim.Second))
+	share := (bg.Proc.CPUTime() - mark).Seconds() / (3 * float64(m.Cores()))
+	if share < 0.018 || share > 0.022 {
+		t.Fatalf("CPU share after a restart = %.4f, want the configured 0.02", share)
+	}
+}
+
 func TestBackgroundCPUValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	m := cpumodel.New(eng, sim.NewRNG(1), cpumodel.DefaultConfig())
