@@ -216,6 +216,32 @@ func simtraceFileName(exp, cell string) string {
 	return sanitize(exp) + "--" + sanitize(cell) + ".json"
 }
 
+// writeSimTrace writes tr's Chrome export to path atomically: into
+// path+".tmp", closed and then renamed over path. A failed or killed
+// run leaves no partial trace at path, and on any error the temp file
+// is removed. The temp name does not end in .json, so tracecheck never
+// reads one as a trace.
+func writeSimTrace(path string, tr *simtrace.Tracer) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	if err := simtrace.WriteChrome(f, tr); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
 // statsTracking turns process-wide observability recording on for the
 // duration of a run. The returned stop restores the zero-cost default.
 func statsTracking(enabled bool) (rec *obs.Recording, stop func()) {
@@ -658,17 +684,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			if simErr != nil || tr.Len() == 0 {
 				return
 			}
-			f, err := os.Create(filepath.Join(simDir, simtraceFileName(exp, cell)))
-			if err != nil {
-				simErr = err
-				return
-			}
-			if err := simtrace.WriteChrome(f, tr); err != nil {
-				f.Close()
-				simErr = err
-				return
-			}
-			if simErr = f.Close(); simErr == nil {
+			if simErr = writeSimTrace(filepath.Join(simDir, simtraceFileName(exp, cell)), tr); simErr == nil {
 				simCount++
 			}
 		}

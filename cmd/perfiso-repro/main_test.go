@@ -417,3 +417,61 @@ func TestFilterProtectsDefaultReport(t *testing.T) {
 		t.Errorf("missing skip notice on stderr: %s", errb.String())
 	}
 }
+
+// TestSimTraceWritesAreAtomic checks that `run -simtrace` renames each
+// trace into place. A normal run leaves only .json traces that
+// tracecheck accepts; a run whose rename fails, because a directory
+// sits at a trace's name, reports the error and leaves no temp file.
+func TestSimTraceWritesAreAtomic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real experiment")
+	}
+	tmp := t.TempDir()
+	args := []string{"run", "-scale", "test", "-run", "^headline$", "-simtrace", "-quiet", "-report", ""}
+	list := func(dir string) []string {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+
+	var out, errb bytes.Buffer
+	dir := filepath.Join(tmp, "ok", "test", "simtrace")
+	if code := run(append(args, "-results", filepath.Join(tmp, "ok")), &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	traces := list(dir)
+	if len(traces) != 2 {
+		t.Fatalf("simtrace dir holds %v, want the 2 headline traces", traces)
+	}
+	for _, name := range traces {
+		if !strings.HasSuffix(name, ".json") {
+			t.Errorf("simtrace dir holds %s, not a trace", name)
+		}
+	}
+	if code := run([]string{"tracecheck", dir}, &out, &errb); code != 0 {
+		t.Fatalf("tracecheck exit %d, stderr: %s", code, errb.String())
+	}
+
+	dir = filepath.Join(tmp, "blocked", "test", "simtrace")
+	for _, name := range traces {
+		if err := os.MkdirAll(filepath.Join(dir, name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errb.Reset()
+	if code := run(append(args, "-results", filepath.Join(tmp, "blocked")), &out, &errb); code != 1 {
+		t.Fatalf("exit %d with a directory at each trace's name, want 1; stderr: %s", code, errb.String())
+	}
+	if !strings.Contains(errb.String(), "writing sim traces") {
+		t.Errorf("stderr does not report the failed write: %s", errb.String())
+	}
+	if got := list(dir); strings.Join(got, " ") != strings.Join(traces, " ") {
+		t.Errorf("simtrace dir holds %v after the failed rename, want only the blocking directories %v", got, traces)
+	}
+}

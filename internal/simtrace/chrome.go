@@ -36,7 +36,7 @@ func WriteChrome(w io.Writer, t *Tracer) error {
 	}
 	b = appendThreadName(b, controlTID, "control")
 	for _, i := range t.order() {
-		b = appendEvent(b, t.at(i))
+		b = appendEvent(b, t.at(int(i)))
 		if len(b) >= flushAt {
 			if _, err := w.Write(b); err != nil {
 				return err
@@ -52,21 +52,23 @@ func WriteChrome(w io.Writer, t *Tracer) error {
 func appendThreadName(b []byte, tid int, name string) []byte {
 	b = append(b, ",\n{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":"...)
 	b = strconv.AppendInt(b, int64(tid), 10)
-	b = append(b, `,"args":{"name":`...)
-	b = appendQuoted(b, name)
-	return append(b, "}}"...)
+	b = append(b, `,"args":{"name":"`...)
+	b = appendStr(b, name)
+	return append(b, `"}}`...)
 }
 
+// appendEvent renders one event. The constant runs carry the quotes
+// around the strings between them, which appendStr writes unquoted.
 func appendEvent(b []byte, e *Event) []byte {
-	b = append(b, ",\n{\"name\":"...)
-	b = appendQuoted(b, e.Name)
+	b = append(b, ",\n{\"name\":\""...)
+	b = appendStr(b, e.Name)
 	if e.Cat != "" {
-		b = append(b, `,"cat":`...)
-		b = appendQuoted(b, e.Cat)
+		b = append(b, `","cat":"`...)
+		b = appendStr(b, e.Cat)
 	}
 	switch e.Kind {
 	case KindSlice:
-		b = append(b, `,"ph":"X","pid":0,"tid":`...)
+		b = append(b, `","ph":"X","pid":0,"tid":`...)
 		b = strconv.AppendInt(b, int64(tid(e.Track)), 10)
 		b = append(b, `,"ts":`...)
 		b = appendMicros(b, int64(e.TS))
@@ -74,9 +76,9 @@ func appendEvent(b []byte, e *Event) []byte {
 		b = appendMicros(b, int64(e.Dur))
 	case KindBegin, KindEnd:
 		if e.Kind == KindBegin {
-			b = append(b, `,"ph":"b","pid":0,"tid":`...)
+			b = append(b, `","ph":"b","pid":0,"tid":`...)
 		} else {
-			b = append(b, `,"ph":"e","pid":0,"tid":`...)
+			b = append(b, `","ph":"e","pid":0,"tid":`...)
 		}
 		b = strconv.AppendInt(b, int64(tid(e.Track)), 10)
 		b = append(b, `,"id":"`...)
@@ -84,69 +86,67 @@ func appendEvent(b []byte, e *Event) []byte {
 		b = append(b, `","ts":`...)
 		b = appendMicros(b, int64(e.TS))
 	case KindInstant:
-		b = append(b, `,"ph":"i","s":"t","pid":0,"tid":`...)
+		b = append(b, `","ph":"i","s":"t","pid":0,"tid":`...)
 		b = strconv.AppendInt(b, int64(tid(e.Track)), 10)
 		b = append(b, `,"ts":`...)
 		b = appendMicros(b, int64(e.TS))
 	}
 	if e.Args[0].typ != argNone {
-		b = append(b, `,"args":{`...)
-		for i, a := range e.Args {
+		b = append(b, `,"args":{"`...)
+		for i := range e.Args {
+			a := &e.Args[i]
 			if a.typ == argNone {
 				break
 			}
 			if i > 0 {
-				b = append(b, ',')
+				b = append(b, `,"`...)
 			}
-			b = appendQuoted(b, a.key)
-			b = append(b, ':')
+			b = appendStr(b, a.key)
+			b = append(b, `":"`...)
 			b = appendArgValue(b, a)
+			b = append(b, '"')
 		}
 		b = append(b, '}')
 	}
 	return append(b, '}')
 }
 
-// appendArgValue renders an arg's value as a JSON string, the form
-// every arg takes in the export.
-func appendArgValue(b []byte, a Arg) []byte {
+// appendArgValue renders an arg's value as the body of a JSON string,
+// the form every arg takes in the export.
+func appendArgValue(b []byte, a *Arg) []byte {
 	switch a.typ {
 	case argInt:
-		b = append(b, '"')
-		b = strconv.AppendInt(b, a.num, 10)
-		return append(b, '"')
+		return strconv.AppendInt(b, a.num, 10)
 	case argBool:
 		if a.num != 0 {
-			return append(b, `"true"`...)
+			return append(b, "true"...)
 		}
-		return append(b, `"false"`...)
+		return append(b, "false"...)
 	}
-	return appendQuoted(b, a.str)
+	return appendStr(b, a.str)
 }
 
-// appendQuoted appends s as a JSON string. Printable ASCII with no
-// quote or backslash — every name the simulator emits — is copied
-// verbatim; anything else takes appendQuotedSlow.
-func appendQuoted(b []byte, s string) []byte {
+// appendStr appends s as the body of a JSON string, without quotes.
+// Printable ASCII with no quote or backslash — every name the
+// simulator emits — is copied verbatim; anything else takes
+// appendEscaped.
+func appendStr(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
-			return appendQuotedSlow(b, s)
+			return appendEscaped(b, s)
 		}
 	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
+	return append(b, s...)
 }
 
-// appendQuotedSlow writes the bytes strconv.Quote would wherever those
+// appendEscaped writes the bytes strconv.Quote would wherever those
 // are valid JSON (\", \\, \b, \f, \n, \r, \t, \uXXXX and raw printable
 // runes) and JSON escapes where they are not: \u00NN for the control
 // bytes strconv renders as \a, \v or \xNN and for DEL, \ufffd for each
 // invalid UTF-8 byte (as encoding/json does), and a surrogate pair for
 // a non-printable rune above U+FFFF.
-func appendQuotedSlow(b []byte, s string) []byte {
+func appendEscaped(b []byte, s string) []byte {
 	const hex = "0123456789abcdef"
-	b = append(b, '"')
 	for len(s) > 0 {
 		r, width := rune(s[0]), 1
 		if r >= utf8.RuneSelf {
@@ -178,7 +178,7 @@ func appendQuotedSlow(b []byte, s string) []byte {
 			b = append(b, '\\', 'u', hex[lo>>12&0xf], hex[lo>>8&0xf], hex[lo>>4&0xf], hex[lo&0xf])
 		}
 	}
-	return append(b, '"')
+	return b
 }
 
 // appendMicros renders a sim timestamp (ns) as microseconds with fixed

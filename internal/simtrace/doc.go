@@ -39,11 +39,24 @@
 // recording allocates nothing, and every method on a nil tracer
 // allocates nothing; TestRecordingDoesNotAllocate pins both.
 //
-// Formatting happens once, in WriteChrome. It sorts (TS, Seq) keys
+// Formatting happens once, in WriteChrome. It orders sequence numbers
 // rather than the events themselves, and renders each event into one
 // reused byte buffer with strconv.Append*. Every arg value is written
 // as a JSON string ("tid":"12", "dropped":"true"), whatever its type.
 // A golden file (testdata/cell.chrome.json) pins the bytes.
+//
+// The order is (TS, Seq). Seq is the capture index, so the events in
+// capture order, sorted stably by TS alone, are already in that order.
+// The sort is an LSD radix sort, which is stable: one counting pass per
+// byte of the key, least significant byte first, each pass keeping the
+// order the previous ones left among equal bytes. The key is the time
+// with its sign bit flipped, so that unsigned order is signed time
+// order and a negative time (the golden trace has one at -5) sorts
+// first, less the smallest key of the capture; only the bytes that span
+// the capture's time range take a pass, five for a cell of a few
+// simulated seconds. The quotes around each string are part of the
+// constant runs between them, and args are read in place rather than
+// copied.
 //
 // ValidateChrome reads a trace in one pass. Its hand-written scanner
 // checks JSON syntax and applies the per-event rules as each event
@@ -56,6 +69,29 @@
 // The Unmarshal-based validator lives on in validate_ref_test.go as
 // the oracle of FuzzValidateChrome, which requires the two to agree on
 // every input.
+//
+// The scanner has fast paths for what WriteChrome writes, each exact:
+//
+//   - Field names dispatch on the key's length and bytes. For an ASCII
+//     key, encoding/json's case folding is ASCII case folding, and a
+//     byte ORed with 0x20 equals a lower-case letter only when it is
+//     that letter in either case, so the key's ORed bytes, packed into
+//     one word, name the field. Other keys fold with bytes.EqualFold.
+//   - A number literal's digits are read into an integer as the
+//     scanner checks its syntax. An integer of at most 18 digits fits
+//     an int64 exactly. A decimal of at most 15 digits with no exponent
+//     is m/10^k with m < 10^15 < 2^53 and k <= 14, so m and 10^k are
+//     exact float64s, and IEEE 754 division rounds their quotient
+//     correctly: it is the float64 nearest the decimal, which is what
+//     strconv.ParseFloat returns, sign of zero included. Every other
+//     literal goes to strconv. TestNumberFastPathsMatchStrconv and
+//     FuzzNumberFastPaths pin the fast paths to strconv bit for bit.
+//   - A string of plain ASCII ends in one tight loop. The event loop
+//     reads such a key, with no space around its colon, and the comma
+//     after a value in place, rather than through a call each.
+//   - Each event clears only the fields the rules read, and tracks with
+//     pid 0 and a tid below 1024, which covers every track WriteChrome
+//     writes, keep their last timestamp in a table rather than a map.
 //
 // # Attribution categories
 //

@@ -106,10 +106,17 @@ func TestChromeGolden(t *testing.T) {
 	}
 }
 
-// benchTrace exports 100 ms of the golden cell at the default deadline,
-// about 8k events.
-func benchTrace(b *testing.B) (*simtrace.Tracer, []byte) {
-	tr := tracedCell(b, 100*sim.Millisecond, indexserve.DefaultConfig().Deadline)
+// benchSpans are the simulated spans the export benchmarks trace from
+// the golden cell at the default deadline: 100 ms, about 8k events, and
+// 1 s, about 80k, where ordering the events costs more per event.
+var benchSpans = []struct {
+	name string
+	span sim.Duration
+}{{"100ms", 100 * sim.Millisecond}, {"1s", sim.Second}}
+
+// benchTrace traces span of the golden cell and exports it.
+func benchTrace(b *testing.B, span sim.Duration) (*simtrace.Tracer, []byte) {
+	tr := tracedCell(b, span, indexserve.DefaultConfig().Deadline)
 	var buf bytes.Buffer
 	if err := simtrace.WriteChrome(&buf, tr); err != nil {
 		b.Fatal(err)
@@ -118,23 +125,31 @@ func benchTrace(b *testing.B) (*simtrace.Tracer, []byte) {
 }
 
 func BenchmarkWriteChrome(b *testing.B) {
-	tr, data := benchTrace(b)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for b.Loop() {
-		if err := simtrace.WriteChrome(io.Discard, tr); err != nil {
-			b.Fatal(err)
-		}
+	for _, s := range benchSpans {
+		b.Run(s.name, func(b *testing.B) {
+			tr, data := benchTrace(b, s.span)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := simtrace.WriteChrome(io.Discard, tr); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkValidateChrome(b *testing.B) {
-	_, data := benchTrace(b)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	for b.Loop() {
-		if err := simtrace.ValidateChrome(data); err != nil {
-			b.Fatal(err)
-		}
+	for _, s := range benchSpans {
+		b.Run(s.name, func(b *testing.B) {
+			_, data := benchTrace(b, s.span)
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := simtrace.ValidateChrome(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -96,14 +96,22 @@ func TestWriteChromeDeterministicAndValid(t *testing.T) {
 	}
 }
 
+// TestEventsSortedBySimTimeThenSeq records times out of order, with a
+// tie, a negative time and one far enough out that the sort takes a
+// pass for each of several bytes.
 func TestEventsSortedBySimTimeThenSeq(t *testing.T) {
 	tr := New()
+	tr.Instant(1<<40, 0, "latest", "c")
 	tr.Instant(50, 0, "late", "c")
 	tr.Instant(10, 0, "early", "c")
 	tr.Instant(10, 0, "early2", "c")
-	ev := tr.Events()
-	if ev[0].Name != "early" || ev[1].Name != "early2" || ev[2].Name != "late" {
-		t.Fatalf("bad order: %s %s %s", ev[0].Name, ev[1].Name, ev[2].Name)
+	tr.Instant(-5, 0, "negative", "c")
+	var got []string
+	for _, e := range tr.Events() {
+		got = append(got, e.Name)
+	}
+	if want := "negative early early2 late latest"; strings.Join(got, " ") != want {
+		t.Fatalf("order %q, want %q", got, want)
 	}
 }
 

@@ -1,8 +1,8 @@
 package simtrace
 
 import (
-	"cmp"
-	"slices"
+	"math"
+	"math/bits"
 	"sort"
 
 	"perfiso/internal/sim"
@@ -183,30 +183,45 @@ func (t *Tracer) Len() int {
 }
 
 // order returns the sequence numbers of the captured events sorted by
-// (TS, Seq).
-func (t *Tracer) order() []int {
-	if t == nil {
+// (TS, Seq). Seq is the capture index, so a stable sort by TS alone
+// gives that order. It is an LSD radix sort: one stable counting pass
+// per byte of the key, least significant first. The key is the time
+// with its sign bit flipped, which makes unsigned order the signed
+// time order, less the least such key; only the bytes that span the
+// capture's time range take a pass. Sequence numbers fit an int32: 2^31
+// events would fill over 300 GB.
+func (t *Tracer) order() []int32 {
+	if t == nil || t.n == 0 {
 		return nil
 	}
-	type key struct {
-		ts  sim.Time
-		seq int
+	n := t.n
+	keys, seqs := make([]uint64, 2*n), make([]int32, 2*n)
+	lo, hi := uint64(math.MaxUint64), uint64(0)
+	for i := range n {
+		k := uint64(t.at(i).TS) ^ 1<<63
+		keys[i], seqs[i] = k, int32(i)
+		lo, hi = min(lo, k), max(hi, k)
 	}
-	keys := make([]key, t.n)
-	for i := range keys {
-		keys[i] = key{t.at(i).TS, i}
-	}
-	slices.SortFunc(keys, func(a, b key) int {
-		if c := cmp.Compare(a.ts, b.ts); c != 0 {
-			return c
+	src, srcSeq := keys[:n], seqs[:n]
+	dst, dstSeq := keys[n:], seqs[n:]
+	for shift := 0; shift < bits.Len64(hi-lo); shift += 8 {
+		var at [256]int
+		for _, k := range src {
+			at[byte((k-lo)>>shift)]++
 		}
-		return cmp.Compare(a.seq, b.seq)
-	})
-	seqs := make([]int, len(keys))
-	for i, k := range keys {
-		seqs[i] = k.seq
+		sum := 0
+		for d, c := range at {
+			at[d], sum = sum, sum+c
+		}
+		for i, k := range src {
+			d := byte((k - lo) >> shift)
+			dst[at[d]], dstSeq[at[d]] = k, srcSeq[i]
+			at[d]++
+		}
+		src, dst = dst, src
+		srcSeq, dstSeq = dstSeq, srcSeq
 	}
-	return seqs
+	return srcSeq
 }
 
 // Events returns the captured events sorted by (TS, Seq). The slice
@@ -217,7 +232,7 @@ func (t *Tracer) Events() []Event {
 	}
 	out := make([]Event, 0, t.n)
 	for _, i := range t.order() {
-		out = append(out, *t.at(i))
+		out = append(out, *t.at(int(i)))
 	}
 	return out
 }
