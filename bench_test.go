@@ -94,16 +94,16 @@ func BenchmarkReproAll(b *testing.B) {
 	}
 }
 
-// BenchmarkStatsOverhead prices the observability layer on the sim
-// hot path: the same single-node simulation with the default noop
-// tracker, with a recording tracker installed process-wide, with RNG
-// draw accounting on top, and with a live sim-domain tracer capturing
-// every span. The noop row is the cost every uninstrumented run pays —
-// each engine caches one enabled boolean (and the sim-trace hooks hide
-// behind one nil check), so it must stay within noise (≤2%) of the
-// pre-instrumentation baseline. Judge that budget from repeated,
-// interleaved runs against the parent commit on one host, as the
-// repository benchmark under bench/ does for whole cells.
+// BenchmarkStatsOverhead prices observability on one single-node
+// simulation: with nothing installed, with a recording installed
+// process-wide, with RNG draw accounting on top, and with a live
+// sim-domain tracer capturing every span. The simulated components
+// keep plain counters either way, so the recording row adds only the
+// fold of those counters when the cell finishes, and the noop row's
+// only hooks are the sim-trace nil checks; both must stay within noise
+// (≤2%) of each other. Judge that budget from repeated, interleaved
+// runs against the parent commit on one host, as the repository
+// benchmark under bench/ does for whole cells.
 func BenchmarkStatsOverhead(b *testing.B) {
 	const qps = 4000 // peak load (§5.3)
 	runPlain := func() experiments.SingleResult {

@@ -216,12 +216,13 @@ func simtraceFileName(exp, cell string) string {
 	return sanitize(exp) + "--" + sanitize(cell) + ".json"
 }
 
-// writeSimTrace writes tr's Chrome export to path atomically: into
-// path+".tmp", closed and then renamed over path. A failed or killed
-// run leaves no partial trace at path, and on any error the temp file
-// is removed. The temp name does not end in .json, so tracecheck never
-// reads one as a trace.
-func writeSimTrace(path string, tr *simtrace.Tracer) (err error) {
+// writeAtomic writes a file through write into path+".tmp", closes it
+// and renames it over path. A failed or killed run leaves no partial
+// file at path, and on any error the temp file is removed. The temp
+// name does not end in .json, so tracecheck never reads one as a
+// trace. The sim traces, timing.json and trace.jsonl are written this
+// way.
+func writeAtomic(path string, write func(io.Writer) error) (err error) {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -233,7 +234,7 @@ func writeSimTrace(path string, tr *simtrace.Tracer) (err error) {
 			os.Remove(tmp)
 		}
 	}()
-	if err := simtrace.WriteChrome(f, tr); err != nil {
+	if err := write(f); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
@@ -242,8 +243,10 @@ func writeSimTrace(path string, tr *simtrace.Tracer) (err error) {
 	return os.Rename(tmp, path)
 }
 
-// statsTracking turns process-wide observability recording on for the
-// duration of a run. The returned stop restores the zero-cost default.
+// statsTracking turns counting on for the duration of a run: it
+// installs a recording as the process-wide default, which every
+// finished cell folds its counters into, and turns on RNG draw
+// accounting. The returned stop removes both.
 func statsTracking(enabled bool) (rec *obs.Recording, stop func()) {
 	if !enabled {
 		return nil, func() {}
@@ -272,19 +275,6 @@ func foldStats(timing *experiments.RunTiming, rec *obs.Recording,
 	timing.Stats = &s
 	timing.Phases = phases
 	timing.TopCells = experiments.TopCells(cellTimings, topCellsN)
-}
-
-// writeTrace writes the run-wide trace next to timing.json.
-func writeTrace(dir string, spans []obs.Span) error {
-	f, err := os.Create(filepath.Join(dir, "trace.jsonl"))
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteJSONL(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // figureLinks maps rendered figures to their canonical report links.
@@ -323,7 +313,10 @@ func emitOutputs(res experiments.RunResult, timing experiments.RunTiming, explic
 				fmt.Fprintf(stderr, "perfiso-repro: writing artifacts: %v\n", err)
 				return 1
 			}
-			if err := experiments.WriteTiming(dir, timing); err != nil {
+			err := writeAtomic(filepath.Join(dir, "timing.json"), func(w io.Writer) error {
+				return experiments.WriteTiming(w, timing)
+			})
+			if err != nil {
 				fmt.Fprintf(stderr, "perfiso-repro: writing timing: %v\n", err)
 				return 1
 			}
@@ -337,7 +330,10 @@ func emitOutputs(res experiments.RunResult, timing experiments.RunTiming, explic
 				filepath.Join(dir, "timing.json"),
 				filepath.Join(dir, "figures"), len(figs))
 			if len(spans) > 0 {
-				if err := writeTrace(dir, spans); err != nil {
+				err := writeAtomic(filepath.Join(dir, "trace.jsonl"), func(w io.Writer) error {
+					return obs.WriteJSONL(w, spans)
+				})
+				if err != nil {
 					fmt.Fprintf(stderr, "perfiso-repro: writing trace: %v\n", err)
 					return 1
 				}
@@ -515,7 +511,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	shardSpec := fs.String("shard", "", "execute one shard i/N (zero-based) and write a partial artifact instead of reports")
 	partialPath := fs.String("partial", "", "partial artifact path for -shard (default results/<scale>/shards/shard-<i>-of-<N>.json)")
 	dispatchN := fs.Int("dispatch", 0, "execute via the work-stealing coordinator with N in-process workers (0 = static pool)")
-	stats := fs.Bool("stats", false, "record hot-path counters and fold them (plus phase and top-cell cost breakdowns) into timing.json")
+	stats := fs.Bool("stats", false, "count sim, controller and scheduler decisions per cell and fold them (plus phase and top-cell cost breakdowns) into timing.json; not with -shard, whose partial carries no counters")
 	traceFlag := fs.Bool("trace", false, "collect one span per executed cell; full runs write trace.jsonl next to timing.json, -shard embeds the spans in the partial")
 	simtraceFlag := fs.Bool("simtrace", false, "write per-cell sim-domain Chrome trace-event JSON under results/<scale>/simtrace/ (in-process pool only)")
 	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this address for the duration of the run (empty disables)")
@@ -537,6 +533,10 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	if *simtraceFlag && (*shardSpec != "" || *dispatchN > 0) {
 		fmt.Fprintf(stderr, "perfiso-repro: -simtrace needs the in-process pool (trace events do not ride shard or dispatch partials)\n")
+		return 2
+	}
+	if *stats && *shardSpec != "" {
+		fmt.Fprintf(stderr, "perfiso-repro: -stats needs a full run (a shard writes only its partial, which carries no counters)\n")
 		return 2
 	}
 	if *simtraceFlag && *resultsDir == "" {
@@ -574,7 +574,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Trackers and tracers observe without participating: the seeded
+	// Counters and tracers observe without participating: the seeded
 	// simulations never read them, so summary.json, cells.csv and
 	// RESULTS.md come out byte-identical with or without
 	// -stats/-trace/-simtrace.
@@ -637,10 +637,8 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 2
 		}
-		// The recording tracker (when -stats) is already the process
-		// default, so the coordinator and workers pick it up without
-		// explicit plumbing.
-		p, dt, err := dispatch.RunLocal(reg, spec, *runPat, *dispatchN, dispatch.Options{Tracer: tracer}, onCell)
+		p, dt, err := dispatch.RunLocal(reg, spec, *runPat, *dispatchN,
+			dispatch.Options{Tracker: rec, Tracer: tracer}, onCell)
 		if err != nil {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 1
@@ -684,7 +682,10 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			if simErr != nil || tr.Len() == 0 {
 				return
 			}
-			if simErr = writeSimTrace(filepath.Join(simDir, simtraceFileName(exp, cell)), tr); simErr == nil {
+			simErr = writeAtomic(filepath.Join(simDir, simtraceFileName(exp, cell)), func(w io.Writer) error {
+				return simtrace.WriteChrome(w, tr)
+			})
+			if simErr == nil {
 				simCount++
 			}
 		}
@@ -909,12 +910,12 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	opts := dispatch.Options{LeaseTTL: *lease, MaxAttempts: *maxAttempts}
+	rec, stopStats := statsTracking(*stats)
+	defer stopStats()
+	opts := dispatch.Options{LeaseTTL: *lease, MaxAttempts: *maxAttempts, Tracker: rec}
 	if !*quiet {
 		opts.Log = slog.New(slog.NewTextHandler(stderr, nil))
 	}
-	rec, stopStats := statsTracking(*stats)
-	defer stopStats()
 	var tracer *obs.TraceBuffer
 	if *traceFlag {
 		tracer = obs.NewTraceBuffer()
@@ -1036,8 +1037,9 @@ func workCmd(args []string, stdout, stderr io.Writer) int {
 	defer stopPprof()
 
 	// -metrics-addr mirrors the coordinator's /metrics for one worker
-	// process: a private recording tracker observes every claim loop in
-	// this process, so the endpoint needs no cross-process state.
+	// process: a private recording counts the uploads of every claim
+	// loop in this process, so the endpoint needs no cross-process
+	// state.
 	var workRec *obs.Recording
 	if *metricsAddr != "" {
 		workRec = obs.NewRecording()
@@ -1101,9 +1103,7 @@ func workCmd(args []string, stdout, stderr io.Writer) int {
 			Name:        fmt.Sprintf("%s/%d", *name, i),
 			Runner:      runner,
 			OnUnit:      onUnit,
-		}
-		if workRec != nil {
-			workers[i].Tracker = workRec
+			Tracker:     workRec,
 		}
 		wg.Add(1)
 		go func(i int) {

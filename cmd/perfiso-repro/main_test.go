@@ -52,6 +52,13 @@ func TestBadFlags(t *testing.T) {
 	if code := run([]string{"run", "-shard", "0/2", "-dispatch", "3"}, &out, &errb); code != 2 {
 		t.Fatalf("-shard with -dispatch: exit %d", code)
 	}
+	// A shard's partial carries no counters, so -stats would count and
+	// throw the counts away.
+	errb.Reset()
+	if code := run([]string{"run", "-shard", "0/1", "-stats", "-partial", filepath.Join(t.TempDir(), "p.json")}, &out, &errb); code != 2 ||
+		!strings.Contains(errb.String(), "-stats") {
+		t.Fatalf("-shard with -stats: exit %d, stderr %q; want 2 naming -stats", code, errb.String())
+	}
 	if code := run([]string{"run", "-dispatch", "-1"}, &out, &errb); code != 2 {
 		t.Fatalf("negative -dispatch: exit %d", code)
 	}
@@ -473,5 +480,40 @@ func TestSimTraceWritesAreAtomic(t *testing.T) {
 	}
 	if got := list(dir); strings.Join(got, " ") != strings.Join(traces, " ") {
 		t.Errorf("simtrace dir holds %v after the failed rename, want only the blocking directories %v", got, traces)
+	}
+}
+
+// TestSidecarWritesAreAtomic checks that timing.json and trace.jsonl
+// are renamed into place like the sim traces: with a directory at
+// either name the run exits 1, names the failed write and leaves no
+// temp file behind.
+func TestSidecarWritesAreAtomic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a real experiment")
+	}
+	for _, tc := range []struct{ name, msg string }{
+		{"timing.json", "writing timing"},
+		{"trace.jsonl", "writing trace"},
+	} {
+		results := t.TempDir()
+		dir := filepath.Join(results, "test")
+		if err := os.MkdirAll(filepath.Join(dir, tc.name), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		code := run([]string{"run", "-scale", "test", "-run", "^fig10$", "-trace", "-quiet",
+			"-results", results, "-report", ""}, &out, &errb)
+		if code != 1 || !strings.Contains(errb.String(), tc.msg) {
+			t.Errorf("directory at %s: exit %d, stderr %q; want 1 naming the failed write", tc.name, code, errb.String())
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if strings.HasSuffix(e.Name(), ".tmp") {
+				t.Errorf("directory at %s: the failed run left %s", tc.name, e.Name())
+			}
+		}
 	}
 }

@@ -32,9 +32,11 @@ func readTraceFile(t *testing.T, path string) []obs.Span {
 	return spans
 }
 
-// TestStatsTraceByteIdentity is the tentpole's determinism guarantee at
-// the CLI: -stats and -trace change timing.json and add trace.jsonl but
-// leave summary.json, cells.csv and the report byte-identical.
+// TestStatsTraceByteIdentity is the observability determinism
+// guarantee at the CLI: -stats and -trace change timing.json and add
+// trace.jsonl but leave summary.json, cells.csv and the report
+// byte-identical, and the -stats counters are the same at any pool
+// size and under the dispatch fleet.
 func TestStatsTraceByteIdentity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
@@ -138,6 +140,49 @@ func TestStatsTraceByteIdentity(t *testing.T) {
 	}
 	if bytes.Contains(blob, []byte(`"stats"`)) || bytes.Contains(blob, []byte(`"top_cells"`)) {
 		t.Errorf("uninstrumented timing.json grew stats sections: %s", blob)
+	}
+
+	// Each cell folds its own counters once it finishes, so the pool
+	// size and the dispatch fleet cannot change them. Only the dispatch_*
+	// counters, which count the fleet's own work, may differ.
+	modes := [][]string{{"-workers", "1"}, {"-workers", "2"}, {"-dispatch", "2"}}
+	var counts []map[string]float64
+	for _, mode := range modes {
+		dir := filepath.Join(tmp, "stats"+strings.Join(mode, ""))
+		args := append([]string{"run", "-scale", "test", "-run", "^harvest-frontier$", "-quiet", "-stats",
+			"-results", dir, "-report", ""}, mode...)
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", mode, code, errb.String())
+		}
+		blob, err := os.ReadFile(filepath.Join(dir, "test", "timing.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var timing struct {
+			Stats map[string]float64 `json:"stats"`
+		}
+		if err := json.Unmarshal(blob, &timing); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"sim_events_pushed", "core_buffer_grows", "harvest_placements"} {
+			if timing.Stats[name] == 0 {
+				t.Errorf("%v: %s is 0 in %s", mode, name, blob)
+			}
+		}
+		counts = append(counts, timing.Stats)
+	}
+	if counts[2]["dispatch_uploads"] == 0 {
+		t.Errorf("-dispatch 2 counted no uploads: %v", counts[2])
+	}
+	for i, c := range counts[1:] {
+		for name, v := range counts[0] {
+			if strings.HasPrefix(name, "dispatch_") && modes[i+1][0] == "-dispatch" {
+				continue
+			}
+			if c[name] != v {
+				t.Errorf("%s: %v with %v, %v with %v", name, v, modes[0], c[name], modes[i+1])
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"perfiso/internal/cpumodel"
-	"perfiso/internal/obs"
 	"perfiso/internal/osmodel"
 	"perfiso/internal/sim"
 	"perfiso/internal/simtrace"
@@ -55,6 +54,9 @@ type BlindIsolation struct {
 	// also measure how rarely updates happen relative to polls.
 	Shrinks uint64
 	Grows   uint64
+	// Deferrals counts polls that found spare idleness but held the
+	// grow back because the holdoff had not elapsed.
+	Deferrals uint64
 	// Polls counts loop iterations.
 	Polls uint64
 	// AllocSeries samples S over time for Fig.10-style reporting; nil
@@ -63,12 +65,8 @@ type BlindIsolation struct {
 
 	sampleEvery uint64
 
-	// trk observes grow/shrink/holdoff decisions; track caches
-	// trk.Enabled() so the disabled path is one branch. strace
-	// additionally records the decisions as sim-time instants when a
-	// cell runs under -simtrace (nil otherwise).
-	trk    obs.Tracker
-	track  bool
+	// strace records the decisions as sim-time instants when a cell
+	// runs under -simtrace (nil otherwise).
 	strace *simtrace.Tracer
 }
 
@@ -98,18 +96,7 @@ func NewBlindIsolation(os *osmodel.OS, job *osmodel.Job, cfg Config) *BlindIsola
 		harvestAlpha: alpha,
 	}
 	b.maxSec = b.secLimit(b.buffer)
-	b.SetTracker(obs.Default())
 	return b
-}
-
-// SetTracker replaces the isolator's tracker (nil restores the noop
-// tracker). Trackers are pure observers and never alter decisions.
-func (b *BlindIsolation) SetTracker(t obs.Tracker) {
-	if t == nil {
-		t = obs.NopTracker()
-	}
-	b.trk = t
-	b.track = t.Enabled()
 }
 
 // secLimit is the effective secondary-core ceiling for a given buffer:
@@ -205,14 +192,8 @@ func (b *BlindIsolation) Disable() {
 	all := b.os.Cores()
 	if all > b.allocated {
 		b.Grows++
-		if b.track {
-			b.trk.BufferGrow(all)
-		}
 	} else if all < b.allocated {
 		b.Shrinks++
-		if b.track {
-			b.trk.BufferShrink(all)
-		}
 	}
 	b.allocated = all
 	b.job.SetAffinity(cpumodel.AllCores(all))
@@ -254,9 +235,7 @@ func (b *BlindIsolation) Poll() {
 				b.apply(b.allocated + 1)
 				b.lastGrow = now
 			} else if b.allocated < b.maxSec {
-				if b.track {
-					b.trk.HoldoffDeferred()
-				}
+				b.Deferrals++
 				if b.strace != nil {
 					b.traceDecision("holdoff-deferred", b.allocated)
 				}
@@ -285,17 +264,11 @@ func (b *BlindIsolation) apply(cores int) {
 	}
 	if cores < b.allocated {
 		b.Shrinks++
-		if b.track {
-			b.trk.BufferShrink(cores)
-		}
 		if b.strace != nil {
 			b.traceDecision("buffer-shrink", cores)
 		}
 	} else if cores > b.allocated {
 		b.Grows++
-		if b.track {
-			b.trk.BufferGrow(cores)
-		}
 		if b.strace != nil {
 			b.traceDecision("buffer-grow", cores)
 		}

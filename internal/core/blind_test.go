@@ -65,6 +65,14 @@ func TestBlindGrowRateLimitedByHoldoff(t *testing.T) {
 	if got := b.Allocated(); got < 8 {
 		t.Fatalf("allocation after 100ms = %d; grows are being lost", got)
 	}
+	// The polls between grows found spare idleness and were held back:
+	// each poll grows, defers or neither, never both.
+	if b.Deferrals == 0 {
+		t.Fatal("no holdoff deferrals recorded")
+	}
+	if b.Grows+b.Deferrals > b.Polls {
+		t.Fatalf("grows %d + deferrals %d exceed polls %d", b.Grows, b.Deferrals, b.Polls)
+	}
 }
 
 func TestBlindShrinksImmediatelyOnBurst(t *testing.T) {

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"perfiso/internal/obs"
 	"perfiso/internal/osmodel"
 	"perfiso/internal/sim"
-	"perfiso/internal/simtrace"
 )
 
 // MemoryGuard enforces §3.2's memory policy: the primary's fixed
@@ -33,14 +31,7 @@ type MemoryGuard struct {
 	// OnKill, when set, observes guard kills (Autopilot hooks in to
 	// restart or reschedule the batch work elsewhere).
 	OnKill func(reason string)
-
-	trk    obs.Tracker
-	strace *simtrace.Tracer
 }
-
-// SetSimTracer attaches a sim-domain tracer recording guard kills as
-// instant events (nil detaches).
-func (g *MemoryGuard) SetSimTracer(tr *simtrace.Tracer) { g.strace = tr }
 
 // NewMemoryGuard builds a guard for the secondary job.
 func NewMemoryGuard(os *osmodel.OS, job *osmodel.Job, cfg Config) *MemoryGuard {
@@ -49,17 +40,7 @@ func NewMemoryGuard(os *osmodel.OS, job *osmodel.Job, cfg Config) *MemoryGuard {
 		job:     job,
 		limit:   cfg.SecondaryMemoryLimit,
 		reserve: cfg.SystemMemoryReserve,
-		trk:     obs.Default(),
 	}
-}
-
-// SetTracker replaces the guard's tracker (nil restores the noop
-// tracker).
-func (g *MemoryGuard) SetTracker(t obs.Tracker) {
-	if t == nil {
-		t = obs.NopTracker()
-	}
-	g.trk = t
 }
 
 // Start begins polling. A guard with neither limit nor reserve is
@@ -105,13 +86,6 @@ func (g *MemoryGuard) Poll() {
 func (g *MemoryGuard) kill(reason string) {
 	g.job.Kill()
 	g.Kills++
-	if g.trk.Enabled() {
-		g.trk.Eviction()
-	}
-	if g.strace != nil {
-		g.strace.Instant(g.os.Now(), simtrace.TrackControl, "memory-evict", "controller",
-			simtrace.String("reason", reason))
-	}
 	if g.OnKill != nil {
 		g.OnKill(reason)
 	}

@@ -39,9 +39,9 @@ type Options struct {
 	// event (claim, upload, requeue, stale upload, failure), carrying
 	// worker/unit/lease fields so fleet logs are greppable by unit.
 	Log *slog.Logger
-	// Tracker observes coordinator decisions (claims, steals, lease
-	// expiries, stale uploads). Nil means the process-wide default.
-	Tracker obs.Tracker
+	// Tracker, when set, counts coordinator decisions (claims, steals,
+	// lease expiries, stale uploads).
+	Tracker *obs.Recording
 	// Tracer, when set, collects one span per completed unit so a
 	// dispatched run can be reassembled into a run-wide trace.
 	Tracer *obs.TraceBuffer
@@ -111,9 +111,6 @@ func NewCoordinator(m shard.Manifest, opts Options) (*Coordinator, error) {
 	if opts.now == nil {
 		opts.now = time.Now //perfiso:allow walltime lease clock; tests inject a fake
 	}
-	if opts.Tracker == nil {
-		opts.Tracker = obs.Default()
-	}
 	c := &Coordinator{
 		opts:     opts,
 		manifest: m,
@@ -172,9 +169,7 @@ func (c *Coordinator) reap(now time.Time) {
 		s.last = s.worker
 		s.worker = ""
 		s.status = unitPending
-		if c.opts.Tracker.Enabled() {
-			c.opts.Tracker.LeaseExpired()
-		}
+		c.opts.Tracker.LeaseExpired()
 		c.log("lease expired, unit requeued",
 			"unit", s.unit.ID, "worker", s.last, "attempt", s.attempts, "lease", c.opts.LeaseTTL)
 		if s.attempts >= c.opts.MaxAttempts {
@@ -235,15 +230,11 @@ func (c *Coordinator) claim(worker string) claimResponse {
 		s.claimedAt = now
 		w := c.worker(worker)
 		w.Claims++
-		if c.opts.Tracker.Enabled() {
-			c.opts.Tracker.Claim()
-		}
+		c.opts.Tracker.Claim()
 		if s.last != "" && s.last != worker {
 			c.steals++
 			w.Steals++
-			if c.opts.Tracker.Enabled() {
-				c.opts.Tracker.Steal()
-			}
+			c.opts.Tracker.Steal()
 			c.log("unit stolen",
 				"unit", s.unit.ID, "worker", worker, "from", s.last, "attempt", s.attempts, "lease", c.opts.LeaseTTL)
 		} else {
@@ -320,9 +311,7 @@ func (c *Coordinator) upload(worker, manifestHash string, cell shard.PartialCell
 	s := c.states[si]
 	if s.status == unitDone {
 		c.stale++
-		if c.opts.Tracker.Enabled() {
-			c.opts.Tracker.StaleUpload()
-		}
+		c.opts.Tracker.StaleUpload()
 		c.log("stale upload rejected", "unit", cell.Unit, "worker", worker)
 		return &uploadError{http.StatusConflict, fmt.Sprintf(
 			"unit %s already completed by another worker", cell.Unit)}

@@ -81,8 +81,9 @@
 // the values are read from the same book-keeping as Timing, so a
 // scrape always matches timing.json's dispatch section. Scheduling
 // events are logged through Options.Log as structured log/slog
-// records with worker/unit/lease fields, decisions are counted
-// through Options.Tracker (see internal/obs), and Options.Tracer
-// collects one trace span per completed unit for the run-wide
-// trace.jsonl.
+// records with worker/unit/lease fields. Decisions are counted into
+// the *obs.Recording passed as Options.Tracker (and upload latencies
+// into Worker.Tracker); nil counts nothing, and no process-wide
+// default is consulted. Options.Tracer collects one trace span per
+// completed unit for the run-wide trace.jsonl.
 package dispatch

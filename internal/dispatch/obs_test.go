@@ -141,7 +141,7 @@ func TestDispatchObservability(t *testing.T) {
 		}
 	}
 
-	// The shared recording tracker agrees: one accepted upload (and so
+	// The shared recording agrees: one accepted upload (and so
 	// one latency sample) per unit, one Claim per granted lease.
 	s := rec.Snapshot()
 	if s.DispatchUploads != uint64(len(units)) {

@@ -33,9 +33,8 @@ type Worker struct {
 	// worker's goroutine — a callback shared across workers must
 	// synchronize internally.
 	OnUnit func(experiment, cell string, elapsed time.Duration)
-	// Tracker observes upload latencies. Nil means the process-wide
-	// default at first use.
-	Tracker obs.Tracker
+	// Tracker, when set, counts accepted uploads and their latencies.
+	Tracker *obs.Recording
 
 	// Units counts accepted uploads; Stale counts rejected ones.
 	Units, Stale int
@@ -239,11 +238,7 @@ func (w *Worker) execute(ctx context.Context, claim claimResponse) error {
 		return runErr
 	}
 
-	trk := w.Tracker
-	if trk == nil {
-		trk = obs.Default()
-	}
-	upStart := time.Now() //perfiso:allow walltime upload latency feeds the obs tracker only
+	upStart := time.Now() //perfiso:allow walltime upload latency feeds the obs recording only
 	err := w.postJSON(ctx, "/v1/upload", uploadRequest{
 		Worker:       w.Name,
 		ManifestHash: w.Runner.Manifest.Hash,
@@ -257,9 +252,7 @@ func (w *Worker) execute(ctx context.Context, claim claimResponse) error {
 	if err != nil {
 		return err
 	}
-	if trk.Enabled() {
-		trk.Upload(time.Since(upStart).Seconds()) //perfiso:allow walltime upload latency feeds the obs tracker only
-	}
+	w.Tracker.Upload(time.Since(upStart).Seconds()) //perfiso:allow walltime upload latency feeds the obs recording only
 	w.Units++
 	if w.OnUnit != nil {
 		w.OnUnit(cell.Experiment, cell.Cell, time.Since(start)) //perfiso:allow walltime unit wall cost feeds timing.json only

@@ -69,7 +69,9 @@ func runFig9Scenario(scale Fig9Scale, secondary cluster.Secondary, isolate bool)
 	c.StartSecondary(secondary)
 	// Cluster rate = per-row rate × rows (the TLAs round-robin rows).
 	rate := scale.RatePerRow * float64(ccfg.Rows)
-	return c.Run(scale.Queries, scale.Warmup, rate, scale.Seed)
+	res := c.Run(scale.Queries, scale.Warmup, rate, scale.Seed)
+	foldCell(eng, nil, nil, controllers(c)...)
+	return res
 }
 
 // fig9Cells lists the three cluster scenarios as independent cells.

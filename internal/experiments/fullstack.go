@@ -108,6 +108,7 @@ func RunFullStack(qps float64, scale Scale) FullStackResult {
 	client.Replay(trace)
 	last := trace[len(trace)-1].Arrival
 	eng.Run(last.Add(sim.Duration(ncfg.IndexServe.Deadline) + sim.Second))
+	foldCell(eng, nil, nil, ctrl)
 
 	sum := n.Server.Latency.Summary()
 	b := n.CPU.Breakdown()

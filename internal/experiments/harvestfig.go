@@ -194,6 +194,7 @@ func runHarvestScenarioWith(scale HarvestScale, policy string, feed func(*harves
 	if err := mgr.StopService(harvest.ServiceName); err != nil {
 		panic(err)
 	}
+	foldCell(eng, nil, sched, controllers(c)...)
 
 	st := sched.Stats()
 	span := eng.Now().Sub(0)

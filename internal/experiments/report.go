@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -234,7 +235,7 @@ type RunTiming struct {
 	// TopCells lists the most expensive cells by wall time (populated
 	// with -stats).
 	TopCells []CellTiming `json:"top_cells,omitempty"`
-	// Stats is the recording tracker's counter snapshot (populated
+	// Stats is the run-wide recording's counter snapshot (populated
 	// with -stats).
 	Stats *obs.Snapshot `json:"stats,omitempty"`
 }
@@ -249,16 +250,14 @@ func TimingOf(res RunResult) RunTiming {
 	}
 }
 
-// WriteTiming writes timing.json under dir.
-func WriteTiming(dir string, t RunTiming) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
+// WriteTiming writes t as the indented JSON of timing.json.
+func WriteTiming(w io.Writer, t RunTiming) error {
 	blob, err := json.MarshalIndent(t, "", "  ")
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, "timing.json"), append(blob, '\n'), 0o644)
+	_, err = w.Write(append(blob, '\n'))
+	return err
 }
 
 // comparison is one paper-vs-reproduced row of the report. Rows whose

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"perfiso/internal/core"
 	"perfiso/internal/indexserve"
 	"perfiso/internal/isolation"
 	"perfiso/internal/node"
@@ -135,11 +136,16 @@ func RunSingleTraced(qps float64, bully BullyMode, pol isolation.Policy, scale S
 			panic(fmt.Sprintf("experiments: installing %s: %v", pol.Name(), err))
 		}
 	}
+	// Held here because Uninstall drops the policy's governor.
+	var gov *core.BlindIsolation
+	if blind, ok := pol.(*isolation.Blind); ok {
+		gov = blind.Governor()
+	}
 	if tr != nil {
 		n.CPU.SetSimTracer(tr)
 		n.Server.SetSimTracer(tr)
-		if blind, ok := pol.(*isolation.Blind); ok {
-			blind.Governor().SetSimTracer(tr)
+		if gov != nil {
+			gov.SetSimTracer(tr)
 		}
 	}
 
@@ -189,8 +195,7 @@ func RunSingleTraced(qps float64, bully BullyMode, pol isolation.Policy, scale S
 		return 0
 	})
 	smp.probe("queued", "threads", func(int) float64 { return float64(n.CPU.QueuedThreads()) })
-	if blind, ok := pol.(*isolation.Blind); ok {
-		gov := blind.Governor()
+	if gov != nil {
 		smp.probe("alloc_cores", "cores", func(int) float64 { return float64(gov.Allocated()) })
 	}
 	smp.start()
@@ -208,6 +213,9 @@ func RunSingleTraced(qps float64, bully BullyMode, pol isolation.Policy, scale S
 	if pol != nil {
 		pol.Uninstall(n.OS, job)
 	}
+	// After Uninstall: its kill switch counts a grow and schedules
+	// events.
+	foldCell(eng, gov, nil)
 	n.CPU.CheckInvariants()
 	return res
 }

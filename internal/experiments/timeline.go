@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"perfiso/internal/core"
 	"perfiso/internal/indexserve"
 	"perfiso/internal/isolation"
 	"perfiso/internal/node"
@@ -86,6 +87,7 @@ func RunTimeline(cfg TimelineConfig) TimelineResult {
 	ncfg.Seed = cfg.Seed
 	n := node.New(eng, ncfg)
 
+	var gov *core.BlindIsolation
 	if cfg.BufferCores > 0 {
 		job := n.OS.CreateJob("timeline-secondary")
 		bully := workload.NewCPUBully(n.CPU, "bully", n.CPU.Cores())
@@ -95,6 +97,7 @@ func RunTimeline(cfg TimelineConfig) TimelineResult {
 		if err := pol.Install(n.OS, job); err != nil {
 			panic(err)
 		}
+		gov = pol.Governor()
 	}
 
 	span := cfg.Duration.Seconds()
@@ -136,6 +139,7 @@ func RunTimeline(cfg TimelineConfig) TimelineResult {
 	client := workload.NewClient(eng, func(q workload.QuerySpec) { n.Server.Submit(q) })
 	client.Replay(trace)
 	eng.Run(sim.Time(cfg.Duration))
+	foldCell(eng, gov, nil)
 
 	var out TimelineResult
 	var usedSum, p99Sum float64

@@ -7,9 +7,7 @@ import (
 	"perfiso/internal/cluster"
 	"perfiso/internal/cpumodel"
 	"perfiso/internal/diskmodel"
-	"perfiso/internal/obs"
 	"perfiso/internal/sim"
-	"perfiso/internal/simtrace"
 	"perfiso/internal/stats"
 )
 
@@ -141,25 +139,6 @@ type Scheduler struct {
 	started bool
 	stopped bool
 	gen     int // invalidates the previous incarnation's ticker on restart
-
-	// trk observes placements/preemptions/requeues; track caches
-	// trk.Enabled() so the disabled path is one branch. strace
-	// additionally records the decisions as sim-time instants when a
-	// traced cell runs the cluster (nil otherwise).
-	trk    obs.Tracker
-	track  bool
-	strace *simtrace.Tracer
-}
-
-// SetSimTracer attaches a sim-domain tracer recording placements,
-// preemptions, and failure requeues as instant events (nil detaches).
-func (s *Scheduler) SetSimTracer(tr *simtrace.Tracer) { s.strace = tr }
-
-// traceDecision emits one scheduler instant on the control track.
-func (s *Scheduler) traceDecision(name string, t *Task) {
-	s.strace.Instant(s.c.Eng.Now(), simtrace.TrackControl, name, "harvest",
-		simtrace.String("job", t.Job.Spec.Name),
-		simtrace.Int("task", t.Index))
 }
 
 // NewScheduler builds a scheduler over c and subscribes to its machine
@@ -179,7 +158,6 @@ func NewScheduler(c *cluster.Cluster, cfg Config) (*Scheduler, error) {
 		policy: pol,
 		byMach: map[*cluster.IndexMachine]*machineState{},
 	}
-	s.SetTracker(obs.Default())
 	for i, m := range c.MachineList() {
 		ms := &machineState{index: i, m: m}
 		s.machines = append(s.machines, ms)
@@ -196,16 +174,6 @@ func NewScheduler(c *cluster.Cluster, cfg Config) (*Scheduler, error) {
 		}
 	}
 	return s, nil
-}
-
-// SetTracker replaces the scheduler's tracker (nil restores the noop
-// tracker). Trackers are pure observers and never alter placement.
-func (s *Scheduler) SetTracker(t obs.Tracker) {
-	if t == nil {
-		t = obs.NopTracker()
-	}
-	s.trk = t
-	s.track = t.Enabled()
 }
 
 // Config returns the active configuration.
@@ -337,12 +305,6 @@ func (s *Scheduler) shed() {
 			t := ms.running[len(ms.running)-1] // shed newest first
 			s.preempt(t)
 			s.stats.Preemptions++
-			if s.track {
-				s.trk.Preemption()
-			}
-			if s.strace != nil {
-				s.traceDecision("preemption", t)
-			}
 			s.pending = append(s.pending, t)
 		}
 	}
@@ -411,12 +373,6 @@ func (s *Scheduler) start(ms *machineState, t *Task) {
 	t.epoch++
 	epoch := t.epoch
 	ms.running = append(ms.running, t)
-	if s.track {
-		s.trk.Placement()
-	}
-	if s.strace != nil {
-		s.traceDecision("placement", t)
-	}
 	s.placements = append(s.placements, Placement{
 		At:      s.c.Eng.Now(),
 		Job:     t.Job.Spec.Name,
@@ -580,12 +536,6 @@ func (s *Scheduler) failMachine(ms *machineState) {
 		t.remaining = t.Job.Spec.TaskWork
 		t.opsLeft = t.Job.Spec.TaskOps
 		s.stats.FailureRequeues++
-		if s.track {
-			s.trk.TaskRequeue()
-		}
-		if s.strace != nil {
-			s.traceDecision("failure-requeue", t)
-		}
 		s.pending = append(s.pending, t)
 	}
 }

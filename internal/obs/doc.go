@@ -1,43 +1,46 @@
-// Package obs is the zero-cost-when-off instrumentation layer shared
-// by the sim engine, the PerfIso controller, the harvest scheduler and
-// the dispatch fleet.
+// Package obs is the harness-side instrumentation layer: run-wide
+// counters, the Prometheus renderer and per-cell trace spans. The
+// simulated system does not import it.
 //
-// # The tracker contract
+// # The recording
 //
-// Tracker is a pure observer: implementations MUST NOT influence the
-// simulation or scheduling decisions of the code that calls them —
-// results stay byte-identical whether tracking is off, on, or swapped
-// mid-run. Every instrumented layer holds a Tracker and reports its
-// hot-path events through it:
+// Recording holds the run's counters as lock-free atomics, safe for
+// every cell goroutine and dispatch worker in a process to share.
+// Snapshot projects them into a JSON-serializable struct (folded into
+// timing.json by `perfiso-repro run -stats`), and Snapshot.Metrics
+// renders them for the Prometheus-text /metrics endpoints of
+// `perfiso-repro serve` and `work -metrics-addr`. Counting is a pure
+// observation: results are byte-identical with or without a recording.
 //
-//   - sim.Engine: events pushed/popped (with heap depth, which leaves
-//     out events waiting in fixed-delay lanes) and virtual time
-//     advanced per Run.
-//   - core.BlindIsolation / core.MemoryGuard: buffer grow/shrink
-//     decisions, grow attempts deferred by the holdoff, and
-//     memory-guard evictions.
-//   - harvest.Scheduler: placements, preemptions and failure requeues.
-//   - dispatch.Coordinator / dispatch.Worker: claims, steals, lease
-//     expiries, stale uploads, and upload latencies.
+// # The nil contract
 //
-// Two implementations exist:
+// Every Recording method does nothing on a nil receiver, so a holder
+// keeps a plain *Recording that stays nil unless counting was asked
+// for — the same contract *simtrace.Tracer uses. There is no interface
+// and no no-op implementation. The dispatch coordinator and workers
+// take theirs explicitly (dispatch.Options.Tracker,
+// dispatch.Worker.Tracker) and count claims, steals, lease expiries,
+// stale uploads and upload latencies as they happen.
 //
-//   - The noop tracker (NopTracker, the package default): every method
-//     is an empty body and Enabled reports false. Hot paths guard
-//     their calls with a cached Enabled flag, so production runs pay a
-//     single predictable branch per event — nothing is allocated,
-//     counted or locked.
-//   - The recording tracker (NewRecording): lock-free atomic counters
-//     safe for concurrent use by every cell and worker in a process.
-//     Snapshot projects the counters into a JSON-serializable struct
-//     (folded into timing.json by `perfiso-repro run -stats`), and
-//     Metrics renders them for the Prometheus-text /metrics endpoint
-//     served by `perfiso-repro serve`.
+// # The per-cell fold
 //
-// Layers pick up the process-wide tracker via Default at construction
-// time; SetDefault installs a recording tracker before a run (the
-// `-stats` flag does this) and individual components accept an
-// explicit tracker via their SetTracker methods for tests.
+// Sim-domain counts are not reported event by event. The components
+// that make the decisions keep plain counters of their own:
+//
+//   - sim.Engine: events pushed and popped, the event queue's
+//     high-water mark, and the virtual clock (Engine.Counts, Now);
+//   - core.BlindIsolation: Grows, Shrinks and Deferrals (grow attempts
+//     held back by the holdoff);
+//   - core.MemoryGuard: Kills;
+//   - harvest.Scheduler: its placement log, Preemptions and
+//     FailureRequeues.
+//
+// When a cell finishes, internal/experiments reads them once and adds
+// them to the process-wide recording with AddCell. SetDefault installs
+// that recording (run -stats and serve -stats do, as does the
+// benchmark's traced pass); with none installed the fold does
+// nothing. RNG draws are counted inside internal/sim instead (see
+// sim.SetRNGAccounting) and stamped into the Snapshot by the caller.
 //
 // # Trace spans
 //

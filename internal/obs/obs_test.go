@@ -2,72 +2,56 @@ package obs
 
 import (
 	"bytes"
+	"go/build"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
 
-func TestNopTrackerDisabled(t *testing.T) {
-	trk := NopTracker()
-	if trk.Enabled() {
-		t.Fatal("noop tracker reports enabled")
+func TestNilRecordingCountsNothing(t *testing.T) {
+	// Every method must be callable on a nil recording.
+	var rec *Recording
+	rec.AddCell(CellCounts{EventsPushed: 1, MaxHeapDepth: 3})
+	rec.Claim()
+	rec.Steal()
+	rec.LeaseExpired()
+	rec.StaleUpload()
+	rec.Upload(0.5)
+	if s := rec.Snapshot(); s != (Snapshot{}) {
+		t.Fatalf("nil recording snapshot = %+v, want zero", s)
 	}
-	// Every method must be callable and side-effect free.
-	trk.EventPushed(3)
-	trk.EventPopped()
-	trk.SimAdvanced(10)
-	trk.BufferGrow(2)
-	trk.BufferShrink(1)
-	trk.HoldoffDeferred()
-	trk.Eviction()
-	trk.Placement()
-	trk.Preemption()
-	trk.TaskRequeue()
-	trk.Claim()
-	trk.Steal()
-	trk.LeaseExpired()
-	trk.StaleUpload()
-	trk.Upload(0.5)
 }
 
-func TestDefaultTracker(t *testing.T) {
-	if Default().Enabled() {
-		t.Fatal("default tracker should start as noop")
+func TestDefaultRecording(t *testing.T) {
+	if Default() != nil {
+		t.Fatal("no recording should be installed by default")
 	}
 	rec := NewRecording()
 	SetDefault(rec)
 	defer SetDefault(nil)
-	if !Default().Enabled() {
-		t.Fatal("recording default not installed")
+	if Default() != rec {
+		t.Fatal("recording not installed")
 	}
 	Default().Claim()
 	if got := rec.Snapshot().DispatchClaims; got != 1 {
 		t.Fatalf("claims = %d, want 1", got)
 	}
 	SetDefault(nil)
-	if Default().Enabled() {
-		t.Fatal("SetDefault(nil) should restore the noop tracker")
+	if Default() != nil {
+		t.Fatal("SetDefault(nil) should remove the recording")
 	}
 }
 
 func TestRecordingCounters(t *testing.T) {
 	rec := NewRecording()
-	if !rec.Enabled() {
-		t.Fatal("recording tracker reports disabled")
-	}
-	rec.EventPushed(2)
-	rec.EventPushed(7)
-	rec.EventPushed(4)
-	rec.EventPopped()
-	rec.SimAdvanced(1_500_000_000)
-	rec.BufferGrow(3)
-	rec.BufferShrink(2)
-	rec.BufferShrink(1)
-	rec.HoldoffDeferred()
-	rec.Eviction()
-	rec.Placement()
-	rec.Preemption()
-	rec.TaskRequeue()
+	rec.AddCell(CellCounts{
+		EventsPushed: 2, EventsPopped: 1, MaxHeapDepth: 7, SimNs: 1_000_000_000,
+		BufferGrows: 1, BufferShrinks: 2, HoldoffDeferrals: 1, Evictions: 1,
+		Placements: 1, Preemptions: 1, Requeues: 1,
+	})
+	rec.AddCell(CellCounts{EventsPushed: 1, MaxHeapDepth: 4, SimNs: 500_000_000})
 	rec.Claim()
 	rec.Steal()
 	rec.LeaseExpired()
@@ -116,8 +100,7 @@ func TestRecordingConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				rec.EventPushed(g*1000 + i)
-				rec.EventPopped()
+				rec.AddCell(CellCounts{EventsPushed: 1, EventsPopped: 1, MaxHeapDepth: g*1000 + i})
 				rec.Claim()
 			}
 		}(g)
@@ -129,6 +112,26 @@ func TestRecordingConcurrent(t *testing.T) {
 	}
 	if s.SimMaxHeapDepth != 7999 {
 		t.Fatalf("max heap depth = %d, want 7999", s.SimMaxHeapDepth)
+	}
+}
+
+// TestSimDomainDoesNotImportObs pins the split the package docs
+// describe: the simulated system keeps plain counters of its own, and
+// only the harness (internal/experiments, dispatch, the CLI) imports
+// obs.
+func TestSimDomainDoesNotImportObs(t *testing.T) {
+	for _, pkg := range []string{
+		"sim", "cpumodel", "diskmodel", "memmodel", "netmodel", "osmodel",
+		"node", "indexserve", "cluster", "core", "isolation", "harvest",
+		"autopilot", "workload", "stats", "simtrace",
+	} {
+		p, err := build.ImportDir(filepath.Join("..", pkg), 0)
+		if err != nil {
+			t.Fatalf("%s: %v", pkg, err)
+		}
+		if slices.Contains(p.Imports, "perfiso/internal/obs") {
+			t.Errorf("perfiso/internal/%s imports perfiso/internal/obs", pkg)
+		}
 	}
 }
 

@@ -2,9 +2,12 @@ package obs
 
 import "sync/atomic"
 
-// Recording is the Tracker implementation that actually counts: every
-// method is a lock-free atomic update, safe for every cell goroutine
-// and dispatch worker in the process to share one instance.
+// Recording is the run-wide set of counters behind `-stats`, the
+// serve and work /metrics endpoints and the benchmark's per-layer
+// counts. Every update is a lock-free atomic, so all cell goroutines
+// and dispatch workers in a process can share one instance. Every
+// method does nothing on a nil *Recording: holders keep a plain
+// pointer that stays nil unless counting was asked for.
 type Recording struct {
 	eventsPushed atomic.Uint64
 	eventsPopped atomic.Uint64
@@ -29,79 +32,114 @@ type Recording struct {
 	uploadMaxNs   atomic.Int64
 }
 
-// NewRecording returns a zeroed recording tracker.
+// NewRecording returns a zeroed recording.
 func NewRecording() *Recording { return &Recording{} }
 
-// Enabled implements Tracker.
-func (r *Recording) Enabled() bool { return true }
+var defaultRecording atomic.Pointer[Recording]
 
-// EventPushed implements Tracker.
-func (r *Recording) EventPushed(depth int) {
-	r.eventsPushed.Add(1)
-	d := int64(depth)
-	for {
-		cur := r.maxHeapDepth.Load()
-		if d <= cur || r.maxHeapDepth.CompareAndSwap(cur, d) {
-			return
-		}
+// Default returns the process-wide recording, nil unless SetDefault
+// installed one. Finished simulation cells fold their counters into
+// it (see the package docs).
+func Default() *Recording { return defaultRecording.Load() }
+
+// SetDefault installs the process-wide recording; nil removes it.
+// Install it before the cells whose counts it should receive start.
+func SetDefault(r *Recording) { defaultRecording.Store(r) }
+
+// CellCounts is one finished simulation cell's sim-domain counters,
+// read from the counters its engine, governors and harvest scheduler
+// keep themselves.
+type CellCounts struct {
+	// EventsPushed and EventsPopped count entries scheduled on and
+	// taken off the engine's queue and lanes: dispatched, or discarded
+	// because they were cancelled.
+	EventsPushed, EventsPopped uint64
+	// MaxHeapDepth is the event queue's high-water mark. Events
+	// waiting in fixed-delay lanes are not in the queue.
+	MaxHeapDepth int
+	// SimNs is the virtual time the cell's engine advanced.
+	SimNs int64
+
+	// BufferGrows, BufferShrinks and HoldoffDeferrals are
+	// blind-isolation decisions; Evictions counts memory-guard kills.
+	BufferGrows, BufferShrinks, HoldoffDeferrals, Evictions uint64
+
+	// Placements, Preemptions and Requeues are harvest-scheduler task
+	// transitions: placed, shed on a buffer squeeze, and requeued
+	// after a machine failure.
+	Placements, Preemptions, Requeues uint64
+}
+
+// AddCell folds one cell's counters in. The heap depth is a maximum
+// over cells; every other counter is a sum.
+func (r *Recording) AddCell(c CellCounts) {
+	if r == nil {
+		return
+	}
+	r.eventsPushed.Add(c.EventsPushed)
+	r.eventsPopped.Add(c.EventsPopped)
+	storeMax(&r.maxHeapDepth, int64(c.MaxHeapDepth))
+	r.simNs.Add(c.SimNs)
+	r.bufferGrows.Add(c.BufferGrows)
+	r.bufferShrinks.Add(c.BufferShrinks)
+	r.holdoffDeferrals.Add(c.HoldoffDeferrals)
+	r.evictions.Add(c.Evictions)
+	r.placements.Add(c.Placements)
+	r.preemptions.Add(c.Preemptions)
+	r.taskRequeues.Add(c.Requeues)
+}
+
+// Claim counts one unit lease granted by the dispatch coordinator.
+func (r *Recording) Claim() {
+	if r != nil {
+		r.claims.Add(1)
 	}
 }
 
-// EventPopped implements Tracker.
-func (r *Recording) EventPopped() { r.eventsPopped.Add(1) }
+// Steal counts one claim of a unit another worker held last.
+func (r *Recording) Steal() {
+	if r != nil {
+		r.steals.Add(1)
+	}
+}
 
-// SimAdvanced implements Tracker.
-func (r *Recording) SimAdvanced(ns int64) { r.simNs.Add(ns) }
+// LeaseExpired counts one lease the coordinator reaped.
+func (r *Recording) LeaseExpired() {
+	if r != nil {
+		r.leaseExpiries.Add(1)
+	}
+}
 
-// BufferGrow implements Tracker.
-func (r *Recording) BufferGrow(int) { r.bufferGrows.Add(1) }
+// StaleUpload counts one upload the coordinator rejected as stale.
+func (r *Recording) StaleUpload() {
+	if r != nil {
+		r.staleUploads.Add(1)
+	}
+}
 
-// BufferShrink implements Tracker.
-func (r *Recording) BufferShrink(int) { r.bufferShrinks.Add(1) }
-
-// HoldoffDeferred implements Tracker.
-func (r *Recording) HoldoffDeferred() { r.holdoffDeferrals.Add(1) }
-
-// Eviction implements Tracker.
-func (r *Recording) Eviction() { r.evictions.Add(1) }
-
-// Placement implements Tracker.
-func (r *Recording) Placement() { r.placements.Add(1) }
-
-// Preemption implements Tracker.
-func (r *Recording) Preemption() { r.preemptions.Add(1) }
-
-// TaskRequeue implements Tracker.
-func (r *Recording) TaskRequeue() { r.taskRequeues.Add(1) }
-
-// Claim implements Tracker.
-func (r *Recording) Claim() { r.claims.Add(1) }
-
-// Steal implements Tracker.
-func (r *Recording) Steal() { r.steals.Add(1) }
-
-// LeaseExpired implements Tracker.
-func (r *Recording) LeaseExpired() { r.leaseExpiries.Add(1) }
-
-// StaleUpload implements Tracker.
-func (r *Recording) StaleUpload() { r.staleUploads.Add(1) }
-
-// Upload implements Tracker.
+// Upload counts one accepted result upload and its transport latency
+// in seconds (worker side).
 func (r *Recording) Upload(seconds float64) {
+	if r == nil {
+		return
+	}
 	r.uploads.Add(1)
 	ns := int64(seconds * 1e9)
 	r.uploadNs.Add(ns)
+	storeMax(&r.uploadMaxNs, ns)
+}
+
+// storeMax raises m to v if v is larger.
+func storeMax(m *atomic.Int64, v int64) {
 	for {
-		cur := r.uploadMaxNs.Load()
-		if ns <= cur || r.uploadMaxNs.CompareAndSwap(cur, ns) {
+		cur := m.Load()
+		if v <= cur || m.CompareAndSwap(cur, v) {
 			return
 		}
 	}
 }
 
-var _ Tracker = (*Recording)(nil)
-
-// Snapshot is the JSON projection of a recording tracker, folded into
+// Snapshot is the JSON projection of a recording, folded into
 // timing.json's "stats" section by `perfiso-repro run -stats`.
 type Snapshot struct {
 	SimEventsPushed uint64  `json:"sim_events_pushed"`
@@ -109,8 +147,8 @@ type Snapshot struct {
 	SimMaxHeapDepth int64   `json:"sim_max_heap_depth"`
 	SimSeconds      float64 `json:"sim_seconds"`
 	// RNGDraws is filled by the caller from sim.RNGDraws (RNG draw
-	// accounting is gated inside the sim package, not tracked per draw
-	// through the interface — see sim.SetRNGAccounting).
+	// accounting is gated inside the sim package, not counted per cell
+	// — see sim.SetRNGAccounting).
 	RNGDraws uint64 `json:"rng_draws,omitempty"`
 
 	CoreBufferGrows      uint64 `json:"core_buffer_grows"`
@@ -131,9 +169,13 @@ type Snapshot struct {
 	DispatchUploadMaxSeconds  float64 `json:"dispatch_upload_max_seconds"`
 }
 
-// Snapshot reads the counters. It is safe to call while tracking
-// continues; the values are each individually consistent.
+// Snapshot reads the counters, all zero for a nil recording. It is
+// safe to call while counting continues; the values are each
+// individually consistent.
 func (r *Recording) Snapshot() Snapshot {
+	if r == nil {
+		return Snapshot{}
+	}
 	s := Snapshot{
 		SimEventsPushed:          r.eventsPushed.Load(),
 		SimEventsPopped:          r.eventsPopped.Load(),

@@ -1,44 +1,53 @@
 package sim
 
-import (
-	"testing"
+import "testing"
 
-	"perfiso/internal/obs"
-)
-
-func TestEngineTracker(t *testing.T) {
-	rec := obs.NewRecording()
+func TestEngineCounts(t *testing.T) {
 	e := NewEngine()
-	e.SetTracker(rec)
 	e.At(Time(10*Second), func() {})
 	e.At(Time(5*Second), func() {})
 	e.After(20*Second, func() {})
 	e.RunAll()
 
-	s := rec.Snapshot()
-	if s.SimEventsPushed != 3 || s.SimEventsPopped != 3 {
-		t.Fatalf("pushed/popped = %d/%d, want 3/3", s.SimEventsPushed, s.SimEventsPopped)
+	pushed, popped, depth := e.Counts()
+	if pushed != 3 || popped != 3 {
+		t.Fatalf("pushed/popped = %d/%d, want 3/3", pushed, popped)
 	}
-	if s.SimMaxHeapDepth < 2 {
-		t.Fatalf("max heap depth = %d, want >= 2", s.SimMaxHeapDepth)
+	if depth != 3 {
+		t.Fatalf("max depth = %d, want 3", depth)
 	}
-	if s.SimSeconds != 20 {
-		t.Fatalf("sim seconds = %v, want 20", s.SimSeconds)
+	if e.Now() != Time(20*Second) {
+		t.Fatalf("now = %v, want 20s", e.Now())
 	}
 }
 
-// laneCounts runs a lane program (runProgram) on a recorded engine and
-// returns its log and the obs pushed/popped counts after every op and
-// at the end. viaHeap sends the fixed-delay events through AfterTimer
-// instead of lanes.
-func laneCounts(data []byte, viaHeap bool) ([]progRecord, [][2]uint64) {
-	rec := obs.NewRecording()
+func TestEngineCountsRun(t *testing.T) {
 	e := NewEngine()
-	e.SetTracker(rec)
+	e.At(Time(2*Second), func() {})
+	stale := e.AfterTimer(Second, func() {})
+	e.At(Time(40*Second), func() {})
+	e.Cancel(stale)
+	e.Run(Time(30 * Second))
+	if e.Now() != Time(30*Second) {
+		t.Fatalf("now = %v, want 30s (Run advances to until)", e.Now())
+	}
+	// The cancelled entry was discarded, the 2 s event ran and the 40 s
+	// one is still queued.
+	if pushed, popped, _ := e.Counts(); pushed != 3 || popped != 2 {
+		t.Fatalf("pushed/popped = %d/%d, want 3/2", pushed, popped)
+	}
+}
+
+// laneCounts runs a lane program (runProgram) and returns its log and
+// the engine's pushed/popped counts after every op and at the end.
+// viaHeap sends the fixed-delay events through AfterTimer instead of
+// lanes.
+func laneCounts(data []byte, viaHeap bool) ([]progRecord, [][2]uint64) {
+	e := NewEngine()
 	var counts [][2]uint64
 	snap := func() {
-		s := rec.Snapshot()
-		counts = append(counts, [2]uint64{s.SimEventsPushed, s.SimEventsPopped})
+		pushed, popped, _ := e.Counts()
+		counts = append(counts, [2]uint64{pushed, popped})
 	}
 	log := runProgram(newEngineAPI(e, viaHeap), data, snap)
 	snap()
@@ -47,7 +56,7 @@ func laneCounts(data []byte, viaHeap bool) ([]progRecord, [][2]uint64) {
 
 // checkLaneCounts requires a program to behave identically with its
 // fixed-delay events in lanes or in the event queue: the same log, and
-// the same obs pushed/popped counts after every op — lanes discard a
+// the same pushed/popped counts after every op — lanes discard a
 // cancelled entry exactly when the queue would have.
 func checkLaneCounts(t *testing.T, data []byte) {
 	t.Helper()
@@ -74,24 +83,6 @@ func TestLaneObsCountsMatchHeap(t *testing.T) {
 	}
 }
 
-func TestEngineTrackerRun(t *testing.T) {
-	rec := obs.NewRecording()
-	e := NewEngine()
-	e.SetTracker(rec)
-	e.At(Time(2*Second), func() {})
-	e.Run(Time(30 * Second))
-	if got := rec.Snapshot().SimSeconds; got != 30 {
-		t.Fatalf("sim seconds = %v, want 30 (Run advances to until)", got)
-	}
-	// Disabling the tracker freezes the counters.
-	e.SetTracker(nil)
-	e.After(Second, func() {})
-	e.RunAll()
-	if got := rec.Snapshot().SimEventsPushed; got != 1 {
-		t.Fatalf("pushed = %d, want 1 after tracker removed", got)
-	}
-}
-
 func TestDeterminismWithTracking(t *testing.T) {
 	run := func(track bool) []uint64 {
 		if track {
@@ -99,9 +90,6 @@ func TestDeterminismWithTracking(t *testing.T) {
 			defer SetRNGAccounting(false)
 		}
 		e := NewEngine()
-		if track {
-			e.SetTracker(obs.NewRecording())
-		}
 		rng := NewRNG(42)
 		var out []uint64
 		e.Ticker(Second, func() bool {

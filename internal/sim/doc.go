@@ -82,7 +82,7 @@
 //     among the queue's minimum and the lane fronts, cancelled entries
 //     included, so the queue and lanes behave exactly as one queue
 //     holding every entry: execution order, cancelled-entry discards
-//     and obs pushed/popped counts are unchanged, which the
+//     and the pushed/popped counts (Counts) are unchanged, which the
 //     differential and fuzz tests check against the container/heap
 //     reference and against the same programs run through AfterTimer.
 //     A colocated cell's queue now averages about 50 entries, none of

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"perfiso/internal/obs"
-)
+import "fmt"
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64
@@ -92,33 +88,15 @@ type Engine struct {
 	// cancelled entries awaiting lazy removal).
 	live int
 
-	// executed counts dispatched events, exposed for tests and stats.
-	executed uint64
-	// trk observes pushes/pops/time advances; track caches trk.Enabled()
-	// so the disabled path costs one branch per event, not an interface
-	// call.
-	trk   obs.Tracker
-	track bool
+	// executed counts dispatched events and discarded the cancelled
+	// entries dropped without running; with what is still queued they
+	// account for every push (Counts).
+	executed  uint64
+	discarded uint64
 }
 
-// NewEngine returns an empty engine at time zero, observing the
-// process-wide obs tracker.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.SetTracker(obs.Default())
-	return e
-}
-
-// SetTracker replaces the engine's tracker (nil restores the noop
-// tracker). Trackers are pure observers; swapping them never changes
-// simulation results.
-func (e *Engine) SetTracker(t obs.Tracker) {
-	if t == nil {
-		t = obs.NopTracker()
-	}
-	e.trk = t
-	e.track = t.Enabled()
-}
+// NewEngine returns an empty engine at time zero.
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -129,6 +107,19 @@ func (e *Engine) Executed() uint64 { return e.executed }
 // Pending reports how many events are currently queued (cancelled
 // events are excluded).
 func (e *Engine) Pending() int { return e.live }
+
+// Counts reports the engine's event accounting: entries pushed onto
+// the queue or a lane, entries popped off them (dispatched, or
+// discarded because they were cancelled), and the queue's high-water
+// mark, which leaves out entries waiting in lanes.
+func (e *Engine) Counts() (pushed, popped uint64, maxDepth int) {
+	popped = e.executed + e.discarded
+	queued := e.events.Len()
+	for _, l := range e.lanes {
+		queued += l.n
+	}
+	return popped + uint64(queued), popped, e.events.peak
+}
 
 // takeSlot stores fn in a recycled (or fresh) slot, stamps it with the
 // event's seq, and returns the slot index.
@@ -164,9 +155,6 @@ func (e *Engine) AtTimer(t Time, fn func()) Timer {
 	slot := e.takeSlot(fn, seq)
 	e.live++
 	e.events.push(event{at: t, seq: seq, slot: slot}, e.now)
-	if e.track {
-		e.trk.EventPushed(e.events.Len())
-	}
 	return Timer{slot: slot, seq: seq}
 }
 
@@ -238,9 +226,6 @@ func (e *Engine) drop(lane *Delay, hold bool) {
 	default:
 		e.events.pop()
 	}
-	if e.track {
-		e.trk.EventPopped()
-	}
 }
 
 // fire runs a live entry that has just been removed from its queue.
@@ -271,6 +256,7 @@ func (e *Engine) Step() bool {
 			// stale entry could never alias a newer event) and keep
 			// the clock where it is.
 			e.free = append(e.free, ev.slot)
+			e.discarded++
 			continue
 		}
 		e.fire(ev)
@@ -284,7 +270,6 @@ func (e *Engine) Step() bool {
 // number of events dispatched.
 func (e *Engine) Run(until Time) uint64 {
 	start := e.executed
-	from := e.now
 	for !e.stopped {
 		ev, lane, ok := e.next()
 		if ok && e.slotSeq[ev.slot] != ev.seq {
@@ -294,6 +279,7 @@ func (e *Engine) Run(until Time) uint64 {
 			// until and ev.at.
 			e.drop(lane, ev.at > until)
 			e.free = append(e.free, ev.slot)
+			e.discarded++
 			continue
 		}
 		if !ok || ev.at > until {
@@ -306,24 +292,17 @@ func (e *Engine) Run(until Time) uint64 {
 		e.fire(ev)
 	}
 	e.stopped = false
-	if e.track {
-		e.trk.SimAdvanced(int64(e.now.Sub(from)))
-	}
 	return e.executed - start
 }
 
 // RunAll dispatches every remaining event.
 func (e *Engine) RunAll() uint64 {
 	start := e.executed
-	from := e.now
 	for e.Step() {
 		if e.stopped {
 			e.stopped = false
 			break
 		}
-	}
-	if e.track {
-		e.trk.SimAdvanced(int64(e.now.Sub(from)))
 	}
 	return e.executed - start
 }
@@ -377,9 +356,6 @@ func (a *Agenda) At(t Time, fn func()) {
 	slot := e.takeSlot(fn, seq)
 	e.live++
 	e.events.push(event{at: t, seq: seq, slot: slot}, e.now)
-	if e.track {
-		e.trk.EventPushed(e.events.Len())
-	}
 }
 
 // Delay is a fixed-delay lane: a FIFO of events that each fire d after
@@ -418,8 +394,8 @@ func (e *Engine) NewDelay(d Duration) *Delay {
 // After schedules fn to run the lane's delay d from now and returns a
 // Timer that Engine.Cancel accepts. It is AfterTimer(d, fn) in every
 // observable respect: the same seq is stamped, the event runs at the
-// same point of the total order, and obs sees one push (whose depth,
-// the queue's length, does not count lane entries).
+// same point of the total order, and Counts sees one push (though the
+// queue's high-water mark does not count lane entries).
 func (l *Delay) After(fn func()) Timer {
 	e := l.e
 	e.seq++
@@ -431,9 +407,6 @@ func (l *Delay) After(fn func()) Timer {
 	}
 	l.buf[(l.head+l.n)&(len(l.buf)-1)] = event{at: e.now.Add(l.d), seq: seq, slot: slot}
 	l.n++
-	if e.track {
-		e.trk.EventPushed(e.events.Len())
-	}
 	return Timer{slot: slot, seq: seq}
 }
 

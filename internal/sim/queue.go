@@ -42,6 +42,7 @@ type queue struct {
 	head0   int    // index of bucket 0's first entry
 	mask    uint64 // bit k is set when bucket k is nonempty
 	n       int
+	peak    int // the largest n has been
 	// minB and minI locate the minimum that min found above bucket 0,
 	// until the next push, pop or remove; minB is 0 when none is
 	// known.
@@ -61,6 +62,9 @@ func (q *queue) push(ev event, now Time) {
 		panic(fmt.Sprintf("sim: event queue push at %v below its base %v", ev.at, q.base))
 	}
 	q.n++
+	if q.n > q.peak {
+		q.peak = q.n
+	}
 	q.minB = 0
 	k := bits.Len64(uint64(ev.at ^ q.base))
 	q.mask |= 1 << k

@@ -6,9 +6,10 @@ import (
 	"sync/atomic"
 )
 
-// RNG draw accounting is package-gated rather than routed through an
-// obs.Tracker: a raw draw is a handful of arithmetic ops, so even a
-// noop interface call would roughly double its cost. Accounting is
+// RNG draw accounting is a package-wide switch rather than a per-cell
+// counter: generators are not owned by cells, and a raw draw is a
+// handful of arithmetic ops, so even an extra call per draw would
+// roughly double its cost. Accounting is
 // amortized: composite generators (Float64 rejection loops, Norm,
 // Poisson, Perm, ...) batch their raw draws and settle them with a
 // single atomic load + add per call, so the off path costs one atomic

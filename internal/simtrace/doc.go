@@ -17,17 +17,19 @@
 //     core for a duration. One track per core, named by metadata.
 //   - Async begin/end pairs ("b"/"e"): one per query, keyed by the
 //     query id, from arrival to completion or deadline drop.
-//   - Instants ("i"): controller decisions — blind-isolation buffer
-//     grow/shrink, holdoff deferrals, memory-guard evictions, harvest
-//     placements and preemptions — and query milestones such as
-//     speculative-retry checkpoints and worker starts.
+//   - Instants ("i"): blind-isolation decisions (buffer grow/shrink
+//     and holdoff deferrals) and query milestones such as
+//     speculative-retry checkpoints.
 //   - Track metadata: human-readable names for the core tracks.
 //
 // Event emission is nil-gated: every Tracer method is safe on a nil
 // receiver, and instrumented packages keep a plain pointer field that
 // stays nil unless tracing was requested, so the tracing-off hot path
-// pays one predictable branch — the same contract as the cached
-// tracker booleans from internal/obs.
+// pays one predictable branch. *obs.Recording follows the same nil
+// contract. A Tracer is the only sim-domain event stream: counts such
+// as buffer grows or harvest placements are not events here but
+// counters the components keep, folded into the run's obs.Recording
+// once per cell.
 //
 // # Event storage and export
 //
