@@ -35,12 +35,22 @@
 // loops against a coordinator; run -dispatch N is the in-process
 // convenience mode (coordinator plus N workers over loopback HTTP).
 //
+// run, run -dispatch N, merge and serve share one set of output flags
+// (-results, -report, -tolerance, -tables) and one output path: the
+// same artifacts, figures, timing.json and report, byte-identical
+// whichever way the cells ran.
+//
 // Observability is opt-in and changes no committed artifact: run
 // -stats folds hot-path counters plus phase and top-cell cost
 // breakdowns into timing.json, run -trace writes a per-cell
 // trace.jsonl (shards embed spans in their partials and merge
-// reassembles the run-wide trace), and serve exposes Prometheus text
-// on /metrics (plus net/http/pprof with -pprof).
+// reassembles the run-wide trace), and serve exposes the coordinator's
+// schedule as Prometheus text on /metrics (plus net/http/pprof with
+// -pprof).
+//
+// ctl is the §4 local debugging client: it drives a live controller
+// through a script of timed runtime commands while a colocation
+// scenario runs (perfiso-repro ctl -script FILE [-qps Q] [-seconds S]).
 //
 // Usage:
 //
@@ -60,8 +70,9 @@
 //	perfiso-repro run -scale test -dispatch 4  # work stealing, one process
 //	perfiso-repro run -scale test -stats -trace
 //	perfiso-repro manifest -scale test -o m.json
-//	perfiso-repro serve -manifest m.json -addr 0.0.0.0:7413 -stats -pprof
+//	perfiso-repro serve -manifest m.json -addr 0.0.0.0:7413 -trace -pprof
 //	perfiso-repro work -coordinator http://host:7413
+//	perfiso-repro ctl -script ops.txt -qps 2000 -seconds 10
 package main
 
 import (
@@ -117,8 +128,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return reportCmd(rest, stdout, stderr)
 		case "tracecheck":
 			return tracecheckCmd(rest, stdout, stderr)
+		case "ctl":
+			return ctlCmd(rest, stdout, stderr)
 		default:
-			fmt.Fprintf(stderr, "perfiso-repro: unknown subcommand %q (want run, manifest, merge, serve, work, report or tracecheck)\n", sub)
+			fmt.Fprintf(stderr, "perfiso-repro: unknown subcommand %q (want run, manifest, merge, serve, work, report, tracecheck or ctl)\n", sub)
 			return 2
 		}
 	}
@@ -140,7 +153,8 @@ func parseScale(name string, stderr io.Writer) (experiments.ScaleSpec, bool) {
 // checkTolerance rejects a -tolerance the report cannot honour: a
 // negative band flags every row, NaN flags none, and an infinite one
 // is no band at all. Zero keeps the default.
-func checkTolerance(tol float64, stderr io.Writer) bool {
+func (o outputFlags) checkTolerance(stderr io.Writer) bool {
+	tol := *o.tolerance
 	if tol >= 0 && !math.IsInf(tol, 1) {
 		return true
 	}
@@ -172,6 +186,15 @@ func parseShard(s string) (idx, count int, err error) {
 // by -stats.
 const topCellsN = 10
 
+// mountPprof registers the net/http/pprof handlers under /debug/pprof/.
+func mountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+}
+
 // startPprof serves net/http/pprof on its own listener when addr is
 // non-empty, so run and work expose profiles without carrying the
 // coordinator's HTTP mux. The returned stop closes the server; a
@@ -181,11 +204,7 @@ func startPprof(addr string, stderr io.Writer) (stop func(), ok bool) {
 		return func() {}, true
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mountPprof(mux)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: -pprof-addr %s: %v\n", addr, err)
@@ -216,33 +235,6 @@ func simtraceFileName(exp, cell string) string {
 	return sanitize(exp) + "--" + sanitize(cell) + ".json"
 }
 
-// writeAtomic writes a file through write into path+".tmp", closes it
-// and renames it over path. A failed or killed run leaves no partial
-// file at path, and on any error the temp file is removed. The temp
-// name does not end in .json, so tracecheck never reads one as a
-// trace. The sim traces, timing.json and trace.jsonl are written this
-// way.
-func writeAtomic(path string, write func(io.Writer) error) (err error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err := write(f); err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // statsTracking turns counting on for the duration of a run: it
 // installs a recording as the process-wide default, which every
 // finished cell folds its counters into, and turns on RNG draw
@@ -261,22 +253,6 @@ func statsTracking(enabled bool) (rec *obs.Recording, stop func()) {
 	}
 }
 
-// foldStats stamps the recorded counters, the phase breakdown and the
-// most expensive cells into the timing sidecar. A nil rec (stats off)
-// leaves the timing untouched, keeping the sidecar byte-compatible
-// with uninstrumented runs.
-func foldStats(timing *experiments.RunTiming, rec *obs.Recording,
-	cellTimings []experiments.CellTiming, phases []experiments.PhaseTiming) {
-	if rec == nil {
-		return
-	}
-	s := rec.Snapshot()
-	s.RNGDraws = sim.RNGDraws()
-	timing.Stats = &s
-	timing.Phases = phases
-	timing.TopCells = experiments.TopCells(cellTimings, topCellsN)
-}
-
 // figureLinks maps rendered figures to their canonical report links.
 // The path is always results/<scale>/figures/<name>.svg regardless of
 // -results, so reports from different artifact directories (or with
@@ -293,18 +269,54 @@ func figureLinks(scale string, figs []report.Figure) []experiments.FigureLink {
 	return links
 }
 
-// emitOutputs writes the deterministic artifacts (including the
-// rendered figures), the timing sidecar and the markdown report,
-// honoring the explicit-flag guards that keep filtered or paper-scale
-// runs from clobbering the committed outputs. spans, when non-empty,
-// lands as trace.jsonl next to timing.json.
-func emitOutputs(res experiments.RunResult, timing experiments.RunTiming, explicit map[string]bool,
-	filterActive bool, resultsDir, reportPath string, tolerance float64, spans []obs.Span, stdout, stderr io.Writer) int {
+// outputFlags are the output flags run, merge and serve share.
+type outputFlags struct {
+	fs         *flag.FlagSet
+	resultsDir *string
+	reportPath *string
+	tolerance  *float64
+	tables     *bool
+}
+
+func addOutputFlags(fs *flag.FlagSet) outputFlags {
+	return outputFlags{
+		fs:         fs,
+		resultsDir: fs.String("results", "results", "artifact directory (empty disables)"),
+		reportPath: fs.String("report", "RESULTS.md", "reproduction report path (empty disables)"),
+		tolerance:  fs.Float64("tolerance", 0, "relative-error band of the paper-vs-reproduced table (0 = default 0.25); out-of-band rows are flagged"),
+		tables:     fs.Bool("tables", false, "print each experiment's table to stdout"),
+	}
+}
+
+// emit is the one output path of run, run -dispatch, merge and serve.
+// It folds the -stats counters (rec; nil leaves the timing untouched,
+// so the sidecar stays byte-compatible with uninstrumented runs), the
+// phase breakdown and the most expensive cells into the timing, prints
+// the run, and writes the deterministic artifacts (including the
+// rendered figures), timing.json, trace.jsonl when spans is non-empty,
+// and the markdown report. Explicit-flag guards keep filtered or
+// paper-scale runs from clobbering the committed outputs.
+func (o outputFlags) emit(res experiments.RunResult, timing experiments.RunTiming, rec *obs.Recording,
+	filterActive bool, spans []obs.Span, stdout, stderr io.Writer) int {
+	if rec != nil {
+		s := rec.Snapshot()
+		s.RNGDraws = sim.RNGDraws()
+		timing.Stats = &s
+		timing.Phases = res.Phases
+		timing.TopCells = experiments.TopCells(res.CellTimings, topCellsN)
+	}
+	if timing.Dispatch != nil {
+		printDispatch(*timing.Dispatch, stdout)
+	}
+	printRun(res, timing, *o.tables, stdout)
+
+	explicit := map[string]bool{}
+	o.fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	spec := res.Spec
 	// Figures render in-memory from the run itself so the report embeds
 	// the same links whether or not artifacts are written.
 	figs := report.Figures(report.DatasetOf(res))
-	if resultsDir != "" {
+	if resultsDir := *o.resultsDir; resultsDir != "" {
 		if filterActive && !explicit["results"] {
 			fmt.Fprintf(stderr, "perfiso-repro: -run filter active; not overwriting %s/%s (pass -results to force)\n", resultsDir, spec.Name)
 		} else {
@@ -313,10 +325,7 @@ func emitOutputs(res experiments.RunResult, timing experiments.RunTiming, explic
 				fmt.Fprintf(stderr, "perfiso-repro: writing artifacts: %v\n", err)
 				return 1
 			}
-			err := writeAtomic(filepath.Join(dir, "timing.json"), func(w io.Writer) error {
-				return experiments.WriteTiming(w, timing)
-			})
-			if err != nil {
+			if err := experiments.WriteJSONFile(filepath.Join(dir, "timing.json"), timing); err != nil {
 				fmt.Fprintf(stderr, "perfiso-repro: writing timing: %v\n", err)
 				return 1
 			}
@@ -330,7 +339,7 @@ func emitOutputs(res experiments.RunResult, timing experiments.RunTiming, explic
 				filepath.Join(dir, "timing.json"),
 				filepath.Join(dir, "figures"), len(figs))
 			if len(spans) > 0 {
-				err := writeAtomic(filepath.Join(dir, "trace.jsonl"), func(w io.Writer) error {
+				err := experiments.WriteAtomic(filepath.Join(dir, "trace.jsonl"), func(w io.Writer) error {
 					return obs.WriteJSONL(w, spans)
 				})
 				if err != nil {
@@ -342,7 +351,7 @@ func emitOutputs(res experiments.RunResult, timing experiments.RunTiming, explic
 		}
 	}
 
-	if reportPath != "" {
+	if reportPath := *o.reportPath; reportPath != "" {
 		// The committed RESULTS.md is the full test-scale report, so a
 		// paper-scale run must not overwrite it by default either.
 		switch {
@@ -353,9 +362,9 @@ func emitOutputs(res experiments.RunResult, timing experiments.RunTiming, explic
 		default:
 			md := experiments.RenderMarkdownWith(res, experiments.ReportOptions{
 				Figures:   figureLinks(spec.Name, figs),
-				Tolerance: tolerance,
+				Tolerance: *o.tolerance,
 			})
-			if err := os.WriteFile(reportPath, []byte(md), 0o644); err != nil {
+			if err := writeString(reportPath, md); err != nil {
 				fmt.Fprintf(stderr, "perfiso-repro: writing report: %v\n", err)
 				return 1
 			}
@@ -363,6 +372,14 @@ func emitOutputs(res experiments.RunResult, timing experiments.RunTiming, explic
 		}
 	}
 	return 0
+}
+
+// writeString writes s to path through experiments.WriteAtomic.
+func writeString(path, s string) error {
+	return experiments.WriteAtomic(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, s)
+		return err
+	})
 }
 
 // reportCmd re-renders the figures (and the report's figure gallery)
@@ -412,7 +429,7 @@ func reportCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "perfiso-repro: %s has no figure block to patch — regenerate it with `perfiso-repro -scale %s`\n", *reportPath, spec.Name)
 			return 1
 		}
-		if err := os.WriteFile(*reportPath, []byte(patched), 0o644); err != nil {
+		if err := writeString(*reportPath, patched); err != nil {
 			fmt.Fprintf(stderr, "perfiso-repro: writing report: %v\n", err)
 			return 1
 		}
@@ -505,9 +522,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	runPat := fs.String("run", "", "regexp selecting experiments to run (default: all)")
 	scaleName := fs.String("scale", "test", `experiment scale: "test" or "paper"`)
 	workers := fs.Int("workers", 0, "cell worker-pool size (0 = GOMAXPROCS)")
-	resultsDir := fs.String("results", "results", "artifact directory (empty disables)")
-	reportPath := fs.String("report", "RESULTS.md", "reproduction report path (empty disables)")
-	tolerance := fs.Float64("tolerance", 0, "relative-error band of the paper-vs-reproduced table (0 = default 0.25); out-of-band rows are flagged")
+	out := addOutputFlags(fs)
 	shardSpec := fs.String("shard", "", "execute one shard i/N (zero-based) and write a partial artifact instead of reports")
 	partialPath := fs.String("partial", "", "partial artifact path for -shard (default results/<scale>/shards/shard-<i>-of-<N>.json)")
 	dispatchN := fs.Int("dispatch", 0, "execute via the work-stealing coordinator with N in-process workers (0 = static pool)")
@@ -515,12 +530,11 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	traceFlag := fs.Bool("trace", false, "collect one span per executed cell; full runs write trace.jsonl next to timing.json, -shard embeds the spans in the partial")
 	simtraceFlag := fs.Bool("simtrace", false, "write per-cell sim-domain Chrome trace-event JSON under results/<scale>/simtrace/ (in-process pool only)")
 	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this address for the duration of the run (empty disables)")
-	tables := fs.Bool("tables", false, "print each experiment's table to stdout")
 	quiet := fs.Bool("quiet", false, "suppress per-cell progress on stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !checkTolerance(*tolerance, stderr) {
+	if !out.checkTolerance(stderr) {
 		return 2
 	}
 	if *dispatchN < 0 {
@@ -539,7 +553,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "perfiso-repro: -stats needs a full run (a shard writes only its partial, which carries no counters)\n")
 		return 2
 	}
-	if *simtraceFlag && *resultsDir == "" {
+	if *simtraceFlag && *out.resultsDir == "" {
 		fmt.Fprintf(stderr, "perfiso-repro: -simtrace with -results \"\" has nowhere to write traces\n")
 		return 2
 	}
@@ -600,11 +614,11 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		// mistake must not cost a finished shard.
 		path := *partialPath
 		if path == "" {
-			if *resultsDir == "" {
+			if *out.resultsDir == "" {
 				fmt.Fprintf(stderr, "perfiso-repro: -shard with -results \"\" needs an explicit -partial path\n")
 				return 2
 			}
-			path = filepath.Join(*resultsDir, spec.Name, "shards",
+			path = filepath.Join(*out.resultsDir, spec.Name, "shards",
 				fmt.Sprintf("shard-%d-of-%d.json", idx, count))
 		}
 		p, err := shard.RunShard(reg, shard.RunShardOptions{
@@ -638,7 +652,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		p, dt, err := dispatch.RunLocal(reg, spec, *runPat, *dispatchN,
-			dispatch.Options{Tracker: rec, Tracer: tracer}, onCell)
+			dispatch.Options{Tracer: tracer}, rec, onCell)
 		if err != nil {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 1
@@ -650,12 +664,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		}
 		timing.Source = "dispatched"
 		timing.Dispatch = &dt
-		foldStats(&timing, rec, res.CellTimings, res.Phases)
-		printDispatch(dt, stdout)
-		printRun(res, timing, *tables, stdout)
-		explicit := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-		return emitOutputs(res, timing, explicit, *runPat != "", *resultsDir, *reportPath, *tolerance, p.Spans, stdout, stderr)
+		return out.emit(res, timing, rec, *runPat != "", p.Spans, stdout, stderr)
 	}
 
 	// The manifest hash stamps the artifacts' provenance; building it
@@ -670,7 +679,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	runOpts := experiments.RunOptions{Spec: spec, Workers: *workers, Filter: filter, OnCell: onCell, Tracer: tracer}
 	var simErr error
 	simCount := 0
-	simDir := filepath.Join(*resultsDir, spec.Name, "simtrace")
+	simDir := filepath.Join(*out.resultsDir, spec.Name, "simtrace")
 	if *simtraceFlag {
 		if err := os.MkdirAll(simDir, 0o755); err != nil {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
@@ -682,7 +691,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			if simErr != nil || tr.Len() == 0 {
 				return
 			}
-			simErr = writeAtomic(filepath.Join(simDir, simtraceFileName(exp, cell)), func(w io.Writer) error {
+			simErr = experiments.WriteAtomic(filepath.Join(simDir, simtraceFileName(exp, cell)), func(w io.Writer) error {
 				return simtrace.WriteChrome(w, tr)
 			})
 			if simErr == nil {
@@ -704,17 +713,11 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "wrote %d sim traces under %s\n", simCount, simDir)
 	}
 	res.ManifestHash = m.Hash
-	timing := experiments.TimingOf(res)
-	foldStats(&timing, rec, res.CellTimings, res.Phases)
 	var spans []obs.Span
 	if tracer != nil {
 		spans = tracer.Spans()
 	}
-	printRun(res, timing, *tables, stdout)
-
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	return emitOutputs(res, timing, explicit, filter != nil, *resultsDir, *reportPath, *tolerance, spans, stdout, stderr)
+	return out.emit(res, experiments.TimingOf(res), rec, *runPat != "", spans, stdout, stderr)
 }
 
 // manifestCmd emits the cell manifest (or a shard plan of it) without
@@ -745,20 +748,18 @@ func manifestCmd(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	blob, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-		return 1
-	}
-	blob = append(blob, '\n')
-	if *out == "" {
-		_, err = stdout.Write(blob)
-	} else {
-		if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
-			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
+	if *out != "" {
+		// The writer behind shard.WriteManifest, which a -plan also
+		// goes through.
+		if err := experiments.WriteJSONFile(*out, v); err != nil {
+			fmt.Fprintf(stderr, "perfiso-repro: writing manifest: %v\n", err)
 			return 1
 		}
-		err = os.WriteFile(*out, blob, 0o644)
+		return 0
+	}
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err == nil {
+		_, err = stdout.Write(append(blob, '\n'))
 	}
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
@@ -775,14 +776,11 @@ func mergeCmd(args []string, stdout, stderr io.Writer) int {
 	runPat := fs.String("run", "", "regexp the shards were run with (default: all)")
 	scaleName := fs.String("scale", "test", `experiment scale: "test" or "paper"`)
 	shardsDir := fs.String("shards", "", "directory holding the shard partials (*.json); positional args name individual partials")
-	resultsDir := fs.String("results", "results", "artifact directory (empty disables)")
-	reportPath := fs.String("report", "RESULTS.md", "reproduction report path (empty disables)")
-	tolerance := fs.Float64("tolerance", 0, "relative-error band of the paper-vs-reproduced table (0 = default 0.25); out-of-band rows are flagged")
-	tables := fs.Bool("tables", false, "print each experiment's table to stdout")
+	out := addOutputFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !checkTolerance(*tolerance, stderr) {
+	if !out.checkTolerance(stderr) {
 		return 2
 	}
 	spec, ok := parseScale(*scaleName, stderr)
@@ -822,14 +820,9 @@ func mergeCmd(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "merged %d shards covering %d cells (%d shared), manifest %s\n",
 		len(partials), res.CellCount+res.SharedCells, res.SharedCells, res.ManifestHash)
-	printRun(res, timing, *tables, stdout)
-
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	// Shards run with -trace embed spans in their partials; the merge
 	// reassembles them into the run-wide trace automatically.
-	return emitOutputs(res, timing, explicit, *runPat != "", *resultsDir, *reportPath, *tolerance,
-		shard.CollectSpans(partials), stdout, stderr)
+	return out.emit(res, timing, nil, *runPat != "", shard.CollectSpans(partials), stdout, stderr)
 }
 
 // printDispatch one-lines how the work-stealing schedule played out.
@@ -856,18 +849,14 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	lease := fs.Duration("lease", dispatch.DefaultLeaseTTL, "per-unit lease TTL; a worker silent this long loses its unit")
 	maxAttempts := fs.Int("max-attempts", dispatch.DefaultMaxAttempts, "lease grants per unit before the run fails")
 	linger := fs.Duration("linger", 3*time.Second, "keep answering workers this long after the run ends, so their final claim sees done/failed instead of a torn-down socket")
-	resultsDir := fs.String("results", "results", "artifact directory (empty disables)")
-	reportPath := fs.String("report", "RESULTS.md", "reproduction report path (empty disables)")
-	tolerance := fs.Float64("tolerance", 0, "relative-error band of the paper-vs-reproduced table (0 = default 0.25); out-of-band rows are flagged")
-	stats := fs.Bool("stats", false, "record coordinator counters, serve them on /metrics and fold them into timing.json")
+	out := addOutputFlags(fs)
 	traceFlag := fs.Bool("trace", false, "collect one span per completed unit and write trace.jsonl next to timing.json")
 	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on -addr")
-	tables := fs.Bool("tables", false, "print each experiment's table to stdout")
 	quiet := fs.Bool("quiet", false, "suppress scheduling events on stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !checkTolerance(*tolerance, stderr) {
+	if !out.checkTolerance(stderr) {
 		return 2
 	}
 
@@ -910,9 +899,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	rec, stopStats := statsTracking(*stats)
-	defer stopStats()
-	opts := dispatch.Options{LeaseTTL: *lease, MaxAttempts: *maxAttempts, Tracker: rec}
+	opts := dispatch.Options{LeaseTTL: *lease, MaxAttempts: *maxAttempts}
 	if !*quiet {
 		opts.Log = slog.New(slog.NewTextHandler(stderr, nil))
 	}
@@ -934,26 +921,13 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	units, _ := m.Units() // validated by ReadManifest/Build
 	fmt.Fprintf(stdout, "serving manifest %s: %d units at scale %s on %s\n", m.Hash, len(units), m.Scale, ln.Addr())
 	// The worker protocol and the observability endpoints share -addr:
-	// /metrics always answers (the coordinator's gauges cost one lock),
-	// the recording counters join it under -stats, and the pprof
-	// handlers mount only on request.
+	// /metrics always answers with the coordinator's own book-keeping
+	// (one lock), and the pprof handlers mount only on request.
 	mux := http.NewServeMux()
 	mux.Handle("/", c.Handler())
-	mux.Handle("GET /metrics", obs.PromHandler(func() []obs.Metric {
-		ms := c.Metrics()
-		if rec != nil {
-			s := rec.Snapshot()
-			s.RNGDraws = sim.RNGDraws()
-			ms = append(ms, s.Metrics()...)
-		}
-		return ms
-	}))
+	mux.Handle("GET /metrics", obs.PromHandler(c.Metrics))
 	if *pprofFlag {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		mountPprof(mux)
 	}
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
@@ -1000,13 +974,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	dt := c.Timing()
 	timing.Source = "dispatched"
 	timing.Dispatch = &dt
-	foldStats(&timing, rec, res.CellTimings, res.Phases)
-	printDispatch(dt, stdout)
-	printRun(res, timing, *tables, stdout)
-
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	return emitOutputs(res, timing, explicit, m.Filter != "", *resultsDir, *reportPath, *tolerance, p.Spans, stdout, stderr)
+	return out.emit(res, timing, nil, m.Filter != "", p.Spans, stdout, stderr)
 }
 
 // workCmd runs claim→heartbeat→upload loops against a coordinator
@@ -1020,7 +988,7 @@ func workCmd(args []string, stdout, stderr io.Writer) int {
 	coordinator := fs.String("coordinator", "", "coordinator base URL (e.g. http://host:7413)")
 	name := fs.String("name", "", "worker name in leases and timing (default host-pid)")
 	loops := fs.Int("workers", 0, "concurrent claim loops in this process (0 = GOMAXPROCS)")
-	metricsAddr := fs.String("metrics-addr", "", "expose this worker's claim/upload/latency counters as Prometheus text on this address (empty disables)")
+	metricsAddr := fs.String("metrics-addr", "", "expose this worker's accepted uploads and their latencies as Prometheus text on this address (empty disables)")
 	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this address for the duration of the run (empty disables)")
 	quiet := fs.Bool("quiet", false, "suppress per-unit progress on stderr")
 	if err := fs.Parse(args); err != nil {

@@ -483,36 +483,60 @@ func TestSimTraceWritesAreAtomic(t *testing.T) {
 	}
 }
 
-// TestSidecarWritesAreAtomic checks that timing.json and trace.jsonl
-// are renamed into place like the sim traces: with a directory at
-// either name the run exits 1, names the failed write and leaves no
-// temp file behind.
+// TestSidecarWritesAreAtomic checks that every artifact writer renames
+// its file into place like the sim traces: with a directory at the
+// name of timing.json, trace.jsonl, summary.json, one figure, the
+// report, a shard partial or a manifest, the command exits non-zero,
+// names the failed write, fails at the rename and leaves no temp file
+// behind.
 func TestSidecarWritesAreAtomic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real experiment")
 	}
-	for _, tc := range []struct{ name, msg string }{
-		{"timing.json", "writing timing"},
-		{"trace.jsonl", "writing trace"},
+	full := func(root string) []string {
+		return []string{"run", "-scale", "test", "-run", "^fig10$", "-trace", "-quiet",
+			"-results", filepath.Join(root, "results"), "-report", filepath.Join(root, "REPORT.md")}
+	}
+	for _, tc := range []struct {
+		block string // where a directory blocks the rename, under the temp root
+		args  func(root string) []string
+		msg   string
+	}{
+		{"results/test/timing.json", full, "writing timing"},
+		{"results/test/trace.jsonl", full, "writing trace"},
+		{"results/test/summary.json", full, "writing artifacts"},
+		{"results/test/figures/fig10-p99.svg", full, "writing figures"},
+		{"REPORT.md", full, "writing report"},
+		{"p.json", func(root string) []string {
+			return []string{"run", "-scale", "test", "-run", "^fig10$", "-quiet", "-shard", "0/1",
+				"-partial", filepath.Join(root, "p.json")}
+		}, "writing partial"},
+		{"m.json", func(root string) []string {
+			return []string{"manifest", "-run", "^fig10$", "-o", filepath.Join(root, "m.json")}
+		}, "writing manifest"},
 	} {
-		results := t.TempDir()
-		dir := filepath.Join(results, "test")
-		if err := os.MkdirAll(filepath.Join(dir, tc.name), 0o755); err != nil {
+		root := t.TempDir()
+		blocked := filepath.Join(root, tc.block)
+		if err := os.MkdirAll(blocked, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		var out, errb bytes.Buffer
-		code := run([]string{"run", "-scale", "test", "-run", "^fig10$", "-trace", "-quiet",
-			"-results", results, "-report", ""}, &out, &errb)
-		if code != 1 || !strings.Contains(errb.String(), tc.msg) {
-			t.Errorf("directory at %s: exit %d, stderr %q; want 1 naming the failed write", tc.name, code, errb.String())
+		code := run(tc.args(root), &out, &errb)
+		if code == 0 || !strings.Contains(errb.String(), tc.msg) {
+			t.Errorf("directory at %s: exit %d, stderr %q; want non-zero naming %q", tc.block, code, errb.String(), tc.msg)
 		}
-		entries, err := os.ReadDir(dir)
+		// An in-place write fails opening the file; only a write through
+		// a temp file gets as far as the rename.
+		if !strings.Contains(errb.String(), "rename") {
+			t.Errorf("directory at %s: stderr %q does not come from the rename", tc.block, errb.String())
+		}
+		entries, err := os.ReadDir(filepath.Dir(blocked))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, e := range entries {
 			if strings.HasSuffix(e.Name(), ".tmp") {
-				t.Errorf("directory at %s: the failed run left %s", tc.name, e.Name())
+				t.Errorf("directory at %s: the failed run left %s", tc.block, e.Name())
 			}
 		}
 	}

@@ -144,7 +144,7 @@ func TestForensicsMergeByteIdentical(t *testing.T) {
 		t.Errorf("2-way shard merge forensics.csv differs from single-process run")
 	}
 
-	p, _, err := dispatch.RunLocal(reg, spec, forensicsFilter, 3, dispatch.Options{}, nil)
+	p, _, err := dispatch.RunLocal(reg, spec, forensicsFilter, 3, dispatch.Options{}, nil, nil)
 	if err != nil {
 		t.Fatalf("dispatch: %v", err)
 	}

@@ -39,9 +39,6 @@ type Options struct {
 	// event (claim, upload, requeue, stale upload, failure), carrying
 	// worker/unit/lease fields so fleet logs are greppable by unit.
 	Log *slog.Logger
-	// Tracker, when set, counts coordinator decisions (claims, steals,
-	// lease expiries, stale uploads).
-	Tracker *obs.Recording
 	// Tracer, when set, collects one span per completed unit so a
 	// dispatched run can be reassembled into a run-wide trace.
 	Tracer *obs.TraceBuffer
@@ -60,7 +57,7 @@ const (
 
 // unitState is the coordinator's book-keeping for one unit.
 type unitState struct {
-	unit      shard.Unit
+	unit      experiments.Unit
 	status    unitStatus
 	attempts  int       // lease grants so far
 	worker    string    // current lease holder when leased
@@ -112,25 +109,19 @@ func NewCoordinator(m shard.Manifest, opts Options) (*Coordinator, error) {
 		opts.now = time.Now //perfiso:allow walltime lease clock; tests inject a fake
 	}
 	c := &Coordinator{
-		opts:     opts,
-		manifest: m,
-		states:   make([]*unitState, len(units)),
-		byID:     make(map[string]int, len(units)),
-		workers:  map[string]*experiments.DispatchWorker{},
-		started:  opts.now(),
-		done:     make(chan struct{}),
+		opts:      opts,
+		manifest:  m,
+		states:    make([]*unitState, len(units)),
+		byID:      make(map[string]int, len(units)),
+		costOrder: experiments.CostOrder(units),
+		workers:   map[string]*experiments.DispatchWorker{},
+		started:   opts.now(),
+		done:      make(chan struct{}),
 	}
 	for i, u := range units {
 		c.states[i] = &unitState{unit: u}
 		c.byID[u.ID] = i
 	}
-	c.costOrder = make([]int, len(units))
-	for i := range c.costOrder {
-		c.costOrder[i] = i
-	}
-	sort.SliceStable(c.costOrder, func(a, b int) bool {
-		return c.states[c.costOrder[a]].unit.Cost > c.states[c.costOrder[b]].unit.Cost
-	})
 	if len(units) == 0 {
 		close(c.done) // an empty manifest is already complete
 	}
@@ -169,7 +160,6 @@ func (c *Coordinator) reap(now time.Time) {
 		s.last = s.worker
 		s.worker = ""
 		s.status = unitPending
-		c.opts.Tracker.LeaseExpired()
 		c.log("lease expired, unit requeued",
 			"unit", s.unit.ID, "worker", s.last, "attempt", s.attempts, "lease", c.opts.LeaseTTL)
 		if s.attempts >= c.opts.MaxAttempts {
@@ -230,11 +220,9 @@ func (c *Coordinator) claim(worker string) claimResponse {
 		s.claimedAt = now
 		w := c.worker(worker)
 		w.Claims++
-		c.opts.Tracker.Claim()
 		if s.last != "" && s.last != worker {
 			c.steals++
 			w.Steals++
-			c.opts.Tracker.Steal()
 			c.log("unit stolen",
 				"unit", s.unit.ID, "worker", worker, "from", s.last, "attempt", s.attempts, "lease", c.opts.LeaseTTL)
 		} else {
@@ -311,7 +299,6 @@ func (c *Coordinator) upload(worker, manifestHash string, cell shard.PartialCell
 	s := c.states[si]
 	if s.status == unitDone {
 		c.stale++
-		c.opts.Tracker.StaleUpload()
 		c.log("stale upload rejected", "unit", cell.Unit, "worker", worker)
 		return &uploadError{http.StatusConflict, fmt.Sprintf(
 			"unit %s already completed by another worker", cell.Unit)}

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"perfiso/internal/experiments"
+	"perfiso/internal/obs"
 	"perfiso/internal/shard"
 )
 
@@ -25,7 +26,7 @@ func fakeManifest() shard.Manifest {
 	return shard.Manifest{
 		Version: shard.ManifestVersion,
 		Scale:   "test",
-		Cells: []shard.ManifestCell{
+		Cells: []experiments.CellRef{
 			{Experiment: "e", Cell: "small", Cost: 1},
 			{Experiment: "e", Cell: "big", Cost: 100},
 			{Experiment: "e", Cell: "mid", Cost: 10},
@@ -363,7 +364,8 @@ func TestDispatchByteIdentical(t *testing.T) {
 	wantSummary, wantCSV, wantMD := artifactBytes(t, singleRun(t, reg, spec))
 
 	for _, workers := range []int{1, 3} {
-		p, timing, err := RunLocal(reg, spec, dispatchFilter, workers, Options{}, nil)
+		rec := obs.NewRecording()
+		p, timing, err := RunLocal(reg, spec, dispatchFilter, workers, Options{}, rec, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -376,6 +378,11 @@ func TestDispatchByteIdentical(t *testing.T) {
 		}
 		if completed != timing.Units {
 			t.Errorf("workers=%d: per-worker completions %d != units %d", workers, completed, timing.Units)
+		}
+		// Every accepted upload is counted, the one that completed the
+		// run included.
+		if got := rec.Snapshot().DispatchUploads; got != uint64(timing.Units) {
+			t.Errorf("workers=%d: recording counted %d uploads, coordinator accepted %d units", workers, got, timing.Units)
 		}
 		merged, mt, err := shard.Merge(reg, spec, dispatchFilter, []shard.Partial{p})
 		if err != nil {

@@ -6,10 +6,10 @@
 // and another worker picks them up.
 //
 // Determinism is inherited, not re-proven: a unit is one seeded
-// simulation (shard.UnitRunner), its serialized result depends only on
-// the unit, and the coordinator assembles results in manifest unit
-// order into a shard.Partial that the coverage-checked shard.Merge
-// reassembles. A dispatched run therefore produces artifacts
+// simulation (an experiments.Unit, run by a shard.UnitRunner), its
+// serialized result depends only on the unit, and the coordinator
+// assembles results in manifest unit order into a shard.Partial that
+// the coverage-checked shard.Merge reassembles. A dispatched run therefore produces artifacts
 // byte-identical to a static-shard run and to a single-process run,
 // regardless of claim order, worker count, crashes or retries.
 //
@@ -30,10 +30,11 @@
 //	                                      in flight elsewhere) — retry
 //	    → {"done": true}                  every unit completed — exit
 //	    → {"failed": msg}                 run failed — exit non-zero
-//	    The queue hands out expensive units first (manifest cost
-//	    order). Before answering, the coordinator reaps expired leases:
-//	    each reaped unit returns to the queue (a requeue) and a later
-//	    claim by a different worker counts as a steal.
+//	    The queue hands out expensive units first
+//	    (experiments.CostOrder, the pool's launch order). Before
+//	    answering, the coordinator reaps expired leases: each reaped
+//	    unit returns to the queue (a requeue) and a later claim by a
+//	    different worker counts as a steal.
 //
 //	POST /v1/heartbeat  {"worker": w, "unit": id}
 //	    → {"ok": true}   lease extended by one TTL
@@ -76,14 +77,14 @@
 //
 // # Observability
 //
-// The coordinator renders its schedule state as Prometheus metrics
-// (Coordinator.Metrics, served on /metrics by the serve subcommand);
-// the values are read from the same book-keeping as Timing, so a
-// scrape always matches timing.json's dispatch section. Scheduling
-// events are logged through Options.Log as structured log/slog
-// records with worker/unit/lease fields. Decisions are counted into
-// the *obs.Recording passed as Options.Tracker (and upload latencies
-// into Worker.Tracker); nil counts nothing, and no process-wide
-// default is consulted. Options.Tracer collects one trace span per
-// completed unit for the run-wide trace.jsonl.
+// The coordinator's own book-keeping is the one record of claims,
+// steals, lease expiries and stale uploads. Timing projects it into
+// timing.json's dispatch section and Metrics renders it as Prometheus
+// metrics (served on /metrics by the serve subcommand), so a scrape
+// always matches timing.json. Scheduling events are logged through
+// Options.Log as structured log/slog records with worker/unit/lease
+// fields. A worker counts its accepted uploads and their latencies
+// into the *obs.Recording in Worker.Tracker (RunLocal takes one for
+// its in-process fleet); nil counts nothing. Options.Tracer collects
+// one trace span per completed unit for the run-wide trace.jsonl.
 package dispatch

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"perfiso/internal/experiments"
+	"perfiso/internal/obs"
 	"perfiso/internal/shard"
 )
 
@@ -18,9 +19,10 @@ import (
 // The workers speak the real HTTP protocol, so claim racing, leases
 // and uploads are all exercised; only the network is local. n <= 0
 // sizes the fleet like the cell pool (GOMAXPROCS, capped at the unit
-// count). The returned partial merges like any other.
+// count). rec, when set, counts the workers' accepted uploads. The
+// returned partial merges like any other.
 func RunLocal(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string, n int,
-	opts Options, onUnit func(experiment, cell string, elapsed time.Duration)) (shard.Partial, experiments.DispatchTiming, error) {
+	opts Options, rec *obs.Recording, onUnit func(experiment, cell string, elapsed time.Duration)) (shard.Partial, experiments.DispatchTiming, error) {
 	var zt experiments.DispatchTiming
 	runner, err := shard.NewUnitRunner(reg, spec, pattern)
 	if err != nil {
@@ -40,10 +42,9 @@ func RunLocal(reg *experiments.Registry, spec experiments.ScaleSpec, pattern str
 
 	n = experiments.PoolSize(n, len(runner.Units()))
 	base := "http://" + ln.Addr().String()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	// OnUnit fires from each worker's goroutine; the shared callback
-	// gets one lock so callers see serialized calls, like RunUnits.
+	// gets one lock so callers see serialized calls, like the pool's
+	// OnCell.
 	if onUnit != nil {
 		inner := onUnit
 		var cbMu sync.Mutex
@@ -53,38 +54,26 @@ func RunLocal(reg *experiments.Registry, spec experiments.ScaleSpec, pattern str
 			inner(experiment, cell, elapsed)
 		}
 	}
-	var mu sync.Mutex
-	errs := make([]error, 0, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range errs {
 		w := &Worker{
 			Coordinator: base,
 			Name:        fmt.Sprintf("local-%d", i),
 			Runner:      runner,
 			OnUnit:      onUnit,
-			Tracker:     opts.Tracker,
+			Tracker:     rec,
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-				mu.Lock()
-				errs = append(errs, err)
-				mu.Unlock()
-			}
+			errs[i] = w.Run(context.Background())
 		}()
 	}
-	workersDone := make(chan struct{})
-	go func() { wg.Wait(); close(workersDone) }()
-
-	// The coordinator finishing (success or poisoned-unit failure) is
-	// the normal exit; every worker dying with units outstanding is the
-	// abnormal one — without this branch the wait would hang forever.
-	select {
-	case <-c.Done():
-	case <-workersDone:
-	}
-	cancel()
+	// Every worker leaves through its own claim loop: a done or failed
+	// answer once the coordinator finishes, or an error when it cannot
+	// reach it. None is cancelled, so the worker whose upload completed
+	// the run still reads the answer and counts that upload.
 	wg.Wait()
 	if err := c.Err(); err != nil {
 		return shard.Partial{}, c.Timing(), err

@@ -15,11 +15,27 @@
 // as data in sweep.go: a table of sweeps, each a list of points (cell
 // name, table label, load, bully, policy, baseline cell), run and
 // reported by one generic path. Cells share nothing (each builds its
-// own engine from its own seed), so the pool in pool.go executes them
-// concurrently with results bit-identical to a sequential run.
-// Registry.Run is the only way to execute an experiment. Reports flow
-// out three ways: the classic ASCII tables, flat JSON/CSV artifact
-// rows (WriteArtifacts), and the committed markdown reproduction
-// report (RenderMarkdown → RESULTS.md), which CI regenerates and diffs
-// as an evaluation-regression gate.
+// own engine from its own seed), so a pool executes them concurrently
+// with results bit-identical to a sequential run.
+//
+// Every run path goes through one Plan (plan.go). Registry.Plan
+// enumerates the selected experiments' cells once, as CellRefs (the
+// lines of a shard manifest), and groups the cells sharing a Key into
+// one executable Unit (GroupUnits). CostOrder, a stable sort by cost,
+// is the launch order of the pool, the shard planner's LPT order and
+// the dispatch queue's claim order. Plan.Execute runs a list of units
+// on the pool and does the per-cell timing, span and OnCell
+// book-keeping; Plan.Assemble folds one result per unit back into each
+// experiment through its Assemble hook, giving a shared unit's wall
+// time to the experiment of its first cell. Registry.Run is Plan,
+// Execute and Assemble in one process; internal/shard runs units and
+// merges partials, and internal/dispatch workers run claimed units,
+// through the same three.
+//
+// Reports flow out three ways: the classic ASCII tables, flat JSON/CSV
+// artifact rows (WriteArtifacts), and the committed markdown
+// reproduction report (RenderMarkdown → RESULTS.md), which CI
+// regenerates and diffs as an evaluation-regression gate. Every
+// artifact writer goes through WriteAtomic (temp file, rename), so a
+// failed run leaves no half-written file.
 package experiments

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"regexp"
 	"strings"
-	"sync"
 	"time"
 
 	"perfiso/internal/obs"
@@ -246,7 +245,8 @@ func (r *Registry) Select(filter *regexp.Regexp) []Experiment {
 	return out
 }
 
-// RunOptions parameterizes a registry run.
+// RunOptions parameterizes a registry run, and the pool of
+// Plan.Execute, which ignores Spec and Filter (the plan fixed both).
 type RunOptions struct {
 	// Spec sizes every experiment.
 	Spec ScaleSpec
@@ -302,8 +302,8 @@ type RunResult struct {
 	// SequentialSeconds sums every cell's wall-clock — the sequential
 	// baseline the pool's speedup is measured against.
 	SequentialSeconds float64
-	// CellTimings lists each executed cell's wall-clock cost, in
-	// completion order.
+	// CellTimings lists each executed cell's wall-clock cost, in unit
+	// (first-occurrence) order.
 	CellTimings []CellTiming
 	// Phases breaks the run's wall time into enumerate/execute/assemble.
 	Phases []PhaseTiming
@@ -326,140 +326,25 @@ func (r RunResult) Value(name string) any {
 // experiment — then assembles each experiment's result. Results are
 // deterministic: parallelism changes only the wall clock.
 func (r *Registry) Run(opts RunOptions) (RunResult, error) {
-	selected := r.Select(opts.Filter)
-	if len(selected) == 0 {
-		pattern := ""
-		if opts.Filter != nil {
-			pattern = opts.Filter.String()
-		}
-		return RunResult{}, r.NoMatchError(pattern)
-	}
-
 	enumStart := time.Now() //perfiso:allow walltime phase timing feeds timing.json only
-
-	// Flatten every experiment's cells, deduplicating by Key: the
-	// first cell with a given key is executed, later ones just receive
-	// its result.
-	type slot struct{ exp, cell int }
-	var flat []Cell
-	var slots [][]slot
-	byKey := map[string]int{}
-	shared := 0
-	perExp := make([][]any, len(selected))
-	cellsPerExp := make([][]Cell, len(selected))
-	names := make([][]string, len(selected))
-	for ei, e := range selected {
-		cells := e.Cells(opts.Spec)
-		cellsPerExp[ei] = cells
-		perExp[ei] = make([]any, len(cells))
-		names[ei] = make([]string, len(cells))
-		for ci, c := range cells {
-			names[ei][ci] = c.Name
-			if c.Key != "" {
-				if fi, ok := byKey[c.Key]; ok {
-					slots[fi] = append(slots[fi], slot{ei, ci})
-					shared++
-					continue
-				}
-				byKey[c.Key] = len(flat)
-			}
-			flat = append(flat, c)
-			slots = append(slots, []slot{{ei, ci}})
-		}
+	p, err := r.Plan(opts.Spec, opts.Filter)
+	if err != nil {
+		return RunResult{}, err
 	}
-
-	// Schedule expensive cells first; results are written through slots
-	// by identity, so the order changes only the wall clock.
-	order := CostOrder(flat)
-	sortedFlat := make([]Cell, len(flat))
-	sortedSlots := make([][]slot, len(flat))
-	for i, fi := range order {
-		sortedFlat[i] = flat[fi]
-		sortedSlots[i] = slots[fi]
+	all := make([]int, len(p.Units))
+	for i := range all {
+		all[i] = i
 	}
-	flat, slots = sortedFlat, sortedSlots
-
-	// Sim tracing: swap in the traced runner for every capable cell.
-	// Each tracer is private to its cell, so the pool needs no extra
-	// locking; delivery happens after the pool drains, in the flat
-	// (cost-sorted, deterministic) order.
-	var simTracers []*simtrace.Tracer
-	if opts.OnSimTrace != nil {
-		simTracers = make([]*simtrace.Tracer, len(flat))
-		for i := range flat {
-			if flat[i].TracedRun == nil {
-				continue
-			}
-			tr, traced := simtrace.New(), flat[i].TracedRun
-			simTracers[i] = tr
-			flat[i].Run = func() any { return traced(tr) }
-		}
-	}
-
-	cellSec := make([]float64, len(selected))
-	var timings []CellTiming
-	var mu sync.Mutex
-	start := time.Now() //perfiso:allow walltime phase timing feeds timing.json only
-	enumerateSec := start.Sub(enumStart).Seconds()
-	runCells(flat, opts.Workers, func(i, worker int, v any, cellStart time.Time, d time.Duration) {
-		mu.Lock()
-		for _, s := range slots[i] {
-			perExp[s.exp][s.cell] = v
-		}
-		// Wall-clock is attributed to the experiment that ran the cell.
-		expName := selected[slots[i][0].exp].Name
-		cellSec[slots[i][0].exp] += d.Seconds()
-		timings = append(timings, CellTiming{
-			Experiment: expName,
-			Cell:       flat[i].Name,
-			Worker:     fmt.Sprintf("pool/%d", worker),
-			Seconds:    d.Seconds(),
-		})
-		if opts.Tracer != nil {
-			opts.Tracer.Add(obs.Span{
-				Experiment: expName,
-				Cell:       flat[i].Name,
-				Worker:     fmt.Sprintf("pool/%d", worker),
-				StartMs:    float64(cellStart.Sub(start)) / 1e6,
-				DurationMs: d.Seconds() * 1e3,
-			})
-		}
-		if opts.OnCell != nil {
-			opts.OnCell(expName, flat[i].Name, d)
-		}
-		mu.Unlock()
-	})
-	elapsed := time.Since(start) //perfiso:allow walltime phase timing feeds timing.json only
-
-	if opts.OnSimTrace != nil {
-		for i, tr := range simTracers {
-			if tr != nil {
-				opts.OnSimTrace(selected[slots[i][0].exp].Name, flat[i].Name, tr)
-			}
-		}
-	}
+	enumerateSec := time.Since(enumStart).Seconds() //perfiso:allow walltime phase timing feeds timing.json only
+	runs, elapsed := p.Execute(all, opts, "")
 
 	assembleStart := time.Now() //perfiso:allow walltime phase timing feeds timing.json only
-	out := RunResult{
-		Spec:        opts.Spec,
-		Workers:     poolSize(opts.Workers, len(flat)),
-		CellCount:   len(flat),
-		SharedCells: shared,
-		Elapsed:     elapsed,
-		CellTimings: timings,
+	out, err := p.Assemble(runs, nil)
+	if err != nil {
+		return RunResult{}, err
 	}
-	for ei, e := range selected {
-		value, report := e.Assemble(opts.Spec, cellsPerExp[ei], perExp[ei])
-		out.Experiments = append(out.Experiments, ExperimentResult{
-			Name:        e.Name,
-			Describe:    e.Describe,
-			CellNames:   names[ei],
-			Value:       value,
-			Report:      report,
-			CellSeconds: cellSec[ei],
-		})
-		out.SequentialSeconds += cellSec[ei]
-	}
+	out.Workers = PoolSize(opts.Workers, len(p.Units))
+	out.Elapsed = elapsed
 	out.Phases = []PhaseTiming{
 		{Phase: "enumerate", Seconds: enumerateSec},
 		{Phase: "execute", Seconds: elapsed.Seconds()},

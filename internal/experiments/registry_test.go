@@ -77,16 +77,26 @@ func TestRegistrySelectFilter(t *testing.T) {
 	}
 }
 
-func TestRunCellsEmptyAndPanic(t *testing.T) {
-	if out := RunCells(nil, 4); len(out) != 0 {
-		t.Fatalf("empty run returned %v", out)
+func TestExecuteEmptyAndPanic(t *testing.T) {
+	r := NewRegistry()
+	boom := dummyExperiment("boom")
+	boom.Cells = func(ScaleSpec) []Cell {
+		return []Cell{{Name: "boom", Run: func() any { panic("boom") }}}
+	}
+	r.MustRegister(boom)
+	p, err := r.Plan(TestSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs, _ := p.Execute(nil, RunOptions{Workers: 4}, ""); len(runs) != 0 {
+		t.Fatalf("empty run returned %v", runs)
 	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("cell panic not propagated")
 		}
 	}()
-	RunCells([]Cell{{Name: "boom", Run: func() any { panic("boom") }}}, 2)
+	p.Execute([]int{0}, RunOptions{Workers: 2}, "")
 }
 
 func TestRunNoMatch(t *testing.T) {

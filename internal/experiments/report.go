@@ -36,6 +36,49 @@ type jsonArtifact struct {
 	Experiments  []jsonExperiment `json:"experiments"`
 }
 
+// WriteAtomic writes a file through write into path+".tmp", closes it
+// and renames it over path. A failed or killed run leaves no partial
+// file at path, and on any error the temp file is removed. The temp
+// name does not end in .json, so a reader globbing *.json never sees
+// one. Every artifact writer goes through it.
+func WriteAtomic(path string, write func(io.Writer) error) (err error) {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	if err := write(f); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// WriteJSONFile writes v as indented JSON plus a newline through
+// WriteAtomic, creating parent directories — the encoding of
+// summary.json, timing.json, cell manifests and shard partials.
+func WriteJSONFile(path string, v any) error {
+	blob, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	return WriteAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(append(blob, '\n'))
+		return err
+	})
+}
+
 // WriteArtifacts writes the run's deterministic machine-readable
 // artifacts under dir: summary.json (every cell metric plus the
 // rendered tables), cells.csv (long-format
@@ -45,12 +88,8 @@ type jsonArtifact struct {
 // tail-blame rows). All are pure
 // functions of the simulation results, so a merged sharded run
 // reproduces them byte-for-byte; wall-clock and worker-count fields
-// live in timing.json (WriteTiming), which carries no such guarantee.
+// live in timing.json, which carries no such guarantee.
 func WriteArtifacts(dir string, res RunResult) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-
 	art := jsonArtifact{
 		Scale:        res.Spec.Name,
 		ManifestHash: res.ManifestHash,
@@ -73,20 +112,23 @@ func WriteArtifacts(dir string, res RunResult) error {
 		art.Experiments = append(art.Experiments, je)
 	}
 
-	blob, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
+	if err := WriteJSONFile(filepath.Join(dir, "summary.json"), art); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "summary.json"), append(blob, '\n'), 0o644); err != nil {
-		return err
+	for _, f := range []struct{ name, body string }{
+		{"cells.csv", csv.String()},
+		{"series.csv", RenderSeriesCSV(res)},
+		{"forensics.csv", RenderForensicsCSV(res)},
+	} {
+		err := WriteAtomic(filepath.Join(dir, f.name), func(w io.Writer) error {
+			_, err := io.WriteString(w, f.body)
+			return err
+		})
+		if err != nil {
+			return err
+		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, "cells.csv"), []byte(csv.String()), 0o644); err != nil {
-		return err
-	}
-	if err := os.WriteFile(filepath.Join(dir, "series.csv"), []byte(RenderSeriesCSV(res)), 0o644); err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "forensics.csv"), []byte(RenderForensicsCSV(res)), 0o644)
+	return nil
 }
 
 // RenderSeriesCSV renders the run's time-series artifact: one row per
@@ -248,16 +290,6 @@ func TimingOf(res RunResult) RunTiming {
 		ElapsedSeconds:    res.Elapsed.Seconds(),
 		SequentialSeconds: res.SequentialSeconds,
 	}
-}
-
-// WriteTiming writes t as the indented JSON of timing.json.
-func WriteTiming(w io.Writer, t RunTiming) error {
-	blob, err := json.MarshalIndent(t, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(append(blob, '\n'))
-	return err
 }
 
 // comparison is one paper-vs-reproduced row of the report. Rows whose

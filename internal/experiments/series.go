@@ -156,24 +156,12 @@ func (r TimelineResult) SeriesTracks() []SeriesTrack {
 	}
 }
 
-// productionSeries projects the Fig. 10 fluid-model samples into
-// series tracks.
+// productionSeries projects the Fig. 10 fluid-model samples through
+// the timeline's SeriesTracks: both sample the same four quantities.
 func productionSeries(p cluster.ProductionResult) []SeriesTrack {
-	qps := make([]SeriesPoint, len(p.Samples))
-	p99 := make([]SeriesPoint, len(p.Samples))
-	used := make([]SeriesPoint, len(p.Samples))
-	sec := make([]SeriesPoint, len(p.Samples))
+	r := TimelineResult{Samples: make([]TimelineSample, len(p.Samples))}
 	for i, s := range p.Samples {
-		t := s.At.Seconds()
-		qps[i] = SeriesPoint{T: t, V: s.QPS}
-		p99[i] = SeriesPoint{T: t, V: s.P99ms}
-		used[i] = SeriesPoint{T: t, V: s.CPUUsedPct}
-		sec[i] = SeriesPoint{T: t, V: s.SecondaryPct}
+		r.Samples[i] = TimelineSample{At: s.At, QPS: s.QPS, P99ms: s.P99ms, CPUUsedPct: s.CPUUsedPct, SecPct: s.SecondaryPct}
 	}
-	return []SeriesTrack{
-		{Name: "qps", Unit: "qps", Points: downsample(qps)},
-		{Name: "p99_ms", Unit: "ms", Points: downsample(p99)},
-		{Name: "cpu_used_pct", Unit: "%", Points: downsample(used)},
-		{Name: "sec_pct", Unit: "%", Points: downsample(sec)},
-	}
+	return r.SeriesTracks()
 }

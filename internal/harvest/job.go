@@ -123,9 +123,6 @@ type Task struct {
 	ops []*diskOp
 }
 
-// Remaining reports the CPU work left on a CPU-bound task.
-func (t *Task) Remaining() sim.Duration { return t.remaining }
-
 // OpsLeft reports the disk operations left on a disk-bound task.
 func (t *Task) OpsLeft() int { return t.opsLeft }
 

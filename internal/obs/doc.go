@@ -8,8 +8,8 @@
 // every cell goroutine and dispatch worker in a process to share.
 // Snapshot projects them into a JSON-serializable struct (folded into
 // timing.json by `perfiso-repro run -stats`), and Snapshot.Metrics
-// renders them for the Prometheus-text /metrics endpoints of
-// `perfiso-repro serve` and `work -metrics-addr`. Counting is a pure
+// renders them for the Prometheus-text /metrics endpoint of
+// `perfiso-repro work -metrics-addr`. Counting is a pure
 // observation: results are byte-identical with or without a recording.
 //
 // # The nil contract
@@ -17,10 +17,13 @@
 // Every Recording method does nothing on a nil receiver, so a holder
 // keeps a plain *Recording that stays nil unless counting was asked
 // for — the same contract *simtrace.Tracer uses. There is no interface
-// and no no-op implementation. The dispatch coordinator and workers
-// take theirs explicitly (dispatch.Options.Tracker,
-// dispatch.Worker.Tracker) and count claims, steals, lease expiries,
-// stale uploads and upload latencies as they happen.
+// and no no-op implementation. A recording counts two things: the
+// sim-domain counters each finished cell folds in (below), and the
+// uploads a dispatch worker had accepted, with their latencies
+// (dispatch.Worker.Tracker). Claims, steals, lease expiries and stale
+// uploads are the dispatch coordinator's own book-keeping, which
+// timing.json's dispatch section and the coordinator's /metrics both
+// read; a recording does not copy them.
 //
 // # The per-cell fold
 //
@@ -37,9 +40,8 @@
 //
 // When a cell finishes, internal/experiments reads them once and adds
 // them to the process-wide recording with AddCell. SetDefault installs
-// that recording (run -stats and serve -stats do, as does the
-// benchmark's traced pass); with none installed the fold does
-// nothing. RNG draws are counted inside internal/sim instead (see
+// that recording (run -stats does, as does the benchmark's traced
+// pass); with none installed the fold does nothing. RNG draws are counted inside internal/sim instead (see
 // sim.SetRNGAccounting) and stamped into the Snapshot by the caller.
 //
 // # Trace spans

@@ -14,10 +14,6 @@ func TestNilRecordingCountsNothing(t *testing.T) {
 	// Every method must be callable on a nil recording.
 	var rec *Recording
 	rec.AddCell(CellCounts{EventsPushed: 1, MaxHeapDepth: 3})
-	rec.Claim()
-	rec.Steal()
-	rec.LeaseExpired()
-	rec.StaleUpload()
 	rec.Upload(0.5)
 	if s := rec.Snapshot(); s != (Snapshot{}) {
 		t.Fatalf("nil recording snapshot = %+v, want zero", s)
@@ -34,9 +30,9 @@ func TestDefaultRecording(t *testing.T) {
 	if Default() != rec {
 		t.Fatal("recording not installed")
 	}
-	Default().Claim()
-	if got := rec.Snapshot().DispatchClaims; got != 1 {
-		t.Fatalf("claims = %d, want 1", got)
+	Default().Upload(0.5)
+	if got := rec.Snapshot().DispatchUploads; got != 1 {
+		t.Fatalf("uploads = %d, want 1", got)
 	}
 	SetDefault(nil)
 	if Default() != nil {
@@ -52,10 +48,6 @@ func TestRecordingCounters(t *testing.T) {
 		Placements: 1, Preemptions: 1, Requeues: 1,
 	})
 	rec.AddCell(CellCounts{EventsPushed: 1, MaxHeapDepth: 4, SimNs: 500_000_000})
-	rec.Claim()
-	rec.Steal()
-	rec.LeaseExpired()
-	rec.StaleUpload()
 	rec.Upload(0.25)
 	rec.Upload(0.75)
 
@@ -78,9 +70,6 @@ func TestRecordingCounters(t *testing.T) {
 	if s.HarvestPlacements != 1 || s.HarvestPreemptions != 1 || s.HarvestRequeues != 1 {
 		t.Fatalf("harvest counters = %d/%d/%d", s.HarvestPlacements, s.HarvestPreemptions, s.HarvestRequeues)
 	}
-	if s.DispatchClaims != 1 || s.DispatchSteals != 1 || s.DispatchLeaseExpiries != 1 || s.DispatchStaleUploads != 1 {
-		t.Fatalf("dispatch counters = %d/%d/%d/%d", s.DispatchClaims, s.DispatchSteals, s.DispatchLeaseExpiries, s.DispatchStaleUploads)
-	}
 	if s.DispatchUploads != 2 {
 		t.Fatalf("uploads = %d, want 2", s.DispatchUploads)
 	}
@@ -101,14 +90,14 @@ func TestRecordingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				rec.AddCell(CellCounts{EventsPushed: 1, EventsPopped: 1, MaxHeapDepth: g*1000 + i})
-				rec.Claim()
+				rec.Upload(1)
 			}
 		}(g)
 	}
 	wg.Wait()
 	s := rec.Snapshot()
-	if s.SimEventsPushed != 8000 || s.SimEventsPopped != 8000 || s.DispatchClaims != 8000 {
-		t.Fatalf("concurrent counts = %d/%d/%d, want 8000 each", s.SimEventsPushed, s.SimEventsPopped, s.DispatchClaims)
+	if s.SimEventsPushed != 8000 || s.SimEventsPopped != 8000 || s.DispatchUploads != 8000 {
+		t.Fatalf("concurrent counts = %d/%d/%d, want 8000 each", s.SimEventsPushed, s.SimEventsPopped, s.DispatchUploads)
 	}
 	if s.SimMaxHeapDepth != 7999 {
 		t.Fatalf("max heap depth = %d, want 7999", s.SimMaxHeapDepth)
@@ -204,9 +193,7 @@ func TestWriteProm(t *testing.T) {
 
 func TestSnapshotMetricsMatch(t *testing.T) {
 	rec := NewRecording()
-	rec.Claim()
-	rec.Claim()
-	rec.Steal()
+	rec.Upload(0.5)
 	s := rec.Snapshot()
 	s.RNGDraws = 42
 	found := map[string]float64{}

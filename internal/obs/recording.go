@@ -2,12 +2,14 @@ package obs
 
 import "sync/atomic"
 
-// Recording is the run-wide set of counters behind `-stats`, the
-// serve and work /metrics endpoints and the benchmark's per-layer
-// counts. Every update is a lock-free atomic, so all cell goroutines
-// and dispatch workers in a process can share one instance. Every
-// method does nothing on a nil *Recording: holders keep a plain
-// pointer that stays nil unless counting was asked for.
+// Recording is the run-wide set of counters behind `-stats`, the work
+// subcommand's /metrics endpoint and the benchmark's per-layer counts:
+// the sim-domain counters of every finished cell (AddCell) and the
+// uploads dispatch workers had accepted (Upload). Every update is a
+// lock-free atomic, so all cell goroutines and dispatch workers in a
+// process can share one instance. Every method does nothing on a nil
+// *Recording: holders keep a plain pointer that stays nil unless
+// counting was asked for.
 type Recording struct {
 	eventsPushed atomic.Uint64
 	eventsPopped atomic.Uint64
@@ -23,13 +25,9 @@ type Recording struct {
 	preemptions  atomic.Uint64
 	taskRequeues atomic.Uint64
 
-	claims        atomic.Uint64
-	steals        atomic.Uint64
-	leaseExpiries atomic.Uint64
-	staleUploads  atomic.Uint64
-	uploads       atomic.Uint64
-	uploadNs      atomic.Int64
-	uploadMaxNs   atomic.Int64
+	uploads     atomic.Uint64
+	uploadNs    atomic.Int64
+	uploadMaxNs atomic.Int64
 }
 
 // NewRecording returns a zeroed recording.
@@ -89,34 +87,6 @@ func (r *Recording) AddCell(c CellCounts) {
 	r.taskRequeues.Add(c.Requeues)
 }
 
-// Claim counts one unit lease granted by the dispatch coordinator.
-func (r *Recording) Claim() {
-	if r != nil {
-		r.claims.Add(1)
-	}
-}
-
-// Steal counts one claim of a unit another worker held last.
-func (r *Recording) Steal() {
-	if r != nil {
-		r.steals.Add(1)
-	}
-}
-
-// LeaseExpired counts one lease the coordinator reaped.
-func (r *Recording) LeaseExpired() {
-	if r != nil {
-		r.leaseExpiries.Add(1)
-	}
-}
-
-// StaleUpload counts one upload the coordinator rejected as stale.
-func (r *Recording) StaleUpload() {
-	if r != nil {
-		r.staleUploads.Add(1)
-	}
-}
-
 // Upload counts one accepted result upload and its transport latency
 // in seconds (worker side).
 func (r *Recording) Upload(seconds float64) {
@@ -160,10 +130,6 @@ type Snapshot struct {
 	HarvestPreemptions uint64 `json:"harvest_preemptions"`
 	HarvestRequeues    uint64 `json:"harvest_requeues"`
 
-	DispatchClaims            uint64  `json:"dispatch_claims"`
-	DispatchSteals            uint64  `json:"dispatch_steals"`
-	DispatchLeaseExpiries     uint64  `json:"dispatch_lease_expiries"`
-	DispatchStaleUploads      uint64  `json:"dispatch_stale_uploads"`
 	DispatchUploads           uint64  `json:"dispatch_uploads"`
 	DispatchUploadMeanSeconds float64 `json:"dispatch_upload_mean_seconds"`
 	DispatchUploadMaxSeconds  float64 `json:"dispatch_upload_max_seconds"`
@@ -188,10 +154,6 @@ func (r *Recording) Snapshot() Snapshot {
 		HarvestPlacements:        r.placements.Load(),
 		HarvestPreemptions:       r.preemptions.Load(),
 		HarvestRequeues:          r.taskRequeues.Load(),
-		DispatchClaims:           r.claims.Load(),
-		DispatchSteals:           r.steals.Load(),
-		DispatchLeaseExpiries:    r.leaseExpiries.Load(),
-		DispatchStaleUploads:     r.staleUploads.Load(),
 		DispatchUploads:          r.uploads.Load(),
 		DispatchUploadMaxSeconds: float64(r.uploadMaxNs.Load()) / 1e9,
 	}

@@ -113,17 +113,6 @@ func (d *Dataset) Forensic(exp, cell, quantile, stat string) (float64, bool) {
 	return v, ok
 }
 
-// ForensicsCells lists the experiment's cells with blame tables,
-// sorted.
-func (d *Dataset) ForensicsCells(exp string) []string {
-	var keys []string
-	for k := range d.forensics[exp] {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // Cells lists the experiment's cells with scalar metrics, sorted.
 func (d *Dataset) Cells(exp string) []string {
 	var keys []string

@@ -30,12 +30,12 @@ type figureSpec struct {
 // dataset.
 func specs() []figureSpec {
 	return []figureSpec{
-		{"fig4-p99-series", "Fig. 4 — windowed P99 under unrestricted secondaries", fig4Series},
+		{"fig4-p99-series", "Fig. 4 — windowed P99 under unrestricted secondaries", cellTracks("fig4", "p99_ms", MarkLine, "windowed P99 (ms)")},
 		{"fig4-cdf", "Fig. 4 — latency distribution, standalone vs bullies", fig4CDF},
 		{"forensics-decomposition", "Tail forensics — latency decomposition across percentiles (high bully, 2,000 QPS)", forensicsDecomposition},
 		{"forensics-blame", "Tail forensics — P99 blame by cause, standalone vs high bully", forensicsBlame},
 		{"fig5-latency", "Fig. 5 — P99 vs load under blind isolation", latencyVsQPS("fig5")},
-		{"fig5-alloc", "Fig. 5 — blind governor core allocation over time", fig5Alloc},
+		{"fig5-alloc", "Fig. 5 — blind governor core allocation over time", cellTracks("fig5", "alloc_cores", MarkStep, "cores granted to secondary")},
 		{"fig6-latency", "Fig. 6 — P99 vs load under static core restriction", latencyVsQPS("fig6")},
 		{"fig7-latency", "Fig. 7 — P99 vs load under cycle caps", latencyVsQPS("fig7")},
 		{"fig8-p99", "Fig. 8 — P99 latency by isolation technique", fig8Bar("p99ms", "P99 (ms)")},
@@ -46,7 +46,7 @@ func specs() []figureSpec {
 		{"timeline-utilization", "Timeline — DES cross-check CPU utilization", utilization("timeline", "diurnal")},
 		{"timeline-p99", "Timeline — DES cross-check P99", seriesLine("timeline", "diurnal", "p99_ms", "P99 (ms)")},
 		{"harvest-frontier", "Harvest frontier — batch throughput vs primary P99", frontier("harvest-frontier")},
-		{"harvest-progress", "Harvest frontier — batch completions over time", harvestProgress},
+		{"harvest-progress", "Harvest frontier — batch completions over time", cellTracks("harvest-frontier", "tasks_completed", MarkStep, "batch tasks completed")},
 		{"harvest-trace-frontier", "Trace-replay frontier — synthetic vs replayed backlog", frontier("harvest-trace-frontier")},
 		{"ablation-buffer", "Ablation — buffer cores vs tail and harvest", ablation("ablation-buffer", "buffer")},
 		{"ablation-poll", "Ablation — governor poll cadence vs tail and harvest", ablation("ablation-poll", "poll")},
@@ -100,22 +100,29 @@ func paramValue(cell, param string) (float64, bool) {
 	return v, true
 }
 
-// fig4Series plots each Fig. 4 cell's windowed P99 track.
-func fig4Series(ds *Dataset) (Chart, bool) {
-	var series []Series
-	for _, cell := range ds.SeriesCells("fig4") {
-		tr, ok := ds.Track("fig4", cell, "p99_ms")
-		if !ok || len(tr.Points) == 0 {
-			continue
+// cellTracks plots one time-series track of every cell of exp that
+// sampled it, one series per cell.
+func cellTracks(exp, track string, mark Mark, ylabel string) func(*Dataset) (Chart, bool) {
+	return func(ds *Dataset) (Chart, bool) {
+		var series []Series
+		for _, cell := range ds.SeriesCells(exp) {
+			tr, ok := ds.Track(exp, cell, track)
+			if !ok || len(tr.Points) == 0 {
+				continue
+			}
+			series = append(series, Series{Name: cell, Mark: mark, Points: trackXY(tr)})
 		}
-		var pts []XY
-		for _, p := range tr.Points {
-			pts = append(pts, XY{p.T, p.V})
-		}
-		series = append(series, Series{Name: cell, Mark: MarkLine, Points: pts})
+		return Chart{XLabel: "simulated time (s)", YLabel: ylabel, Series: series}, len(series) > 0
 	}
-	return Chart{XLabel: "simulated time (s)", YLabel: "windowed P99 (ms)", Series: series},
-		len(series) > 0
+}
+
+// trackXY converts a track's samples into chart points.
+func trackXY(tr Track) []XY {
+	pts := make([]XY, len(tr.Points))
+	for i, p := range tr.Points {
+		pts[i] = XY{p.T, p.V}
+	}
+	return pts
 }
 
 // fig4CDF approximates each cell's latency distribution from its
@@ -233,25 +240,6 @@ func latencyVsQPS(exp string) func(*Dataset) (Chart, bool) {
 	}
 }
 
-// fig5Alloc plots the blind governor's core-allocation steps for every
-// Fig. 5 cell that captured one.
-func fig5Alloc(ds *Dataset) (Chart, bool) {
-	var series []Series
-	for _, cell := range ds.SeriesCells("fig5") {
-		tr, ok := ds.Track("fig5", cell, "alloc_cores")
-		if !ok || len(tr.Points) == 0 {
-			continue
-		}
-		var pts []XY
-		for _, p := range tr.Points {
-			pts = append(pts, XY{p.T, p.V})
-		}
-		series = append(series, Series{Name: cell, Mark: MarkStep, Points: pts})
-	}
-	return Chart{XLabel: "simulated time (s)", YLabel: "cores granted to secondary", Series: series},
-		len(series) > 0
-}
-
 // fig8Cats is the paper's fixed bar order.
 var fig8Cats = []string{"standalone", "no-isolation", "blind", "cores", "cycles"}
 
@@ -303,11 +291,7 @@ func utilization(exp, cell string) func(*Dataset) (Chart, bool) {
 			if !ok || len(tr.Points) == 0 {
 				continue
 			}
-			var pts []XY
-			for _, p := range tr.Points {
-				pts = append(pts, XY{p.T, p.V})
-			}
-			series = append(series, Series{Name: spec.label, Mark: MarkLine, Points: pts})
+			series = append(series, Series{Name: spec.label, Mark: MarkLine, Points: trackXY(tr)})
 		}
 		return Chart{XLabel: "simulated time (s)", YLabel: "CPU (%)",
 			FixedY: true, YMin: 0, YMax: 100, Series: series}, len(series) > 0
@@ -321,12 +305,8 @@ func seriesLine(exp, cell, track, ylabel string) func(*Dataset) (Chart, bool) {
 		if !ok || len(tr.Points) == 0 {
 			return Chart{}, false
 		}
-		var pts []XY
-		for _, p := range tr.Points {
-			pts = append(pts, XY{p.T, p.V})
-		}
 		return Chart{XLabel: "simulated time (s)", YLabel: ylabel,
-			Series: []Series{{Mark: MarkLine, Points: pts}}}, true
+			Series: []Series{{Mark: MarkLine, Points: trackXY(tr)}}}, true
 	}
 }
 
@@ -346,24 +326,6 @@ func frontier(exp string) func(*Dataset) (Chart, bool) {
 		return Chart{XLabel: "batch tasks per second", YLabel: "server P99 (ms)", Series: series},
 			len(series) > 0
 	}
-}
-
-// harvestProgress plots each policy's completed-tasks ramp.
-func harvestProgress(ds *Dataset) (Chart, bool) {
-	var series []Series
-	for _, cell := range ds.SeriesCells("harvest-frontier") {
-		tr, ok := ds.Track("harvest-frontier", cell, "tasks_completed")
-		if !ok || len(tr.Points) == 0 {
-			continue
-		}
-		var pts []XY
-		for _, p := range tr.Points {
-			pts = append(pts, XY{p.T, p.V})
-		}
-		series = append(series, Series{Name: cell, Mark: MarkStep, Points: pts})
-	}
-	return Chart{XLabel: "simulated time (s)", YLabel: "batch tasks completed", Series: series},
-		len(series) > 0
 }
 
 // ablation plots P99 and harvested secondary share across one

@@ -1,15 +1,18 @@
 package report
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
+
+	"perfiso/internal/experiments"
 )
 
-// WriteFigures writes rendered figures into dir/figures/<name>.svg
-// and prunes stale .svg files left from earlier figure lists, so the
-// directory is exactly the rendered set — CI diffs it byte-for-byte
-// against the committed copy.
+// WriteFigures writes rendered figures into dir/figures/<name>.svg,
+// each through experiments.WriteAtomic, and prunes stale .svg files
+// left from earlier figure lists, so the directory is exactly the
+// rendered set — CI diffs it byte-for-byte against the committed copy.
 func WriteFigures(dir string, figs []Figure) error {
 	figDir := filepath.Join(dir, "figures")
 	if err := os.MkdirAll(figDir, 0o755); err != nil {
@@ -19,7 +22,11 @@ func WriteFigures(dir string, figs []Figure) error {
 	for _, f := range figs {
 		name := f.Name + ".svg"
 		keep[name] = true
-		if err := os.WriteFile(filepath.Join(figDir, name), f.SVG, 0o644); err != nil {
+		err := experiments.WriteAtomic(filepath.Join(figDir, name), func(w io.Writer) error {
+			_, err := w.Write(f.SVG)
+			return err
+		})
+		if err != nil {
 			return err
 		}
 	}

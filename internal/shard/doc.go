@@ -24,8 +24,12 @@
 // and merge subcommands; CI proves merge ≡ single-process on every
 // push with a 3-way shard matrix.
 //
-// UnitRunner is the execution core shared with internal/dispatch: it
-// runs and serializes one manifest unit at a time, so the same cells
-// can be executed from a static plan or claimed dynamically from a
-// work-stealing coordinator, with identical bytes either way.
+// The enumeration, the grouping of keyed cells into units, the cost
+// order, the pool and the assembly are internal/experiments' Plan, the
+// same code Registry.Run uses: Build, RunShard and Merge each plan the
+// registry once. The manifest's lines are experiments.CellRefs and its
+// units experiments.Units. UnitRunner binds a plan to unit IDs and
+// serializes each executed unit as a PartialCell, so the same cells
+// can run from a static plan or be claimed from a work-stealing
+// coordinator (internal/dispatch), with identical bytes either way.
 package shard

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"regexp"
 
 	"perfiso/internal/experiments"
@@ -16,24 +15,13 @@ import (
 // incompatibly; Merge refuses partials built against another version.
 const ManifestVersion = 1
 
-// ManifestCell is one logical cell of a filtered run.
-type ManifestCell struct {
-	Experiment string `json:"experiment"`
-	Cell       string `json:"cell"`
-	// Key, when non-empty, marks the cell interchangeable with every
-	// other cell carrying the same key (same seeded simulation).
-	Key string `json:"key,omitempty"`
-	// Cost is the planner's balancing weight (≥ 1).
-	Cost float64 `json:"cost"`
-}
-
 // Manifest is the deterministic enumeration of a filtered run: every
 // logical cell in registration order, without executing anything.
 type Manifest struct {
-	Version int            `json:"version"`
-	Scale   string         `json:"scale"`
-	Filter  string         `json:"filter,omitempty"`
-	Cells   []ManifestCell `json:"cells"`
+	Version int                   `json:"version"`
+	Scale   string                `json:"scale"`
+	Filter  string                `json:"filter,omitempty"`
+	Cells   []experiments.CellRef `json:"cells"`
 	// Hash is hex-encoded SHA-256 over the canonical JSON encoding of
 	// the manifest with Hash itself blanked — a pure function of the
 	// registry contents, scale and filter. It fingerprints the cell
@@ -43,47 +31,31 @@ type Manifest struct {
 	Hash string `json:"hash"`
 }
 
-// selectExperiments compiles pattern (empty selects everything) and
-// resolves it against the registry; zero matches fail loudly with the
-// list of valid names.
-func selectExperiments(reg *experiments.Registry, pattern string) ([]experiments.Experiment, error) {
+// planRun compiles pattern (empty selects everything), enumerates the
+// selection once and builds its manifest. Zero matches fail loudly
+// with the list of valid names.
+func planRun(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string) (*experiments.Plan, Manifest, error) {
 	var filter *regexp.Regexp
 	if pattern != "" {
 		var err error
 		if filter, err = regexp.Compile(pattern); err != nil {
-			return nil, fmt.Errorf("shard: bad filter: %w", err)
+			return nil, Manifest{}, fmt.Errorf("shard: bad filter: %w", err)
 		}
 	}
-	sel := reg.Select(filter)
-	if len(sel) == 0 {
-		return nil, reg.NoMatchError(pattern)
+	p, err := reg.Plan(spec, filter)
+	if err != nil {
+		return nil, Manifest{}, err
 	}
-	return sel, nil
+	m := Manifest{Version: ManifestVersion, Scale: spec.Name, Filter: pattern, Cells: p.Refs}
+	m.Hash = m.hash()
+	return p, m, nil
 }
 
 // Build enumerates the filtered run as a manifest. Cell construction
 // is side-effect free — no simulation runs.
 func Build(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string) (Manifest, error) {
-	sel, err := selectExperiments(reg, pattern)
-	if err != nil {
-		return Manifest{}, err
-	}
-	m := Manifest{Version: ManifestVersion, Scale: spec.Name, Filter: pattern}
-	for _, e := range sel {
-		for _, c := range e.Cells(spec) {
-			m.Cells = append(m.Cells, ManifestCell{
-				Experiment: e.Name,
-				Cell:       c.Name,
-				Key:        c.Key,
-				Cost:       c.CostOrDefault(),
-			})
-		}
-	}
-	m.Hash = m.hash()
-	if _, err := m.Units(); err != nil {
-		return Manifest{}, err
-	}
-	return m, nil
+	_, m, err := planRun(reg, spec, pattern)
+	return m, err
 }
 
 func (m Manifest) hash() string {
@@ -97,17 +69,10 @@ func (m Manifest) hash() string {
 	return "sha256:" + hex.EncodeToString(sum[:])
 }
 
-// WriteManifest writes a manifest as indented JSON, creating parent
-// directories.
+// WriteManifest writes a manifest as indented JSON, atomically,
+// creating parent directories.
 func WriteManifest(path string, m Manifest) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return experiments.WriteJSONFile(path, m)
 }
 
 // ReadManifest loads a manifest artifact and verifies its integrity:
@@ -135,43 +100,8 @@ func ReadManifest(path string) (Manifest, error) {
 	return m, nil
 }
 
-// UnitID names a manifest cell's executable unit: its dedup key, or
-// the experiment/cell pair when unkeyed. The prefixes keep the two
-// namespaces from colliding.
-func UnitID(c ManifestCell) string {
-	if c.Key != "" {
-		return "key:" + c.Key
-	}
-	return "cell:" + c.Experiment + "/" + c.Cell
-}
-
-// Unit is one executable simulation: the group of logical cells that
-// share its result. Cells[0] identifies the cell a shard actually
-// runs; the merger fans its result out to the rest.
-type Unit struct {
-	ID   string
-	Cost float64
-	// Cells indexes into Manifest.Cells, in first-occurrence order.
-	Cells []int
-}
-
 // Units groups the manifest's cells into executable units, in
-// first-occurrence order. It errors on two unkeyed cells with the same
-// experiment/cell name — those would be indistinguishable in partials.
-func (m Manifest) Units() ([]Unit, error) {
-	byID := map[string]int{}
-	var units []Unit
-	for i, c := range m.Cells {
-		id := UnitID(c)
-		if ui, ok := byID[id]; ok {
-			if c.Key == "" {
-				return nil, fmt.Errorf("shard: duplicate unkeyed cell %s/%s in manifest", c.Experiment, c.Cell)
-			}
-			units[ui].Cells = append(units[ui].Cells, i)
-			continue
-		}
-		byID[id] = len(units)
-		units = append(units, Unit{ID: id, Cost: c.Cost, Cells: []int{i}})
-	}
-	return units, nil
+// first-occurrence order (experiments.GroupUnits).
+func (m Manifest) Units() ([]experiments.Unit, error) {
+	return experiments.GroupUnits(m.Cells)
 }

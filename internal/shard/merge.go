@@ -34,11 +34,11 @@ func Merge(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string
 	if len(partials) == 0 {
 		return zero, zt, fmt.Errorf("shard: merge: no partials")
 	}
-	m, err := Build(reg, spec, pattern)
+	run, m, err := planRun(reg, spec, pattern)
 	if err != nil {
 		return zero, zt, err
 	}
-	units, _ := m.Units() // validated by Build
+	units := run.Units
 	unitIdx := map[string]int{}
 	for i, u := range units {
 		unitIdx[u.ID] = i
@@ -94,72 +94,25 @@ func Merge(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string
 		return zero, zt, fmt.Errorf("shard: merge: %d of %d manifest units missing from the partial set: %s", len(missing), len(units), strings.Join(missing, ", "))
 	}
 
-	// Per-cell timings in manifest unit order, attributed to the shard
-	// that executed each unit.
-	var cellTimings []experiments.CellTiming
-	for i := range units {
-		pc := got[i]
-		cellTimings = append(cellTimings, experiments.CellTiming{
-			Experiment: pc.Experiment,
-			Cell:       pc.Cell,
-			Worker:     fmt.Sprintf("shard-%d", partials[owner[i]].Shard),
-			Seconds:    pc.Seconds,
-		})
+	// Decode every logical cell through its own experiment's hook;
+	// each unit's wall seconds are attributed to the shard that ran it.
+	runs := make([]experiments.UnitRun, len(units))
+	for i, pc := range got {
+		runs[i] = experiments.UnitRun{Worker: fmt.Sprintf("shard-%d", partials[owner[i]].Shard), Seconds: pc.Seconds}
 	}
-
-	// Decode every logical cell through its experiment's hook and
-	// assemble, mirroring Registry.Run: results index-aligned with the
-	// experiment's cell slice, cell seconds attributed to the
-	// experiment that first references the unit.
-	sel, err := selectExperiments(reg, pattern)
+	out, err := run.Assemble(runs, func(e experiments.Experiment, c experiments.Cell, u int) (any, error) {
+		if e.DecodeResult == nil {
+			return nil, fmt.Errorf("shard: merge: experiment %q has no DecodeResult and cannot be merged", e.Name)
+		}
+		v, err := e.DecodeResult(got[u].Result)
+		if err != nil {
+			return nil, fmt.Errorf("shard: merge: decoding %s/%s: %w", e.Name, c.Name, err)
+		}
+		return v, nil
+	})
 	if err != nil {
 		return zero, zt, err
 	}
-	out := experiments.RunResult{
-		Spec:         spec,
-		CellCount:    len(units),
-		SharedCells:  len(m.Cells) - len(units),
-		ManifestHash: m.Hash,
-		CellTimings:  cellTimings,
-	}
-	mi := 0
-	counted := map[string]bool{} // units whose seconds are already attributed
-	for _, e := range sel {
-		cells := e.Cells(spec)
-		results := make([]any, len(cells))
-		var cellSec float64
-		for ci := range cells {
-			mc := m.Cells[mi]
-			mi++
-			id := UnitID(mc)
-			pc := got[unitIdx[id]]
-			if e.DecodeResult == nil {
-				return zero, zt, fmt.Errorf("shard: merge: experiment %q has no DecodeResult and cannot be merged", e.Name)
-			}
-			v, err := e.DecodeResult(pc.Result)
-			if err != nil {
-				return zero, zt, fmt.Errorf("shard: merge: decoding %s/%s: %w", mc.Experiment, mc.Cell, err)
-			}
-			results[ci] = v
-			if !counted[id] {
-				counted[id] = true
-				cellSec += pc.Seconds
-			}
-		}
-		value, report := e.Assemble(spec, cells, results)
-		names := make([]string, len(cells))
-		for i, c := range cells {
-			names[i] = c.Name
-		}
-		out.Experiments = append(out.Experiments, experiments.ExperimentResult{
-			Name:        e.Name,
-			Describe:    e.Describe,
-			CellNames:   names,
-			Value:       value,
-			Report:      report,
-			CellSeconds: cellSec,
-		})
-		out.SequentialSeconds += cellSec
-	}
+	out.ManifestHash = m.Hash
 	return out, timing, nil
 }

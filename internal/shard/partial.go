@@ -82,19 +82,18 @@ func RunShard(reg *experiments.Registry, opts RunShardOptions) (Partial, error) 
 		return Partial{}, err
 	}
 	mine := plan.Shards[opts.Shard].Units
-	var tracer *obs.TraceBuffer
+	run := experiments.RunOptions{Workers: opts.Workers, OnCell: opts.OnCell}
 	if opts.Trace {
-		tracer = obs.NewTraceBuffer()
+		run.Tracer = obs.NewTraceBuffer()
 	}
 	start := time.Now() //perfiso:allow walltime shard wall time feeds timing.json only
-	cells, err := r.RunUnits(mine, opts.Workers, opts.OnCell, tracer,
-		fmt.Sprintf("shard-%d/%d", opts.Shard, opts.Shards))
+	cells, err := r.RunUnits(mine, run, fmt.Sprintf("shard-%d/%d", opts.Shard, opts.Shards))
 	if err != nil {
 		return Partial{}, err
 	}
 	var spans []obs.Span
-	if tracer != nil {
-		spans = tracer.Spans()
+	if run.Tracer != nil {
+		spans = run.Tracer.Spans()
 	}
 	return Partial{
 		Version:        PartialVersion,
@@ -110,31 +109,10 @@ func RunShard(reg *experiments.Registry, opts RunShardOptions) (Partial, error) 
 	}, nil
 }
 
-// liveCells flattens the registry's cell enumeration in manifest
-// order. The caller must have validated the selection via Build.
-func liveCells(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string) []experiments.Cell {
-	sel, err := selectExperiments(reg, pattern)
-	if err != nil {
-		panic(err) // Build already validated the same selection
-	}
-	var flat []experiments.Cell
-	for _, e := range sel {
-		flat = append(flat, e.Cells(spec)...)
-	}
-	return flat
-}
-
-// WritePartial writes a partial as indented JSON, creating parent
-// directories.
+// WritePartial writes a partial as indented JSON, atomically, creating
+// parent directories.
 func WritePartial(path string, p Partial) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	blob, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(blob, '\n'), 0o644)
+	return experiments.WriteJSONFile(path, p)
 }
 
 // ReadPartial loads one partial artifact.

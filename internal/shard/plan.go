@@ -3,6 +3,8 @@ package shard
 import (
 	"fmt"
 	"sort"
+
+	"perfiso/internal/experiments"
 )
 
 // ShardAssignment is one shard's share of the plan.
@@ -35,20 +37,12 @@ func PlanShards(m Manifest, n int) (Plan, error) {
 		return Plan{}, err
 	}
 
-	order := make([]int, len(units))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return units[order[a]].Cost > units[order[b]].Cost
-	})
-
 	p := Plan{ManifestHash: m.Hash, Shards: make([]ShardAssignment, n)}
 	assigned := make([][]int, n) // unit indices per shard
 	for i := range p.Shards {
 		p.Shards[i].Shard = i
 	}
-	for _, ui := range order {
+	for _, ui := range experiments.CostOrder(units) {
 		best := 0
 		for s := 1; s < n; s++ {
 			if p.Shards[s].Cost < p.Shards[best].Cost {

@@ -3,140 +3,89 @@ package shard
 import (
 	"encoding/json"
 	"fmt"
-	"sync"
-	"time"
 
 	"perfiso/internal/experiments"
-	"perfiso/internal/obs"
 )
 
-// UnitRunner executes individual manifest units. It is the shared
-// execution core of the static path (RunShard runs a planned subset on
-// a local pool) and the dynamic path (a dispatch worker runs whatever
-// unit it claims next): both produce the same PartialCell bytes for
-// the same unit, which is what keeps a dispatched run byte-identical
-// to a static-shard run. A UnitRunner is safe for concurrent use —
-// units are independent seeded simulations.
+// UnitRunner executes manifest units by ID on the plan it was built
+// from. The static path (RunShard runs a planned subset on a local
+// pool) and the dynamic path (a dispatch worker runs whatever unit it
+// claims next) both serialize a unit to the same PartialCell bytes,
+// which is what keeps a dispatched run byte-identical to a static-shard
+// run. A UnitRunner is safe for concurrent use — units are independent
+// seeded simulations.
 type UnitRunner struct {
 	// Manifest is the enumeration the runner executes against.
 	Manifest Manifest
-	units    []Unit
+	plan     *experiments.Plan
 	byID     map[string]int
-	live     []experiments.Cell
 }
 
-// NewUnitRunner builds the manifest of (spec, pattern) against reg and
-// binds every unit to its executable cell.
+// NewUnitRunner enumerates (spec, pattern) against reg once and
+// indexes its units by ID.
 func NewUnitRunner(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string) (*UnitRunner, error) {
-	m, err := Build(reg, spec, pattern)
+	p, m, err := planRun(reg, spec, pattern)
 	if err != nil {
 		return nil, err
 	}
-	units, _ := m.Units() // validated by Build
-	byID := make(map[string]int, len(units))
-	for i, u := range units {
+	byID := make(map[string]int, len(p.Units))
+	for i, u := range p.Units {
 		byID[u.ID] = i
 	}
-	// Build just re-enumerated the registry, so manifest indices align
-	// with a fresh enumeration.
-	return &UnitRunner{Manifest: m, units: units, byID: byID, live: liveCells(reg, spec, pattern)}, nil
+	return &UnitRunner{Manifest: m, plan: p, byID: byID}, nil
 }
 
 // Units lists the manifest's executable units in first-occurrence
 // order. The slice is shared; callers must not mutate it.
-func (r *UnitRunner) Units() []Unit { return r.units }
+func (r *UnitRunner) Units() []experiments.Unit { return r.plan.Units }
 
 // Unit resolves a unit ID.
-func (r *UnitRunner) Unit(id string) (Unit, bool) {
+func (r *UnitRunner) Unit(id string) (experiments.Unit, bool) {
 	i, ok := r.byID[id]
 	if !ok {
-		return Unit{}, false
+		return experiments.Unit{}, false
 	}
-	return r.units[i], true
+	return r.plan.Units[i], true
 }
 
 // RunUnit executes the named unit's cell and serializes its result.
 // The returned cell's bytes depend only on the unit (its seed and
 // parameters), never on which process or worker ran it.
 func (r *UnitRunner) RunUnit(id string) (PartialCell, error) {
-	ui, ok := r.byID[id]
-	if !ok {
-		return PartialCell{}, fmt.Errorf("shard: unknown unit %s", id)
-	}
-	u := r.units[ui]
-	mc := r.Manifest.Cells[u.Cells[0]]
-	start := time.Now() //perfiso:allow walltime unit wall time feeds timing.json only
-	v := r.live[u.Cells[0]].Run()
-	elapsed := time.Since(start) //perfiso:allow walltime unit wall time feeds timing.json only
-	blob, err := json.Marshal(v)
+	cells, err := r.RunUnits([]string{id}, experiments.RunOptions{Workers: 1}, "")
 	if err != nil {
-		return PartialCell{}, fmt.Errorf("shard: encoding %s/%s: %w", mc.Experiment, mc.Cell, err)
+		return PartialCell{}, err
 	}
-	return PartialCell{
-		Unit:       id,
-		Experiment: mc.Experiment,
-		Cell:       mc.Cell,
-		Result:     blob,
-		Seconds:    elapsed.Seconds(),
-	}, nil
+	return cells[0], nil
 }
 
-// RunUnits executes ids on a pool of workers goroutines, expensive
-// units first, and returns their cells in ids order. onCell, when set,
-// is called (serialized) after each unit completes. tracer, when set,
-// receives one span per unit labeled with worker.
-func (r *UnitRunner) RunUnits(ids []string, workers int, onCell func(experiment, cell string, elapsed time.Duration), tracer *obs.TraceBuffer, worker string) ([]PartialCell, error) {
-	if len(ids) == 0 {
-		return nil, nil
-	}
-	type outcome struct {
-		pc  PartialCell
-		err error
-	}
-	var mu sync.Mutex
-	base := time.Now() //perfiso:allow walltime span timestamps are observability only
-	wrapped := make([]experiments.Cell, len(ids))
+// RunUnits executes ids on the plan's pool (Plan.Execute: expensive
+// first, opts.OnCell and opts.Tracer as there, runs labeled worker)
+// and returns their serialized cells in ids order.
+func (r *UnitRunner) RunUnits(ids []string, opts experiments.RunOptions, worker string) ([]PartialCell, error) {
+	units := make([]int, len(ids))
 	for i, id := range ids {
-		id := id
-		u, ok := r.Unit(id)
+		u, ok := r.byID[id]
 		if !ok {
-			return nil, fmt.Errorf("shard: plan references unknown unit %s", id)
+			return nil, fmt.Errorf("shard: unknown unit %s", id)
 		}
-		wrapped[i] = experiments.Cell{Name: id, Cost: u.Cost, Run: func() any {
-			start := time.Now() //perfiso:allow walltime span timestamps are observability only
-			pc, err := r.RunUnit(id)
-			if err == nil && tracer != nil {
-				tracer.Add(obs.Span{
-					Experiment: pc.Experiment,
-					Cell:       pc.Cell,
-					Unit:       id,
-					Worker:     worker,
-					StartMs:    float64(start.Sub(base)) / 1e6,
-					DurationMs: time.Since(start).Seconds() * 1e3, //perfiso:allow walltime span timestamps are observability only
-				})
-			}
-			if err == nil && onCell != nil {
-				mu.Lock()
-				onCell(pc.Experiment, pc.Cell, time.Since(start)) //perfiso:allow walltime span timestamps are observability only
-				mu.Unlock()
-			}
-			return outcome{pc, err}
-		}}
+		units[i] = u
 	}
-
-	order := experiments.CostOrder(wrapped)
-	sorted := make([]experiments.Cell, len(order))
-	for i, ci := range order {
-		sorted[i] = wrapped[ci]
-	}
-	byOrder := experiments.RunCells(sorted, workers)
-	out := make([]PartialCell, len(ids))
-	for i, ci := range order {
-		o := byOrder[i].(outcome)
-		if o.err != nil {
-			return nil, o.err
+	runs, _ := r.plan.Execute(units, opts, worker)
+	var out []PartialCell
+	for i, run := range runs {
+		ref := r.plan.Refs[r.plan.Units[units[i]].Cells[0]]
+		blob, err := json.Marshal(run.Value)
+		if err != nil {
+			return nil, fmt.Errorf("shard: encoding %s/%s: %w", ref.Experiment, ref.Cell, err)
 		}
-		out[ci] = o.pc
+		out = append(out, PartialCell{
+			Unit:       ids[i],
+			Experiment: ref.Experiment,
+			Cell:       ref.Cell,
+			Result:     blob,
+			Seconds:    run.Seconds,
+		})
 	}
 	return out, nil
 }

@@ -11,7 +11,7 @@ import (
 // handful of arithmetic ops, so even an extra call per draw would
 // roughly double its cost. Accounting is
 // amortized: composite generators (Float64 rejection loops, Norm,
-// Poisson, Perm, ...) batch their raw draws and settle them with a
+// Perm, ...) batch their raw draws and settle them with a
 // single atomic load + add per call, so the off path costs one atomic
 // load per public call — not per draw — and the on path never contends
 // the shared counter more than once per call.
@@ -162,27 +162,6 @@ func (r *RNG) LogNormal(median, sigma float64) float64 {
 // LogNormalDuration returns a log-normal duration with the given median.
 func (r *RNG) LogNormalDuration(median Duration, sigma float64) Duration {
 	return Duration(r.LogNormal(float64(median), sigma))
-}
-
-// Poisson returns a Poisson-distributed count with the given mean
-// (Knuth's method; fine for the small means used here).
-func (r *RNG) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	l := math.Exp(-mean)
-	k := 0
-	p := 1.0
-	draws := uint64(0)
-	for {
-		draws++
-		p *= r.float64raw()
-		if p <= l {
-			account(draws)
-			return k
-		}
-		k++
-	}
 }
 
 // Perm fills a permutation of [0, n) using Fisher-Yates.

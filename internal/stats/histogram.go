@@ -281,9 +281,6 @@ func (w *WindowedLatency) Add(t sim.Time, d sim.Duration) {
 	w.buckets[idx].AddDuration(d)
 }
 
-// Windows reports how many windows hold data.
-func (w *WindowedLatency) Windows() int { return len(w.buckets) }
-
 // Window returns the histogram of the i-th window (nil when empty or
 // out of range).
 func (w *WindowedLatency) Window(i int) *Histogram {
@@ -291,16 +288,4 @@ func (w *WindowedLatency) Window(i int) *Histogram {
 		return nil
 	}
 	return w.buckets[i]
-}
-
-// Series extracts one quantile across all windows, in milliseconds;
-// empty windows yield NaN-free zeros.
-func (w *WindowedLatency) Series(q float64) []float64 {
-	out := make([]float64, len(w.buckets))
-	for i, h := range w.buckets {
-		if h.Count() > 0 {
-			out[i] = h.Quantile(q) / float64(sim.Millisecond)
-		}
-	}
-	return out
 }
