@@ -572,13 +572,9 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var filter *regexp.Regexp
-	if *runPat != "" {
-		var err error
-		if filter, err = regexp.Compile(*runPat); err != nil {
-			fmt.Fprintf(stderr, "perfiso-repro: bad -run pattern: %v\n", err)
-			return 2
-		}
+	if _, err := regexp.Compile(*runPat); err != nil {
+		fmt.Fprintf(stderr, "perfiso-repro: bad -run pattern: %v\n", err)
+		return 2
 	}
 
 	var onCell func(exp, cell string, elapsed time.Duration)
@@ -667,16 +663,17 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		return out.emit(res, timing, rec, *runPat != "", p.Spans, stdout, stderr)
 	}
 
-	// The manifest hash stamps the artifacts' provenance; building it
-	// also turns a zero-match -run pattern into a loud failure listing
-	// the valid names.
-	m, err := shard.Build(reg, spec, *runPat)
+	// The manifest hash stamps the artifacts' provenance, and the plan
+	// it hashes is the one that runs; building it also turns a
+	// zero-match -run pattern into a loud failure listing the valid
+	// names.
+	plan, m, err := shard.BuildPlan(reg, spec, *runPat)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 		return 2
 	}
 
-	runOpts := experiments.RunOptions{Spec: spec, Workers: *workers, Filter: filter, OnCell: onCell, Tracer: tracer}
+	runOpts := experiments.RunOptions{Workers: *workers, OnCell: onCell, Tracer: tracer}
 	var simErr error
 	simCount := 0
 	simDir := filepath.Join(*out.resultsDir, spec.Name, "simtrace")
@@ -685,8 +682,10 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 1
 		}
-		// Delivery is serialized after the pool drains, in deterministic
-		// cell order; the first write error aborts the remaining files.
+		// The pool calls this as each traced cell ends, one call at a
+		// time, and drops the tracer after it, so at most -workers
+		// traces are held at once. File contents do not depend on the
+		// order; the first write error skips the remaining files.
 		runOpts.OnSimTrace = func(exp, cell string, tr *simtrace.Tracer) {
 			if simErr != nil || tr.Len() == 0 {
 				return
@@ -700,7 +699,7 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	res, err := reg.Run(runOpts)
+	res, err := plan.Run(runOpts)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 		return 2

@@ -40,7 +40,8 @@ type Request struct {
 
 	enqueued sim.Time
 	priority int
-	seq      uint64 // FIFO tiebreak within a priority level
+	seq      uint64     // FIFO tiebreak within a priority level
+	proc     *procState // Proc's state on the volume, found at Submit
 }
 
 // VolumeConfig describes a striped volume.
@@ -247,6 +248,7 @@ func (v *Volume) Submit(r *Request) {
 		panic("diskmodel: non-positive request size")
 	}
 	p := v.proc(r.Proc)
+	r.proc = p
 	r.enqueued = v.eng.Now()
 	v.nextSeq++
 	r.seq = v.nextSeq
@@ -367,7 +369,7 @@ func (v *Volume) startNext() {
 
 func (v *Volume) complete(r *Request) {
 	now := v.eng.Now()
-	p := v.proc(r.Proc)
+	p := r.proc
 	p.stats.Ops++
 	p.stats.Bytes += r.Bytes
 	if r.Kind == OpRead {

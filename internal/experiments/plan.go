@@ -110,12 +110,16 @@ type Plan struct {
 	cells [][]Cell // per experiment, the exact slice its Cells hook returned
 	flat  []Cell   // index-aligned with Refs
 	unit  []int    // per Refs entry, its index in Units
+	// enumerate is the wall time Registry.Plan took, reported as Run's
+	// enumerate phase.
+	enumerate time.Duration
 }
 
 // Plan enumerates the experiments matching filter (nil selects all)
 // without running anything. A filter matching nothing is an error
 // naming every registered experiment.
 func (r *Registry) Plan(spec ScaleSpec, filter *regexp.Regexp) (*Plan, error) {
+	start := time.Now() //perfiso:allow walltime phase timing feeds timing.json only
 	selected := r.Select(filter)
 	if len(selected) == 0 {
 		pattern := ""
@@ -148,7 +152,36 @@ func (r *Registry) Plan(spec ScaleSpec, filter *regexp.Regexp) (*Plan, error) {
 			p.unit[ri] = ui
 		}
 	}
+	p.enumerate = time.Since(start) //perfiso:allow walltime phase timing feeds timing.json only
 	return p, nil
+}
+
+// Run executes every unit of the plan on one shared worker pool —
+// cells from different experiments interleave freely, so the wall
+// clock is bounded by the slowest cell, not the slowest experiment —
+// then assembles each experiment's result. Results are deterministic:
+// parallelism changes only the wall clock. opts.Spec and opts.Filter
+// are the plan's own and are ignored.
+func (p *Plan) Run(opts RunOptions) (RunResult, error) {
+	all := make([]int, len(p.Units))
+	for i := range all {
+		all[i] = i
+	}
+	runs, elapsed := p.Execute(all, opts, "")
+
+	assembleStart := time.Now() //perfiso:allow walltime phase timing feeds timing.json only
+	out, err := p.Assemble(runs, nil)
+	if err != nil {
+		return RunResult{}, err
+	}
+	out.Workers = PoolSize(opts.Workers, len(p.Units))
+	out.Elapsed = elapsed
+	out.Phases = []PhaseTiming{
+		{Phase: "enumerate", Seconds: p.enumerate.Seconds()},
+		{Phase: "execute", Seconds: elapsed.Seconds()},
+		{Phase: "assemble", Seconds: time.Since(assembleStart).Seconds()}, //perfiso:allow walltime phase timing feeds timing.json only
+	}
+	return out, nil
 }
 
 // UnitRun is one executed unit: its result, who ran it and its wall
@@ -167,11 +200,13 @@ type UnitRun struct {
 // ("pool/<i>").
 //
 // Every cell owns its engine and seed, so results are bit-identical
-// at any worker count. OnCell calls and Tracer spans are serialized;
-// sim traces (OnSimTrace) are delivered after the pool drains, in
-// launch order, under the name of the cell that ran. A panicking cell
-// stops its worker, and the first panic is re-raised here once the
-// remaining workers drain.
+// at any worker count. OnCell calls and Tracer spans are serialized.
+// A unit's sim trace goes to OnSimTrace as soon as the unit ends, in
+// completion order, under the name of the cell that ran; the calls
+// are serialized too, and the pool drops each tracer once its call
+// returns, so at most opts.Workers tracers are alive at once. A
+// panicking cell stops its worker, and the first panic is re-raised
+// here once the remaining workers drain.
 func (p *Plan) Execute(units []int, opts RunOptions, worker string) ([]UnitRun, time.Duration) {
 	runs := make([]UnitRun, len(units))
 	sub := make([]Unit, len(units))
@@ -179,13 +214,14 @@ func (p *Plan) Execute(units []int, opts RunOptions, worker string) ([]UnitRun, 
 		sub[i] = p.Units[u]
 	}
 	order := CostOrder(sub)
-	var tracers []*simtrace.Tracer
-	if opts.OnSimTrace != nil {
-		tracers = make([]*simtrace.Tracer, len(units))
-	}
 
 	var next atomic.Int64
-	var mu sync.Mutex
+	var mu, deliverMu sync.Mutex
+	deliver := func(ref CellRef, tr *simtrace.Tracer) {
+		deliverMu.Lock()
+		defer deliverMu.Unlock()
+		opts.OnSimTrace(ref.Experiment, ref.Cell, tr)
+	}
 	var wg sync.WaitGroup
 	var panicOnce sync.Once
 	var panicked any
@@ -214,9 +250,10 @@ func (p *Plan) Execute(units []int, opts RunOptions, worker string) ([]UnitRun, 
 				ref, c := p.Refs[first], p.flat[first]
 				cellStart := time.Now() //perfiso:allow walltime cell wall cost feeds timing.json only
 				var v any
-				if tracers != nil && c.TracedRun != nil {
-					tracers[i] = simtrace.New()
-					v = c.TracedRun(tracers[i])
+				var tr *simtrace.Tracer
+				if opts.OnSimTrace != nil && c.TracedRun != nil {
+					tr = simtrace.New()
+					v = c.TracedRun(tr)
 				} else {
 					v = c.Run()
 				}
@@ -237,6 +274,9 @@ func (p *Plan) Execute(units []int, opts RunOptions, worker string) ([]UnitRun, 
 					opts.OnCell(ref.Experiment, ref.Cell, d)
 				}
 				mu.Unlock()
+				if tr != nil {
+					deliver(ref, tr)
+				}
 			}
 		}()
 	}
@@ -244,12 +284,6 @@ func (p *Plan) Execute(units []int, opts RunOptions, worker string) ([]UnitRun, 
 	elapsed := time.Since(start) //perfiso:allow walltime pool wall time feeds timing.json only
 	if panicked != nil {
 		panic(panicked)
-	}
-	for _, i := range order {
-		if tracers != nil && tracers[i] != nil {
-			ref := p.Refs[sub[i].Cells[0]]
-			opts.OnSimTrace(ref.Experiment, ref.Cell, tracers[i])
-		}
 	}
 	return runs, elapsed
 }

@@ -261,9 +261,11 @@ type RunOptions struct {
 	// Tracer, when set, collects one span per executed cell.
 	Tracer *obs.TraceBuffer
 	// OnSimTrace, when set, attaches a sim-domain tracer to every cell
-	// that supports one (Cell.TracedRun) and delivers the captured
-	// traces after the pool drains, in deterministic scheduling order.
-	// Keyed-dedup cells deliver once, under the executed cell's name.
+	// that supports one (Cell.TracedRun) and hands over each captured
+	// trace as soon as its cell ends, in completion order. Calls are
+	// serialized, and the pool drops the tracer once the call returns,
+	// so at most Workers traces are held at once. Keyed-dedup cells
+	// deliver once, under the executed cell's name.
 	OnSimTrace func(experiment, cell string, tr *simtrace.Tracer)
 }
 
@@ -320,35 +322,12 @@ func (r RunResult) Value(name string) any {
 	return nil
 }
 
-// Run executes the selected experiments' cells on one shared worker
-// pool — cells from different experiments interleave freely, so the
-// wall clock is bounded by the slowest cell, not the slowest
-// experiment — then assembles each experiment's result. Results are
-// deterministic: parallelism changes only the wall clock.
+// Run plans the selected experiments (Registry.Plan) and runs the
+// plan (Plan.Run).
 func (r *Registry) Run(opts RunOptions) (RunResult, error) {
-	enumStart := time.Now() //perfiso:allow walltime phase timing feeds timing.json only
 	p, err := r.Plan(opts.Spec, opts.Filter)
 	if err != nil {
 		return RunResult{}, err
 	}
-	all := make([]int, len(p.Units))
-	for i := range all {
-		all[i] = i
-	}
-	enumerateSec := time.Since(enumStart).Seconds() //perfiso:allow walltime phase timing feeds timing.json only
-	runs, elapsed := p.Execute(all, opts, "")
-
-	assembleStart := time.Now() //perfiso:allow walltime phase timing feeds timing.json only
-	out, err := p.Assemble(runs, nil)
-	if err != nil {
-		return RunResult{}, err
-	}
-	out.Workers = PoolSize(opts.Workers, len(p.Units))
-	out.Elapsed = elapsed
-	out.Phases = []PhaseTiming{
-		{Phase: "enumerate", Seconds: enumerateSec},
-		{Phase: "execute", Seconds: elapsed.Seconds()},
-		{Phase: "assemble", Seconds: time.Since(assembleStart).Seconds()}, //perfiso:allow walltime phase timing feeds timing.json only
-	}
-	return out, nil
+	return p.Run(opts)
 }

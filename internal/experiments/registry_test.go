@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"fmt"
 	"reflect"
 	"regexp"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"perfiso/internal/simtrace"
 )
 
 func dummyExperiment(name string) Experiment {
@@ -97,6 +101,67 @@ func TestExecuteEmptyAndPanic(t *testing.T) {
 		}
 	}()
 	p.Execute([]int{0}, RunOptions{Workers: 2}, "")
+}
+
+// TestExecuteDeliversTracesAsUnitsEnd runs more traced units than
+// workers. Every traced unit must reach OnSimTrace exactly once, under
+// the name of the cell that ran; a keyed duplicate and an untraced cell
+// never do. No delivery may find more than Workers tracers handed to a
+// cell and not yet delivered. The callback keeps its tally without a
+// lock, so under -race this also checks that the calls are serialized.
+func TestExecuteDeliversTracesAsUnitsEnd(t *testing.T) {
+	const workers, traced = 3, 24
+	var live atomic.Int64 // tracers handed to a cell and not yet delivered
+	cell := func(name, key string, v int) Cell {
+		return Cell{
+			Name: name,
+			Key:  key,
+			Cost: float64(v%5 + 1),
+			Run:  func() any { return v },
+			TracedRun: func(tr *simtrace.Tracer) any {
+				live.Add(1)
+				tr.Instant(0, simtrace.TrackControl, name, "test")
+				return v
+			},
+		}
+	}
+	e := dummyExperiment("traced")
+	e.Cells = func(ScaleSpec) []Cell {
+		var cs []Cell
+		for i := 0; i < traced; i++ {
+			cs = append(cs, cell(fmt.Sprintf("c%02d", i), fmt.Sprintf("k%02d", i), i))
+		}
+		return append(cs, cell("dup", "k00", 0), Cell{Name: "plain", Run: func() any { return -1 }})
+	}
+	r := NewRegistry()
+	r.MustRegister(e)
+	p, err := r.Plan(TestSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int, len(p.Units))
+	for i := range all {
+		all[i] = i
+	}
+	delivered := map[string]int{}
+	p.Execute(all, RunOptions{Workers: workers, OnSimTrace: func(exp, cell string, tr *simtrace.Tracer) {
+		if n := live.Load(); n > workers {
+			t.Errorf("delivering %s/%s with %d tracers undelivered, want at most %d", exp, cell, n, workers)
+		}
+		if ev := tr.Events(); len(ev) != 1 || ev[0].Name != cell {
+			t.Errorf("%s/%s delivered the trace %+v", exp, cell, ev)
+		}
+		delivered[exp+"/"+cell]++
+		live.Add(-1)
+	}}, "")
+	for i := 0; i < traced; i++ {
+		if name := fmt.Sprintf("traced/c%02d", i); delivered[name] != 1 {
+			t.Errorf("%s delivered %d times, want 1", name, delivered[name])
+		}
+	}
+	if len(delivered) != traced {
+		t.Errorf("delivered %v, want the %d traced units only", delivered, traced)
+	}
 }
 
 func TestRunNoMatch(t *testing.T) {

@@ -31,10 +31,11 @@ type Manifest struct {
 	Hash string `json:"hash"`
 }
 
-// planRun compiles pattern (empty selects everything), enumerates the
-// selection once and builds its manifest. Zero matches fail loudly
+// BuildPlan compiles pattern (empty selects everything), enumerates
+// the selection once and returns the plan with its manifest, so a
+// caller hashes and executes one enumeration. Zero matches fail loudly
 // with the list of valid names.
-func planRun(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string) (*experiments.Plan, Manifest, error) {
+func BuildPlan(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string) (*experiments.Plan, Manifest, error) {
 	var filter *regexp.Regexp
 	if pattern != "" {
 		var err error
@@ -54,7 +55,7 @@ func planRun(reg *experiments.Registry, spec experiments.ScaleSpec, pattern stri
 // Build enumerates the filtered run as a manifest. Cell construction
 // is side-effect free — no simulation runs.
 func Build(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string) (Manifest, error) {
-	_, m, err := planRun(reg, spec, pattern)
+	_, m, err := BuildPlan(reg, spec, pattern)
 	return m, err
 }
 

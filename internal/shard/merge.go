@@ -34,7 +34,7 @@ func Merge(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string
 	if len(partials) == 0 {
 		return zero, zt, fmt.Errorf("shard: merge: no partials")
 	}
-	run, m, err := planRun(reg, spec, pattern)
+	run, m, err := BuildPlan(reg, spec, pattern)
 	if err != nil {
 		return zero, zt, err
 	}

@@ -24,7 +24,7 @@ type UnitRunner struct {
 // NewUnitRunner enumerates (spec, pattern) against reg once and
 // indexes its units by ID.
 func NewUnitRunner(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string) (*UnitRunner, error) {
-	p, m, err := planRun(reg, spec, pattern)
+	p, m, err := BuildPlan(reg, spec, pattern)
 	if err != nil {
 		return nil, err
 	}

@@ -36,7 +36,7 @@ func WriteChrome(w io.Writer, t *Tracer) error {
 	}
 	b = appendThreadName(b, controlTID, "control")
 	for _, i := range t.order() {
-		b = appendEvent(b, t.at(int(i)))
+		b = t.appendRecord(b, t.at(int(i)))
 		if len(b) >= flushAt {
 			if _, err := w.Write(b); err != nil {
 				return err
@@ -57,53 +57,53 @@ func appendThreadName(b []byte, tid int, name string) []byte {
 	return append(b, `"}}`...)
 }
 
-// appendEvent renders one event. The constant runs carry the quotes
-// around the strings between them, which appendStr writes unquoted.
-func appendEvent(b []byte, e *Event) []byte {
+// appendRecord renders one event. The constant runs carry the quotes
+// around the strings between them, which the string table holds
+// escaped and unquoted.
+func (t *Tracer) appendRecord(b []byte, r *record) []byte {
 	b = append(b, ",\n{\"name\":\""...)
-	b = appendStr(b, e.Name)
-	if e.Cat != "" {
+	b = append(b, t.strs.json(r.name)...)
+	if r.cat != 0 {
 		b = append(b, `","cat":"`...)
-		b = appendStr(b, e.Cat)
+		b = append(b, t.strs.json(r.cat)...)
 	}
-	switch e.Kind {
+	switch r.kind {
 	case KindSlice:
 		b = append(b, `","ph":"X","pid":0,"tid":`...)
-		b = strconv.AppendInt(b, int64(tid(e.Track)), 10)
+		b = strconv.AppendInt(b, int64(tid(int(r.track))), 10)
 		b = append(b, `,"ts":`...)
-		b = appendMicros(b, int64(e.TS))
+		b = appendMicros(b, int64(r.ts))
 		b = append(b, `,"dur":`...)
-		b = appendMicros(b, int64(e.Dur))
+		b = appendMicros(b, r.dur)
 	case KindBegin, KindEnd:
-		if e.Kind == KindBegin {
+		if r.kind == KindBegin {
 			b = append(b, `","ph":"b","pid":0,"tid":`...)
 		} else {
 			b = append(b, `","ph":"e","pid":0,"tid":`...)
 		}
-		b = strconv.AppendInt(b, int64(tid(e.Track)), 10)
+		b = strconv.AppendInt(b, int64(tid(int(r.track))), 10)
 		b = append(b, `,"id":"`...)
-		b = strconv.AppendInt(b, int64(e.ID), 10)
+		b = strconv.AppendInt(b, r.dur, 10)
 		b = append(b, `","ts":`...)
-		b = appendMicros(b, int64(e.TS))
+		b = appendMicros(b, int64(r.ts))
 	case KindInstant:
 		b = append(b, `","ph":"i","s":"t","pid":0,"tid":`...)
-		b = strconv.AppendInt(b, int64(tid(e.Track)), 10)
+		b = strconv.AppendInt(b, int64(tid(int(r.track))), 10)
 		b = append(b, `,"ts":`...)
-		b = appendMicros(b, int64(e.TS))
+		b = appendMicros(b, int64(r.ts))
 	}
-	if e.Args[0].typ != argNone {
+	if r.typ[0] != argNone {
 		b = append(b, `,"args":{"`...)
-		for i := range e.Args {
-			a := &e.Args[i]
-			if a.typ == argNone {
+		for i, typ := range r.typ {
+			if typ == argNone {
 				break
 			}
 			if i > 0 {
 				b = append(b, `,"`...)
 			}
-			b = appendStr(b, a.key)
+			b = append(b, t.strs.json(r.key[i])...)
 			b = append(b, `":"`...)
-			b = appendArgValue(b, a)
+			b = appendArgValue(b, typ, r.num[i], &t.strs)
 			b = append(b, '"')
 		}
 		b = append(b, '}')
@@ -113,17 +113,17 @@ func appendEvent(b []byte, e *Event) []byte {
 
 // appendArgValue renders an arg's value as the body of a JSON string,
 // the form every arg takes in the export.
-func appendArgValue(b []byte, a *Arg) []byte {
-	switch a.typ {
+func appendArgValue(b []byte, typ argType, num int64, strs *strtab) []byte {
+	switch typ {
 	case argInt:
-		return strconv.AppendInt(b, a.num, 10)
+		return strconv.AppendInt(b, num, 10)
 	case argBool:
-		if a.num != 0 {
+		if num != 0 {
 			return append(b, "true"...)
 		}
 		return append(b, "false"...)
 	}
-	return appendStr(b, a.str)
+	return append(b, strs.json(uint16(num))...)
 }
 
 // appendStr appends s as the body of a JSON string, without quotes.

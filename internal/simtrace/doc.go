@@ -33,16 +33,35 @@
 //
 // # Event storage and export
 //
-// Recording formats nothing. An event keeps its name and category as
-// the caller's strings, which are constants or long-lived process
-// names, and carries at most MaxArgs inline typed args built by Int,
-// String or Bool. Events go into fixed-size chunks, so a
-// capture never copies earlier events as it grows. With storage warm,
-// recording allocates nothing, and every method on a nil tracer
-// allocates nothing; TestRecordingDoesNotAllocate pins both.
+// Recording formats nothing. An event carries at most MaxArgs typed
+// args built by Int, String or Bool, and the tracer stores it as a
+// record of 48 bytes that holds no pointers: the time, the duration
+// (or the async span's ID), an int32 track, the kind, the two int64
+// arg values, and 16-bit indices into the tracer's string table for
+// the name, the category, the arg keys and any string arg value, whose
+// index takes its int64's place. The GC never scans the records, and
+// TestRecordIsPointerFree pins both properties. Records go into
+// fixed-size chunks, so a capture never copies earlier events as it
+// grows. Events rebuilds the public Event from a record.
+//
+// The string table gives index 0 to the empty string and the others in
+// order of first use, so the indices are as deterministic as the
+// events. It JSON-escapes each distinct string once, when the string
+// is first interned, and WriteChrome appends the escaped bytes. A
+// capture may hold 65535 distinct non-empty strings; one more panics.
+// The interner's hit path reads no string bytes: it hashes the address
+// of the string's data into a small cache, whose slots keep their
+// strings alive, so a slot with the same data pointer and length holds
+// the same string. Call sites pass constants and long-lived process
+// names, so after the first few events nearly every lookup hits. A miss
+// looks the string up in a map by content.
+//
+// With storage warm, recording allocates nothing, and every method on
+// a nil tracer allocates nothing; TestRecordingDoesNotAllocate pins
+// both.
 //
 // Formatting happens once, in WriteChrome. It orders sequence numbers
-// rather than the events themselves, and renders each event into one
+// rather than the events themselves, and renders each record into one
 // reused byte buffer with strconv.Append*. Every arg value is written
 // as a JSON string ("tid":"12", "dropped":"true"), whatever its type.
 // A golden file (testdata/cell.chrome.json) pins the bytes.
@@ -117,15 +136,18 @@
 //	          is fully covered)
 //
 // The per-cell blame table (CellForensics) reports this decomposition
-// for the P50/P90/P99/P99.9 queries, selected deterministically by
-// sorting records on (latency, id). It rides inside each cell's
-// result, so shard and dispatch merges reassemble forensics.csv
+// for the P50/P90/P99/P99.9 queries, selected deterministically in
+// (latency, id) order. Ids are unique, so that order is total, and a
+// quickselect finds the records a full sort would put at those ranks
+// in expected linear time. The table rides inside each cell's result,
+// so shard and dispatch merges reassemble forensics.csv
 // byte-identically with no extra plumbing.
 //
 // # Loading a trace in Perfetto
 //
 // `perfiso-repro run -simtrace ...` writes one Chrome trace-event
-// JSON file per executed cell under <results>/<scale>/simtrace/.
+// JSON file per executed cell under <results>/<scale>/simtrace/, each
+// as its cell ends, so the run holds at most one capture per worker.
 // Open https://ui.perfetto.dev and drag the file in, or load it via
 // chrome://tracing. Core tracks show execution slices; queries appear
 // as async spans; controller decisions are instant markers. The same

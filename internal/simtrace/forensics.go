@@ -1,6 +1,7 @@
 package simtrace
 
 import (
+	"math/bits"
 	"sort"
 
 	"perfiso/internal/sim"
@@ -83,22 +84,18 @@ var quantileValues = map[string]float64{
 }
 
 // BlameTable builds the per-cell blame table from the measured query
-// records. Quantile queries are selected deterministically: records
-// are sorted by (latency, id) and the ceil(q*n)-th record is taken,
-// matching the usual order-statistic convention. It sorts records in
-// place, so the caller's slice is left reordered. Returns nil when no
-// queries were measured.
+// records. Quantile queries are selected deterministically: the
+// ceil(q*n)-th record in (latency, id) order is taken, matching the
+// usual order-statistic convention. Ids are unique, so the order is
+// total and a selection picks the record a full sort would put there.
+// It reorders records in place. Returns nil when no queries were
+// measured.
 func BlameTable(records []QueryRecord) *CellForensics {
 	if len(records) == 0 {
 		return nil
 	}
-	sort.Slice(records, func(i, j int) bool {
-		if records[i].Latency != records[j].Latency {
-			return records[i].Latency < records[j].Latency
-		}
-		return records[i].ID < records[j].ID
-	})
 	cf := &CellForensics{Queries: len(records)}
+	lo := 0
 	for _, q := range Quantiles {
 		idx := int(float64(len(records))*quantileValues[q]+0.999999) - 1
 		if idx < 0 {
@@ -107,7 +104,69 @@ func BlameTable(records []QueryRecord) *CellForensics {
 		if idx >= len(records) {
 			idx = len(records) - 1
 		}
+		// Quantiles ascend, and each selection leaves the records
+		// before its index earlier in the order, so the next
+		// quantile's record lies at or after the last index.
+		selectRecord(records[lo:], idx-lo)
+		lo = idx
 		cf.Rows = append(cf.Rows, BlameRow{Quantile: q, Record: records[idx]})
 	}
 	return cf
+}
+
+// before is the (latency, id) order quantiles are read in.
+func before(a, b *QueryRecord) bool {
+	if a.Latency != b.Latency {
+		return a.Latency < b.Latency
+	}
+	return a.ID < b.ID
+}
+
+// selectRecord reorders rs so that rs[k] is the record a sort by
+// (latency, id) would put there, with the records before it earlier in
+// that order and the ones after it later. It is quickselect with a
+// median-of-three pivot, expected O(n). Short ranges, and ranges the
+// partitions have failed to shrink after 2·log2(n) rounds, are sorted,
+// which bounds the worst case at O(n log n).
+func selectRecord(rs []QueryRecord, k int) {
+	lo, hi := 0, len(rs)
+	for rounds := 2 * bits.Len(uint(len(rs))); hi-lo > 16 && rounds > 0; rounds-- {
+		p := lo + partition(rs[lo:hi])
+		switch {
+		case k < p:
+			hi = p
+		case k > p:
+			lo = p + 1
+		default:
+			return
+		}
+	}
+	sort.Slice(rs[lo:hi], func(i, j int) bool { return before(&rs[lo+i], &rs[lo+j]) })
+}
+
+// partition moves the median of rs's first, middle and last records
+// to where it belongs in the order, the earlier records before it and
+// the later ones after, and returns its index. rs holds at least three
+// records.
+func partition(rs []QueryRecord) int {
+	last, mid := len(rs)-1, len(rs)/2
+	if before(&rs[mid], &rs[0]) {
+		rs[mid], rs[0] = rs[0], rs[mid]
+	}
+	if before(&rs[last], &rs[mid]) {
+		rs[last], rs[mid] = rs[mid], rs[last]
+		if before(&rs[mid], &rs[0]) {
+			rs[mid], rs[0] = rs[0], rs[mid]
+		}
+	}
+	rs[mid], rs[last] = rs[last], rs[mid]
+	i := 0
+	for j := 0; j < last; j++ {
+		if before(&rs[j], &rs[last]) {
+			rs[i], rs[j] = rs[j], rs[i]
+			i++
+		}
+	}
+	rs[i], rs[last] = rs[last], rs[i]
+	return i
 }

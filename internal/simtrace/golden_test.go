@@ -124,6 +124,37 @@ func benchTrace(b *testing.B, span sim.Duration) (*simtrace.Tracer, []byte) {
 	return tr, buf.Bytes()
 }
 
+// BenchmarkTracerRecord times recording one event in a traced cell's
+// mix: of every 16 events, 13 are core slices named by two processes,
+// then a query's begin and end and a controller instant, each with the
+// args its simulator call site attaches. A fresh tracer takes over
+// every 64k events, so memory stays bounded and B/op is about the
+// storage one event takes.
+func BenchmarkTracerRecord(b *testing.B) {
+	const perTracer = 1 << 16
+	procs := [2]string{"indexserve", "bully"}
+	tr := simtrace.New()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if tr.Len() == perTracer {
+			tr = simtrace.New()
+		}
+		ts := sim.Time(i) * 1000
+		switch k := i & 15; k {
+		case 13:
+			tr.Begin(ts, i, "query", "query", simtrace.Int("workers", 4))
+		case 14:
+			tr.End(ts, i-1, "query", "query", simtrace.Bool("dropped", false), simtrace.Int("latency_us", 1200))
+		case 15:
+			tr.Instant(ts, simtrace.TrackControl, "buffer-grow", "controller", simtrace.Int("allocated", 40))
+		default:
+			tr.Slice(ts, 900, k, procs[k&1], "cpu", simtrace.Int("tid", i&63))
+		}
+		i++
+	}
+}
+
 func BenchmarkWriteChrome(b *testing.B) {
 	for _, s := range benchSpans {
 		b.Run(s.name, func(b *testing.B) {

@@ -3,6 +3,9 @@ package simtrace
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -75,6 +78,41 @@ func TestRecordingDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestRecordIsPointerFree pins doc.go's storage contract: a stored
+// event holds no pointers, so the GC never scans the chunks, and takes
+// at most 48 bytes.
+func TestRecordIsPointerFree(t *testing.T) {
+	typ := reflect.TypeOf(record{})
+	if typ.Size() > 48 {
+		t.Errorf("record is %d bytes, want at most 48", typ.Size())
+	}
+	if path := pointerPath(typ, "record"); path != "" {
+		t.Errorf("record holds a pointer at %s", path)
+	}
+}
+
+// pointerPath returns the path to the first value in typ the GC would
+// scan, or "" when it has none.
+func pointerPath(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return ""
+	case reflect.Array:
+		return pointerPath(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if p := pointerPath(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+		return ""
+	}
+	return path + " (" + typ.String() + ")"
+}
+
 func TestWriteChromeDeterministicAndValid(t *testing.T) {
 	var a, b bytes.Buffer
 	if err := WriteChrome(&a, sampleTracer()); err != nil {
@@ -93,6 +131,28 @@ func TestWriteChromeDeterministicAndValid(t *testing.T) {
 		if !strings.Contains(a.String(), want) {
 			t.Errorf("trace missing %s", want)
 		}
+	}
+}
+
+// TestEventsRebuildRecords checks that Events returns every field as
+// recorded, each arg type and the empty category included.
+func TestEventsRebuildRecords(t *testing.T) {
+	tr := New()
+	tr.Slice(20, 5, 3, "bully", "", Int("tid", -7))
+	tr.Begin(21, 9, "query", "query", Int("workers", 4))
+	tr.Instant(22, TrackControl, "memory-evict", "controller", String("reason", "low"), Bool("urgent", true))
+	tr.End(23, 9, "query", "query", Bool("dropped", false), String("reason", ""))
+	want := []Event{
+		{Seq: 0, TS: 20, Dur: 5, Kind: KindSlice, Name: "bully", Track: 3, Args: [MaxArgs]Arg{Int("tid", -7)}},
+		{Seq: 1, TS: 21, Kind: KindBegin, Name: "query", Cat: "query", Track: TrackControl, ID: 9,
+			Args: [MaxArgs]Arg{Int("workers", 4)}},
+		{Seq: 2, TS: 22, Kind: KindInstant, Name: "memory-evict", Cat: "controller", Track: TrackControl,
+			Args: [MaxArgs]Arg{String("reason", "low"), Bool("urgent", true)}},
+		{Seq: 3, TS: 23, Kind: KindEnd, Name: "query", Cat: "query", Track: TrackControl, ID: 9,
+			Args: [MaxArgs]Arg{Bool("dropped", false), String("reason", "")}},
+	}
+	if got := tr.Events(); !reflect.DeepEqual(got, want) {
+		t.Errorf("events\n%+v\nwant\n%+v", got, want)
 	}
 }
 
@@ -216,6 +276,53 @@ func TestBlameTableSelectsDeterministicQuantiles(t *testing.T) {
 	if BlameTable(nil) != nil {
 		t.Error("empty record set should yield nil forensics")
 	}
+}
+
+// TestBlameTableMatchesSort checks the selection against choosing by a
+// full sort, at sizes around the quantiles' rounding, on random records
+// with many tied latencies and on sorted, reversed and all-tied inputs.
+func TestBlameTableMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{1, 2, 3, 7, 17, 100, 999, 1000, 1001, 5000, 20011} {
+		for _, shape := range []string{"random", "sorted", "reversed", "tied"} {
+			records := make([]QueryRecord, n)
+			ids := rng.Perm(n)
+			for i := range records {
+				r := QueryRecord{ID: ids[i], Latency: sim.Duration(rng.Intn(n/50 + 3)), Service: sim.Duration(i)}
+				switch shape {
+				case "sorted":
+					r.ID, r.Latency = i, sim.Duration(i/3)
+				case "reversed":
+					r.ID, r.Latency = n-i, sim.Duration((n-i)/3)
+				case "tied":
+					r.Latency = 7
+				}
+				records[i] = r
+			}
+			want := blameBySort(records)
+			if got := BlameTable(append([]QueryRecord(nil), records...)); !reflect.DeepEqual(got, want) {
+				t.Errorf("n=%d %s: selected %+v, sorting picks %+v", n, shape, got, want)
+			}
+		}
+	}
+}
+
+// blameBySort is BlameTable by sorting every record, as it was first
+// written: the reference the selection must agree with.
+func blameBySort(records []QueryRecord) *CellForensics {
+	rs := append([]QueryRecord(nil), records...)
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].Latency != rs[j].Latency {
+			return rs[i].Latency < rs[j].Latency
+		}
+		return rs[i].ID < rs[j].ID
+	})
+	cf := &CellForensics{Queries: len(rs)}
+	for _, q := range Quantiles {
+		idx := min(max(int(float64(len(rs))*quantileValues[q]+0.999999)-1, 0), len(rs)-1)
+		cf.Rows = append(cf.Rows, BlameRow{Quantile: q, Record: rs[idx]})
+	}
+	return cf
 }
 
 func TestQueryRecordCauseAccessors(t *testing.T) {
