@@ -172,7 +172,11 @@ func BenchmarkDispatchOverhead(b *testing.B) {
 		var p shard.Partial
 		for i := 0; i < b.N; i++ {
 			var err error
-			p, _, err = dispatch.RunLocal(experiments.DefaultRegistry(), reproSpec(), "", workers, dispatch.Options{}, nil, nil)
+			plan, m, err := shard.BuildPlan(experiments.DefaultRegistry(), reproSpec(), "")
+			if err != nil {
+				b.Fatal(err)
+			}
+			p, _, err = dispatch.RunLocal(plan, m, workers, dispatch.Options{}, nil, nil)
 			if err != nil {
 				b.Fatal(err)
 			}

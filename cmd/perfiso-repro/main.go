@@ -639,21 +639,25 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
+	// The manifest hash stamps the artifacts' provenance, and the plan
+	// it hashes is the one that runs, in process or dispatched;
+	// building it also turns a zero-match -run pattern into a loud
+	// failure (exit 2) listing the valid names. Failures past this
+	// point are runtime errors (exit 1).
+	plan, m, err := shard.BuildPlan(reg, spec, *runPat)
+	if err != nil {
+		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
+		return 2
+	}
+
 	if *dispatchN > 0 {
-		// Enumerating first classifies a bad -run pattern as the same
-		// usage error (exit 2) the static path reports; RunLocal
-		// failures past this point are runtime errors (exit 1).
-		if _, err := shard.Build(reg, spec, *runPat); err != nil {
-			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-			return 2
-		}
-		p, dt, err := dispatch.RunLocal(reg, spec, *runPat, *dispatchN,
+		p, dt, err := dispatch.RunLocal(plan, m, *dispatchN,
 			dispatch.Options{Tracer: tracer}, rec, onCell)
 		if err != nil {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 1
 		}
-		res, timing, err := shard.Merge(reg, spec, *runPat, []shard.Partial{p})
+		res, timing, err := shard.Merge(plan, m, []shard.Partial{p})
 		if err != nil {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 1
@@ -661,16 +665,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		timing.Source = "dispatched"
 		timing.Dispatch = &dt
 		return out.emit(res, timing, rec, *runPat != "", p.Spans, stdout, stderr)
-	}
-
-	// The manifest hash stamps the artifacts' provenance, and the plan
-	// it hashes is the one that runs; building it also turns a
-	// zero-match -run pattern into a loud failure listing the valid
-	// names.
-	plan, m, err := shard.BuildPlan(reg, spec, *runPat)
-	if err != nil {
-		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-		return 2
 	}
 
 	runOpts := experiments.RunOptions{Workers: *workers, OnCell: onCell, Tracer: tracer}
@@ -812,7 +806,12 @@ func mergeCmd(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	res, timing, err := shard.Merge(experiments.DefaultRegistry(), spec, *runPat, partials)
+	plan, m, err := shard.BuildPlan(experiments.DefaultRegistry(), spec, *runPat)
+	if err != nil {
+		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
+		return 2
+	}
+	res, timing, err := shard.Merge(plan, m, partials)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 		return 2
@@ -861,7 +860,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 
 	reg := experiments.DefaultRegistry()
 	var m shard.Manifest
-	var spec experiments.ScaleSpec
+	var plan *experiments.Plan
 	if *manifestPath != "" {
 		var err error
 		if m, err = shard.ReadManifest(*manifestPath); err != nil {
@@ -872,12 +871,12 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 		// manifest this binary's registry would not reproduce — workers
 		// verify the same way, and the final merge would reject the
 		// mismatch anyway, so fail before any work.
-		var ok bool
-		if spec, ok = parseScale(m.Scale, stderr); !ok {
+		spec, ok := parseScale(m.Scale, stderr)
+		if !ok {
 			return 2
 		}
-		fresh, err := shard.Build(reg, spec, m.Filter)
-		if err != nil {
+		var fresh shard.Manifest
+		if plan, fresh, err = shard.BuildPlan(reg, spec, m.Filter); err != nil {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 2
 		}
@@ -887,12 +886,12 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	} else {
-		var ok bool
-		if spec, ok = parseScale(*scaleName, stderr); !ok {
+		spec, ok := parseScale(*scaleName, stderr)
+		if !ok {
 			return 2
 		}
 		var err error
-		if m, err = shard.Build(reg, spec, *runPat); err != nil {
+		if plan, m, err = shard.BuildPlan(reg, spec, *runPat); err != nil {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 2
 		}
@@ -965,7 +964,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 	if tracer != nil {
 		p.Spans = tracer.Spans()
 	}
-	res, timing, err := shard.Merge(reg, spec, m.Filter, []shard.Partial{p})
+	res, timing, err := shard.Merge(plan, m, []shard.Partial{p})
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 		return 1
@@ -1041,12 +1040,12 @@ func workCmd(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return 2
 	}
-	reg := experiments.DefaultRegistry()
-	runner, err := shard.NewUnitRunner(reg, spec, m.Filter)
+	plan, mine, err := shard.BuildPlan(experiments.DefaultRegistry(), spec, m.Filter)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 		return 2
 	}
+	runner := shard.NewUnitRunner(plan, mine)
 	if runner.Manifest.Hash != m.Hash {
 		fmt.Fprintf(stderr, "perfiso-repro: coordinator serves manifest %s but this binary builds %s for scale %q filter %q — version skew, rebuild the worker or regenerate the manifest\n",
 			m.Hash, runner.Manifest.Hash, m.Scale, m.Filter)

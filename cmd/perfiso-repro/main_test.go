@@ -316,7 +316,11 @@ func TestWorkCLI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := shard.Merge(reg, spec, filter, []shard.Partial{p}); err != nil {
+	plan, m, err := shard.BuildPlan(reg, spec, filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := shard.Merge(plan, m, []shard.Partial{p}); err != nil {
 		t.Fatalf("merge of worked partial: %v", err)
 	}
 }

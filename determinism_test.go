@@ -54,7 +54,11 @@ func TestGoldenArtifactRegression(t *testing.T) {
 		}
 		partials[i] = p
 	}
-	merged, _, err := shard.Merge(reg, spec, filter, partials)
+	plan, m, err := shard.BuildPlan(reg, spec, filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, _, err := shard.Merge(plan, m, partials)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}

@@ -136,7 +136,11 @@ func TestForensicsMergeByteIdentical(t *testing.T) {
 		}
 		partials[i] = p
 	}
-	merged, _, err := shard.Merge(reg, spec, forensicsFilter, partials)
+	plan, m, err := shard.BuildPlan(reg, spec, forensicsFilter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, _, err := shard.Merge(plan, m, partials)
 	if err != nil {
 		t.Fatalf("merge: %v", err)
 	}
@@ -144,11 +148,11 @@ func TestForensicsMergeByteIdentical(t *testing.T) {
 		t.Errorf("2-way shard merge forensics.csv differs from single-process run")
 	}
 
-	p, _, err := dispatch.RunLocal(reg, spec, forensicsFilter, 3, dispatch.Options{}, nil, nil)
+	p, _, err := dispatch.RunLocal(plan, m, 3, dispatch.Options{}, nil, nil)
 	if err != nil {
 		t.Fatalf("dispatch: %v", err)
 	}
-	dispatched, _, err := shard.Merge(reg, spec, forensicsFilter, []shard.Partial{p})
+	dispatched, _, err := shard.Merge(plan, m, []shard.Partial{p})
 	if err != nil {
 		t.Fatalf("dispatch merge: %v", err)
 	}

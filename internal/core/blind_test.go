@@ -8,7 +8,7 @@ import (
 	"perfiso/internal/sim"
 )
 
-func newBlindFixture(t *testing.T, buffer int) (*testNode, *BlindIsolation, *cpumodel.Process) {
+func newBlindFixture(t testing.TB, buffer int) (*testNode, *BlindIsolation, *cpumodel.Process) {
 	t.Helper()
 	n := newTestNode(t)
 	job := n.os.CreateJob("secondary")
@@ -419,4 +419,34 @@ func TestBlindControlLawProperty(t *testing.T) {
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// BenchmarkBlindPoll times the blind-isolation governor per poll tick:
+// a 48-core machine with the 48-thread CPU bully under B=8, each op one
+// 100 µs poll interval of simulated time, so one Poll and the machine
+// events between two polls. Every eighth tick wakes 12 primary threads
+// for 250 µs, so the governor sheds cores and regrows them under its
+// holdoff rather than idling at a steady grant.
+func BenchmarkBlindPoll(b *testing.B) {
+	n, gov, _ := newBlindFixture(b, 8)
+	n.runFor(2 * sim.Second) // reach the steady grant
+	primary := n.newPrimary("indexserve")
+	all := cpumodel.AllCores(n.cpu.Cores())
+	tick := DefaultConfig().PollInterval
+	polls := gov.Polls
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		if i%8 == 0 {
+			for range 12 {
+				n.cpu.SpawnDetached(primary, 250*sim.Microsecond, all, nil)
+			}
+		}
+		n.runFor(tick)
+		i++
+	}
+	if got := gov.Polls - polls; got != uint64(i) {
+		b.Fatalf("%d polls in %d ticks, want one per tick", got, i)
+	}
+	n.cpu.CheckInvariants()
 }

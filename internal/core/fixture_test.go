@@ -24,7 +24,7 @@ type testNode struct {
 	mem *memmodel.Tracker
 }
 
-func newTestNode(t *testing.T) *testNode {
+func newTestNode(t testing.TB) *testNode {
 	t.Helper()
 	eng := sim.NewEngine()
 	cpu := cpumodel.New(eng, sim.NewRNG(11), cpumodel.DefaultConfig())

@@ -363,9 +363,13 @@ func TestDispatchByteIdentical(t *testing.T) {
 	reg := experiments.DefaultRegistry()
 	wantSummary, wantCSV, wantMD := artifactBytes(t, singleRun(t, reg, spec))
 
+	plan, m, err := shard.BuildPlan(reg, spec, dispatchFilter)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 3} {
 		rec := obs.NewRecording()
-		p, timing, err := RunLocal(reg, spec, dispatchFilter, workers, Options{}, rec, nil)
+		p, timing, err := RunLocal(plan, m, workers, Options{}, rec, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -384,7 +388,7 @@ func TestDispatchByteIdentical(t *testing.T) {
 		if got := rec.Snapshot().DispatchUploads; got != uint64(timing.Units) {
 			t.Errorf("workers=%d: recording counted %d uploads, coordinator accepted %d units", workers, got, timing.Units)
 		}
-		merged, mt, err := shard.Merge(reg, spec, dispatchFilter, []shard.Partial{p})
+		merged, mt, err := shard.Merge(plan, m, []shard.Partial{p})
 		if err != nil {
 			t.Fatalf("workers=%d: merge: %v", workers, err)
 		}
@@ -410,10 +414,11 @@ func TestDispatchWorkerCrashByteIdentical(t *testing.T) {
 	reg := experiments.DefaultRegistry()
 	wantSummary, wantCSV, wantMD := artifactBytes(t, singleRun(t, reg, spec))
 
-	runner, err := shard.NewUnitRunner(reg, spec, dispatchFilter)
+	plan, m, err := shard.BuildPlan(reg, spec, dispatchFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
+	runner := shard.NewUnitRunner(plan, m)
 	c, err := NewCoordinator(runner.Manifest, Options{
 		LeaseTTL: 300 * time.Millisecond,
 		WaitHint: 20 * time.Millisecond,
@@ -463,7 +468,7 @@ func TestDispatchWorkerCrashByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, _, err := shard.Merge(reg, spec, dispatchFilter, []shard.Partial{p})
+	merged, _, err := shard.Merge(plan, m, []shard.Partial{p})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,21 +14,19 @@ import (
 	"perfiso/internal/shard"
 )
 
-// RunLocal dispatches the filtered run to n in-process workers through
-// a loopback coordinator — the laptop and test mode of the subsystem.
+// RunLocal dispatches a planned run (the plan and manifest
+// shard.BuildPlan returned) to n in-process workers through a
+// loopback coordinator — the laptop and test mode of the subsystem.
 // The workers speak the real HTTP protocol, so claim racing, leases
 // and uploads are all exercised; only the network is local. n <= 0
 // sizes the fleet like the cell pool (GOMAXPROCS, capped at the unit
 // count). rec, when set, counts the workers' accepted uploads. The
 // returned partial merges like any other.
-func RunLocal(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string, n int,
+func RunLocal(plan *experiments.Plan, m shard.Manifest, n int,
 	opts Options, rec *obs.Recording, onUnit func(experiment, cell string, elapsed time.Duration)) (shard.Partial, experiments.DispatchTiming, error) {
 	var zt experiments.DispatchTiming
-	runner, err := shard.NewUnitRunner(reg, spec, pattern)
-	if err != nil {
-		return shard.Partial{}, zt, err
-	}
-	c, err := NewCoordinator(runner.Manifest, opts)
+	runner := shard.NewUnitRunner(plan, m)
+	c, err := NewCoordinator(m, opts)
 	if err != nil {
 		return shard.Partial{}, zt, err
 	}

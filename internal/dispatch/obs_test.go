@@ -39,10 +39,11 @@ func TestDispatchObservability(t *testing.T) {
 	}
 	spec := experiments.TestSpec()
 	reg := experiments.DefaultRegistry()
-	runner, err := shard.NewUnitRunner(reg, spec, dispatchFilter)
+	plan, m, err := shard.BuildPlan(reg, spec, dispatchFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
+	runner := shard.NewUnitRunner(plan, m)
 	rec := obs.NewRecording()
 	tracer := obs.NewTraceBuffer()
 	c, err := NewCoordinator(runner.Manifest, Options{Tracer: tracer})

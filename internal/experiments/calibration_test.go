@@ -81,8 +81,9 @@ func TestFig4MidBullyBand(t *testing.T) {
 	// stays far from the catastrophic high case and drops (almost)
 	// nothing. At average load our scheduler model's exact wake
 	// placement leaves the primary unharmed (24 bully threads still
-	// leave free cores), so the visibility band is asserted at peak —
-	// see EXPERIMENTS.md for the divergence note.
+	// leave free cores), so the visibility band is asserted at peak.
+	// RESULTS.md's fig4 table shows the divergence: its mid row at
+	// 2,000 QPS has standalone's P99, the one at 4,000 QPS does not.
 	base4k := f4["bully=standalone/qps=4000"]
 	mid4k := f4["bully=mid/qps=4000"]
 	d99 := mid4k.Latency.P99Ms - base4k.Latency.P99Ms

@@ -94,19 +94,21 @@ func RunFullStack(qps float64, scale Scale) FullStackResult {
 
 	ctrl.Start()
 
-	trace := workload.GenerateTrace(workload.TraceConfig{
+	// A pre-pass over a copy of the stream finds the warmup boundary
+	// and the last arrival before the replay starts.
+	stream := workload.NewStream(workload.TraceConfig{
 		Queries: scale.Queries, Rate: qps, Seed: scale.Seed,
 	})
+	queries, warmAt, last := stream.Scan(scale.Warmup)
 	var bullyBase float64
-	if scale.Warmup > 0 && scale.Warmup < len(trace) {
-		eng.At(trace[scale.Warmup].Arrival, func() {
+	if scale.Warmup > 0 && scale.Warmup < queries {
+		eng.At(warmAt, func() {
 			n.ResetMeasurement()
 			bullyBase = cpuBully.Progress()
 		})
 	}
 	client := workload.NewClient(eng, func(q workload.QuerySpec) { n.Server.Submit(q) })
-	client.Replay(trace)
-	last := trace[len(trace)-1].Arrival
+	client.ReplayStream(stream)
 	eng.Run(last.Add(sim.Duration(ncfg.IndexServe.Deadline) + sim.Second))
 	foldCell(eng, nil, nil, ctrl)
 

@@ -149,30 +149,40 @@ func RunSingleTraced(qps float64, bully BullyMode, pol isolation.Policy, scale S
 		}
 	}
 
-	// Tail forensics: collect the critical-path decomposition of every
-	// finished query; the warmup reset below truncates the unreported
-	// prefix so the blame table covers exactly the measured window.
-	records := make([]simtrace.QueryRecord, 0, scale.Queries)
-	n.Server.OnRecord = func(r simtrace.QueryRecord) { records = append(records, r) }
-
-	trace := workload.GenerateTrace(workload.TraceConfig{
+	// The arrivals are streamed. A pre-pass over a copy of the stream
+	// finds what must be planned before the run starts: the warmup
+	// boundary, and the last arrival, which sets the sampler's windows
+	// and the run's horizon.
+	stream := workload.NewStream(workload.TraceConfig{
 		Queries: scale.Queries,
 		Rate:    qps,
 		Seed:    scale.Seed,
 	})
+	queries, warmAt, last := stream.Scan(scale.Warmup)
+	client := workload.NewClient(eng, func(q workload.QuerySpec) { n.Server.Submit(q) })
+
+	// Tail forensics: the blame table covers exactly the measured
+	// window, so the record log starts at the warmup cut. It is sized
+	// then for every query still to finish, those in flight and those
+	// not yet sent, and never grows.
+	var records *simtrace.RecordLog
+	startLog := func(size int) {
+		records = simtrace.NewRecordLog(size)
+		n.Server.OnRecord = records.Append
+	}
 	var bullyBase float64
-	if scale.Warmup > 0 && scale.Warmup < len(trace) {
-		eng.At(trace[scale.Warmup].Arrival, func() {
+	if scale.Warmup > 0 && scale.Warmup < queries {
+		eng.At(warmAt, func() {
 			n.ResetMeasurement()
-			records = records[:0]
+			startLog(n.Server.InFlight() + queries - client.Sent)
 			if b != nil {
 				bullyBase = b.Progress()
 			}
 		})
+	} else {
+		startLog(queries)
 	}
-	client := workload.NewClient(eng, func(q workload.QuerySpec) { n.Server.Submit(q) })
-	client.Replay(trace)
-	last := trace[len(trace)-1].Arrival
+	client.ReplayStream(stream)
 
 	// Per-cell time series: sample the tail, the run queue and (under
 	// blind isolation) the governor's allocation at window boundaries
@@ -206,7 +216,7 @@ func RunSingleTraced(qps float64, bully BullyMode, pol isolation.Policy, scale S
 	res.Latency = n.Server.Latency.Summary()
 	res.Breakdown = n.CPU.Breakdown()
 	res.DropRate = n.Server.DropRate()
-	res.Forensics = simtrace.BlameTable(records)
+	res.Forensics = records.BlameTable()
 	if b != nil {
 		res.BullyProgress = b.Progress() - bullyBase
 	}

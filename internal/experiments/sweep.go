@@ -350,8 +350,10 @@ var ablationSweeps = []sweep{
 // key: their result depends only on (qps, bully, policy, scale), and
 // the same simulation recurs across figures — the standalone baselines
 // of Figs. 4–8 and the headline, Fig. 8's bars versus the Figs. 4–7
-// sweeps, the ablation sweep versus Fig. 5 — so a registry run (or a
-// shard plan) executes each exactly once.
+// sweeps, the ablation sweeps versus Fig. 5 — so a registry run (or a
+// shard plan) executes each exactly once. A key spells out the
+// resolved configuration, so a policy field left zero for its default
+// and one set to that default share it.
 func singleCell(name string, qps float64, bully BullyMode, pol isolation.Policy, scale Scale) Cell {
 	c := Cell{
 		Name:      name,
@@ -365,12 +367,13 @@ func singleCell(name string, qps float64, bully BullyMode, pol isolation.Policy,
 	case nil:
 		c.Key = "single/none/" + suffix
 	case *isolation.Blind:
+		cfg := p.Config()
 		c.Key = fmt.Sprintf("single/blind=%d/poll=%d/hold=%d/%s",
-			p.BufferCores, p.PollInterval, p.GrowHoldoff, suffix)
+			cfg.BufferCores, cfg.PollInterval, cfg.GrowHoldoff, suffix)
 	case isolation.StaticCores:
 		c.Key = fmt.Sprintf("single/cores=%d/%s", p.Cores, suffix)
 	case isolation.CycleCap:
-		c.Key = fmt.Sprintf("single/cycles=%g/window=%d/%s", p.Fraction, p.Window, suffix)
+		c.Key = fmt.Sprintf("single/cycles=%g/window=%d/%s", p.Fraction, p.EffectiveWindow(), suffix)
 	}
 	return c
 }

@@ -101,19 +101,12 @@ func RunTimeline(cfg TimelineConfig) TimelineResult {
 	}
 
 	span := cfg.Duration.Seconds()
-	trace := workload.GenerateCurvedTrace(cfg.Duration,
+	stream := workload.NewCurvedStream(cfg.Duration,
 		func(sec float64) float64 { return cfg.PeakQPS * Diurnal(sec/span) }, cfg.Seed)
 
 	lat := stats.NewWindowedLatency(cfg.Window)
-	arrivals := make([]int, int(cfg.Duration/cfg.Window)+1)
 	n.Server.OnResponse = func(r indexserve.Response) {
 		lat.Add(eng.Now(), r.Latency)
-	}
-	for _, q := range trace {
-		idx := int(q.Arrival / sim.Time(cfg.Window))
-		if idx < len(arrivals) {
-			arrivals[idx]++
-		}
 	}
 
 	// Per-window utilization sampling: snapshot the accounting at each
@@ -136,8 +129,15 @@ func RunTimeline(cfg TimelineConfig) TimelineResult {
 		eng.At(sim.Time(w)*sim.Time(cfg.Window), snap)
 	}
 
-	client := workload.NewClient(eng, func(q workload.QuerySpec) { n.Server.Submit(q) })
-	client.Replay(trace)
+	// Arrivals are counted per window as they are submitted.
+	arrivals := make([]int, windows+1)
+	client := workload.NewClient(eng, func(q workload.QuerySpec) {
+		if idx := int(q.Arrival / sim.Time(cfg.Window)); idx < len(arrivals) {
+			arrivals[idx]++
+		}
+		n.Server.Submit(q)
+	})
+	client.ReplayStream(stream)
 	eng.Run(sim.Time(cfg.Duration))
 	foldCell(eng, gov, nil)
 

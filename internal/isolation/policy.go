@@ -99,12 +99,17 @@ func (p CycleCap) Install(os *osmodel.OS, job *osmodel.Job) error {
 	if p.Fraction <= 0 || p.Fraction > 1 {
 		return fmt.Errorf("isolation: cycle fraction %.3f out of range (0,1]", p.Fraction)
 	}
-	w := p.Window
-	if w == 0 {
-		w = DefaultCycleWindow
-	}
-	job.SetCycleCap(p.Fraction, w)
+	job.SetCycleCap(p.Fraction, p.EffectiveWindow())
 	return nil
+}
+
+// EffectiveWindow is the enforcement window Install sets: Window, or
+// DefaultCycleWindow when Window is zero.
+func (p CycleCap) EffectiveWindow() sim.Duration {
+	if p.Window == 0 {
+		return DefaultCycleWindow
+	}
+	return p.Window
 }
 
 // Uninstall implements Policy.
@@ -137,9 +142,10 @@ func (p *Blind) bufferOrDefault() int {
 	return core.DefaultConfig().BufferCores
 }
 
-// Install implements Policy: it builds and starts the blind-isolation
-// governor over the job.
-func (p *Blind) Install(os *osmodel.OS, job *osmodel.Job) error {
+// Config is the governor configuration Install uses: the published
+// defaults, with each of BufferCores, PollInterval and GrowHoldoff
+// that is set in place of its default.
+func (p *Blind) Config() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.BufferCores = p.bufferOrDefault()
 	if p.PollInterval > 0 {
@@ -148,6 +154,13 @@ func (p *Blind) Install(os *osmodel.OS, job *osmodel.Job) error {
 	if p.GrowHoldoff > 0 {
 		cfg.GrowHoldoff = p.GrowHoldoff
 	}
+	return cfg
+}
+
+// Install implements Policy: it builds and starts the blind-isolation
+// governor over the job.
+func (p *Blind) Install(os *osmodel.OS, job *osmodel.Job) error {
+	cfg := p.Config()
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

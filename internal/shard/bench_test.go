@@ -54,10 +54,14 @@ func BenchmarkMerge(b *testing.B) {
 	if benchPartialsErr != nil {
 		b.Fatal(benchPartialsErr)
 	}
+	plan, m, err := BuildPlan(reg, spec, benchFilter)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Merge(reg, spec, benchFilter, benchPartials); err != nil {
+		if _, _, err := Merge(plan, m, benchPartials); err != nil {
 			b.Fatal(err)
 		}
 	}

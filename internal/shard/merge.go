@@ -20,25 +20,21 @@ func CollectSpans(partials []Partial) []obs.Span {
 	return out
 }
 
-// Merge verifies a set of shard partials against the manifest of
-// (spec, pattern) and reassembles the run they cover. The coverage
-// check is strict: every manifest unit must appear in exactly one
-// partial, a unit in two partials or a unit the manifest does not
-// know is an error, and every partial must carry the same manifest
-// hash, scale and version. On success the returned RunResult is
+// Merge verifies a set of shard partials against a plan and its
+// manifest, as BuildPlan returned them, and reassembles the run they
+// cover. The coverage check is strict: every manifest unit must appear
+// in exactly one partial, a unit in two partials or a unit the
+// manifest does not know is an error, and every partial must carry
+// the same manifest hash, scale and version. On success the returned RunResult is
 // indistinguishable from a single-process registry run — the JSON/CSV
 // artifacts and rendered report come out byte-identical.
-func Merge(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string, partials []Partial) (experiments.RunResult, experiments.RunTiming, error) {
+func Merge(plan *experiments.Plan, m Manifest, partials []Partial) (experiments.RunResult, experiments.RunTiming, error) {
 	var zero experiments.RunResult
 	var zt experiments.RunTiming
 	if len(partials) == 0 {
 		return zero, zt, fmt.Errorf("shard: merge: no partials")
 	}
-	run, m, err := BuildPlan(reg, spec, pattern)
-	if err != nil {
-		return zero, zt, err
-	}
-	units := run.Units
+	units := plan.Units
 	unitIdx := map[string]int{}
 	for i, u := range units {
 		unitIdx[u.ID] = i
@@ -53,8 +49,8 @@ func Merge(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string
 		if p.Version != PartialVersion {
 			return zero, zt, fmt.Errorf("shard: merge: shard %d partial is version %d, want %d", p.Shard, p.Version, PartialVersion)
 		}
-		if p.Scale != spec.Name {
-			return zero, zt, fmt.Errorf("shard: merge: shard %d ran scale %q, merging %q", p.Shard, p.Scale, spec.Name)
+		if p.Scale != m.Scale {
+			return zero, zt, fmt.Errorf("shard: merge: shard %d ran scale %q, merging %q", p.Shard, p.Scale, m.Scale)
 		}
 		if p.ManifestHash != m.Hash {
 			return zero, zt, fmt.Errorf("shard: merge: shard %d was planned against manifest %s, this registry/scale/filter builds %s — rerun the shard or the merge with matching flags and cell enumeration", p.Shard, p.ManifestHash, m.Hash)
@@ -100,7 +96,7 @@ func Merge(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string
 	for i, pc := range got {
 		runs[i] = experiments.UnitRun{Worker: fmt.Sprintf("shard-%d", partials[owner[i]].Shard), Seconds: pc.Seconds}
 	}
-	out, err := run.Assemble(runs, func(e experiments.Experiment, c experiments.Cell, u int) (any, error) {
+	out, err := plan.Assemble(runs, func(e experiments.Experiment, c experiments.Cell, u int) (any, error) {
 		if e.DecodeResult == nil {
 			return nil, fmt.Errorf("shard: merge: experiment %q has no DecodeResult and cannot be merged", e.Name)
 		}

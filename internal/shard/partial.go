@@ -73,11 +73,12 @@ func RunShard(reg *experiments.Registry, opts RunShardOptions) (Partial, error) 
 	if opts.Shard < 0 || opts.Shard >= opts.Shards {
 		return Partial{}, fmt.Errorf("shard: index %d out of range for %d shards (zero-based)", opts.Shard, opts.Shards)
 	}
-	r, err := NewUnitRunner(reg, opts.Spec, opts.Filter)
+	p, m, err := BuildPlan(reg, opts.Spec, opts.Filter)
 	if err != nil {
 		return Partial{}, err
 	}
-	plan, err := PlanShards(r.Manifest, opts.Shards)
+	r := NewUnitRunner(p, m)
+	plan, err := PlanShards(m, opts.Shards)
 	if err != nil {
 		return Partial{}, err
 	}

@@ -21,18 +21,14 @@ type UnitRunner struct {
 	byID     map[string]int
 }
 
-// NewUnitRunner enumerates (spec, pattern) against reg once and
-// indexes its units by ID.
-func NewUnitRunner(reg *experiments.Registry, spec experiments.ScaleSpec, pattern string) (*UnitRunner, error) {
-	p, m, err := BuildPlan(reg, spec, pattern)
-	if err != nil {
-		return nil, err
-	}
+// NewUnitRunner indexes the units of a plan by ID; p and m are what
+// BuildPlan returned.
+func NewUnitRunner(p *experiments.Plan, m Manifest) *UnitRunner {
 	byID := make(map[string]int, len(p.Units))
 	for i, u := range p.Units {
 		byID[u.ID] = i
 	}
-	return &UnitRunner{Manifest: m, plan: p, byID: byID}, nil
+	return &UnitRunner{Manifest: m, plan: p, byID: byID}
 }
 
 // Units lists the manifest's executable units in first-occurrence

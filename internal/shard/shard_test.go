@@ -186,7 +186,7 @@ func TestMergeByteIdentical(t *testing.T) {
 	spec := experiments.TestSpec()
 	reg := experiments.DefaultRegistry()
 
-	m, err := Build(reg, spec, mergeFilter)
+	plan, m, err := BuildPlan(reg, spec, mergeFilter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestMergeByteIdentical(t *testing.T) {
 			t.Fatalf("shard %d manifest %s, want %s", p.Shard, p.ManifestHash, m.Hash)
 		}
 	}
-	merged, timing, err := Merge(reg, spec, mergeFilter, partials)
+	merged, timing, err := Merge(plan, m, partials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestMergeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, _, err := Merge(reg, spec, mergeFilter, reread)
+	rt, _, err := Merge(plan, m, reread)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,20 +251,20 @@ func TestMergeByteIdentical(t *testing.T) {
 	}
 
 	// Coverage rejection: a missing shard names the absent units...
-	_, _, err = Merge(reg, spec, mergeFilter, partials[:2])
+	_, _, err = Merge(plan, m, partials[:2])
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("merge with a missing shard: %v", err)
 	}
 	// ...a duplicated shard names the double-assigned unit...
 	dup := append(append([]Partial(nil), partials...), partials[1])
-	_, _, err = Merge(reg, spec, mergeFilter, dup)
+	_, _, err = Merge(plan, m, dup)
 	if err == nil || !strings.Contains(err.Error(), "appears in both") {
 		t.Errorf("merge with a duplicated shard: %v", err)
 	}
 	// ...and a shard from a different manifest is refused outright.
 	bad := partials[0]
 	bad.ManifestHash = "sha256:0000"
-	_, _, err = Merge(reg, spec, mergeFilter, []Partial{bad, partials[1], partials[2]})
+	_, _, err = Merge(plan, m, []Partial{bad, partials[1], partials[2]})
 	if err == nil || !strings.Contains(err.Error(), "manifest") {
 		t.Errorf("merge with a foreign manifest: %v", err)
 	}
@@ -274,7 +274,7 @@ func TestMergeByteIdentical(t *testing.T) {
 		Unit: "cell:fig4/bully=high/qps=2000", Experiment: "fig4", Cell: "bully=high/qps=2000",
 		Result: []byte("{}"),
 	})
-	_, _, err = Merge(reg, spec, mergeFilter, []Partial{stray, partials[1], partials[2]})
+	_, _, err = Merge(plan, m, []Partial{stray, partials[1], partials[2]})
 	if err == nil || !strings.Contains(err.Error(), "not in the manifest") {
 		t.Errorf("merge with a stray cell: %v", err)
 	}
@@ -292,7 +292,7 @@ func TestEmptyShardPartial(t *testing.T) {
 	reg := experiments.DefaultRegistry()
 	const filter = "^fig10$" // one unit, so 2 of 3 shards are empty
 
-	m, err := Build(reg, spec, filter)
+	plan, m, err := BuildPlan(reg, spec, filter)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestEmptyShardPartial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, _, err := Merge(reg, spec, filter, reread)
+	merged, _, err := Merge(plan, m, reread)
 	if err != nil {
 		t.Fatalf("merge with empty partials: %v", err)
 	}

@@ -143,6 +143,24 @@
 // so shard and dispatch merges reassemble forensics.csv
 // byte-identically with no extra plumbing.
 //
+// # Record storage
+//
+// A cell keeps one record per measured query until it ends, so a
+// RecordLog packs each QueryRecord, 88 bytes, into a 40-byte row: the
+// nine durations as uint32 nanoseconds, latency first, and the ID
+// shifted left by one over the dropped flag. The row's sort key is
+// then one uint64, the latency above the ID word, and the quickselect
+// swaps 40 bytes, not 88. A duration of 2^32-1 ns is about 4.29 s and
+// every value a cell records is bounded by its 350 ms deadline; Append
+// panics, naming the field, on an ID outside [0, 2^31-1] or a duration
+// outside [0, 2^32-1] ns rather than wrap. The table reads four
+// records, so only the four selected rows are unpacked. A
+// single-machine cell starts its log at the warmup cut and sizes it
+// then for exactly the queries still to finish, so a 500k-query cell
+// keeps about 16 MB of rows and its log never grows.
+// TestCellMemoryPerQuery (internal/experiments) bounds what a cell
+// allocates per query.
+//
 // # Loading a trace in Perfetto
 //
 // `perfiso-repro run -simtrace ...` writes one Chrome trace-event

@@ -1,6 +1,8 @@
 package simtrace
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -83,52 +85,103 @@ var quantileValues = map[string]float64{
 	"p50": 0.50, "p90": 0.90, "p99": 0.99, "p999": 0.999,
 }
 
-// BlameTable builds the per-cell blame table from the measured query
-// records. Quantile queries are selected deterministically: the
-// ceil(q*n)-th record in (latency, id) order is taken, matching the
-// usual order-statistic convention. Ids are unique, so the order is
-// total and a selection picks the record a full sort would put there.
-// It reorders records in place. Returns nil when no queries were
-// measured.
-func BlameTable(records []QueryRecord) *CellForensics {
-	if len(records) == 0 {
+// RecordLog holds a cell's measured QueryRecords, each packed into a
+// 40-byte row, and builds the cell's blame table from them. Append
+// panics on a record that does not fit: an ID outside [0, 2^31-1] or a
+// duration outside [0, 2^32-1] ns, about 4.29 s.
+type RecordLog struct {
+	rows []row
+}
+
+// row is a packed QueryRecord: the nine durations as uint32
+// nanoseconds, the latency first and then the causes in Causes order,
+// and the ID shifted left by one over the dropped flag.
+type row struct {
+	ns [9]uint32
+	id uint32
+}
+
+// NewRecordLog returns an empty log with room for n records.
+func NewRecordLog(n int) *RecordLog { return &RecordLog{rows: make([]row, 0, n)} }
+
+// Append packs r into a row.
+func (l *RecordLog) Append(r QueryRecord) {
+	if uint64(r.ID) > math.MaxInt32 {
+		panic(fmt.Sprintf("simtrace: record ID %d does not fit a row (0 to %d)", r.ID, math.MaxInt32))
+	}
+	id := uint32(r.ID) << 1
+	if r.Dropped {
+		id |= 1
+	}
+	l.rows = append(l.rows, row{id: id, ns: [9]uint32{
+		ns("Latency", r.Latency), ns("Service", r.Service), ns("Queue", r.Queue),
+		ns("Harvest", r.Harvest), ns("Evict", r.Evict), ns("Throttle", r.Throttle),
+		ns("Disk", r.Disk), ns("Spread", r.Spread), ns("Other", r.Other),
+	}})
+}
+
+// ns packs one duration of a record, named field, into a row.
+func ns(field string, d sim.Duration) uint32 {
+	if uint64(d) > math.MaxUint32 {
+		panic(fmt.Sprintf("simtrace: record %s %d ns does not fit a row (0 to %d ns)", field, int64(d), uint32(math.MaxUint32)))
+	}
+	return uint32(d)
+}
+
+// record unpacks a row.
+func (r *row) record() QueryRecord {
+	d := func(i int) sim.Duration { return sim.Duration(r.ns[i]) }
+	return QueryRecord{
+		ID: int(r.id >> 1), Dropped: r.id&1 != 0, Latency: d(0),
+		Service: d(1), Queue: d(2), Harvest: d(3), Evict: d(4),
+		Throttle: d(5), Disk: d(6), Spread: d(7), Other: d(8),
+	}
+}
+
+// key is the (latency, id) order quantiles are read in: the latency
+// above the ID. The dropped flag sits below the ID, and IDs are
+// unique, so it never decides.
+func (r *row) key() uint64 { return uint64(r.ns[0])<<32 | uint64(r.id) }
+
+// BlameTable builds the per-cell blame table from the log. Quantile
+// queries are selected deterministically: the ceil(q*n)-th record in
+// (latency, id) order is taken, matching the usual order-statistic
+// convention. Ids are unique, so the order is total and a selection
+// picks the record a full sort would put there. Only the four selected
+// rows are unpacked. It reorders the log's rows. Returns nil when no
+// queries were measured.
+func (l *RecordLog) BlameTable() *CellForensics {
+	rows := l.rows
+	if len(rows) == 0 {
 		return nil
 	}
-	cf := &CellForensics{Queries: len(records)}
+	cf := &CellForensics{Queries: len(rows)}
 	lo := 0
 	for _, q := range Quantiles {
-		idx := int(float64(len(records))*quantileValues[q]+0.999999) - 1
+		idx := int(float64(len(rows))*quantileValues[q]+0.999999) - 1
 		if idx < 0 {
 			idx = 0
 		}
-		if idx >= len(records) {
-			idx = len(records) - 1
+		if idx >= len(rows) {
+			idx = len(rows) - 1
 		}
-		// Quantiles ascend, and each selection leaves the records
-		// before its index earlier in the order, so the next
-		// quantile's record lies at or after the last index.
-		selectRecord(records[lo:], idx-lo)
+		// Quantiles ascend, and each selection leaves the rows before
+		// its index earlier in the order, so the next quantile's row
+		// lies at or after the last index.
+		selectRow(rows[lo:], idx-lo)
 		lo = idx
-		cf.Rows = append(cf.Rows, BlameRow{Quantile: q, Record: records[idx]})
+		cf.Rows = append(cf.Rows, BlameRow{Quantile: q, Record: rows[idx].record()})
 	}
 	return cf
 }
 
-// before is the (latency, id) order quantiles are read in.
-func before(a, b *QueryRecord) bool {
-	if a.Latency != b.Latency {
-		return a.Latency < b.Latency
-	}
-	return a.ID < b.ID
-}
-
-// selectRecord reorders rs so that rs[k] is the record a sort by
-// (latency, id) would put there, with the records before it earlier in
-// that order and the ones after it later. It is quickselect with a
-// median-of-three pivot, expected O(n). Short ranges, and ranges the
-// partitions have failed to shrink after 2·log2(n) rounds, are sorted,
-// which bounds the worst case at O(n log n).
-func selectRecord(rs []QueryRecord, k int) {
+// selectRow reorders rs so that rs[k] is the row a sort by key would
+// put there, with the rows before it earlier in that order and the
+// ones after it later. It is quickselect with a median-of-three pivot,
+// expected O(n). Short ranges, and ranges the partitions have failed
+// to shrink after 2·log2(n) rounds, are sorted, which bounds the worst
+// case at O(n log n).
+func selectRow(rs []row, k int) {
 	lo, hi := 0, len(rs)
 	for rounds := 2 * bits.Len(uint(len(rs))); hi-lo > 16 && rounds > 0; rounds-- {
 		p := lo + partition(rs[lo:hi])
@@ -141,28 +194,29 @@ func selectRecord(rs []QueryRecord, k int) {
 			return
 		}
 	}
-	sort.Slice(rs[lo:hi], func(i, j int) bool { return before(&rs[lo+i], &rs[lo+j]) })
+	sort.Slice(rs[lo:hi], func(i, j int) bool { return rs[lo+i].key() < rs[lo+j].key() })
 }
 
-// partition moves the median of rs's first, middle and last records
-// to where it belongs in the order, the earlier records before it and
-// the later ones after, and returns its index. rs holds at least three
-// records.
-func partition(rs []QueryRecord) int {
+// partition moves the median of rs's first, middle and last rows to
+// where it belongs in the order, the earlier rows before it and the
+// later ones after, and returns its index. rs holds at least three
+// rows.
+func partition(rs []row) int {
 	last, mid := len(rs)-1, len(rs)/2
-	if before(&rs[mid], &rs[0]) {
+	if rs[mid].key() < rs[0].key() {
 		rs[mid], rs[0] = rs[0], rs[mid]
 	}
-	if before(&rs[last], &rs[mid]) {
+	if rs[last].key() < rs[mid].key() {
 		rs[last], rs[mid] = rs[mid], rs[last]
-		if before(&rs[mid], &rs[0]) {
+		if rs[mid].key() < rs[0].key() {
 			rs[mid], rs[0] = rs[0], rs[mid]
 		}
 	}
 	rs[mid], rs[last] = rs[last], rs[mid]
+	pivot := rs[last].key()
 	i := 0
 	for j := 0; j < last; j++ {
-		if before(&rs[j], &rs[last]) {
+		if rs[j].key() < pivot {
 			rs[i], rs[j] = rs[j], rs[i]
 			i++
 		}

@@ -3,6 +3,7 @@ package simtrace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -258,7 +259,7 @@ func TestBlameTableSelectsDeterministicQuantiles(t *testing.T) {
 			Service: sim.Duration(i+1) * sim.Millisecond,
 		})
 	}
-	cf := BlameTable(records)
+	cf := logOf(records).BlameTable()
 	if cf.Queries != 1000 {
 		t.Fatalf("queries = %d", cf.Queries)
 	}
@@ -273,18 +274,20 @@ func TestBlameTableSelectsDeterministicQuantiles(t *testing.T) {
 			t.Errorf("%s: latency %v, want %v", row.Quantile, row.Record.Latency, want[row.Quantile])
 		}
 	}
-	if BlameTable(nil) != nil {
+	if logOf(nil).BlameTable() != nil {
 		t.Error("empty record set should yield nil forensics")
 	}
 }
 
 // TestBlameTableMatchesSort checks the selection against choosing by a
 // full sort, at sizes around the quantiles' rounding, on random records
-// with many tied latencies and on sorted, reversed and all-tied inputs.
+// with many tied latencies, on sorted, reversed and all-tied inputs,
+// and on records at the top of a row's range: IDs up to 2^31-1, tied
+// latencies up to 2^32-1 ns and every cause drawn up to 2^32-1 ns.
 func TestBlameTableMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 3, 7, 17, 100, 999, 1000, 1001, 5000, 20011} {
-		for _, shape := range []string{"random", "sorted", "reversed", "tied"} {
+		for _, shape := range []string{"random", "sorted", "reversed", "tied", "limits"} {
 			records := make([]QueryRecord, n)
 			ids := rng.Perm(n)
 			for i := range records {
@@ -296,19 +299,35 @@ func TestBlameTableMatchesSort(t *testing.T) {
 					r.ID, r.Latency = n-i, sim.Duration((n-i)/3)
 				case "tied":
 					r.Latency = 7
+				case "limits":
+					r.ID = math.MaxInt32 - ids[i]
+					r.Dropped = rng.Intn(2) == 0
+					r.Latency = math.MaxUint32 - r.Latency
+					for _, f := range recordFields[2:] {
+						f.set(&r, rng.Int63n(math.MaxUint32+1))
+					}
 				}
 				records[i] = r
 			}
 			want := blameBySort(records)
-			if got := BlameTable(append([]QueryRecord(nil), records...)); !reflect.DeepEqual(got, want) {
+			if got := logOf(records).BlameTable(); !reflect.DeepEqual(got, want) {
 				t.Errorf("n=%d %s: selected %+v, sorting picks %+v", n, shape, got, want)
 			}
 		}
 	}
 }
 
-// blameBySort is BlameTable by sorting every record, as it was first
-// written: the reference the selection must agree with.
+// logOf appends records to a new log.
+func logOf(records []QueryRecord) *RecordLog {
+	l := NewRecordLog(len(records))
+	for _, r := range records {
+		l.Append(r)
+	}
+	return l
+}
+
+// blameBySort is the blame table by sorting every record, as it was
+// first written: the reference the selection must agree with.
 func blameBySort(records []QueryRecord) *CellForensics {
 	rs := append([]QueryRecord(nil), records...)
 	sort.Slice(rs, func(i, j int) bool {
