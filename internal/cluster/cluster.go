@@ -544,15 +544,26 @@ func (c *Cluster) Run(queries, warmup int, rate float64, seed uint64) Result {
 	if queries <= warmup {
 		panic("cluster: warmup consumes the whole trace")
 	}
-	rng := sim.NewRNG(seed)
+	last := c.replay(queries, warmup, rate, seed, c.ResetMeasurement, c.Submit)
+	// Drain: every query resolves within the deadline plus aggregation
+	// and hops; one extra second is ample.
+	c.Eng.Run(last.Add(sim.Duration(c.cfg.Node.IndexServe.Deadline) + sim.Second))
+	return c.Summarize()
+}
+
+// replay schedules queries Poisson arrivals at the given rate from now,
+// calling submit at each and reset just before the warmup-th, and
+// returns the last arrival time. Each arrival is drawn when its
+// predecessor plans it, so the trace is never held in memory; the
+// last arrival comes from a pre-pass over a copy of the generator,
+// which leaves the original where it stands.
+func (c *Cluster) replay(queries, warmup int, rate float64, seed uint64, reset, submit func()) sim.Time {
+	rng := sim.SeededRNG(seed)
 	meanGap := sim.Duration(float64(sim.Second) / rate)
-	arrivals := make([]sim.Time, queries)
-	at := c.Eng.Now()
-	for i := range arrivals {
-		at = at.Add(rng.ExpDuration(meanGap))
-		arrivals[i] = at
+	pre, last := rng, c.Eng.Now()
+	for i := 0; i < queries; i++ {
+		last = last.Add(pre.ExpDuration(meanGap))
 	}
-	lastArrival := at
 	// Stream the trace through an Agenda: reserving queries+1 FIFO
 	// positions here (the +1 is the measurement reset at the warmup
 	// boundary, which must keep its place before the warmup-th arrival)
@@ -561,26 +572,24 @@ func (c *Cluster) Run(queries, warmup int, rate float64, seed uint64) Result {
 	agenda := c.Eng.NewAgenda(queries + 1)
 	// One cursor callback serves the whole trace: each arrival plans its
 	// successor before submitting itself.
-	next := 0
+	next, at := 0, c.Eng.Now()
 	var arrive func()
 	plan := func() {
+		at = at.Add(rng.ExpDuration(meanGap))
 		if next == warmup {
-			agenda.At(arrivals[next], c.ResetMeasurement)
+			agenda.At(at, reset)
 		}
-		agenda.At(arrivals[next], arrive)
+		agenda.At(at, arrive)
 	}
 	arrive = func() {
 		next++
 		if next < queries {
 			plan()
 		}
-		c.Submit()
+		submit()
 	}
 	plan()
-	// Drain: every query resolves within the deadline plus aggregation
-	// and hops; one extra second is ample.
-	c.Eng.Run(lastArrival.Add(sim.Duration(c.cfg.Node.IndexServe.Deadline) + sim.Second))
-	return c.Summarize()
+	return last
 }
 
 // Summarize collects the current per-layer measurements.

@@ -400,3 +400,58 @@ func TestClusterDeterminism(t *testing.T) {
 		t.Fatalf("utilization differs: %v vs %v", a.AvgCPUUsedPct, b.AvgCPUUsedPct)
 	}
 }
+
+func TestReplayMatchesMaterializedArrivals(t *testing.T) {
+	// reference is the loop replay replaced: every arrival drawn up
+	// front from the seed.
+	reference := func(start sim.Time, queries int, rate float64, seed uint64) []sim.Time {
+		rng := sim.NewRNG(seed)
+		meanGap := sim.Duration(float64(sim.Second) / rate)
+		arrivals := make([]sim.Time, queries)
+		at := start
+		for i := range arrivals {
+			at = at.Add(rng.ExpDuration(meanGap))
+			arrivals[i] = at
+		}
+		return arrivals
+	}
+	type call struct {
+		at    sim.Time
+		reset bool
+	}
+	const queries = 300
+	for _, seed := range []uint64{1, 9, 77, 2017, 1<<64 - 1} {
+		for _, warmup := range []int{0, 1, queries / 3, queries - 1} {
+			c := smallCluster(t)
+			// Start mid-run, as a cell that replays after a settling
+			// period would.
+			c.Eng.Run(sim.Time(3 * sim.Millisecond))
+			start := c.Eng.Now()
+			var got []call
+			last := c.replay(queries, warmup, 2000, seed,
+				func() { got = append(got, call{c.Eng.Now(), true}) },
+				func() { got = append(got, call{c.Eng.Now(), false}) })
+			c.Eng.Run(last.Add(sim.Second))
+
+			arrivals := reference(start, queries, 2000, seed)
+			var want []call
+			for i, at := range arrivals {
+				if i == warmup {
+					want = append(want, call{at, true})
+				}
+				want = append(want, call{at, false})
+			}
+			if last != arrivals[queries-1] {
+				t.Errorf("seed %d warmup %d: last arrival %v, want %v", seed, warmup, last, arrivals[queries-1])
+			}
+			if len(got) != len(want) {
+				t.Fatalf("seed %d warmup %d: %d calls, want %d", seed, warmup, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("seed %d warmup %d: call %d = %+v, want %+v", seed, warmup, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

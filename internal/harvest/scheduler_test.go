@@ -13,7 +13,7 @@ import (
 
 // newTestCluster assembles a small PerfIso-managed cluster (cols
 // columns × 2 rows) with a scheduler using the given policy.
-func newTestCluster(t *testing.T, cols int, policy string) (*sim.Engine, *cluster.Cluster, *Scheduler) {
+func newTestCluster(t testing.TB, cols int, policy string) (*sim.Engine, *cluster.Cluster, *Scheduler) {
 	t.Helper()
 	eng := sim.NewEngine()
 	ccfg := cluster.ScaledConfig(cols)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/json"
 	"sync"
 	"testing"
 
@@ -64,5 +65,47 @@ func BenchmarkMerge(b *testing.B) {
 		if _, _, err := Merge(plan, m, benchPartials); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCellCodec encodes and decodes one cell result the way a
+// partial carries it: json.Marshal on the worker that ran the unit
+// (UnitRunner.RunUnits), the experiment's DecodeResult on merge.
+// "single" is a Fig. 4 single-machine cell, with its forensic blame
+// table and 40-window series; "harvest" is a harvest-frontier
+// HarvestPoint. Each cell runs once, at test scale, off the clock.
+func BenchmarkCellCodec(b *testing.B) {
+	reg := experiments.DefaultRegistry()
+	for _, tc := range []struct{ name, experiment string }{
+		{"single", "fig4"},
+		{"harvest", "harvest-frontier"},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			plan, m, err := BuildPlan(reg, experiments.TestSpec(), "^"+tc.experiment+"$")
+			if err != nil {
+				b.Fatal(err)
+			}
+			pc, err := NewUnitRunner(plan, m).RunUnit(plan.Units[0].ID)
+			if err != nil {
+				b.Fatal(err)
+			}
+			e, _ := reg.Get(tc.experiment)
+			v, err := e.DecodeResult(pc.Result)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(pc.Result)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blob, err := json.Marshal(v)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := e.DecodeResult(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

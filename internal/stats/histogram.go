@@ -14,56 +14,53 @@ import (
 // Histogram records positive values (typically latencies in nanoseconds)
 // in logarithmic buckets with ~1% relative precision, like an HDR
 // histogram. It supports millions of samples in O(1) memory.
+//
+// Bucket 0 holds values below 1 and bucket b ≥ 1 holds values in
+// [1.01^(b-1), 1.01^b). The histogram stores counts only for the span
+// between the lowest and highest bucket it has seen, plus the room
+// grow leaves at either end: counts[i] is bucket lo+i. That pays
+// because nanosecond latencies sit far above bucket 0 (1 µs is bucket
+// 695, 1 ms bucket 1,389): query and disk latencies never reach the
+// low ~1,100 buckets, so a histogram of ~3.5 ms query latencies keeps
+// a few hundred slots where an array from bucket 0 up would keep about
+// 3,000. A histogram that records zeros, such as a NIC's queueing
+// delay, keeps its full span from bucket 0.
 type Histogram struct {
 	counts []uint64
+	lo     int
 	total  uint64
 	sum    float64
 	min    float64
 	max    float64
-	// growth is the per-bucket multiplicative step; it fixes the bucket
-	// layout, so only histograms with equal growth can merge.
-	growth    float64
-	logGrowth float64
 }
 
-// bucketGrowth is the default per-bucket multiplicative step: 1%
+// logGrowth is the log of the per-bucket multiplicative step, 1.01: 1%
 // relative error.
-const bucketGrowth = 1.01
+var logGrowth = math.Log(1.01)
 
-// NewHistogram returns an empty histogram with the default ~1%
-// relative precision.
+// minSlack is the room, in buckets, that a histogram's first bucket
+// array leaves on either side of its first sample, and the least room
+// a growth adds at the end it extends.
+const minSlack = 16
+
+// NewHistogram returns an empty histogram.
 func NewHistogram() *Histogram {
-	return NewHistogramGrowth(bucketGrowth)
+	return &Histogram{min: math.Inf(1), max: math.Inf(-1)}
 }
 
-// NewHistogramGrowth returns an empty histogram whose buckets step by
-// the given multiplicative factor (relative precision growth-1).
-// Coarser layouts trade precision for memory. Growth must exceed 1.
-func NewHistogramGrowth(growth float64) *Histogram {
-	if !(growth > 1) {
-		panic(fmt.Sprintf("stats: histogram growth %v, must be > 1", growth))
-	}
-	return &Histogram{
-		min:       math.Inf(1),
-		max:       math.Inf(-1),
-		growth:    growth,
-		logGrowth: math.Log(growth),
-	}
-}
-
-func (h *Histogram) bucketOf(v float64) int {
+func bucketOf(v float64) int {
 	if v < 1 {
 		return 0
 	}
-	return 1 + int(math.Log(v)/h.logGrowth)
+	return 1 + int(math.Log(v)/logGrowth)
 }
 
-func (h *Histogram) bucketValue(b int) float64 {
+func bucketValue(b int) float64 {
 	if b == 0 {
 		return 0
 	}
 	// Midpoint of the bucket in log space.
-	return math.Exp((float64(b) - 0.5) * h.logGrowth)
+	return math.Exp((float64(b) - 0.5) * logGrowth)
 }
 
 // Add records one observation. Negative values are clamped to zero;
@@ -72,22 +69,11 @@ func (h *Histogram) Add(v float64) {
 	if v < 0 {
 		v = 0
 	}
-	b := h.bucketOf(v)
-	if b >= len(h.counts) {
-		// Grow geometrically: the old +16 step re-copied the whole
-		// array every 16 new buckets, an O(n²) ramp over the ~2300
-		// buckets a nanosecond-scale latency range spans. Trailing
-		// zero buckets never affect totals, quantiles or merges, so
-		// the layout (and every committed artifact) is unchanged.
-		n := 2 * len(h.counts)
-		if n < b+16 {
-			n = b + 16
-		}
-		grown := make([]uint64, n)
-		copy(grown, h.counts)
-		h.counts = grown
+	i := bucketOf(v) - h.lo
+	if uint(i) >= uint(len(h.counts)) {
+		i = h.grow(h.lo + i)
 	}
-	h.counts[b]++
+	h.counts[i]++
 	h.total++
 	h.sum += v
 	if v < h.min {
@@ -96,6 +82,38 @@ func (h *Histogram) Add(v float64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// grow widens the bucket array to take bucket b and returns b's index
+// in it. The end it extends gains room for half the occupied span
+// again (at least minSlack buckets), so an array is copied O(log s)
+// times over a span of s buckets and recording stays amortized O(1).
+// The other end keeps its room, which an earlier growth sized by a
+// smaller span, so the array never holds more than about twice the
+// span of the values recorded since the histogram was made.
+func (h *Histogram) grow(b int) int {
+	occLo, occHi := b, b
+	if h.total > 0 {
+		occLo = min(occLo, bucketOf(h.min))
+		occHi = max(occHi, bucketOf(h.max))
+	}
+	slack := max((occHi-occLo+1)/2, minSlack)
+	lo, hi := h.lo, h.lo+len(h.counts)
+	switch {
+	case len(h.counts) == 0:
+		lo, hi = b-minSlack, b+minSlack+1
+	case b < lo:
+		lo = occLo - slack
+	default:
+		hi = occHi + slack + 1
+	}
+	lo = max(lo, 0)
+	counts := make([]uint64, hi-lo)
+	if len(h.counts) > 0 {
+		copy(counts[h.lo-lo:], h.counts)
+	}
+	h.counts, h.lo = counts, lo
+	return b - lo
 }
 
 // AddDuration records a sim.Duration observation.
@@ -144,10 +162,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 		rank = h.total - 1
 	}
 	var cum uint64
-	for b, c := range h.counts {
+	for i, c := range h.counts {
 		cum += c
 		if cum > rank {
-			v := h.bucketValue(b)
+			v := bucketValue(h.lo + i)
 			// Clamp to the exact observed extremes so tiny sample
 			// sets report sane numbers.
 			if v < h.min {
@@ -170,35 +188,6 @@ func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
 // QuantileDuration reports Quantile(q) as a sim.Duration.
 func (h *Histogram) QuantileDuration(q float64) sim.Duration {
 	return sim.Duration(h.Quantile(q))
-}
-
-// Merge adds all of other's observations into h. It errors when the
-// bucket layouts differ — adding counts bucket-by-bucket across
-// layouts would silently misplace every sample.
-func (h *Histogram) Merge(other *Histogram) error {
-	if other.growth != h.growth {
-		return fmt.Errorf("stats: cannot merge histograms with bucket growth %v into %v", other.growth, h.growth)
-	}
-	if other.total == 0 {
-		return nil
-	}
-	if len(other.counts) > len(h.counts) {
-		grown := make([]uint64, len(other.counts))
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	for b, c := range other.counts {
-		h.counts[b] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	return nil
 }
 
 // Reset discards all observations.
