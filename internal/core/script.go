@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"perfiso/internal/sim"
@@ -50,10 +51,21 @@ func ParseScript(r io.Reader) (Script, error) {
 		if _, err := fmt.Sscanf(fields[0], "%g", &secs); err != nil {
 			return nil, fmt.Errorf("core: script line %d: bad time %q: %v", lineNo, fields[0], err)
 		}
+		// Check the value before converting it: Go leaves converting
+		// NaN, an infinity or an out-of-range float to an integer to
+		// the implementation.
+		if math.IsNaN(secs) || math.IsInf(secs, 0) {
+			return nil, fmt.Errorf("core: script line %d: time %q is not finite", lineNo, fields[0])
+		}
 		if secs < 0 {
 			return nil, fmt.Errorf("core: script line %d: negative time", lineNo)
 		}
-		at := sim.Duration(secs * float64(sim.Second))
+		ns := secs * float64(sim.Second)
+		if ns >= 1<<63 { // float64(math.MaxInt64) rounds up to 1<<63
+			return nil, fmt.Errorf("core: script line %d: time %q is past the largest offset, about %.4g s",
+				lineNo, fields[0], float64(math.MaxInt64)/float64(sim.Second))
+		}
+		at := sim.Duration(ns)
 		if at < prev {
 			return nil, fmt.Errorf("core: script line %d: time goes backwards", lineNo)
 		}

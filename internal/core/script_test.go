@@ -31,18 +31,58 @@ func TestParseScript(t *testing.T) {
 }
 
 func TestParseScriptRejections(t *testing.T) {
-	cases := map[string]string{
-		"missing json":   "1.0",
-		"bad time":       "abc {\"op\":\"disable\"}",
-		"negative time":  "-1 {\"op\":\"disable\"}",
-		"bad json":       "1 {nope}",
-		"time backwards": "2 {\"op\":\"disable\"}\n1 {\"op\":\"enable\"}",
+	cases := []struct{ name, src, err string }{
+		{"missing json", "1.0", "want `<seconds> <json>`"},
+		{"bad time", "abc {\"op\":\"disable\"}", "bad time"},
+		{"negative time", "-1 {\"op\":\"disable\"}", "negative time"},
+		{"NaN", "NaN {\"op\":\"disable\"}", "not finite"},
+		{"infinity", "+Inf {\"op\":\"disable\"}", "not finite"},
+		{"negative infinity", "-Inf {\"op\":\"disable\"}", "not finite"},
+		{"past int64 nanoseconds", "1e300 {\"op\":\"disable\"}", "past the largest offset"},
+		{"just past int64 nanoseconds", "9.2233720368548e9 {\"op\":\"disable\"}", "past the largest offset"},
+		{"bad json", "1 {nope}", "line 1"},
+		{"time backwards", "2 {\"op\":\"disable\"}\n1 {\"op\":\"enable\"}", "time goes backwards"},
 	}
-	for name, src := range cases {
-		if _, err := ParseScript(strings.NewReader(src)); err == nil {
-			t.Errorf("%s: accepted", name)
+	for _, c := range cases {
+		_, err := ParseScript(strings.NewReader(c.src))
+		if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.err)
 		}
 	}
+	// The largest offset a script can hold still parses.
+	s, err := ParseScript(strings.NewReader("9.2233720368547e9 {\"op\":\"disable\"}"))
+	if err != nil || len(s) != 1 || s[0].At < 9_223_372_036_854_000_000 {
+		t.Fatalf("largest offset: %+v, %v", s, err)
+	}
+}
+
+// FuzzParseScript feeds arbitrary text to ParseScript. Parsing never
+// panics, and an accepted script has one entry per line that is
+// neither blank nor a comment, at offsets that are non-negative and
+// nondecreasing.
+func FuzzParseScript(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := ParseScript(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		lines := 0
+		for _, line := range strings.Split(src, "\n") {
+			if line = strings.TrimSpace(line); line != "" && !strings.HasPrefix(line, "#") {
+				lines++
+			}
+		}
+		if len(s) != lines {
+			t.Fatalf("%d entries from %d command lines", len(s), lines)
+		}
+		var prev sim.Duration
+		for i, tc := range s {
+			if tc.At < prev {
+				t.Fatalf("entry %d at %v, after %v", i, tc.At, prev)
+			}
+			prev = tc.At
+		}
+	})
 }
 
 func TestScriptScheduleDrivesController(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"sort"
 
 	"perfiso/internal/sim"
-	"perfiso/internal/stats"
 )
 
 // OpKind distinguishes reads from writes.
@@ -119,7 +118,6 @@ type Volume struct {
 	nextSeq    uint64
 	procs      map[string]*procState
 
-	latency *stats.Histogram
 	// TotalOps counts completed operations.
 	TotalOps uint64
 
@@ -157,18 +155,14 @@ func NewVolume(eng *sim.Engine, cfg VolumeConfig) *Volume {
 		panic("diskmodel: non-positive drive bandwidth")
 	}
 	return &Volume{
-		eng:     eng,
-		cfg:     cfg,
-		procs:   map[string]*procState{},
-		latency: stats.NewHistogram(),
+		eng:   eng,
+		cfg:   cfg,
+		procs: map[string]*procState{},
 	}
 }
 
 // Name returns the volume name.
 func (v *Volume) Name() string { return v.cfg.Name }
-
-// Latency exposes the completed-request latency histogram.
-func (v *Volume) Latency() *stats.Histogram { return v.latency }
 
 func (v *Volume) proc(name string) *procState {
 	p, ok := v.procs[name]
@@ -379,7 +373,6 @@ func (v *Volume) complete(r *Request) {
 	}
 	p.stats.QueueTime += now.Sub(r.enqueued)
 	v.TotalOps++
-	v.latency.AddDuration(now.Sub(r.enqueued))
 	if r.OnComplete != nil {
 		r.OnComplete()
 	}

@@ -167,8 +167,8 @@ func TestQueueTimeAccounting(t *testing.T) {
 	if got := v.Stats("p").QueueTime; got != 3*sim.Millisecond {
 		t.Fatalf("queue time = %v, want 3ms", got)
 	}
-	if v.Latency().Count() != 2 {
-		t.Fatal("latency histogram missing samples")
+	if got := v.Stats("p").Ops; got != 2 || v.TotalOps != 2 {
+		t.Fatalf("ops = %d (volume %d), want 2", got, v.TotalOps)
 	}
 }
 

@@ -132,6 +132,9 @@ type Scheduler struct {
 	byMach   map[*cluster.IndexMachine]*machineState
 	pending  []*Task
 	jobs     []*Job
+	// cands is the candidate buffer candidates rebuilds for each task
+	// it places.
+	cands []Candidate
 
 	placements []Placement
 	stats      Stats
@@ -334,9 +337,10 @@ func (s *Scheduler) place() {
 // PreemptBelow capacity floor. The floor is a scheduler invariant,
 // not a policy choice — placing where shed() would evict on the very
 // next tick (or onto a kill-switched machine) is churn under any
-// policy.
+// policy. The list lives in the scheduler's buffer and is valid until
+// the next call.
 func (s *Scheduler) candidates() []Candidate {
-	out := make([]Candidate, 0, len(s.machines))
+	out := s.cands[:0]
 	for _, ms := range s.machines {
 		if ms.m.Down() || len(ms.running) >= s.cfg.MaxTasksPerMachine {
 			continue
@@ -355,6 +359,7 @@ func (s *Scheduler) candidates() []Candidate {
 			PrimaryLoad: b.PrimaryPct + b.OSPct,
 		})
 	}
+	s.cands = out
 	return out
 }
 
@@ -398,6 +403,15 @@ func (s *Scheduler) start(ms *machineState, t *Task) {
 	t.live = 0
 	left := t.remaining
 	all := cpumodel.AllCores(ms.m.Node.CPU.Cores())
+	done := func() {
+		if t.epoch != epoch {
+			return // a superseded placement's thread
+		}
+		t.live--
+		if t.live == 0 {
+			s.complete(t)
+		}
+	}
 	for i := 0; i < threads && left > 0; i++ {
 		burst := per
 		if i == threads-1 || burst > left {
@@ -405,16 +419,7 @@ func (s *Scheduler) start(ms *machineState, t *Task) {
 		}
 		left -= burst
 		t.live++
-		th := ms.m.Node.CPU.Spawn(ms.proc, burst, all, func() {
-			if t.epoch != epoch {
-				return // a superseded placement's thread
-			}
-			t.live--
-			if t.live == 0 {
-				s.complete(t)
-			}
-		})
-		t.threads = append(t.threads, th)
+		t.threads = append(t.threads, ms.m.Node.CPU.Spawn(ms.proc, burst, all, done))
 	}
 }
 
@@ -487,10 +492,12 @@ func (op *diskOp) completed() {
 	s.issueDiskOp(ms, t, epoch)
 }
 
-// complete retires a finished task.
+// complete retires a finished task. A CPU task's threads are all Done
+// by now, so they go back to the machine for reuse.
 func (s *Scheduler) complete(t *Task) {
 	ms := t.machine
 	s.unlink(ms, t)
+	s.release(ms, t)
 	t.State = TaskDone
 	t.machine = nil
 	t.remaining = 0
@@ -499,8 +506,9 @@ func (s *Scheduler) complete(t *Task) {
 }
 
 // preempt takes a running task off its machine, preserving progress:
-// CPU threads are cancelled and their unconsumed burst is requeued;
-// disk streams stop issuing and the remaining op count carries over.
+// CPU threads are cancelled, their unconsumed burst is requeued and the
+// threads go back to the machine for reuse; disk streams stop issuing
+// and the remaining op count carries over.
 func (s *Scheduler) preempt(t *Task) {
 	ms := t.machine
 	s.unlink(ms, t)
@@ -518,7 +526,7 @@ func (s *Scheduler) preempt(t *Task) {
 			left = 1
 		}
 		t.remaining = left
-		t.threads = t.threads[:0]
+		s.release(ms, t)
 	}
 	t.live = 0
 	t.State = TaskPending
@@ -538,6 +546,17 @@ func (s *Scheduler) failMachine(ms *machineState) {
 		s.stats.FailureRequeues++
 		s.pending = append(s.pending, t)
 	}
+}
+
+// release hands t's threads, every one of them Done, back to the
+// machine that ran them and forgets them. Spawn may then return them
+// as new threads; their IDs come from the machine's counter either way.
+func (s *Scheduler) release(ms *machineState, t *Task) {
+	for _, th := range t.threads {
+		ms.m.Node.CPU.Release(th)
+	}
+	clear(t.threads)
+	t.threads = t.threads[:0]
 }
 
 // unlink removes t from its machine's running list.

@@ -174,11 +174,13 @@ type query struct {
 	observer func(Response)
 	// deadline and spec are cancelled at finish; both events were pure
 	// no-ops once done was set, so cancelling them changes no outcome.
-	// A cancelled entry still waits in its queue until it surfaces: a
-	// 350 ms deadline cancelled after a 4 ms query stays queued for the
-	// rest of its delay, so at 4000 QPS about 1,400 of them are always
-	// pending. Both timers therefore live in fixed-delay lanes
-	// (Server.deadlineLane, Server.specLane), off the event heap.
+	// A cancelled entry still waits in the event queue until it
+	// surfaces: a 350 ms deadline cancelled after a 4 ms query stays
+	// queued for the rest of its delay, so at 4000 QPS about 1,400 of
+	// them are always pending. Both timers therefore live in fixed-delay
+	// lanes (Server.deadlineLane, Server.specLane), off the event heap,
+	// which drop a cancelled entry once every timer armed before it on
+	// the lane has fired or been cancelled.
 	deadline sim.Timer
 	spec     sim.Timer
 

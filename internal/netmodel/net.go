@@ -4,10 +4,7 @@
 // egress so the primary keeps its throughput and response latency (§3.2).
 package netmodel
 
-import (
-	"perfiso/internal/sim"
-	"perfiso/internal/stats"
-)
+import "perfiso/internal/sim"
 
 // PriorityClass separates primary from secondary egress.
 type PriorityClass int
@@ -60,8 +57,20 @@ type NIC struct {
 	lastFill  sim.Time
 	gateArmed bool
 
-	classBytes [2]int64
-	delay      [2]*stats.Histogram
+	class [2]ClassStats
+}
+
+// ClassStats is one priority class's egress readout.
+type ClassStats struct {
+	// Packets counts the packets that have started transmission, and
+	// Bytes the bytes whose transmission has finished.
+	Packets int64
+	Bytes   int64
+	// QueueTime totals the time those packets waited between Send and
+	// the start of their transmission; MaxQueueTime is the longest
+	// such wait.
+	QueueTime    sim.Duration
+	MaxQueueTime sim.Duration
 }
 
 // NewNIC creates an egress NIC driven by eng.
@@ -69,11 +78,7 @@ func NewNIC(eng *sim.Engine, cfg NICConfig) *NIC {
 	if cfg.Bandwidth <= 0 {
 		panic("netmodel: non-positive bandwidth")
 	}
-	n := &NIC{
-		eng:   eng,
-		cfg:   cfg,
-		delay: [2]*stats.Histogram{stats.NewHistogram(), stats.NewHistogram()},
-	}
+	n := &NIC{eng: eng, cfg: cfg}
 	n.sentFn = n.sent
 	return n
 }
@@ -88,11 +93,9 @@ func (n *NIC) SetLowPriorityRate(bytesPerSec float64) {
 	}
 }
 
-// ClassBytes reports total bytes sent for the class.
-func (n *NIC) ClassBytes(c PriorityClass) int64 { return n.classBytes[c] }
-
-// Delay exposes the queueing-delay histogram for the class.
-func (n *NIC) Delay(c PriorityClass) *stats.Histogram { return n.delay[c] }
+// ClassStats reports the class's packet, byte and queueing-delay
+// counters.
+func (n *NIC) ClassStats(c PriorityClass) ClassStats { return n.class[c] }
 
 // QueueDepth reports packets waiting (both classes).
 func (n *NIC) QueueDepth() int { return len(n.high) + len(n.low) }
@@ -162,7 +165,11 @@ func (n *NIC) transmitNext() {
 		return
 	}
 	n.busy = true
-	n.delay[p.Class].AddDuration(n.eng.Now().Sub(p.enqueued))
+	cs := &n.class[p.Class]
+	wait := n.eng.Now().Sub(p.enqueued)
+	cs.Packets++
+	cs.QueueTime += wait
+	cs.MaxQueueTime = max(cs.MaxQueueTime, wait)
 	txTime := sim.Duration(float64(p.Bytes) / n.cfg.Bandwidth * float64(sim.Second))
 	n.cur = p
 	n.eng.After(txTime+n.cfg.WireLatency, n.sentFn)
@@ -173,7 +180,7 @@ func (n *NIC) sent() {
 	p := n.cur
 	n.cur = nil
 	n.busy = false
-	n.classBytes[p.Class] += p.Bytes
+	n.class[p.Class].Bytes += p.Bytes
 	if p.OnSent != nil {
 		p.OnSent()
 	}

@@ -23,8 +23,8 @@ func TestSinglePacketTransmit(t *testing.T) {
 	if eng.Now() != sim.Time(sim.Millisecond) {
 		t.Fatalf("tx time = %v, want 1ms", eng.Now())
 	}
-	if n.ClassBytes(PriorityHigh) != 1000 {
-		t.Fatalf("class bytes = %d", n.ClassBytes(PriorityHigh))
+	if n.ClassStats(PriorityHigh).Bytes != 1000 {
+		t.Fatalf("class bytes = %d", n.ClassStats(PriorityHigh).Bytes)
 	}
 }
 
@@ -53,7 +53,7 @@ func TestLowPriorityThrottle(t *testing.T) {
 		n.Send(&Packet{Proc: "batch", Class: PriorityLow, Bytes: 10e3})
 	}
 	eng.Run(sim.Time(1 * sim.Second))
-	got := n.ClassBytes(PriorityLow)
+	got := n.ClassStats(PriorityLow).Bytes
 	// ≤ 100 KB/s + 100ms burst allowance.
 	if got > 120e3 {
 		t.Fatalf("throttled class sent %d bytes in 1s at 100KB/s", got)
@@ -84,30 +84,32 @@ func TestThrottleRemoval(t *testing.T) {
 	n.SetLowPriorityRate(1)
 	n.Send(&Packet{Proc: "batch", Class: PriorityLow, Bytes: 100e3})
 	eng.Run(sim.Time(100 * sim.Millisecond))
-	if n.ClassBytes(PriorityLow) != 0 {
+	if n.ClassStats(PriorityLow).Bytes != 0 {
 		t.Fatal("packet leaked through a ~zero rate")
 	}
 	n.SetLowPriorityRate(0)
 	// Kick transmission via another packet.
 	n.Send(&Packet{Proc: "batch", Class: PriorityLow, Bytes: 100e3})
 	eng.RunAll()
-	if n.ClassBytes(PriorityLow) != 200e3 {
-		t.Fatalf("after uncapping, sent = %d, want 200e3", n.ClassBytes(PriorityLow))
+	if n.ClassStats(PriorityLow).Bytes != 200e3 {
+		t.Fatalf("after uncapping, sent = %d, want 200e3", n.ClassStats(PriorityLow).Bytes)
 	}
 }
 
-func TestQueueDelayHistogram(t *testing.T) {
+func TestQueueDelayCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	n := nic(eng)
 	n.Send(&Packet{Proc: "p", Class: PriorityHigh, Bytes: 1000})
 	n.Send(&Packet{Proc: "p", Class: PriorityHigh, Bytes: 1000})
 	eng.RunAll()
-	if n.Delay(PriorityHigh).Count() != 2 {
-		t.Fatal("delay histogram missing samples")
+	// The first packet goes out at once; the second waits out the
+	// first's 1 ms on the wire.
+	want := ClassStats{Packets: 2, Bytes: 2000, QueueTime: sim.Millisecond, MaxQueueTime: sim.Millisecond}
+	if got := n.ClassStats(PriorityHigh); got != want {
+		t.Fatalf("high-priority stats = %+v, want %+v", got, want)
 	}
-	// Second packet waited ~1ms.
-	if got := n.Delay(PriorityHigh).Max(); got < float64(900*sim.Microsecond) {
-		t.Fatalf("max delay = %v, want ~1ms", got)
+	if got := n.ClassStats(PriorityLow); got != (ClassStats{}) {
+		t.Fatalf("low-priority stats = %+v, want none", got)
 	}
 }
 
@@ -154,10 +156,14 @@ func TestPriorityOrderingProperty(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		var order []PriorityClass
 		count := int(n%40) + 10
+		// The first packet is always high-priority, so no program
+		// passes on an empty high-priority counter.
+		var highs int64
 		for i := 0; i < count; i++ {
 			class := PriorityLow
-			if rng.Float64() < 0.5 {
+			if rng.Float64() < 0.5 || i == 0 {
 				class = PriorityHigh
+				highs++
 			}
 			eng.At(sim.Time(rng.IntBetween(0, 1000))*sim.Time(sim.Microsecond), func() {
 				nic.Send(&Packet{
@@ -174,12 +180,16 @@ func TestPriorityOrderingProperty(t *testing.T) {
 		if len(order) != count {
 			return false
 		}
-		// Validate via byte conservation and the delay histograms:
-		// high-priority delays must not exceed the largest packet's
-		// transmit time by much (it never waits behind the low queue).
-		hp99 := sim.Duration(nic.Delay(PriorityHigh).P99())
-		if hp99 > 2*sim.Millisecond {
-			t.Logf("seed=%d: high-priority P99 delay %v", seed, hp99)
+		// No high-priority packet may wait much longer than the
+		// largest packet's transmit time (it never waits behind the
+		// low queue), and every one of them must be counted.
+		hs := nic.ClassStats(PriorityHigh)
+		if hs.Packets != highs {
+			t.Logf("seed=%d: %d high-priority packets counted, %d sent", seed, hs.Packets, highs)
+			return false
+		}
+		if hs.MaxQueueTime > 2*sim.Millisecond {
+			t.Logf("seed=%d: high-priority max queueing delay %v", seed, hs.MaxQueueTime)
 			return false
 		}
 		return true
@@ -208,8 +218,8 @@ func TestNICByteConservation(t *testing.T) {
 		nic.Send(&Packet{Proc: "p", Class: class, Bytes: bytes})
 	}
 	eng.RunAll()
-	if nic.ClassBytes(PriorityHigh) != wantHigh || nic.ClassBytes(PriorityLow) != wantLow {
+	if nic.ClassStats(PriorityHigh).Bytes != wantHigh || nic.ClassStats(PriorityLow).Bytes != wantLow {
 		t.Fatalf("byte conservation: got %d/%d want %d/%d",
-			nic.ClassBytes(PriorityHigh), nic.ClassBytes(PriorityLow), wantHigh, wantLow)
+			nic.ClassStats(PriorityHigh).Bytes, nic.ClassStats(PriorityLow).Bytes, wantHigh, wantLow)
 	}
 }

@@ -186,7 +186,7 @@ func TestEgressRatePlumbing(t *testing.T) {
 	o.SetEgressRate(1) // ~freeze secondary egress
 	o.NIC.Send(&netmodel.Packet{Proc: "batch", Class: netmodel.PriorityLow, Bytes: 10e3})
 	eng.Run(sim.Time(10 * sim.Millisecond))
-	if o.NIC.ClassBytes(netmodel.PriorityLow) != 0 {
+	if o.NIC.ClassStats(netmodel.PriorityLow).Bytes != 0 {
 		t.Fatal("egress cap not applied")
 	}
 }

@@ -38,37 +38,128 @@ func TestEngineCountsRun(t *testing.T) {
 	}
 }
 
-// laneCounts runs a lane program (runProgram) and returns its log and
-// the engine's pushed/popped counts after every op and at the end.
-// viaHeap sends the fixed-delay events through AfterTimer instead of
-// lanes.
-func laneCounts(data []byte, viaHeap bool) ([]progRecord, [][2]uint64) {
-	e := NewEngine()
-	var counts [][2]uint64
-	snap := func() {
-		pushed, popped, _ := e.Counts()
-		counts = append(counts, [2]uint64{pushed, popped})
+// laneTimer is the test's own record of one fixed-delay timer: its seq
+// and whether it has fired or been cancelled.
+type laneTimer struct {
+	seq              uint64
+	fired, cancelled bool
+}
+
+// trackedAPI is newAPI recording every fixed-delay timer it arms, per
+// lane in arming order. progDelays names 17 twice, and both share a
+// lane, so lanes are indexed by the first position of their delay.
+type trackedAPI struct {
+	newAPI
+	timers [][]*laneTimer
+}
+
+func laneOf(i int) int {
+	for j, d := range progDelays {
+		if d == progDelays[i] {
+			return j
+		}
 	}
-	log := runProgram(newEngineAPI(e, viaHeap), data, snap)
+	panic("unreachable")
+}
+
+func (a trackedAPI) after(lane int, fn func()) func() bool {
+	lt := &laneTimer{}
+	cancel := a.newAPI.after(lane, func() {
+		lt.fired = true
+		fn()
+	})
+	lt.seq = a.e.seq // the seq the timer was just stamped with
+	l := laneOf(lane)
+	a.timers[l] = append(a.timers[l], lt)
+	return func() bool {
+		ok := cancel()
+		lt.cancelled = lt.cancelled || ok
+		return ok
+	}
+}
+
+// laneRun is one run of a lane program (runProgram) with its
+// fixed-delay events in lanes or, when viaHeap is set, sent through
+// AfterTimer. counts holds the engine's pushed/popped counts after
+// every op and after the final drain.
+type laneRun struct {
+	log    []progRecord
+	counts [][2]uint64
+	// trimmed lists, with the op that exposed them, the cancelled
+	// timers a lane has dropped from its front by then: by the test's
+	// own records, those cancelled with every timer armed before them
+	// on their lane fired or cancelled.
+	trimmed []trimmedTimer
+	// queued[i] holds the seqs of the entries the event queue still
+	// holds after op i, cancelled ones included.
+	queued []map[uint64]bool
+}
+
+type trimmedTimer struct {
+	seq uint64
+	op  int
+}
+
+func runLanes(data []byte, viaHeap bool) laneRun {
+	e := NewEngine()
+	timers := make([][]*laneTimer, len(progDelays))
+	front := make([]int, len(progDelays))
+	var r laneRun
+	snap := func() {
+		op := len(r.counts)
+		pushed, popped, _ := e.Counts()
+		r.counts = append(r.counts, [2]uint64{pushed, popped})
+		for l, ts := range timers {
+			for ; front[l] < len(ts) && (ts[front[l]].fired || ts[front[l]].cancelled); front[l]++ {
+				if ts[front[l]].cancelled {
+					r.trimmed = append(r.trimmed, trimmedTimer{ts[front[l]].seq, op})
+				}
+			}
+		}
+		q := &e.events
+		in := map[uint64]bool{}
+		for k, b := range q.buckets {
+			if k == 0 {
+				b = b[q.head0:]
+			}
+			for _, ev := range b {
+				in[ev.seq] = true
+			}
+		}
+		r.queued = append(r.queued, in)
+	}
+	r.log = runProgram(trackedAPI{newEngineAPI(e, viaHeap), timers}, data, snap)
 	snap()
-	return log, counts
+	return r
 }
 
 // checkLaneCounts requires a program to behave identically with its
-// fixed-delay events in lanes or in the event queue: the same log, and
-// the same pushed/popped counts after every op — lanes discard a
-// cancelled entry exactly when the queue would have.
+// fixed-delay events in lanes or in the event queue: the same log, the
+// same pushed counts after every op and the same popped counts after
+// the final drain. After each op the lanes may have popped more: the
+// cancelled entries they trimmed from their fronts that the queue, in
+// the AfterTimer run, still holds.
 func checkLaneCounts(t *testing.T, data []byte) {
 	t.Helper()
-	laneLog, viaLane := laneCounts(data, false)
-	heapLog, viaHeap := laneCounts(data, true)
-	if d := diffLogs(laneLog, heapLog); d != "" {
+	lanes, heap := runLanes(data, false), runLanes(data, true)
+	if d := diffLogs(lanes.log, heap.log); d != "" {
 		t.Fatalf("lane vs AfterTimer: %s", d)
 	}
-	for i := range viaLane {
-		if viaLane[i] != viaHeap[i] {
-			t.Fatalf("after op %d: lanes pushed/popped %v, AfterTimer %v", i, viaLane[i], viaHeap[i])
+	for i := range lanes.counts {
+		early := 0
+		for _, tt := range lanes.trimmed {
+			if tt.op <= i && heap.queued[i][tt.seq] {
+				early++
+			}
 		}
+		l, h := lanes.counts[i], heap.counts[i]
+		if l[0] != h[0] || l[1] != h[1]+uint64(early) {
+			t.Fatalf("after op %d: lanes pushed/popped %v, AfterTimer %v with %d cancelled lane entries trimmed early",
+				i, l, h, early)
+		}
+	}
+	if last := len(lanes.counts) - 1; lanes.counts[last] != heap.counts[last] {
+		t.Fatalf("after the drain: lanes pushed/popped %v, AfterTimer %v", lanes.counts[last], heap.counts[last])
 	}
 }
 

@@ -27,8 +27,8 @@
 //     The base must never pass the clock, or an event scheduled between
 //     them could not be queued; a push below the base panics as a bug.
 //     Three rules keep it there. A peek does not move the base: next
-//     compares the queue's minimum with the lane fronts, and a lane
-//     event that wins may schedule below that minimum, so the peek
+//     compares the queue's minimum with the front lane's front, and a
+//     lane event that wins may schedule below that minimum, so the peek
 //     remembers where the minimum is instead. A cancelled entry that
 //     Run discards past its until is taken out without moving the base,
 //     since the clock stops at until. And an empty queue takes the
@@ -78,21 +78,46 @@
 //     fire the same d after they were scheduled; NewDelay returns one
 //     shared lane per distinct d. Because the clock never goes back and
 //     seq only grows, appending (now+d, seq) keeps each lane sorted by
-//     (at, seq) with no sorting. Step and Run take the least (at, seq)
-//     among the queue's minimum and the lane fronts, cancelled entries
-//     included, so the queue and lanes behave exactly as one queue
-//     holding every entry: execution order, cancelled-entry discards
-//     and the pushed/popped counts (Counts) are unchanged, which the
-//     differential and fuzz tests check against the container/heap
-//     reference and against the same programs run through AfterTimer.
-//     A colocated cell's queue now averages about 50 entries, none of
-//     them cancelled. This is libevent's "common timeouts" idea under
-//     the engine's (at, seq) contract. The lanes stay beside the radix
-//     queue: sending every lane timer through the queue instead (no
-//     lanes at all) measured, over 4 interleaved pairs per workload,
-//     1.3% faster on colocated (2 of 4 pairs) but 3.8% slower on
-//     cluster-harvest and 5.1% slower on standalone, with 2.2–4.7% more
-//     allocation.
+//     (at, seq) with no sorting. Step and Run take the lesser (at, seq)
+//     of the queue's minimum and the front lane's front: the engine
+//     keeps the lane whose front is least, and sweeps the few lanes
+//     for it again only when that lane's front changes, not on every
+//     event. A colocated cell's queue averages about 50 entries, none
+//     of them cancelled. This is libevent's "common timeouts" idea
+//     under the engine's (at, seq) contract.
+//
+//     A lane discards a cancelled entry as soon as it reaches the
+//     lane's front: in Cancel, when the entry is the front, and after
+//     every pop, so no lane ever shows a cancelled front, and a lane
+//     holds only the entries from its oldest live timer on. A deadline
+//     cancelled when its query finishes therefore leaves the lane
+//     within milliseconds rather than waiting out its 350 ms. In the
+//     benchmark's cluster-harvest workload (six 6×2 cells, seed 501)
+//     the shared deadline lane peaked at 4,818 entries, nearly all
+//     cancelled and each holding an engine slot; it now peaks at 517,
+//     and colocated's at 165 instead of 1,542. The 300 ms quantum lane
+//     barely shrinks (880 to 874 entries): a thread that runs out its
+//     whole quantum keeps a live entry at the front while the ones
+//     behind it are cancelled. The trimmed entries precede the lane's
+//     live front, which precedes every later event of the lane, so the
+//     engine would only have discarded them on its way there.
+//     Execution order, every (at, seq) tie-break and which cancelled
+//     queue entries are discarded when are exactly what one queue
+//     holding every entry gives; the differential and fuzz tests check
+//     this against the container/heap reference and against the same
+//     programs run through AfterTimer. Only the moment a cancelled lane
+//     entry counts as popped (Counts, and with it the run's
+//     sim_events_popped) moves: it counts when it is trimmed, which can
+//     be before its time. TestLaneObsCountsMatchHeap and FuzzEventHeap
+//     compare the two runs' counts after every op, allowing exactly the
+//     trimmed entries the test itself finds still queued in the
+//     AfterTimer run.
+//
+//     The lanes stay beside the radix queue: sending every lane timer
+//     through the queue instead (no lanes at all) measured, over 4
+//     interleaved pairs per workload, 1.3% faster on colocated (2 of 4
+//     pairs) but 3.8% slower on cluster-harvest and 5.1% slower on
+//     standalone, with 2.2–4.7% more allocation.
 //
 //   - Agenda streams a pre-planned batch (a query trace) by reserving
 //     its seq range up front and feeding events in one at a time as

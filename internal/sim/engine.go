@@ -66,10 +66,12 @@ type Engine struct {
 	seq    uint64
 	events queue
 	// lanes are the fixed-delay FIFOs handed out by NewDelay, one per
-	// distinct delay. Each is sorted by (at, seq) on its own, so the
-	// next event is the least of the queue's minimum and the lane
-	// fronts.
+	// distinct delay. Each is sorted by (at, seq) on its own and never
+	// shows a cancelled front (Delay.trim). front is the lane whose
+	// front is least, nil while every lane is empty, so the next event
+	// is the lesser of the queue's minimum and front's front.
 	lanes   []*Delay
+	front   *Delay
 	stopped bool
 
 	// fns is the pooled callback storage: events carry slot indices
@@ -84,13 +86,14 @@ type Engine struct {
 	slotSeq []uint64
 	free    []int32
 	// live counts scheduled-and-not-cancelled events; it is what
-	// Pending reports (the queue and lanes may additionally hold
-	// cancelled entries awaiting lazy removal).
+	// Pending reports (the queue, and lanes behind their live fronts,
+	// may additionally hold cancelled entries awaiting removal).
 	live int
 
 	// executed counts dispatched events and discarded the cancelled
-	// entries dropped without running; with what is still queued they
-	// account for every push (Counts).
+	// entries dropped without running, from the queue when they
+	// surface and from a lane when they reach its front; with what is
+	// still queued they account for every push (Counts).
 	executed  uint64
 	discarded uint64
 }
@@ -111,7 +114,10 @@ func (e *Engine) Pending() int { return e.live }
 // Counts reports the engine's event accounting: entries pushed onto
 // the queue or a lane, entries popped off them (dispatched, or
 // discarded because they were cancelled), and the queue's high-water
-// mark, which leaves out entries waiting in lanes.
+// mark, which leaves out entries waiting in lanes. A cancelled queue
+// entry counts as popped when it surfaces; a cancelled lane entry
+// counts as soon as it reaches its lane's front, which may be long
+// before its time.
 func (e *Engine) Counts() (pushed, popped uint64, maxDepth int) {
 	popped = e.executed + e.discarded
 	queued := e.events.Len()
@@ -178,11 +184,15 @@ type Timer struct {
 // already ran (or was already cancelled) is a harmless no-op. The seq
 // stamp makes stale Timers safe even after their slot is recycled.
 //
-// Cancellation is lazy: the queue or lane entry stays queued and is
-// discarded when it surfaces. Removing an entry from a totally ordered
-// queue never reorders the remaining events — and a cancelled entry
-// neither advances the clock nor counts as executed — so cancelling an
-// event that would have been a no-op is observationally invisible.
+// Cancellation is lazy in the queue: the entry stays queued and is
+// discarded when it surfaces. A lane discards a cancelled entry as soon
+// as it reaches the lane's front, here if it is the front already, so
+// no lane shows a cancelled front and a lane holds only the entries
+// from its oldest live timer on. Removing an entry from a totally
+// ordered queue never reorders the remaining events — and a cancelled
+// entry neither advances the clock nor counts as executed — so
+// cancelling an event that would have been a no-op is observationally
+// invisible; only the moment Counts sees a lane entry popped moves.
 func (e *Engine) Cancel(tm Timer) bool {
 	if tm.seq == 0 || int(tm.slot) >= len(e.fns) || e.slotSeq[tm.slot] != tm.seq {
 		return false
@@ -190,28 +200,45 @@ func (e *Engine) Cancel(tm Timer) bool {
 	e.fns[tm.slot] = nil
 	e.slotSeq[tm.slot] = 0
 	e.live--
+	for _, l := range e.lanes {
+		if l.n > 0 && l.buf[l.head].seq == tm.seq {
+			l.trim()
+			break
+		}
+	}
 	return true
 }
 
-// next returns the least (at, seq) entry among the queue's minimum and
-// the lane fronts, cancelled entries included, and the lane holding it
-// (nil for the queue). ok is false when nothing is queued. Treating
-// the union this way makes the queue and lanes behave as one queue, so
-// execution order — and which cancelled entries have been discarded at
-// any point — is exactly what a single queue holding every entry gives.
+// next returns the least (at, seq) entry among the queue's minimum,
+// cancelled or not, and the front lane's live front, and the lane
+// holding it (nil for the queue). ok is false when nothing is queued.
+// The cancelled lane entries already trimmed would only have been
+// discarded on the way, so the queue and lanes behave as one queue:
+// execution order, and which cancelled queue entries have been
+// discarded at any point, are exactly what a single queue holding
+// every entry gives.
 func (e *Engine) next() (ev event, lane *Delay, ok bool) {
 	if e.events.Len() > 0 {
 		ev, ok = e.events.min(), true
 	}
-	for _, l := range e.lanes {
-		if l.n == 0 {
-			continue
-		}
+	if l := e.front; l != nil {
 		if f := l.buf[l.head]; !ok || f.Less(ev) {
-			ev, lane, ok = f, l, true
+			return f, l, true
 		}
 	}
-	return ev, lane, ok
+	return ev, nil, ok
+}
+
+// frontLane returns the lane whose front is least, nil when every lane
+// is empty.
+func (e *Engine) frontLane() *Delay {
+	var best *Delay
+	for _, l := range e.lanes {
+		if l.n > 0 && (best == nil || l.buf[l.head].Less(best.buf[best.head])) {
+			best = l
+		}
+	}
+	return best
 }
 
 // drop removes the entry next just returned from its queue. Taking it
@@ -273,10 +300,10 @@ func (e *Engine) Run(until Time) uint64 {
 	for !e.stopped {
 		ev, lane, ok := e.next()
 		if ok && e.slotSeq[ev.slot] != ev.seq {
-			// Cancelled head: discard without touching the clock. Past
-			// until the clock stops short of it, so the queue must not
-			// move its base there: events may yet be scheduled between
-			// until and ev.at.
+			// Cancelled head, always a queue entry: discard without
+			// touching the clock. Past until the clock stops short of
+			// it, so the queue must not move its base there: events may
+			// yet be scheduled between until and ev.at.
 			e.drop(lane, ev.at > until)
 			e.free = append(e.free, ev.slot)
 			e.discarded++
@@ -364,8 +391,9 @@ func (a *Agenda) At(t Time, fn func()) {
 // engine dispatches the least of the queue's minimum and the lane
 // fronts — execution order is exactly what AfterTimer(d, ...) gives.
 // A timer that is nearly always cancelled (a query deadline, a quantum
-// expiry) thereby waits in its lane rather than crowding the queue
-// every other event is popped through.
+// expiry) thereby stays out of the queue every other event is popped
+// through, and leaves its lane as soon as it and every timer armed
+// before it on the lane have fired or been cancelled.
 type Delay struct {
 	e   *Engine
 	d   Duration
@@ -395,7 +423,8 @@ func (e *Engine) NewDelay(d Duration) *Delay {
 // Timer that Engine.Cancel accepts. It is AfterTimer(d, fn) in every
 // observable respect: the same seq is stamped, the event runs at the
 // same point of the total order, and Counts sees one push (though the
-// queue's high-water mark does not count lane entries).
+// queue's high-water mark does not count lane entries, and Counts sees
+// the entry popped when it reaches the lane's front cancelled).
 func (l *Delay) After(fn func()) Timer {
 	e := l.e
 	e.seq++
@@ -405,15 +434,46 @@ func (l *Delay) After(fn func()) Timer {
 	if l.n == len(l.buf) {
 		l.grow()
 	}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = event{at: e.now.Add(l.d), seq: seq, slot: slot}
+	ev := event{at: e.now.Add(l.d), seq: seq, slot: slot}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
 	l.n++
+	if l.n == 1 {
+		if f := e.front; f == nil || ev.Less(f.buf[f.head]) {
+			e.front = l
+		}
+	}
 	return Timer{slot: slot, seq: seq}
 }
 
-// pop removes the front entry.
+// pop removes the front entry, which next has just returned, and the
+// cancelled entries that uncovers.
 func (l *Delay) pop() {
 	l.head = (l.head + 1) & (len(l.buf) - 1)
 	l.n--
+	l.trim()
+}
+
+// trim discards the cancelled entries at the lane's front, so the front
+// is live or the lane empty, and keeps the engine's front lane current.
+// A lane other than the front lane only moves its front later, so it
+// stays behind the front lane.
+func (l *Delay) trim() {
+	e := l.e
+	for l.n > 0 {
+		f := l.buf[l.head]
+		if e.slotSeq[f.slot] == f.seq {
+			break
+		}
+		// Recycle the slot, held since Cancel so the entry could never
+		// alias a newer event.
+		e.free = append(e.free, f.slot)
+		e.discarded++
+		l.head = (l.head + 1) & (len(l.buf) - 1)
+		l.n--
+	}
+	if l == e.front {
+		e.front = e.frontLane()
+	}
 }
 
 // grow doubles the full ring, unwrapping it so the front is at index 0.

@@ -55,21 +55,31 @@ func BenchmarkEventHeap(b *testing.B) {
 // BenchmarkEngineFixedDelayCancel prices IndexServe's deadline pattern:
 // every 250 µs of simulated time (4000 QPS) one 350 ms timer is armed
 // and the one armed 16 steps (4 ms) earlier is cancelled, with a live
-// short event dispatched in between — so about 1,400 cancelled timers
-// are always waiting to surface. heap arms them with AfterTimer; lane
-// arms them on a fixed-delay lane, which keeps them out of the queue.
+// short event dispatched in between. heap arms the timers with
+// AfterTimer, so about 1,400 cancelled ones always wait in the queue;
+// lane arms them on a fixed-delay lane, which keeps them out of the
+// queue and drops each as soon as it reaches the lane's front. The
+// busy variants add a 100 µs ticker, as a cell's other events do, so
+// no Run reaches a cancelled entry past its until: only then does
+// holding cancelled lane entries until their time cost anything.
 func BenchmarkEngineFixedDelayCancel(b *testing.B) {
 	const (
 		step     = 250 * Microsecond
 		deadline = 350 * Millisecond
 		finishIn = 16 // steps between arming and cancelling
 	)
-	for _, mode := range []string{"heap", "lane"} {
-		b.Run(mode, func(b *testing.B) {
+	for _, mode := range []struct {
+		name       string
+		lane, busy bool
+	}{{"heap", false, false}, {"lane", true, false}, {"heap-busy", false, true}, {"lane-busy", true, true}} {
+		b.Run(mode.name, func(b *testing.B) {
 			e := NewEngine()
 			arm := func(fn func()) Timer { return e.AfterTimer(deadline, fn) }
-			if mode == "lane" {
+			if mode.lane {
 				arm = e.NewDelay(deadline).After
+			}
+			if mode.busy {
+				e.Ticker(100*Microsecond, func() bool { return true })
 			}
 			noop := func() {}
 			var armed [finishIn]Timer

@@ -512,3 +512,43 @@ func TestDelayRingWraps(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneHoldsOnlyLiveTimers is IndexServe's deadline pattern at
+// 4,000 QPS: a 350 ms lane timer armed every 250 µs and cancelled 4 ms
+// later, while a 100 µs ticker keeps the queue busy, so no Run ever
+// reaches the lane's front. A lane that kept its cancelled entries
+// until their time would hold 1,400 of them; one that trims its front
+// holds only the 16 live timers and the one just armed.
+func TestLaneHoldsOnlyLiveTimers(t *testing.T) {
+	const (
+		step     = 250 * Microsecond
+		deadline = 350 * Millisecond
+		finishIn = 16 // steps between arming and cancelling
+	)
+	e := NewEngine()
+	lane := e.NewDelay(deadline)
+	ticks := 0
+	e.Ticker(100*Microsecond, func() bool {
+		ticks++
+		return true
+	})
+	var armed [finishIn]Timer
+	peak := 0
+	for i := 0; i < 3*int(deadline/step); i++ {
+		k := i % finishIn
+		prev := armed[k]
+		armed[k] = lane.After(func() { t.Error("a cancelled deadline fired") })
+		peak = max(peak, lane.n)
+		if i >= finishIn && !e.Cancel(prev) {
+			t.Fatalf("step %d: deadline armed %d steps earlier was not pending", i, finishIn)
+		}
+		e.Run(e.Now().Add(step))
+		peak = max(peak, lane.n)
+	}
+	if peak > finishIn+1 {
+		t.Fatalf("lane held %d entries, want at most %d", peak, finishIn+1)
+	}
+	if want := 3 * int(deadline/(100*Microsecond)); ticks != want {
+		t.Fatalf("%d ticks, want %d", ticks, want)
+	}
+}

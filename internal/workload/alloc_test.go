@@ -46,8 +46,8 @@ func TestTenantOperationsDoNotAllocate(t *testing.T) {
 			t.Fatalf("op counters %d/%d disagree with the volume's %d/%d", h.ClientOps, h.ReplicationOps,
 				hdd.Stats("hdfs-client").Ops, hdd.Stats("hdfs-replication").Ops)
 		}
-		if nic.ClassBytes(netmodel.PriorityLow) != h.ReplicatedBytes {
-			t.Fatalf("replicated %d bytes, NIC sent %d", h.ReplicatedBytes, nic.ClassBytes(netmodel.PriorityLow))
+		if nic.ClassStats(netmodel.PriorityLow).Bytes != h.ReplicatedBytes {
+			t.Fatalf("replicated %d bytes, NIC sent %d", h.ReplicatedBytes, nic.ClassStats(netmodel.PriorityLow).Bytes)
 		}
 	})
 
@@ -82,8 +82,8 @@ func TestTenantOperationsDoNotAllocate(t *testing.T) {
 		})
 		f.Start()
 		check(t, eng, func() uint64 { return f.Delivered })
-		if f.DeliveredBytes() != nic.ClassBytes(netmodel.PriorityLow) || f.Sent < f.Delivered {
-			t.Fatalf("sent %d, delivered %d bytes, NIC sent %d", f.Sent, f.DeliveredBytes(), nic.ClassBytes(netmodel.PriorityLow))
+		if f.DeliveredBytes() != nic.ClassStats(netmodel.PriorityLow).Bytes || f.Sent < f.Delivered {
+			t.Fatalf("sent %d, delivered %d bytes, NIC sent %d", f.Sent, f.DeliveredBytes(), nic.ClassStats(netmodel.PriorityLow).Bytes)
 		}
 	})
 }

@@ -31,9 +31,9 @@ func TestHDFSFlowsRun(t *testing.T) {
 	if h.ReplicatedBytes == 0 {
 		t.Fatal("no replication egress")
 	}
-	if nic.ClassBytes(netmodel.PriorityLow) != h.ReplicatedBytes {
+	if nic.ClassStats(netmodel.PriorityLow).Bytes != h.ReplicatedBytes {
 		t.Fatalf("NIC low-priority bytes %d != replicated %d",
-			nic.ClassBytes(netmodel.PriorityLow), h.ReplicatedBytes)
+			nic.ClassStats(netmodel.PriorityLow).Bytes, h.ReplicatedBytes)
 	}
 	// The CPU component holds its small share.
 	cpu.AccrueAll()
