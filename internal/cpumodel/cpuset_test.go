@@ -1,6 +1,7 @@
 package cpumodel
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -119,7 +120,7 @@ func TestCPUSetAlgebraProperties(t *testing.T) {
 		}
 		return w.Count() == s.Count()+1 && wo.Count() == s.Count()
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,7 +132,7 @@ func TestCPUSetCountMatchesForEach(t *testing.T) {
 		s.ForEach(func(int) { n++ })
 		return n == s.Count()
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -143,7 +144,7 @@ func TestTopCoresDisjointFromBottom(t *testing.T) {
 		bottom := AllCores(48 - kk)
 		return top&bottom == 0 && top|bottom == AllCores(48) && top.Count() == kk
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -199,8 +199,8 @@ func RunSingleTraced(qps float64, bully BullyMode, pol isolation.Policy, scale S
 		}
 	}
 	smp.probe("p99_ms", "ms", func(w int) float64 {
-		if h := winLat.Window(w); h != nil && h.Count() > 0 {
-			return h.P99() / float64(sim.Millisecond)
+		if n, p99 := winLat.Window(w); n > 0 {
+			return p99 / float64(sim.Millisecond)
 		}
 		return 0
 	})

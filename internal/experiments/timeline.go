@@ -145,10 +145,9 @@ func RunTimeline(cfg TimelineConfig) TimelineResult {
 	var usedSum, p99Sum float64
 	count := 0
 	for w := 0; w < windows && w+1 < len(snaps); w++ {
-		h := lat.Window(w)
 		p99 := 0.0
-		if h != nil && h.Count() > 0 {
-			p99 = h.P99() / float64(sim.Millisecond)
+		if n, v := lat.Window(w); n > 0 {
+			p99 = v / float64(sim.Millisecond)
 		}
 		dUsed := snaps[w+1].used - snaps[w].used
 		dSec := snaps[w+1].sec - snaps[w].sec

@@ -1,6 +1,7 @@
 package memmodel
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -127,7 +128,7 @@ func TestConservationProperty(t *testing.T) {
 		}
 		return tr.Used() == want && tr.Free()+tr.Used() == tr.Total()
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

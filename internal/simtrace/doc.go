@@ -146,18 +146,27 @@
 // # Record storage
 //
 // A cell keeps one record per measured query until it ends, so a
-// RecordLog packs each QueryRecord, 88 bytes, into a 40-byte row: the
-// nine durations as uint32 nanoseconds, latency first, and the ID
-// shifted left by one over the dropped flag. The row's sort key is
-// then one uint64, the latency above the ID word, and the quickselect
-// swaps 40 bytes, not 88. A duration of 2^32-1 ns is about 4.29 s and
-// every value a cell records is bounded by its 350 ms deadline; Append
-// panics, naming the field, on an ID outside [0, 2^31-1] or a duration
-// outside [0, 2^32-1] ns rather than wrap. The table reads four
-// records, so only the four selected rows are unpacked. A
-// single-machine cell starts its log at the warmup cut and sizes it
-// then for exactly the queries still to finish, so a 500k-query cell
-// keeps about 16 MB of rows and its log never grows.
+// RecordLog packs each QueryRecord, 88 bytes, into a pointer-free
+// 12-byte row: the ID shifted left by one over the dropped flag, the
+// latency as uint32 nanoseconds, and a side-table reference. The row's
+// sort key is then one uint64 load, the latency above the ID word, and
+// the quickselect swaps 12 bytes, not 88. Most records say only that the
+// whole latency was service (Service equal to Latency, every other
+// cause zero): 84-85% of the measured queries in a colocated or a
+// standalone cell at 4,000 QPS. Such a row's reference is 0 and the
+// record keeps nothing else. Every other record keeps its eight causes,
+// as uint32 nanoseconds, in a side table, also pointer-free, that grows
+// in 8 KiB chunks of 256 entries and never by append: Go grows a large
+// slice by about 1.25x a step, so an appended table would allocate
+// about five times its final size. A duration of 2^32-1 ns is about
+// 4.29 s and every value a cell records is bounded by its 350 ms
+// deadline; Append panics, naming the field, on an ID outside
+// [0, 2^31-1] or a duration outside [0, 2^32-1] ns rather than wrap.
+// The table reads four records, so only the four selected rows are
+// unpacked. A single-machine cell starts its log at the warmup cut and
+// sizes its rows then for exactly the queries still to finish, so the
+// rows never grow, and a 500k-query cell, 400k of them measured, keeps
+// about 7 MB of rows and side table.
 // TestCellMemoryPerQuery (internal/experiments) bounds what a cell
 // allocates per query.
 //

@@ -86,38 +86,76 @@ var quantileValues = map[string]float64{
 }
 
 // RecordLog holds a cell's measured QueryRecords, each packed into a
-// 40-byte row, and builds the cell's blame table from them. Append
-// panics on a record that does not fit: an ID outside [0, 2^31-1] or a
-// duration outside [0, 2^32-1] ns, about 4.29 s.
+// 12-byte row, and builds the cell's blame table from them. A record
+// whose latency is all service keeps nothing else; any other record
+// also keeps its eight causes in a side table. Append panics on a
+// record that does not fit: an ID outside [0, 2^31-1] or a duration
+// outside [0, 2^32-1] ns, about 4.29 s.
 type RecordLog struct {
 	rows []row
+	// side holds the causes of the records that are not all service,
+	// in chunks of sideChunk entries; sideLen counts the entries used.
+	side    []*[sideChunk]causes
+	sideLen int
 }
 
-// row is a packed QueryRecord: the nine durations as uint32
-// nanoseconds, the latency first and then the causes in Causes order,
-// and the ID shifted left by one over the dropped flag.
+// row is a packed QueryRecord: the ID shifted left by one over the
+// dropped flag, the latency as uint32 nanoseconds, and ref, which is 0
+// for a pure-service record (Service equal to Latency, every other
+// cause zero) and otherwise one more than the index of its causes in
+// the side table. The latency follows the ID word, so on a
+// little-endian machine key reads both in one load.
 type row struct {
-	ns [9]uint32
-	id uint32
+	id, lat, ref uint32
 }
+
+// causes is a record's eight causes, in Causes order, as uint32
+// nanoseconds.
+type causes [8]uint32
+
+// sideChunk is the number of side-table entries allocated at once: 8
+// KiB, a size class of its own, so a log wastes at most one chunk's
+// tail. The table grows a chunk at a time and never by append, which
+// would copy it at each growth and allocate several times its final
+// size.
+const sideChunk = 256
 
 // NewRecordLog returns an empty log with room for n records.
 func NewRecordLog(n int) *RecordLog { return &RecordLog{rows: make([]row, 0, n)} }
 
-// Append packs r into a row.
+// Append packs r into a row, and its causes into the side table unless
+// its latency is all service.
 func (l *RecordLog) Append(r QueryRecord) {
 	if uint64(r.ID) > math.MaxInt32 {
 		panic(fmt.Sprintf("simtrace: record ID %d does not fit a row (0 to %d)", r.ID, math.MaxInt32))
 	}
-	id := uint32(r.ID) << 1
+	rw := row{id: uint32(r.ID) << 1, lat: ns("Latency", r.Latency)}
 	if r.Dropped {
-		id |= 1
+		rw.id |= 1
 	}
-	l.rows = append(l.rows, row{id: id, ns: [9]uint32{
-		ns("Latency", r.Latency), ns("Service", r.Service), ns("Queue", r.Queue),
-		ns("Harvest", r.Harvest), ns("Evict", r.Evict), ns("Throttle", r.Throttle),
-		ns("Disk", r.Disk), ns("Spread", r.Spread), ns("Other", r.Other),
-	}})
+	if r.Service != r.Latency || r.Queue|r.Harvest|r.Evict|r.Throttle|r.Disk|r.Spread|r.Other != 0 {
+		rw.ref = l.addCauses(causes{
+			ns("Service", r.Service), ns("Queue", r.Queue), ns("Harvest", r.Harvest),
+			ns("Evict", r.Evict), ns("Throttle", r.Throttle), ns("Disk", r.Disk),
+			ns("Spread", r.Spread), ns("Other", r.Other),
+		})
+	}
+	l.rows = append(l.rows, rw)
+}
+
+// addCauses stores c in the side table, starting a chunk when the last
+// one is full, and returns the ref a row keeps for it.
+func (l *RecordLog) addCauses(c causes) uint32 {
+	i := l.sideLen
+	if uint64(i) == math.MaxUint32 {
+		panic("simtrace: record log side table is full")
+	}
+	if i%sideChunk == 0 {
+		l.side = append(l.side, new([sideChunk]causes))
+	}
+	l.side[i/sideChunk][i%sideChunk] = c
+	l.sideLen++
+	return uint32(i) + 1
 }
 
 // ns packs one duration of a record, named field, into a row.
@@ -129,19 +167,24 @@ func ns(field string, d sim.Duration) uint32 {
 }
 
 // record unpacks a row.
-func (r *row) record() QueryRecord {
-	d := func(i int) sim.Duration { return sim.Duration(r.ns[i]) }
-	return QueryRecord{
-		ID: int(r.id >> 1), Dropped: r.id&1 != 0, Latency: d(0),
-		Service: d(1), Queue: d(2), Harvest: d(3), Evict: d(4),
-		Throttle: d(5), Disk: d(6), Spread: d(7), Other: d(8),
+func (l *RecordLog) record(r row) QueryRecord {
+	lat := sim.Duration(r.lat)
+	q := QueryRecord{ID: int(r.id >> 1), Dropped: r.id&1 != 0, Latency: lat, Service: lat}
+	if r.ref == 0 {
+		return q
 	}
+	i := int(r.ref - 1)
+	c := &l.side[i/sideChunk][i%sideChunk]
+	d := func(k int) sim.Duration { return sim.Duration(c[k]) }
+	q.Service, q.Queue, q.Harvest, q.Evict = d(0), d(1), d(2), d(3)
+	q.Throttle, q.Disk, q.Spread, q.Other = d(4), d(5), d(6), d(7)
+	return q
 }
 
 // key is the (latency, id) order quantiles are read in: the latency
 // above the ID. The dropped flag sits below the ID, and IDs are
 // unique, so it never decides.
-func (r *row) key() uint64 { return uint64(r.ns[0])<<32 | uint64(r.id) }
+func (r *row) key() uint64 { return uint64(r.lat)<<32 | uint64(r.id) }
 
 // BlameTable builds the per-cell blame table from the log. Quantile
 // queries are selected deterministically: the ceil(q*n)-th record in
@@ -170,7 +213,7 @@ func (l *RecordLog) BlameTable() *CellForensics {
 		// lies at or after the last index.
 		selectRow(rows[lo:], idx-lo)
 		lo = idx
-		cf.Rows = append(cf.Rows, BlameRow{Quantile: q, Record: rows[idx].record()})
+		cf.Rows = append(cf.Rows, BlameRow{Quantile: q, Record: l.record(rows[idx])})
 	}
 	return cf
 }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -51,7 +52,7 @@ func TestCPUAccountingConservation(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -134,7 +135,7 @@ func TestMovingAverageProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,9 +9,10 @@ import (
 // BenchmarkHistogramAdd measures the per-query recording cost — it sits
 // on the completion path of every simulated query. "latency" records
 // into one histogram; "windows" records a cell's worth of latencies
-// (24,000, log-normal with a 3.5 ms median) into 40 fresh windows the
-// way the series sampler does, so its allocations are the windows'
-// bucket arrays, amortized per sample.
+// (24,000, log-normal with a 3.5 ms median) into a fresh 40-window
+// series the way the series sampler does, so its allocations are the
+// open window's bucket array and the closed windows' stats, amortized
+// per sample.
 func BenchmarkHistogramAdd(b *testing.B) {
 	b.Run("latency", func(b *testing.B) {
 		h := NewHistogram()

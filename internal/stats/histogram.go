@@ -246,11 +246,25 @@ func ExactPercentile(samples []float64, q float64) float64 {
 }
 
 // WindowedLatency buckets latency samples into fixed time windows so
-// experiments can report percentile series over time (the Fig. 10
-// plots). The zero value is not usable; construct with NewWindowedLatency.
+// experiments can report a P99 series over time (the Fig. 10 plots).
+// Samples arrive in time order, so it keeps one histogram, for the
+// open window: the latest window a sample has landed in. A sample in a
+// later window closes the open one, keeping only its count and P99,
+// the values its readers take, and Resets the histogram for the new
+// window. A sample in an earlier window than the open one panics. The
+// zero value is not usable; construct with NewWindowedLatency.
 type WindowedLatency struct {
-	window  sim.Duration
-	buckets []*Histogram
+	window sim.Duration
+	open   *Histogram
+	// closed holds one entry per window before the open one, whose
+	// index is len(closed).
+	closed []windowStat
+}
+
+// windowStat is what a closed window keeps.
+type windowStat struct {
+	count uint64
+	p99   float64
 }
 
 // NewWindowedLatency creates a series with the given window width.
@@ -258,23 +272,39 @@ func NewWindowedLatency(window sim.Duration) *WindowedLatency {
 	if window <= 0 {
 		panic("stats: non-positive window")
 	}
-	return &WindowedLatency{window: window}
+	return &WindowedLatency{window: window, open: NewHistogram()}
 }
 
 // Add records a sample observed at time t.
 func (w *WindowedLatency) Add(t sim.Time, d sim.Duration) {
-	idx := int(t / sim.Time(w.window))
-	for len(w.buckets) <= idx {
-		w.buckets = append(w.buckets, NewHistogram())
+	if i := int(t / sim.Time(w.window)); i != len(w.closed) {
+		w.advance(i)
 	}
-	w.buckets[idx].AddDuration(d)
+	w.open.AddDuration(d)
 }
 
-// Window returns the histogram of the i-th window (nil when empty or
-// out of range).
-func (w *WindowedLatency) Window(i int) *Histogram {
-	if i < 0 || i >= len(w.buckets) {
-		return nil
+// advance closes the open window, and every window after it before
+// window i, which becomes the open window.
+func (w *WindowedLatency) advance(i int) {
+	if i < len(w.closed) {
+		panic(fmt.Sprintf("stats: latency sample in window %d, after window %d opened", i, len(w.closed)))
 	}
-	return w.buckets[i]
+	w.closed = append(w.closed, windowStat{w.open.Count(), w.open.P99()})
+	for len(w.closed) < i {
+		w.closed = append(w.closed, windowStat{})
+	}
+	w.open.Reset()
+}
+
+// Window reports the sample count and P99 of the i-th window; the open
+// window reads as it stands. Both are 0 for a window with no samples
+// and for one out of range.
+func (w *WindowedLatency) Window(i int) (count uint64, p99 float64) {
+	switch {
+	case i < 0 || i > len(w.closed):
+		return 0, 0
+	case i == len(w.closed):
+		return w.open.Count(), w.open.P99()
+	}
+	return w.closed[i].count, w.closed[i].p99
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -69,7 +70,7 @@ func TestHistogramQuantileMonotonic(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,7 +93,7 @@ func TestHistogramQuantileBounds(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
