@@ -85,6 +85,11 @@ func ReadManifest(path string) (Manifest, error) {
 	if err != nil {
 		return Manifest{}, err
 	}
+	return decodeManifest(path, blob)
+}
+
+// decodeManifest decodes and verifies the manifest blob read from path.
+func decodeManifest(path string, blob []byte) (Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(blob, &m); err != nil {
 		return Manifest{}, fmt.Errorf("shard: %s: %w", path, err)

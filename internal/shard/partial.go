@@ -122,6 +122,11 @@ func ReadPartial(path string) (Partial, error) {
 	if err != nil {
 		return Partial{}, err
 	}
+	return decodePartial(path, blob)
+}
+
+// decodePartial decodes the partial blob read from path.
+func decodePartial(path string, blob []byte) (Partial, error) {
 	var p Partial
 	if err := json.Unmarshal(blob, &p); err != nil {
 		return Partial{}, fmt.Errorf("shard: %s: %w", path, err)

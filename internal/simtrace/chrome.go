@@ -35,8 +35,9 @@ func WriteChrome(w io.Writer, t *Tracer) error {
 		b = appendThreadName(b, tid(tr.ID), tr.Name)
 	}
 	b = appendThreadName(b, controlTID, "control")
-	for _, i := range t.order() {
-		b = t.appendRecord(b, t.at(int(i)))
+	keys, mask := t.order()
+	for _, k := range keys {
+		b = t.appendRecord(b, t.at(int(k&mask)))
 		if len(b) >= flushAt {
 			if _, err := w.Write(b); err != nil {
 				return err
@@ -61,49 +62,50 @@ func appendThreadName(b []byte, tid int, name string) []byte {
 // around the strings between them, which the string table holds
 // escaped and unquoted.
 func (t *Tracer) appendRecord(b []byte, r *record) []byte {
+	s, v := t.unpack(r)
 	b = append(b, ",\n{\"name\":\""...)
-	b = append(b, t.strs.json(r.name)...)
-	if r.cat != 0 {
+	b = append(b, t.strs.json(s.name)...)
+	if s.cat != 0 {
 		b = append(b, `","cat":"`...)
-		b = append(b, t.strs.json(r.cat)...)
+		b = append(b, t.strs.json(s.cat)...)
 	}
-	switch r.kind {
+	switch s.kind {
 	case KindSlice:
 		b = append(b, `","ph":"X","pid":0,"tid":`...)
-		b = strconv.AppendInt(b, int64(tid(int(r.track))), 10)
+		b = strconv.AppendInt(b, int64(tid(v.track)), 10)
 		b = append(b, `,"ts":`...)
 		b = appendMicros(b, int64(r.ts))
 		b = append(b, `,"dur":`...)
-		b = appendMicros(b, r.dur)
+		b = appendMicros(b, v.dur)
 	case KindBegin, KindEnd:
-		if r.kind == KindBegin {
+		if s.kind == KindBegin {
 			b = append(b, `","ph":"b","pid":0,"tid":`...)
 		} else {
 			b = append(b, `","ph":"e","pid":0,"tid":`...)
 		}
-		b = strconv.AppendInt(b, int64(tid(int(r.track))), 10)
+		b = strconv.AppendInt(b, int64(tid(v.track)), 10)
 		b = append(b, `,"id":"`...)
-		b = strconv.AppendInt(b, r.dur, 10)
+		b = strconv.AppendInt(b, v.dur, 10)
 		b = append(b, `","ts":`...)
 		b = appendMicros(b, int64(r.ts))
 	case KindInstant:
 		b = append(b, `","ph":"i","s":"t","pid":0,"tid":`...)
-		b = strconv.AppendInt(b, int64(tid(int(r.track))), 10)
+		b = strconv.AppendInt(b, int64(tid(v.track)), 10)
 		b = append(b, `,"ts":`...)
 		b = appendMicros(b, int64(r.ts))
 	}
-	if r.typ[0] != argNone {
+	if s.typ[0] != argNone {
 		b = append(b, `,"args":{"`...)
-		for i, typ := range r.typ {
+		for i, typ := range s.typ {
 			if typ == argNone {
 				break
 			}
 			if i > 0 {
 				b = append(b, `,"`...)
 			}
-			b = append(b, t.strs.json(r.key[i])...)
+			b = append(b, t.strs.json(s.key[i])...)
 			b = append(b, `":"`...)
-			b = appendArgValue(b, typ, r.num[i], &t.strs)
+			b = appendArgValue(b, typ, v.num[i], &t.strs)
 			b = append(b, '"')
 		}
 		b = append(b, '}')

@@ -35,26 +35,36 @@
 //
 // Recording formats nothing. An event carries at most MaxArgs typed
 // args built by Int, String or Bool, and the tracer stores it as a
-// record of 48 bytes that holds no pointers: the time, the duration
-// (or the async span's ID), an int32 track, the kind, the two int64
-// arg values, and 16-bit indices into the tracer's string table for
-// the name, the category, the arg keys and any string arg value, whose
-// index takes its int64's place. The GC never scans the records, and
+// record of 24 bytes that holds no pointers: the int64 time, an int32
+// duration (or the async span's ID), two int32 arg values, an int16
+// track and a 16-bit shape index. The shape is what the events of one
+// call site share: the kind, the name, the category, the arg keys and
+// the arg types, with each string as its index in the tracer's string
+// table. A string arg's value is its string index. A value that does
+// not fit its narrow field (a slice over 2.1 s, an ID or Int arg beyond
+// int32, a track beyond int16) sends all of the event's values, whole,
+// to a wide table: the record sets the top bit of its shape field, and
+// its duration field holds the entry's index. Neither table holds
+// pointers either, so the GC never scans the records, and
 // TestRecordIsPointerFree pins both properties. Records go into
 // fixed-size chunks, so a capture never copies earlier events as it
-// grows. Events rebuilds the public Event from a record.
+// grows. Events rebuilds the public Event from a record, its shape and
+// its wide entry, if any.
 //
-// The string table gives index 0 to the empty string and the others in
-// order of first use, so the indices are as deterministic as the
-// events. It JSON-escapes each distinct string once, when the string
-// is first interned, and WriteChrome appends the escaped bytes. A
-// capture may hold 65535 distinct non-empty strings; one more panics.
-// The interner's hit path reads no string bytes: it hashes the address
-// of the string's data into a small cache, whose slots keep their
-// strings alive, so a slot with the same data pointer and length holds
-// the same string. Call sites pass constants and long-lived process
-// names, so after the first few events nearly every lookup hits. A miss
-// looks the string up in a map by content.
+// Shapes and strings get indices in order of first use, so the indices
+// are as deterministic as the events. The string table JSON-escapes
+// each distinct string once, when the string is first interned, and
+// WriteChrome appends the escaped bytes. A capture may hold 65535
+// distinct non-empty strings and 32768 distinct shapes; one more
+// panics. Recording finds an event's shape with one probe of a small
+// cache keyed on the addresses of the name, category and arg key
+// strings, and reads no string bytes: the slots keep their strings
+// alive, so a slot whose strings have the same data pointers and
+// lengths holds the same strings. Call sites pass constants and
+// long-lived process names, so after the first few events nearly every
+// lookup hits. A miss interns the strings and looks the shape up by
+// content, and a string arg's value is looked up in the string table
+// by content; no call site in the simulator passes one.
 //
 // With storage warm, recording allocates nothing, and every method on
 // a nil tracer allocates nothing; TestRecordingDoesNotAllocate pins
@@ -64,20 +74,25 @@
 // rather than the events themselves, and renders each record into one
 // reused byte buffer with strconv.Append*. Every arg value is written
 // as a JSON string ("tid":"12", "dropped":"true"), whatever its type.
-// A golden file (testdata/cell.chrome.json) pins the bytes.
+// A golden file (testdata/cell.chrome.json) pins the bytes, and CI
+// compares the sha256 of each of the registry's traced cells with
+// testdata/registry.sha256.
 //
-// The order is (TS, Seq). Seq is the capture index, so the events in
-// capture order, sorted stably by TS alone, are already in that order.
-// The sort is an LSD radix sort, which is stable: one counting pass per
-// byte of the key, least significant byte first, each pass keeping the
-// order the previous ones left among equal bytes. The key is the time
-// with its sign bit flipped, so that unsigned order is signed time
-// order and a negative time (the golden trace has one at -5) sorts
-// first, less the smallest key of the capture; only the bytes that span
-// the capture's time range take a pass, five for a cell of a few
-// simulated seconds. The quotes around each string are part of the
-// constant runs between them, and args are read in place rather than
-// copied.
+// The order is (TS, Seq), and the sort takes one uint64 key per event,
+// 8 bytes, sorted in place. The key is the time less the capture's
+// earliest, shifted left over the sequence number, so every key is
+// distinct and ascending keys are exactly (TS, Seq) order; the time is
+// read with its sign bit flipped, which makes unsigned order signed
+// time order, so a negative time (the golden trace has one at -5)
+// sorts first. The keys are sorted by an MSD radix sort: count the keys
+// per value of the top digit, swap each into its digit's bucket, then
+// sort each bucket by the next digit down, with an insertion sort for
+// buckets of up to 32 keys. Only the bits that span the capture's time
+// range and sequence numbers take a digit. When those do not fit 64
+// bits, as with times at both ends of the int64 range, the keys are
+// the bare sequence numbers, ordered by comparing their records'
+// (TS, Seq). The quotes around each string are part of the constant
+// runs between them, and args are read in place rather than copied.
 //
 // ValidateChrome reads a trace in one pass. Its hand-written scanner
 // checks JSON syntax and applies the per-event rules as each event

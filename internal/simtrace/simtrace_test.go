@@ -3,9 +3,12 @@ package simtrace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -80,15 +83,17 @@ func TestRecordingDoesNotAllocate(t *testing.T) {
 }
 
 // TestRecordIsPointerFree pins doc.go's storage contract: a stored
-// event holds no pointers, so the GC never scans the chunks, and takes
-// at most 48 bytes.
+// event takes at most 24 bytes, and neither it, a wide-table entry nor
+// a shape holds a pointer, so the GC never scans the chunks or tables.
 func TestRecordIsPointerFree(t *testing.T) {
-	typ := reflect.TypeOf(record{})
-	if typ.Size() > 48 {
-		t.Errorf("record is %d bytes, want at most 48", typ.Size())
+	if size := reflect.TypeOf(record{}).Size(); size > 24 {
+		t.Errorf("record is %d bytes, want at most 24", size)
 	}
-	if path := pointerPath(typ, "record"); path != "" {
-		t.Errorf("record holds a pointer at %s", path)
+	for _, v := range []any{record{}, values{}, shape{}} {
+		typ := reflect.TypeOf(v)
+		if path := pointerPath(typ, typ.Name()); path != "" {
+			t.Errorf("%s holds a pointer at %s", typ.Name(), path)
+		}
 	}
 }
 
@@ -157,6 +162,117 @@ func TestEventsRebuildRecords(t *testing.T) {
 	}
 }
 
+// TestWideValuesRoundTrip records values on both sides of each narrow
+// field's range, one wide value per event: a 3 s slice, an async ID of
+// 1<<35, track 40,000 and an Int arg of 1<<40 in either arg slot go to
+// the wide table, the int32 and int16 limits stay in the record, and
+// Events and WriteChrome return every value whole.
+func TestWideValuesRoundTrip(t *testing.T) {
+	tr := New()
+	tr.Slice(1000, 3*sim.Second, 3, "long", "cpu", Int("tid", 7))
+	tr.Begin(2000, 1<<35, "query", "query", Int("workers", 4))
+	tr.Instant(3000, 40_000, "buffer-grow", "controller", String("reason", "low"))
+	tr.Slice(4000, 5, 3, "long", "cpu", Int("tid", 1<<40))
+	tr.End(5000, 1<<35, "query", "query", Bool("dropped", true), Int("latency_us", math.MinInt32-1))
+	tr.Slice(6000, math.MaxInt32, math.MaxInt16, "edge", "cpu", Int("tid", math.MinInt32))
+	tr.Begin(7000, math.MinInt32, "query", "query", Int("workers", math.MaxInt32))
+	tr.Instant(8000, math.MinInt16, "buffer-grow", "controller", String("reason", "low"))
+	want := []Event{
+		{Seq: 0, TS: 1000, Dur: 3 * sim.Second, Kind: KindSlice, Name: "long", Cat: "cpu", Track: 3,
+			Args: [MaxArgs]Arg{Int("tid", 7)}},
+		{Seq: 1, TS: 2000, Kind: KindBegin, Name: "query", Cat: "query", Track: TrackControl, ID: 1 << 35,
+			Args: [MaxArgs]Arg{Int("workers", 4)}},
+		{Seq: 2, TS: 3000, Kind: KindInstant, Name: "buffer-grow", Cat: "controller", Track: 40_000,
+			Args: [MaxArgs]Arg{String("reason", "low")}},
+		{Seq: 3, TS: 4000, Dur: 5, Kind: KindSlice, Name: "long", Cat: "cpu", Track: 3,
+			Args: [MaxArgs]Arg{Int("tid", 1<<40)}},
+		{Seq: 4, TS: 5000, Kind: KindEnd, Name: "query", Cat: "query", Track: TrackControl, ID: 1 << 35,
+			Args: [MaxArgs]Arg{Bool("dropped", true), Int("latency_us", math.MinInt32-1)}},
+		{Seq: 5, TS: 6000, Dur: math.MaxInt32, Kind: KindSlice, Name: "edge", Cat: "cpu", Track: math.MaxInt16,
+			Args: [MaxArgs]Arg{Int("tid", math.MinInt32)}},
+		{Seq: 6, TS: 7000, Kind: KindBegin, Name: "query", Cat: "query", Track: TrackControl, ID: math.MinInt32,
+			Args: [MaxArgs]Arg{Int("workers", math.MaxInt32)}},
+		{Seq: 7, TS: 8000, Kind: KindInstant, Name: "buffer-grow", Cat: "controller", Track: math.MinInt16,
+			Args: [MaxArgs]Arg{String("reason", "low")}},
+	}
+	if got := tr.Events(); !reflect.DeepEqual(got, want) {
+		t.Errorf("events\n%+v\nwant\n%+v", got, want)
+	}
+	if len(tr.wide) != 5 {
+		t.Errorf("%d events in the wide table, want 5", len(tr.wide))
+	}
+	var buf bytes.Buffer
+	if err := WriteChrome(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range []string{
+		`{"name":"long","cat":"cpu","ph":"X","pid":0,"tid":3,"ts":1.000,"dur":3000000.000,"args":{"tid":"7"}}`,
+		`{"name":"query","cat":"query","ph":"b","pid":0,"tid":999,"id":"34359738368","ts":2.000,"args":{"workers":"4"}}`,
+		`{"name":"buffer-grow","cat":"controller","ph":"i","s":"t","pid":0,"tid":40000,"ts":3.000,"args":{"reason":"low"}}`,
+		`{"name":"long","cat":"cpu","ph":"X","pid":0,"tid":3,"ts":4.000,"dur":0.005,"args":{"tid":"1099511627776"}}`,
+		`{"name":"query","cat":"query","ph":"e","pid":0,"tid":999,"id":"34359738368","ts":5.000,"args":{"dropped":"true","latency_us":"-2147483649"}}`,
+		`{"name":"edge","cat":"cpu","ph":"X","pid":0,"tid":32767,"ts":6.000,"dur":2147483.647,"args":{"tid":"-2147483648"}}`,
+		`{"name":"query","cat":"query","ph":"b","pid":0,"tid":999,"id":"-2147483648","ts":7.000,"args":{"workers":"2147483647"}}`,
+	} {
+		if !strings.Contains(buf.String(), "\n"+line+",\n") {
+			t.Errorf("export lacks the line\n%s\nin\n%s", line, buf.Bytes())
+		}
+	}
+	if err := ValidateChrome(buf.Bytes()); err != nil {
+		t.Errorf("export fails validation: %v", err)
+	}
+}
+
+// TestShapeCacheChecksEveryField makes each field of an event's shape
+// the only difference from a cached shape in the slot the event hashes
+// to, as a collision would, and requires the event to keep its own
+// shape.
+func TestShapeCacheChecksEveryField(t *testing.T) {
+	base := func(tr *Tracer) { tr.Instant(1, 0, "query", "query", Int("workers", 4), Int("tid", 2)) }
+	for name, variant := range map[string]func(*Tracer){
+		"name":  func(tr *Tracer) { tr.Instant(2, 0, "queue", "query", Int("workers", 4), Int("tid", 2)) },
+		"cat":   func(tr *Tracer) { tr.Instant(2, 0, "query", "cpu", Int("workers", 4), Int("tid", 2)) },
+		"key 0": func(tr *Tracer) { tr.Instant(2, 0, "query", "query", Int("dropped", 4), Int("tid", 2)) },
+		"key 1": func(tr *Tracer) { tr.Instant(2, 0, "query", "query", Int("workers", 4), Int("id", 2)) },
+		"type":  func(tr *Tracer) { tr.Instant(2, 0, "query", "query", Int("workers", 4), Bool("tid", true)) },
+		"args":  func(tr *Tracer) { tr.Instant(2, 0, "query", "query", Int("workers", 4)) },
+		"kind":  func(tr *Tracer) { tr.Begin(2, 0, "query", "query", Int("workers", 4), Int("tid", 2)) },
+	} {
+		ref := New()
+		variant(ref)
+		want := ref.Events()[0]
+
+		tr := New()
+		base(tr)
+		var cached hotShape
+		for _, h := range tr.shapes.hot {
+			if h.live {
+				cached = h
+			}
+		}
+		probe := New()
+		variant(probe)
+		for i, h := range probe.shapes.hot {
+			if h.live {
+				tr.shapes.hot[i] = cached
+			}
+		}
+		variant(tr)
+		got := tr.Events()[1]
+		got.Seq, got.TS = want.Seq, want.TS
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: a colliding cached shape turned\n%+v\ninto\n%+v", name, want, got)
+		}
+	}
+	// An empty slot matches no event, not even an unnamed slice.
+	tr := New()
+	tr.Instant(1, 0, "query", "query")
+	tr.Slice(2, 1, 0, "", "")
+	if got := tr.Events()[1]; got.Kind != KindSlice || got.Name != "" {
+		t.Errorf("an unnamed slice with no args reads back as %+v", got)
+	}
+}
+
 // TestEventsSortedBySimTimeThenSeq records times out of order, with a
 // tie, a negative time and one far enough out that the sort takes a
 // pass for each of several bytes.
@@ -173,6 +289,72 @@ func TestEventsSortedBySimTimeThenSeq(t *testing.T) {
 	}
 	if want := "negative early early2 late latest"; strings.Join(got, " ") != want {
 		t.Fatalf("order %q, want %q", got, want)
+	}
+}
+
+// TestOrderMatchesStableSort checks the order of events against a
+// stable sort by TS alone, with captures of up to 5,000 events whose
+// times take from 1 to 64 bits, many of them tied, at each end of the
+// int64 range, or drawn from its extremes. A capture whose time range
+// and sequence numbers need more than 64 bits takes the comparison
+// sort, and only such a capture.
+func TestOrderMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	type gen struct {
+		name string
+		ts   func() sim.Time
+	}
+	var gens []gen
+	for _, span := range []uint{1, 8, 20, 40, 51, 63} {
+		for _, base := range []int64{0, math.MinInt64, math.MaxInt64 - int64(uint64(1)<<span-1)} {
+			gens = append(gens, gen{fmt.Sprintf("%d bits from %d", span, base),
+				func() sim.Time { return sim.Time(base + int64(rng.Uint64()>>(64-span))) }})
+		}
+	}
+	extremes := []sim.Time{math.MinInt64, -1, 0, math.MaxInt64}
+	gens = append(gens,
+		gen{"64 bits", func() sim.Time { return sim.Time(rng.Uint64()) }},
+		gen{"extremes", func() sim.Time { return extremes[rng.Intn(len(extremes))] }})
+	for _, n := range []int{1, 2, 33, 100, 1025, 5000} {
+		for _, g := range gens {
+			tr := New()
+			ts := make([]sim.Time, n)
+			for i := range ts {
+				ts[i] = g.ts()
+				tr.Instant(ts[i], 0, "e", "c")
+			}
+			seqs := make([]int, n)
+			for i := range seqs {
+				seqs[i] = i
+			}
+			sort.SliceStable(seqs, func(a, b int) bool { return ts[seqs[a]] < ts[seqs[b]] })
+			keys, mask := tr.order()
+			for i, k := range keys {
+				if int(k&mask) != seqs[i] {
+					t.Fatalf("n=%d, %s: position %d holds event %d, want %d", n, g.name, i, k&mask, seqs[i])
+				}
+			}
+			lo, hi := slices.Min(ts), slices.Max(ts)
+			fallback := bits.Len64(uint64(hi)-uint64(lo))+bits.Len(uint(n-1)) > 64
+			if (mask == math.MaxUint64) != fallback {
+				t.Errorf("n=%d, %s: mask %#x, want the comparison sort %v", n, g.name, mask, fallback)
+			}
+		}
+	}
+	tr := New()
+	tr.Instant(math.MaxInt64, 0, "max", "c")
+	tr.Instant(0, 0, "zero", "c")
+	tr.Instant(math.MinInt64, 0, "min", "c")
+	tr.Instant(math.MaxInt64, 0, "max2", "c")
+	var got []string
+	for _, e := range tr.Events() {
+		got = append(got, e.Name)
+	}
+	if want := "min zero max max2"; strings.Join(got, " ") != want {
+		t.Errorf("order %q, want %q", got, want)
+	}
+	if _, mask := tr.order(); mask != math.MaxUint64 {
+		t.Errorf("a capture from MinInt64 to MaxInt64 sorts radix keys (mask %#x)", mask)
 	}
 }
 

@@ -1,8 +1,10 @@
 package simtrace
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"unsafe"
 
@@ -81,20 +83,42 @@ type Event struct {
 // and query milestones that are not tied to one core.
 const TrackControl = -1
 
-// record is one captured event as the tracer stores it. It holds no
-// pointers, so the GC never scans the chunks: the name, category, arg
-// keys and string arg values are indices into the tracer's string
-// table, and a string arg keeps its value's index in num.
+// record is one captured event as the tracer stores it: 24 bytes that
+// hold no pointers, so the GC never scans the chunks. What the events
+// of one call site share, the kind, name, category, arg keys and arg
+// types, is an entry of the tracer's shape table, and the record keeps
+// that entry's index and the values that vary. A string arg's value is
+// its index in the string table. When a value does not fit its field,
+// the record sets wideBit in shape and all of its values go whole to
+// the wide table, at the index dur then holds.
 type record struct {
 	ts    sim.Time
-	dur   int64 // a slice's duration, or an async span's ID
+	dur   int32 // a slice's duration, or an async span's ID
+	num   [MaxArgs]int32
+	track int16
+	shape uint16
+}
+
+// wideBit marks a record whose values are in the wide table; the
+// shape's index takes the other 15 bits.
+const wideBit = 1 << 15
+
+// values are the fields of an event that vary from one event of a
+// shape to the next, at full width.
+type values struct {
+	dur   int64
 	num   [MaxArgs]int64
-	track int32
-	name  uint16
-	cat   uint16
-	key   [MaxArgs]uint16
-	kind  Kind
-	typ   [MaxArgs]argType
+	track int
+}
+
+// shape is what the events of one call site share: the kind, the
+// string indices of the name, category and arg keys, and the arg types
+// (argNone past the last arg).
+type shape struct {
+	kind      Kind
+	typ       [MaxArgs]argType
+	name, cat uint16
+	key       [MaxArgs]uint16
 }
 
 // Events live in fixed-size chunks, so recording never copies earlier
@@ -110,13 +134,33 @@ const (
 type Tracer struct {
 	chunks [][]record
 	n      int
+	wide   []values
 	tracks []trackName
 	strs   strtab
+	shapes shapetab
 }
 
 type trackName struct {
 	id   int
 	name string
+}
+
+// shapetab is a capture's shape table, in order of first use.
+type shapetab struct {
+	list  []shape
+	index map[shape]uint16
+	hot   [1 << hotBits]hotShape
+}
+
+// hotShape caches the index of one call site's shape under the
+// addresses of its strings.
+type hotShape struct {
+	name, cat string
+	key       [MaxArgs]string
+	kind      Kind
+	typ       [MaxArgs]argType
+	live      bool
+	idx       uint16
 }
 
 // strtab is a capture's string table. Index 0 is the empty string;
@@ -125,33 +169,67 @@ type strtab struct {
 	raw   []string
 	esc   [][]byte
 	index map[string]uint16
-	hot   [1 << hotBits]hotString
 }
 
-// hotBits sizes the interner's pointer-keyed cache: 256 slots for the
-// few dozen distinct strings a cell records.
+// hotBits sizes the shape cache: 256 slots for the dozen or so call
+// sites a cell records from.
 const hotBits = 8
 
-type hotString struct {
-	s   string
-	idx uint16
+// addr is the address of s's bytes.
+func addr(s string) uint64 { return uint64(uintptr(unsafe.Pointer(unsafe.StringData(s)))) }
+
+// same reports whether a and b are the same bytes in memory. Strings
+// that are not may still be equal; the shape cache then misses and
+// falls back to content.
+func same(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) && len(a) == len(b) }
+
+// shapeOf returns the index of the shape of an event, adding the shape
+// on first use. The hit path is one probe of a cache keyed on the
+// addresses of the event's strings, which reads no string bytes: a
+// slot whose strings have the same data pointers and lengths holds the
+// same strings, since the slot keeps them alive. Call sites pass
+// constants and long-lived process names, so nearly every event after
+// the first few hits. A miss interns the strings and looks the shape
+// up by content, so indices follow first use whatever the addresses
+// are.
+func (t *Tracer) shapeOf(kind Kind, name, cat string, args []Arg) uint16 {
+	var key [MaxArgs]string
+	var typ [MaxArgs]argType
+	for i := range args {
+		key[i], typ[i] = args[i].key, args[i].typ
+	}
+	x := addr(name) ^ addr(cat)<<1 ^ addr(key[0])<<2 ^ addr(key[1])<<3 ^ uint64(kind)
+	h := &t.shapes.hot[x*0x9e3779b97f4a7c15>>(64-hotBits)]
+	if h.live && h.kind == kind && h.typ == typ && same(h.name, name) && same(h.cat, cat) &&
+		same(h.key[0], key[0]) && same(h.key[1], key[1]) {
+		return h.idx
+	}
+	s := shape{kind: kind, typ: typ, name: t.strs.intern(name), cat: t.strs.intern(cat)}
+	for i := range args {
+		s.key[i] = t.strs.intern(key[i])
+	}
+	st := &t.shapes
+	idx, ok := st.index[s]
+	if !ok {
+		if len(st.list) == wideBit {
+			panic("simtrace: more than 32768 distinct event shapes in one capture")
+		}
+		if st.index == nil {
+			st.index = map[shape]uint16{}
+		}
+		idx = uint16(len(st.list))
+		st.list = append(st.list, s)
+		st.index[s] = idx
+	}
+	*h = hotShape{name: name, cat: cat, key: key, kind: kind, typ: typ, live: true, idx: idx}
+	return idx
 }
 
-// intern returns the index of s, adding s on first use. The hit path
-// hashes the address of s's bytes, not the bytes: a cache slot holding
-// a string with the same data pointer and length holds the same bytes,
-// since the slot keeps them alive. Call sites pass constants and
-// long-lived process names, so nearly every lookup after the first few
-// events hits. A miss goes to the content-keyed map, so indices follow
-// first use whatever the addresses are.
+// intern returns the index of s, adding s on first use. Only a shape
+// cache miss and a string arg's value look a string up.
 func (st *strtab) intern(s string) uint16 {
 	if len(s) == 0 {
 		return 0
-	}
-	p := unsafe.StringData(s)
-	h := &st.hot[uint64(uintptr(unsafe.Pointer(p)))*0x9e3779b97f4a7c15>>(64-hotBits)]
-	if unsafe.StringData(h.s) == p && len(h.s) == len(s) {
-		return h.idx
 	}
 	idx, ok := st.index[s]
 	if !ok {
@@ -166,7 +244,6 @@ func (st *strtab) intern(s string) uint16 {
 		idx = uint16(len(st.raw))
 		st.index[s] = idx
 	}
-	*h = hotString{s: s, idx: idx}
 	return idx
 }
 
@@ -213,18 +290,28 @@ func (t *Tracer) push(kind Kind, ts sim.Time, dur int64, track int, name, cat st
 	if len(args) > MaxArgs {
 		panic("simtrace: more than MaxArgs args on one event")
 	}
+	v := values{dur: dur, track: track}
+	for i := range args {
+		v.num[i] = args[i].num
+		if args[i].typ == argString {
+			v.num[i] = int64(t.strs.intern(args[i].str))
+		}
+	}
 	c := t.n >> chunkBits
 	if c == len(t.chunks) {
 		t.chunks = append(t.chunks, make([]record, chunkSize))
 	}
 	r := &t.chunks[c][t.n&(chunkSize-1)]
-	*r = record{ts: ts, dur: dur, track: int32(track), name: t.strs.intern(name), cat: t.strs.intern(cat), kind: kind}
-	for i := range args {
-		a := &args[i]
-		r.key[i], r.typ[i], r.num[i] = t.strs.intern(a.key), a.typ, a.num
-		if a.typ == argString {
-			r.num[i] = int64(t.strs.intern(a.str))
-		}
+	*r = record{ts: ts, dur: int32(v.dur), track: int16(v.track), shape: t.shapeOf(kind, name, cat, args)}
+	wide := int64(r.dur) != v.dur || int(r.track) != v.track
+	for i, x := range v.num {
+		r.num[i] = int32(x)
+		wide = wide || int64(r.num[i]) != x
+	}
+	if wide {
+		// A wide index fits the int32: 2^31 events would take 48 GiB.
+		r.dur, r.num, r.track, r.shape = int32(len(t.wide)), [MaxArgs]int32{}, 0, r.shape|wideBit
+		t.wide = append(t.wide, v)
 	}
 	t.n++
 }
@@ -232,20 +319,34 @@ func (t *Tracer) push(kind Kind, ts sim.Time, dur int64, track int, name, cat st
 // at returns the record with sequence number i.
 func (t *Tracer) at(i int) *record { return &t.chunks[i>>chunkBits][i&(chunkSize-1)] }
 
+// unpack returns r's shape and values.
+func (t *Tracer) unpack(r *record) (*shape, values) {
+	s := &t.shapes.list[r.shape&^wideBit]
+	if r.shape&wideBit != 0 {
+		return s, t.wide[r.dur]
+	}
+	v := values{dur: int64(r.dur), track: int(r.track)}
+	for i, x := range r.num {
+		v.num[i] = int64(x)
+	}
+	return s, v
+}
+
 // event rebuilds the event with sequence number i from its record.
 func (t *Tracer) event(i int) Event {
 	r := t.at(i)
-	e := Event{Seq: uint64(i), TS: r.ts, Kind: r.kind, Name: t.strs.str(r.name), Cat: t.strs.str(r.cat), Track: int(r.track)}
-	switch r.kind {
+	s, v := t.unpack(r)
+	e := Event{Seq: uint64(i), TS: r.ts, Kind: s.kind, Name: t.strs.str(s.name), Cat: t.strs.str(s.cat), Track: v.track}
+	switch s.kind {
 	case KindSlice:
-		e.Dur = sim.Duration(r.dur)
+		e.Dur = sim.Duration(v.dur)
 	case KindBegin, KindEnd:
-		e.ID = int(r.dur)
+		e.ID = int(v.dur)
 	}
-	for j, typ := range r.typ {
-		a := Arg{key: t.strs.str(r.key[j]), num: r.num[j], typ: typ}
+	for j, typ := range s.typ {
+		a := Arg{key: t.strs.str(s.key[j]), num: v.num[j], typ: typ}
 		if typ == argString {
-			a.str, a.num = t.strs.str(uint16(r.num[j])), 0
+			a.str, a.num = t.strs.str(uint16(v.num[j])), 0
 		}
 		e.Args[j] = a
 	}
@@ -293,46 +394,95 @@ func (t *Tracer) Len() int {
 	return t.n
 }
 
-// order returns the sequence numbers of the captured events sorted by
-// (TS, Seq). Seq is the capture index, so a stable sort by TS alone
-// gives that order. It is an LSD radix sort: one stable counting pass
-// per byte of the key, least significant first. The key is the time
-// with its sign bit flipped, which makes unsigned order the signed
-// time order, less the least such key; only the bytes that span the
-// capture's time range take a pass. Sequence numbers fit an int32: 2^31
-// events would fill over 300 GB.
-func (t *Tracer) order() []int32 {
+// order returns the capture's sequence numbers sorted by (TS, Seq),
+// each in the low bits of a key: key&mask is the sequence number. Above
+// it, the key holds the time less the capture's earliest. Every key is
+// distinct, so sorting the keys in place gives exactly the (TS, Seq)
+// order. When the time range and the sequence numbers together do not
+// fit 64 bits, the keys are the bare sequence numbers, sorted by
+// comparing their records' times.
+func (t *Tracer) order() (keys []uint64, mask uint64) {
 	if t == nil || t.n == 0 {
-		return nil
+		return nil, 0
 	}
-	n := t.n
-	keys, seqs := make([]uint64, 2*n), make([]int32, 2*n)
+	// With the sign bit flipped, unsigned order is signed time order.
+	keys = make([]uint64, t.n)
 	lo, hi := uint64(math.MaxUint64), uint64(0)
-	for i := range n {
+	for i := range keys {
 		k := uint64(t.at(i).ts) ^ 1<<63
-		keys[i], seqs[i] = k, int32(i)
+		keys[i] = k
 		lo, hi = min(lo, k), max(hi, k)
 	}
-	src, srcSeq := keys[:n], seqs[:n]
-	dst, dstSeq := keys[n:], seqs[n:]
-	for shift := 0; shift < bits.Len64(hi-lo); shift += 8 {
-		var at [256]int
-		for _, k := range src {
-			at[byte((k-lo)>>shift)]++
+	seqBits := bits.Len(uint(t.n - 1))
+	top := bits.Len64(hi-lo) + seqBits
+	if top > 64 {
+		for i := range keys {
+			keys[i] = uint64(i)
 		}
-		sum := 0
-		for d, c := range at {
-			at[d], sum = sum, sum+c
-		}
-		for i, k := range src {
-			d := byte((k - lo) >> shift)
-			dst[at[d]], dstSeq[at[d]] = k, srcSeq[i]
-			at[d]++
-		}
-		src, dst = dst, src
-		srcSeq, dstSeq = dstSeq, srcSeq
+		slices.SortFunc(keys, func(a, b uint64) int {
+			if c := cmp.Compare(t.at(int(a)).ts, t.at(int(b)).ts); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+		return keys, math.MaxUint64
 	}
-	return srcSeq
+	for i, k := range keys {
+		keys[i] = (k-lo)<<seqBits | uint64(i)
+	}
+	radixSort(keys, top)
+	return keys, 1<<seqBits - 1
+}
+
+// radixSort sorts keys in place whose bits from hi up are all equal.
+// It is an MSD radix sort: one pass counts the keys per value of the
+// digit below hi, one swaps each key into its digit's bucket, and each
+// bucket is then sorted by the bits below the digit. The digit takes up
+// to 8 bits, and 2 fewer than the bit length of the number of keys, so
+// a few hundred keys split into buckets of a few keys each rather than
+// into 256 mostly empty ones. Buckets of up to 32 keys take an
+// insertion sort.
+func radixSort(keys []uint64, hi int) {
+	if len(keys) <= 32 {
+		for i := 1; i < len(keys); i++ {
+			for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
+				keys[j], keys[j-1] = keys[j-1], keys[j]
+			}
+		}
+		return
+	}
+	shift := hi - min(bits.Len(uint(len(keys)))-2, 8, hi)
+	mask := uint64(1)<<(hi-shift) - 1
+	var next, end [256]int32
+	for _, k := range keys {
+		end[k>>shift&mask]++
+	}
+	sum := int32(0)
+	for d := range mask + 1 {
+		next[d], sum = sum, sum+end[d]
+		end[d] = sum
+	}
+	for d := range mask + 1 {
+		for next[d] < end[d] {
+			k := keys[next[d]]
+			for b := k >> shift & mask; b != d; b = k >> shift & mask {
+				keys[next[b]], k = k, keys[next[b]]
+				next[b]++
+			}
+			keys[next[d]] = k
+			next[d]++
+		}
+	}
+	if shift == 0 {
+		return
+	}
+	start := int32(0)
+	for _, e := range end[:mask+1] {
+		if e-start > 1 {
+			radixSort(keys[start:e], shift)
+		}
+		start = e
+	}
 }
 
 // Events returns the captured events sorted by (TS, Seq). The slice
@@ -342,8 +492,9 @@ func (t *Tracer) Events() []Event {
 		return nil
 	}
 	out := make([]Event, 0, t.n)
-	for _, i := range t.order() {
-		out = append(out, t.event(int(i)))
+	keys, mask := t.order()
+	for _, k := range keys {
+		out = append(out, t.event(int(k&mask)))
 	}
 	return out
 }
