@@ -906,7 +906,7 @@ func serveCmd(args []string, stdout, stderr io.Writer) int {
 		tracer = obs.NewTraceBuffer()
 		opts.Tracer = tracer
 	}
-	c, err := dispatch.NewCoordinator(m, opts)
+	c, err := dispatch.NewCoordinator(m, plan.CheckResult, opts)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 		return 2

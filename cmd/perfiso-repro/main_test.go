@@ -288,11 +288,11 @@ func TestWorkCLI(t *testing.T) {
 	spec := experiments.TestSpec()
 	reg := experiments.DefaultRegistry()
 	const filter = "^fig10$"
-	m, err := shard.Build(reg, spec, filter)
+	plan, m, err := shard.BuildPlan(reg, spec, filter)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := dispatch.NewCoordinator(m, dispatch.Options{})
+	c, err := dispatch.NewCoordinator(m, plan.CheckResult, dispatch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,10 +313,6 @@ func TestWorkCLI(t *testing.T) {
 		t.Fatal("run not complete after work exited")
 	}
 	p, err := c.Partial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, m, err := shard.BuildPlan(reg, spec, filter)
 	if err != nil {
 		t.Fatal(err)
 	}

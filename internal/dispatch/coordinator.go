@@ -65,6 +65,7 @@ type unitState struct {
 	last      string    // previous holder, for steal accounting
 	claimedAt time.Time // when the winning lease was granted
 	uploader  string    // worker whose result was accepted
+	rejected  string    // why the check refused the lease holder's last result
 	cell      shard.PartialCell
 }
 
@@ -74,6 +75,7 @@ type unitState struct {
 type Coordinator struct {
 	opts     Options
 	manifest shard.Manifest
+	check    func(unit string, result []byte) error
 
 	mu        sync.Mutex
 	states    []*unitState
@@ -91,7 +93,14 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a coordinator serving the manifest's units.
-func NewCoordinator(m shard.Manifest, opts Options) (*Coordinator, error) {
+// check vets each upload's result, given the unit ID and the result
+// bytes, before the upload can complete its unit; serve and RunLocal
+// pass the plan's experiments.Plan.CheckResult, so a result the merge
+// could not decode never wins a unit.
+func NewCoordinator(m shard.Manifest, check func(unit string, result []byte) error, opts Options) (*Coordinator, error) {
+	if check == nil {
+		return nil, errors.New("dispatch: a coordinator needs a result check")
+	}
 	units, err := m.Units()
 	if err != nil {
 		return nil, err
@@ -111,6 +120,7 @@ func NewCoordinator(m shard.Manifest, opts Options) (*Coordinator, error) {
 	c := &Coordinator{
 		opts:      opts,
 		manifest:  m,
+		check:     check,
 		states:    make([]*unitState, len(units)),
 		byID:      make(map[string]int, len(units)),
 		costOrder: experiments.CostOrder(units),
@@ -163,7 +173,11 @@ func (c *Coordinator) reap(now time.Time) {
 		c.log("lease expired, unit requeued",
 			"unit", s.unit.ID, "worker", s.last, "attempt", s.attempts, "lease", c.opts.LeaseTTL)
 		if s.attempts >= c.opts.MaxAttempts {
-			c.poisoned = append(c.poisoned, s.unit.ID)
+			id := s.unit.ID
+			if s.rejected != "" {
+				id += " (result rejected: " + s.rejected + ")"
+			}
+			c.poisoned = append(c.poisoned, id)
 		}
 	}
 	if len(c.poisoned) > 0 {
@@ -281,8 +295,14 @@ func (e *uploadError) Error() string { return e.msg }
 
 // upload records a completed unit. First result wins — results are
 // deterministic, so whichever execution finished first is the result;
-// a second upload for the same unit is stale and rejected.
+// a second upload for the same unit is stale and rejected. A result
+// the check refuses is rejected too, and when its uploader holds the
+// unit's lease, the lease ends at once, as if it had expired: the
+// holder would only upload the same bytes again. The check runs
+// before the lock is taken, since it is the caller's code, but a
+// failed run or a stale upload is answered before its verdict.
 func (c *Coordinator) upload(worker, manifestHash string, cell shard.PartialCell) error {
+	checkErr := c.check(cell.Unit, cell.Result)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.failure != nil {
@@ -302,6 +322,16 @@ func (c *Coordinator) upload(worker, manifestHash string, cell shard.PartialCell
 		c.log("stale upload rejected", "unit", cell.Unit, "worker", worker)
 		return &uploadError{http.StatusConflict, fmt.Sprintf(
 			"unit %s already completed by another worker", cell.Unit)}
+	}
+	if checkErr != nil {
+		c.log("upload rejected", "unit", cell.Unit, "worker", worker, "error", checkErr.Error())
+		if s.status == unitLeased && s.worker == worker {
+			s.rejected = checkErr.Error()
+			now := c.opts.now()
+			s.expires = now
+			c.reap(now)
+		}
+		return &uploadError{http.StatusBadRequest, fmt.Sprintf("unit %s: result rejected: %v", cell.Unit, checkErr)}
 	}
 	s.status = unitDone
 	s.worker = ""

@@ -35,6 +35,10 @@ func fakeManifest() shard.Manifest {
 	}
 }
 
+// acceptResults is the result check for fakeManifest's units, whose
+// results nothing decodes: it accepts every result.
+func acceptResults(string, []byte) error { return nil }
+
 // fakeClock is a manually advanced Options.now.
 type fakeClock struct {
 	mu sync.Mutex
@@ -57,7 +61,7 @@ func (c *fakeClock) advance(d time.Duration) {
 // idle claims wait, and completion flips to done.
 func TestClaimOrderAndLifecycle(t *testing.T) {
 	m := fakeManifest()
-	c, err := NewCoordinator(m, Options{})
+	c, err := NewCoordinator(m, acceptResults, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +128,7 @@ func equalStrings(a, b []string) bool {
 func TestLeaseExpiryRequeueAndSteal(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	m := fakeManifest()
-	c, err := NewCoordinator(m, Options{LeaseTTL: time.Second, MaxAttempts: 3, now: clock.now})
+	c, err := NewCoordinator(m, acceptResults, Options{LeaseTTL: time.Second, MaxAttempts: 3, now: clock.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +198,7 @@ func TestLeaseExpiryRequeueAndSteal(t *testing.T) {
 func TestPoisonedUnitFailsRun(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	m := fakeManifest()
-	c, err := NewCoordinator(m, Options{LeaseTTL: time.Second, MaxAttempts: 2, now: clock.now})
+	c, err := NewCoordinator(m, acceptResults, Options{LeaseTTL: time.Second, MaxAttempts: 2, now: clock.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,13 +230,127 @@ func TestPoisonedUnitFailsRun(t *testing.T) {
 	}
 }
 
+// TestRejectedResultEndsLease: a result the check refuses gets 400 and
+// completes nothing. From a worker without the lease it changes
+// nothing else; from the holder it ends the lease at once, counted as
+// a requeue, so the next claim takes the unit with no wait for the
+// TTL. A unit whose every attempt is refused fails the run, naming the
+// check's error. A stale upload is 409 whatever its result.
+func TestRejectedResultEndsLease(t *testing.T) {
+	clock := &fakeClock{t: time.Unix(1000, 0)}
+	m := fakeManifest()
+	check := func(unit string, result []byte) error {
+		if string(result) == `"bad"` {
+			return errors.New("result does not decode")
+		}
+		return nil
+	}
+	c, err := NewCoordinator(m, check, Options{LeaseTTL: time.Hour, MaxAttempts: 2, now: clock.now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload := func(worker, cell, result string) int {
+		err := c.upload(worker, m.Hash, shard.PartialCell{Unit: "cell:e/" + cell, Experiment: "e", Cell: cell, Result: []byte(result)})
+		var ue *uploadError
+		if err == nil {
+			return http.StatusOK
+		}
+		if !errors.As(err, &ue) {
+			t.Fatalf("upload by %s for %s: %v", worker, cell, err)
+		}
+		if ue.status == http.StatusBadRequest && !strings.Contains(ue.msg, "result does not decode") {
+			t.Errorf("upload by %s for %s: 400 %q does not give the check's error", worker, cell, ue.msg)
+		}
+		return ue.status
+	}
+
+	if r := c.claim("w1"); r.Cell != "big" {
+		t.Fatalf("first claim: %+v", r)
+	}
+	if got := upload("other", "big", `"bad"`); got != http.StatusBadRequest {
+		t.Fatalf("refused result from a worker without the lease: %d", got)
+	}
+	if r := c.claim("w2"); r.Cell != "mid" {
+		t.Fatalf("claim after a refused upload by a non-holder: %+v, want mid (w1 keeps big)", r)
+	}
+	if got := upload("w2", "mid", "1"); got != http.StatusOK {
+		t.Fatalf("valid upload: %d", got)
+	}
+	if got := upload("late", "mid", `"bad"`); got != http.StatusConflict {
+		t.Fatalf("stale upload with a refused result: %d, want 409", got)
+	}
+	if got := upload("w1", "big", `"bad"`); got != http.StatusBadRequest {
+		t.Fatalf("refused result from the holder: %d", got)
+	}
+	if r := c.claim("w3"); r.Cell != "big" || r.Attempt != 2 {
+		t.Fatalf("claim after the holder's refused upload: %+v, want big at attempt 2", r)
+	}
+	if got := c.Timing().Requeues; got != 1 {
+		t.Errorf("requeues after one refused holder upload: %d, want 1", got)
+	}
+	if got := upload("w3", "big", `"bad"`); got != http.StatusBadRequest {
+		t.Fatalf("second refused result from the holder: %d", got)
+	}
+	select {
+	case <-c.Done():
+	default:
+		t.Fatal("Done not closed when the last attempt's result was refused")
+	}
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "cell:e/big (result rejected: result does not decode)") {
+		t.Errorf("Err: %v, want the unit and the check's error", err)
+	}
+}
+
+// TestRunLocalReportsUndecodableResult: a local run with a unit whose
+// result its experiment cannot decode fails with the decode error,
+// both when the workers give up before the unit's attempts run out
+// (one worker) and when its attempts run out first (three workers, the
+// default three attempts). The lease TTL is an hour, so a refused
+// upload that did not end its lease would hold the run.
+func TestRunLocalReportsUndecodableResult(t *testing.T) {
+	reg := experiments.NewRegistry()
+	cell := func(name string, cost float64, v any) experiments.Cell {
+		return experiments.Cell{Name: name, Cost: cost, Run: func() any { return v }}
+	}
+	reg.MustRegister(experiments.Experiment{
+		Name:     "e",
+		Describe: "e",
+		Cells: func(experiments.ScaleSpec) []experiments.Cell {
+			return []experiments.Cell{cell("bad", 100, "x"), cell("a", 10, 1), cell("b", 1, 2)}
+		},
+		Assemble: func(_ experiments.ScaleSpec, _ []experiments.Cell, results []any) (any, experiments.Report) {
+			return results, experiments.Report{}
+		},
+		DecodeResult: experiments.DecodeJSONResult[int],
+	})
+	plan, m, err := shard.BuildPlan(reg, experiments.TestSpec(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 3} {
+		done := make(chan error, 1)
+		go func() {
+			_, _, err := RunLocal(plan, m, workers, Options{LeaseTTL: time.Hour, WaitHint: 10 * time.Millisecond}, nil, nil)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "cell:e/bad") || !strings.Contains(err.Error(), "decoding e/bad") {
+				t.Errorf("workers=%d: run error %v, want one naming the unit and its decode error", workers, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("workers=%d: the run had not ended 30 s after a result was refused", workers)
+		}
+	}
+}
+
 // TestReapWithoutTraffic: a fleet that dies wholesale sends no claims
 // or heartbeats, so only an owner-driven Reap can requeue its leases —
 // and poisoning (hence run failure) must still be reachable that way.
 func TestReapWithoutTraffic(t *testing.T) {
 	clock := &fakeClock{t: time.Unix(1000, 0)}
 	m := fakeManifest()
-	c, err := NewCoordinator(m, Options{LeaseTTL: time.Second, MaxAttempts: 1, now: clock.now})
+	c, err := NewCoordinator(m, acceptResults, Options{LeaseTTL: time.Second, MaxAttempts: 1, now: clock.now})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +379,7 @@ func TestReapWithoutTraffic(t *testing.T) {
 // status.
 func TestHTTPProtocol(t *testing.T) {
 	m := fakeManifest()
-	c, err := NewCoordinator(m, Options{})
+	c, err := NewCoordinator(m, acceptResults, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +537,7 @@ func TestDispatchWorkerCrashByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner := shard.NewUnitRunner(plan, m)
-	c, err := NewCoordinator(runner.Manifest, Options{
+	c, err := NewCoordinator(runner.Manifest, plan.CheckResult, Options{
 		LeaseTTL: 300 * time.Millisecond,
 		WaitHint: 20 * time.Millisecond,
 	})
@@ -484,7 +602,7 @@ func TestDispatchWorkerCrashByteIdentical(t *testing.T) {
 // with sorted-key iteration, and timing.json's dispatch section must
 // stay deterministic for a given schedule.
 func TestTimingWorkersSortedByName(t *testing.T) {
-	c, err := NewCoordinator(fakeManifest(), Options{})
+	c, err := NewCoordinator(fakeManifest(), acceptResults, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

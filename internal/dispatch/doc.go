@@ -51,8 +51,12 @@
 //	                          completed execution is the result)
 //	    → 409 {"error": msg}  stale: another worker already completed
 //	                          the unit
-//	    → 400 {"error": msg}  malformed, unknown unit, or a manifest
-//	                          hash the coordinator is not serving
+//	    → 400 {"error": msg}  malformed, unknown unit, a manifest hash
+//	                          the coordinator is not serving, or a
+//	                          result that does not decode as the unit's
+//	                          (NewCoordinator's check, which serve and
+//	                          RunLocal take from the plan); the unit
+//	                          stays claimable
 //
 //	GET  /v1/status
 //	    → progress counters and the experiments.DispatchTiming snapshot
@@ -68,7 +72,20 @@
 // fails the whole run, listing every poisoned unit, so a simulation
 // that reliably kills workers is reported instead of spinning forever.
 // Stale uploads (the first worker finishing after its unit was
-// reassigned and completed elsewhere) are rejected and counted.
+// reassigned and completed elsewhere) are rejected and counted. A
+// result the check refuses ends its uploader's lease at once, counted
+// as a requeue: results are deterministic, so the holder could only
+// upload the same bytes again, and the worker exits on the 400. Each
+// refusal thus spends one attempt, and a unit whose result never
+// decodes fails the run with the decode error, without waiting out a
+// TTL per attempt.
+//
+// The coordinator is not durable, by decision: accepted uploads live
+// only in its memory, and if it is killed, the manifest is run again
+// from the start. A run at paper scale takes minutes on a few workers,
+// and the project does not aim at fleet elasticity, so an upload log
+// that lets a restarted coordinator resume would add a format and its
+// recovery path for no aim it serves.
 //
 // cmd/perfiso-repro exposes the subsystem as the serve and work
 // subcommands plus the run -dispatch N in-process convenience mode;

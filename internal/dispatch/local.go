@@ -26,7 +26,7 @@ func RunLocal(plan *experiments.Plan, m shard.Manifest, n int,
 	opts Options, rec *obs.Recording, onUnit func(experiment, cell string, elapsed time.Duration)) (shard.Partial, experiments.DispatchTiming, error) {
 	var zt experiments.DispatchTiming
 	runner := shard.NewUnitRunner(plan, m)
-	c, err := NewCoordinator(m, opts)
+	c, err := NewCoordinator(m, plan.CheckResult, opts)
 	if err != nil {
 		return shard.Partial{}, zt, err
 	}

@@ -46,7 +46,7 @@ func TestDispatchObservability(t *testing.T) {
 	runner := shard.NewUnitRunner(plan, m)
 	rec := obs.NewRecording()
 	tracer := obs.NewTraceBuffer()
-	c, err := NewCoordinator(runner.Manifest, Options{Tracer: tracer})
+	c, err := NewCoordinator(runner.Manifest, plan.CheckResult, Options{Tracer: tracer})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -288,6 +288,33 @@ func (p *Plan) Execute(units []int, opts RunOptions, worker string) ([]UnitRun, 
 	return runs, elapsed
 }
 
+// CheckResult decodes data as the result of the unit with the given
+// ID, through the DecodeResult hook of the experiment of each cell in
+// that unit, as merging the run will, and returns the first error.
+func (p *Plan) CheckResult(unit string, data []byte) error {
+	for _, u := range p.Units {
+		if u.ID != unit {
+			continue
+		}
+		for _, ri := range u.Cells {
+			ref := p.Refs[ri]
+			for _, e := range p.exps {
+				if e.Name != ref.Experiment {
+					continue
+				}
+				if e.DecodeResult == nil {
+					return fmt.Errorf("experiments: experiment %q has no DecodeResult", e.Name)
+				}
+				if _, err := e.DecodeResult(data); err != nil {
+					return fmt.Errorf("experiments: decoding %s/%s: %w", e.Name, ref.Cell, err)
+				}
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("experiments: unknown unit %s", unit)
+}
+
 // Assemble folds one run per unit (index-aligned with p.Units) back
 // into every selected experiment, in registration order, and returns
 // the run's deterministic result. result, when set, yields the value

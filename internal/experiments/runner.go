@@ -162,25 +162,24 @@ func RunSingleTraced(qps float64, bully BullyMode, pol isolation.Policy, scale S
 	client := workload.NewClient(eng, func(q workload.QuerySpec) { n.Server.Submit(q) })
 
 	// Tail forensics: the blame table covers exactly the measured
-	// window, so the record log starts at the warmup cut. It is sized
-	// then for every query still to finish, those in flight and those
-	// not yet sent, and never grows.
+	// window, so the record log starts at the warmup cut. It covers
+	// the cell's query IDs [0, queries) and never grows.
 	var records *simtrace.RecordLog
-	startLog := func(size int) {
-		records = simtrace.NewRecordLog(size)
+	startLog := func() {
+		records = simtrace.NewRecordLog(queries)
 		n.Server.OnRecord = records.Append
 	}
 	var bullyBase float64
 	if scale.Warmup > 0 && scale.Warmup < queries {
 		eng.At(warmAt, func() {
 			n.ResetMeasurement()
-			startLog(n.Server.InFlight() + queries - client.Sent)
+			startLog()
 			if b != nil {
 				bullyBase = b.Progress()
 			}
 		})
 	} else {
-		startLog(queries)
+		startLog()
 	}
 	client.ReplayStream(stream)
 

@@ -132,12 +132,13 @@ type Server struct {
 	specLane     *sim.Delay
 
 	// free holds query records ready for reuse (records counts every
-	// record made); logs and replies hold the HDD log writes and NIC
-	// reply packets no I/O is using. All three grow to their peak
-	// in-flight count and are then recycled, so the steady-state query
-	// path allocates nothing.
+	// record made); reads, logs and replies hold the SSD index reads,
+	// HDD log writes and NIC reply packets no I/O is using. All four
+	// grow to their peak in-flight count and are then recycled, so the
+	// steady-state query path allocates nothing.
 	free    []*query
 	records int
+	reads   []*diskmodel.Request
 	logs    []*diskmodel.Request
 	replies []*netmodel.Packet
 }
@@ -212,7 +213,7 @@ type qworker struct {
 	planned  sim.Time
 	started  sim.Time
 	finished bool
-	// read is the slot's SSD index read, made on its first miss.
+	// read is the slot's SSD index read while one is in flight.
 	read *diskmodel.Request
 	// step is advance bound once: the wake event, the read's
 	// completion and the thread's OnDone all call it.
@@ -402,21 +403,18 @@ func (w *qworker) advance() {
 		return
 	}
 	q.refs--
+	if w.phase == phaseRead {
+		s.reads = append(s.reads, w.read)
+		w.read = nil
+	}
 	if q.done {
 		s.recycle(q)
 		return
 	}
 	if w.phase == phaseWake && w.miss {
 		// Index read gates this matcher's start.
-		if w.read == nil {
-			w.read = &diskmodel.Request{
-				Proc:       s.Proc.Name,
-				Kind:       diskmodel.OpRead,
-				Bytes:      s.cfg.MissReadBytes,
-				Sequential: false,
-				OnComplete: w.step,
-			}
-		}
+		w.read = s.indexRead()
+		w.read.OnComplete = w.step
 		w.phase = phaseRead
 		q.refs++
 		s.SSD.Submit(w.read)
@@ -496,6 +494,22 @@ func (s *Server) recycle(q *query) {
 	}
 	q.rank = nil
 	s.free = append(s.free, q)
+}
+
+// indexRead returns a pooled SSD index read; the matcher slot that
+// submits it returns it to the pool when the read completes.
+func (s *Server) indexRead() *diskmodel.Request {
+	if n := len(s.reads); n > 0 {
+		r := s.reads[n-1]
+		s.reads = s.reads[:n-1]
+		return r
+	}
+	return &diskmodel.Request{
+		Proc:       s.Proc.Name,
+		Kind:       diskmodel.OpRead,
+		Bytes:      s.cfg.MissReadBytes,
+		Sequential: false,
+	}
 }
 
 // logWrite returns a pooled HDD log write; it rejoins the pool when

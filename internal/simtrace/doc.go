@@ -152,38 +152,53 @@
 //
 // The per-cell blame table (CellForensics) reports this decomposition
 // for the P50/P90/P99/P99.9 queries, selected deterministically in
-// (latency, id) order. Ids are unique, so that order is total, and a
-// quickselect finds the records a full sort would put at those ranks
-// in expected linear time. The table rides inside each cell's result,
-// so shard and dispatch merges reassemble forensics.csv
-// byte-identically with no extra plumbing.
+// (latency, id) order. Ids are unique, so that order is total, and an
+// exact radix selection over the latencies finds the records a full
+// sort would put at those ranks in linear time. The table rides inside
+// each cell's result, so shard and dispatch merges reassemble
+// forensics.csv byte-identically with no extra plumbing.
 //
 // # Record storage
 //
-// A cell keeps one record per measured query until it ends, so a
-// RecordLog packs each QueryRecord, 88 bytes, into a pointer-free
-// 12-byte row: the ID shifted left by one over the dropped flag, the
-// latency as uint32 nanoseconds, and a side-table reference. The row's
-// sort key is then one uint64 load, the latency above the ID word, and
-// the quickselect swaps 12 bytes, not 88. Most records say only that the
-// whole latency was service (Service equal to Latency, every other
-// cause zero): 84-85% of the measured queries in a colocated or a
-// standalone cell at 4,000 QPS. Such a row's reference is 0 and the
-// record keeps nothing else. Every other record keeps its eight causes,
-// as uint32 nanoseconds, in a side table, also pointer-free, that grows
-// in 8 KiB chunks of 256 entries and never by append: Go grows a large
-// slice by about 1.25x a step, so an appended table would allocate
-// about five times its final size. A duration of 2^32-1 ns is about
-// 4.29 s and every value a cell records is bounded by its 350 ms
-// deadline; Append panics, naming the field, on an ID outside
-// [0, 2^31-1] or a duration outside [0, 2^32-1] ns rather than wrap.
-// The table reads four records, so only the four selected rows are
-// unpacked. A single-machine cell starts its log at the warmup cut and
-// sizes its rows then for exactly the queries still to finish, so the
-// rows never grow, and a 500k-query cell, 400k of them measured, keeps
-// about 7 MB of rows and side table.
-// TestCellMemoryPerQuery (internal/experiments) bounds what a cell
-// allocates per query.
+// A cell keeps a record of each measured query until it ends, so a
+// RecordLog does not keep the 88-byte QueryRecord. It covers a cell's
+// query IDs, [0, n), and holds a latency column of one uint32 per ID:
+// the record's latency in nanoseconds, or 2^32-1 for an ID with no
+// record (one finished during warmup, say). Column order is ID order,
+// so the ID costs nothing. Most records say only that the whole
+// latency was service (Service equal to Latency, every other cause
+// zero, not dropped): 84-85% of the measured queries in a colocated or
+// a standalone cell at 4,000 QPS. Such a record keeps nothing else.
+// Every other record also appends an entry to a side log: the ID
+// shifted left by one over the dropped flag, a byte with one bit per
+// nonzero cause, and those causes as uint32 nanoseconds, 13 bytes for
+// the usual two: in a colocated cell of 100k queries at 4,000 QPS
+// (seed 1), 12,440 of its 12,522 side entries have exactly two causes.
+// The side log grows in 8 KiB byte chunks and never by append: Go
+// grows a large slice by about 1.25x a step, so an appended log would
+// allocate about five times its final size. Neither the column nor a
+// chunk holds a pointer, so the GC never scans them.
+//
+// The blame table is an exact radix selection over the column in
+// digits of 11, 11 and 10 bits. Each counting pass serves all four
+// quantiles: one counts the top digit of every latency, one the middle
+// digit of those in a quantile's top bucket, one the low digit of those
+// that share a quantile's top two digits. A last walk in column order
+// finds each quantile's record among those with the latency found, so
+// ties fall to the lower ID. Only the four selected records are read
+// whole, in one pass over the side log.
+//
+// Values are bounded: a cause may be up to 2^32-1 ns, about 4.29 s, a
+// latency up to 2^32-2 ns, since 2^32-1 marks an ID with no record,
+// and every value a cell records is bounded by its 350 ms deadline.
+// Append panics rather than wrap on a value outside those bounds, and
+// on an ID outside [0, n) or already appended, naming the field or
+// the ID. A side-log entry keeps the ID in 31 bits, so n is at most
+// 2^31. A single-machine cell makes one log over its query IDs
+// [0, queries) at the warmup cut, so the log never grows: a 500k-query
+// cell, 400k of them measured, keeps about 2.8 MB of column and side
+// log. TestCellMemoryPerQuery (internal/experiments) bounds what a
+// cell allocates per query.
 //
 // # Loading a trace in Perfetto
 //

@@ -1,10 +1,10 @@
 package simtrace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
 	"perfiso/internal/sim"
 )
@@ -85,185 +85,256 @@ var quantileValues = map[string]float64{
 	"p50": 0.50, "p90": 0.90, "p99": 0.99, "p999": 0.999,
 }
 
-// RecordLog holds a cell's measured QueryRecords, each packed into a
-// 12-byte row, and builds the cell's blame table from them. A record
-// whose latency is all service keeps nothing else; any other record
-// also keeps its eight causes in a side table. Append panics on a
-// record that does not fit: an ID outside [0, 2^31-1] or a duration
-// outside [0, 2^32-1] ns, about 4.29 s.
+// RecordLog holds the measured QueryRecords of a cell whose query IDs
+// are [0, n), and builds the cell's blame table from them. A latency
+// column keeps one uint32 per ID: the record's latency in nanoseconds,
+// or noRecord while the ID has none. A record that is dropped, or
+// whose latency is not all service, also appends an entry to a side
+// log. Append panics on a record that does not fit: an ID outside
+// [0, n) or already appended, a latency outside [0, 2^32-2] ns, or a
+// cause outside [0, 2^32-1] ns (about 4.29 s).
 type RecordLog struct {
-	rows []row
-	// side holds the causes of the records that are not all service,
-	// in chunks of sideChunk entries; sideLen counts the entries used.
-	side    []*[sideChunk]causes
-	sideLen int
+	lat []uint32
+	n   int // records appended
+	// side holds the side log in chunks of sideChunk bytes, filled in
+	// append order. An entry is the ID shifted left by one over the
+	// dropped flag, as a little-endian uint32; then a mask with bit k
+	// set when cause Causes[k] is nonzero; then those causes, in
+	// Causes order, as little-endian uint32 nanoseconds. No entry spans
+	// two chunks.
+	side [][]byte
 }
 
-// row is a packed QueryRecord: the ID shifted left by one over the
-// dropped flag, the latency as uint32 nanoseconds, and ref, which is 0
-// for a pure-service record (Service equal to Latency, every other
-// cause zero) and otherwise one more than the index of its causes in
-// the side table. The latency follows the ID word, so on a
-// little-endian machine key reads both in one load.
-type row struct {
-	id, lat, ref uint32
+// noRecord marks an ID with no record in the latency column. It is the
+// largest uint32, so it sorts after every latency a record can have.
+const noRecord = math.MaxUint32
+
+// sideChunk is the size of a side-log chunk: 8 KiB, one of the
+// allocator's size classes, so nothing is rounded up. A chunk takes
+// entries while it has room for the largest, so it wastes less than
+// that at its tail. The log grows a chunk at a time and never by
+// append, which would copy it at each growth and allocate several
+// times its final size.
+const sideChunk = 8 << 10
+
+// sideEntryMax is the size of a side-log entry with all eight causes.
+const sideEntryMax = 4 + 1 + 8*4
+
+// NewRecordLog returns an empty log for the query IDs [0, n). A side-log
+// entry keeps an ID in 31 bits, so n is at most 2^31.
+func NewRecordLog(n int) *RecordLog {
+	if n < 0 || n > math.MaxInt32+1 {
+		panic(fmt.Sprintf("simtrace: a record log of %d IDs is outside [0, 2^31]", n))
+	}
+	lat := make([]uint32, n)
+	for i := range lat {
+		lat[i] = noRecord
+	}
+	return &RecordLog{lat: lat}
 }
 
-// causes is a record's eight causes, in Causes order, as uint32
-// nanoseconds.
-type causes [8]uint32
-
-// sideChunk is the number of side-table entries allocated at once: 8
-// KiB, a size class of its own, so a log wastes at most one chunk's
-// tail. The table grows a chunk at a time and never by append, which
-// would copy it at each growth and allocate several times its final
-// size.
-const sideChunk = 256
-
-// NewRecordLog returns an empty log with room for n records.
-func NewRecordLog(n int) *RecordLog { return &RecordLog{rows: make([]row, 0, n)} }
-
-// Append packs r into a row, and its causes into the side table unless
-// its latency is all service.
+// Append stores r's latency in the column, and appends a side-log
+// entry for r if it is dropped or its latency is not all service.
 func (l *RecordLog) Append(r QueryRecord) {
-	if uint64(r.ID) > math.MaxInt32 {
-		panic(fmt.Sprintf("simtrace: record ID %d does not fit a row (0 to %d)", r.ID, math.MaxInt32))
+	if uint(r.ID) >= uint(len(l.lat)) {
+		panic(fmt.Sprintf("simtrace: record ID %d is outside the log's IDs [0, %d)", r.ID, len(l.lat)))
 	}
-	rw := row{id: uint32(r.ID) << 1, lat: ns("Latency", r.Latency)}
+	if l.lat[r.ID] != noRecord {
+		panic(fmt.Sprintf("simtrace: record ID %d appended twice", r.ID))
+	}
+	lat := ns("Latency", r.Latency, noRecord-1)
+	if r.Dropped || r.Service != r.Latency || r.Queue|r.Harvest|r.Evict|r.Throttle|r.Disk|r.Spread|r.Other != 0 {
+		l.addSide(&r)
+	}
+	l.lat[r.ID] = lat
+	l.n++
+}
+
+// addSide appends r's side-log entry, starting a chunk when the last
+// one might not hold it.
+func (l *RecordLog) addSide(r *QueryRecord) {
+	c := [8]sim.Duration{r.Service, r.Queue, r.Harvest, r.Evict, r.Throttle, r.Disk, r.Spread, r.Other}
+	if uint64(c[0]|c[1]|c[2]|c[3]|c[4]|c[5]|c[6]|c[7]) > math.MaxUint32 {
+		// A negative cause sets the top bit, so one is out of range.
+		for k, name := range [8]string{"Service", "Queue", "Harvest", "Evict", "Throttle", "Disk", "Spread", "Other"} {
+			ns(name, c[k], math.MaxUint32)
+		}
+	}
+	if len(l.side) == 0 || cap(l.side[len(l.side)-1])-len(l.side[len(l.side)-1]) < sideEntryMax {
+		l.side = append(l.side, make([]byte, 0, sideChunk))
+	}
+	ch := l.side[len(l.side)-1]
+	e := ch[len(ch) : len(ch)+sideEntryMax]
+	w := uint32(r.ID) << 1
 	if r.Dropped {
-		rw.id |= 1
+		w |= 1
 	}
-	if r.Service != r.Latency || r.Queue|r.Harvest|r.Evict|r.Throttle|r.Disk|r.Spread|r.Other != 0 {
-		rw.ref = l.addCauses(causes{
-			ns("Service", r.Service), ns("Queue", r.Queue), ns("Harvest", r.Harvest),
-			ns("Evict", r.Evict), ns("Throttle", r.Throttle), ns("Disk", r.Disk),
-			ns("Spread", r.Spread), ns("Other", r.Other),
-		})
+	binary.LittleEndian.PutUint32(e, w)
+	n := 5
+	var mask byte
+	for k, d := range c {
+		if d != 0 {
+			mask |= 1 << k
+			binary.LittleEndian.PutUint32(e[n:], uint32(d))
+			n += 4
+		}
 	}
-	l.rows = append(l.rows, rw)
+	e[4] = mask
+	l.side[len(l.side)-1] = ch[:len(ch)+n]
 }
 
-// addCauses stores c in the side table, starting a chunk when the last
-// one is full, and returns the ref a row keeps for it.
-func (l *RecordLog) addCauses(c causes) uint32 {
-	i := l.sideLen
-	if uint64(i) == math.MaxUint32 {
-		panic("simtrace: record log side table is full")
-	}
-	if i%sideChunk == 0 {
-		l.side = append(l.side, new([sideChunk]causes))
-	}
-	l.side[i/sideChunk][i%sideChunk] = c
-	l.sideLen++
-	return uint32(i) + 1
-}
-
-// ns packs one duration of a record, named field, into a row.
-func ns(field string, d sim.Duration) uint32 {
-	if uint64(d) > math.MaxUint32 {
-		panic(fmt.Sprintf("simtrace: record %s %d ns does not fit a row (0 to %d ns)", field, int64(d), uint32(math.MaxUint32)))
+// ns packs one duration of a record, named field, into a uint32 of at
+// most limit nanoseconds.
+func ns(field string, d sim.Duration, limit uint32) uint32 {
+	if uint64(d) > uint64(limit) {
+		panic(fmt.Sprintf("simtrace: record %s %d ns does not fit the log (0 to %d ns)", field, int64(d), limit))
 	}
 	return uint32(d)
 }
 
-// record unpacks a row.
-func (l *RecordLog) record(r row) QueryRecord {
-	lat := sim.Duration(r.lat)
-	q := QueryRecord{ID: int(r.id >> 1), Dropped: r.id&1 != 0, Latency: lat, Service: lat}
-	if r.ref == 0 {
-		return q
+// records returns the records logged under ids, each of which must
+// have one: the latency from the column, and the dropped flag and the
+// causes from the side log, which it reads once.
+func (l *RecordLog) records(ids ...int) []QueryRecord {
+	out := make([]QueryRecord, len(ids))
+	for i, id := range ids {
+		lat := sim.Duration(l.lat[id])
+		out[i] = QueryRecord{ID: id, Latency: lat, Service: lat}
 	}
-	i := int(r.ref - 1)
-	c := &l.side[i/sideChunk][i%sideChunk]
-	d := func(k int) sim.Duration { return sim.Duration(c[k]) }
-	q.Service, q.Queue, q.Harvest, q.Evict = d(0), d(1), d(2), d(3)
-	q.Throttle, q.Disk, q.Spread, q.Other = d(4), d(5), d(6), d(7)
-	return q
+	l.eachSide(func(e []byte) {
+		id := int(binary.LittleEndian.Uint32(e) >> 1)
+		for i := range out {
+			if out[i].ID == id {
+				unpackSide(&out[i], e)
+			}
+		}
+	})
+	return out
 }
 
-// key is the (latency, id) order quantiles are read in: the latency
-// above the ID. The dropped flag sits below the ID, and IDs are
-// unique, so it never decides.
-func (r *row) key() uint64 { return uint64(r.lat)<<32 | uint64(r.id) }
+// eachSide calls f with each side-log entry, in append order.
+func (l *RecordLog) eachSide(f func(e []byte)) {
+	for _, ch := range l.side {
+		for len(ch) > 0 {
+			e := ch[:5+4*bits.OnesCount8(ch[4])]
+			ch = ch[len(e):]
+			f(e)
+		}
+	}
+}
+
+// unpackSide sets r's dropped flag and causes from its side-log entry.
+func unpackSide(r *QueryRecord, e []byte) {
+	r.Dropped = e[0]&1 != 0
+	mask, c := e[4], e[5:]
+	for k, f := range [8]*sim.Duration{&r.Service, &r.Queue, &r.Harvest, &r.Evict, &r.Throttle, &r.Disk, &r.Spread, &r.Other} {
+		*f = 0
+		if mask&(1<<k) != 0 {
+			*f = sim.Duration(binary.LittleEndian.Uint32(c))
+			c = c[4:]
+		}
+	}
+}
 
 // BlameTable builds the per-cell blame table from the log. Quantile
 // queries are selected deterministically: the ceil(q*n)-th record in
 // (latency, id) order is taken, matching the usual order-statistic
-// convention. Ids are unique, so the order is total and a selection
-// picks the record a full sort would put there. Only the four selected
-// rows are unpacked. It reorders the log's rows. Returns nil when no
-// queries were measured.
+// convention. Only the four selected records are read whole. Returns
+// nil when no queries were measured.
 func (l *RecordLog) BlameTable() *CellForensics {
-	rows := l.rows
-	if len(rows) == 0 {
+	if l.n == 0 {
 		return nil
 	}
-	cf := &CellForensics{Queries: len(rows)}
-	lo := 0
-	for _, q := range Quantiles {
-		idx := int(float64(len(rows))*quantileValues[q]+0.999999) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(rows) {
-			idx = len(rows) - 1
-		}
-		// Quantiles ascend, and each selection leaves the rows before
-		// its index earlier in the order, so the next quantile's row
-		// lies at or after the last index.
-		selectRow(rows[lo:], idx-lo)
-		lo = idx
-		cf.Rows = append(cf.Rows, BlameRow{Quantile: q, Record: l.record(rows[idx])})
+	ranks := make([]int, len(Quantiles))
+	for i, q := range Quantiles {
+		ranks[i] = min(max(int(float64(l.n)*quantileValues[q]+0.999999)-1, 0), l.n-1)
+	}
+	recs := l.records(l.selectIDs(ranks)...)
+	cf := &CellForensics{Queries: l.n}
+	for i, q := range Quantiles {
+		cf.Rows = append(cf.Rows, BlameRow{Quantile: q, Record: recs[i]})
 	}
 	return cf
 }
 
-// selectRow reorders rs so that rs[k] is the row a sort by key would
-// put there, with the rows before it earlier in that order and the
-// ones after it later. It is quickselect with a median-of-three pivot,
-// expected O(n). Short ranges, and ranges the partitions have failed
-// to shrink after 2·log2(n) rounds, are sorted, which bounds the worst
-// case at O(n log n).
-func selectRow(rs []row, k int) {
-	lo, hi := 0, len(rs)
-	for rounds := 2 * bits.Len(uint(len(rs))); hi-lo > 16 && rounds > 0; rounds-- {
-		p := lo + partition(rs[lo:hi])
-		switch {
-		case k < p:
-			hi = p
-		case k > p:
-			lo = p + 1
-		default:
-			return
+// maxRanks is the most ranks selectIDs takes at once: one for each of
+// Quantiles.
+const maxRanks = 4
+
+// selectIDs returns, for each zero-based rank, the ID of the record at
+// that rank in (latency, id) order. It is an exact radix selection over
+// the latency column in digits of 11, 11 and 10 bits, each pass serving
+// every rank: one pass counts the top digit of every latency, one the
+// middle digit of the latencies in the ranks' top buckets, one the low
+// digit of those that share a rank's top two digits, and a last pass
+// walks the column to each rank's record among those with the latency
+// found. The column is in ID order, so ties fall to the lower ID. IDs
+// with no record hold noRecord, which sorts after every latency, and
+// every rank is below the record count, so none is selected.
+func (l *RecordLog) selectIDs(ranks []int) []int {
+	var (
+		prefix [maxRanks]uint32 // the digits of each rank's latency found so far
+		rank   [maxRanks]int    // its rank among the latencies that share them
+	)
+	var top [1 << 11]uint32
+	for _, v := range l.lat {
+		top[v>>21]++
+	}
+	for i, k := range ranks {
+		prefix[i], rank[i] = bucket(top[:], k)
+	}
+	// slot numbers a histogram for each rank's top digit, and slot2 for
+	// each rank's top two digits; ranks that share the digits share the
+	// histogram. Every other latency counts into histogram 0, so the
+	// counting passes never branch.
+	var slot [1 << 11]uint8
+	var slot2 [maxRanks + 1][1 << 11]uint8
+	var mid [maxRanks + 1][1 << 11]uint32
+	var low [maxRanks + 1][1 << 10]uint32
+	for i := range ranks {
+		slot[prefix[i]] = uint8(i + 1)
+	}
+	for _, v := range l.lat {
+		mid[slot[v>>21]][v>>10&(1<<11-1)]++
+	}
+	for i := range ranks {
+		s := slot[prefix[i]]
+		m, k := bucket(mid[s][:], rank[i])
+		slot2[s][m] = uint8(i + 1)
+		prefix[i], rank[i] = prefix[i]<<11|m, k
+	}
+	for _, v := range l.lat {
+		low[slot2[slot[v>>21]][v>>10&(1<<11-1)]][v&(1<<10-1)]++
+	}
+	for i := range ranks {
+		b, k := bucket(low[slot2[slot[prefix[i]>>11]][prefix[i]&(1<<11-1)]][:], rank[i])
+		prefix[i], rank[i] = prefix[i]<<10|b, k
+	}
+	ids := make([]int, len(ranks))
+	for id, v := range l.lat {
+		if slot2[slot[v>>21]][v>>10&(1<<11-1)] == 0 {
+			continue
+		}
+		for i := range ranks {
+			if v == prefix[i] {
+				if rank[i] == 0 {
+					ids[i] = id
+				}
+				rank[i]--
+			}
 		}
 	}
-	sort.Slice(rs[lo:hi], func(i, j int) bool { return rs[lo+i].key() < rs[lo+j].key() })
+	return ids
 }
 
-// partition moves the median of rs's first, middle and last rows to
-// where it belongs in the order, the earlier rows before it and the
-// later ones after, and returns its index. rs holds at least three
-// rows.
-func partition(rs []row) int {
-	last, mid := len(rs)-1, len(rs)/2
-	if rs[mid].key() < rs[0].key() {
-		rs[mid], rs[0] = rs[0], rs[mid]
-	}
-	if rs[last].key() < rs[mid].key() {
-		rs[last], rs[mid] = rs[mid], rs[last]
-		if rs[mid].key() < rs[0].key() {
-			rs[mid], rs[0] = rs[0], rs[mid]
+// bucket returns the bucket of counts h that holds rank k, and k's rank
+// within that bucket.
+func bucket(h []uint32, k int) (uint32, int) {
+	for b, c := range h {
+		if k < int(c) {
+			return uint32(b), k
 		}
+		k -= int(c)
 	}
-	rs[mid], rs[last] = rs[last], rs[mid]
-	pivot := rs[last].key()
-	i := 0
-	for j := 0; j < last; j++ {
-		if rs[j].key() < pivot {
-			rs[i], rs[j] = rs[j], rs[i]
-			i++
-		}
-	}
-	rs[i], rs[last] = rs[last], rs[i]
-	return i
+	panic("simtrace: rank beyond the counted latencies")
 }

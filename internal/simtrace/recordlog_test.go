@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -30,62 +31,123 @@ var recordFields = []struct {
 	{"Other", func(r *QueryRecord, v int64) { r.Other = sim.Duration(v) }},
 }
 
-// TestRecordRowIs12BytesAndPointerFree pins doc.go's record storage:
-// a row is 12 bytes, and neither a row nor a side-table entry holds a
-// pointer, so the GC never scans a log's rows or chunks.
-func TestRecordRowIs12BytesAndPointerFree(t *testing.T) {
-	if got := reflect.TypeOf(row{}).Size(); got != 12 {
-		t.Errorf("row is %d bytes, want 12", got)
-	}
-	for _, v := range []any{row{}, causes{}} {
-		typ := reflect.TypeOf(v)
-		if path := pointerPath(typ, typ.Name()); path != "" {
-			t.Errorf("%s holds a pointer at %s", typ.Name(), path)
+// TestRecordLogIsPointerFree pins doc.go's record storage: neither the
+// latency column nor a side-log chunk holds a pointer, so the GC never
+// scans them.
+func TestRecordLogIsPointerFree(t *testing.T) {
+	log := reflect.TypeOf(RecordLog{})
+	for _, c := range []struct {
+		field string
+		depth int // slice levels above the stored values
+	}{{"lat", 1}, {"side", 2}} {
+		f, ok := log.FieldByName(c.field)
+		if !ok {
+			t.Fatalf("RecordLog has no field %s", c.field)
+		}
+		typ := f.Type
+		for range c.depth {
+			typ = typ.Elem()
+		}
+		if path := pointerPath(typ, c.field); path != "" {
+			t.Errorf("RecordLog.%s holds a pointer at %s", c.field, path)
 		}
 	}
 }
 
+// fieldMax is the largest value a log holds in the named field: IDs up
+// to 2^31-1, latencies up to 2^32-2 ns (2^32-1 marks an ID with no
+// record) and causes up to 2^32-1 ns.
+func fieldMax(name string) int64 {
+	switch name {
+	case "ID":
+		return math.MaxInt32
+	case "Latency":
+		return noRecord - 1
+	}
+	return math.MaxUint32
+}
+
 // TestRecordLogRoundTripsLimits: a record at either end of every
-// field's range comes back out of the log unchanged.
+// field's range comes back out of the log unchanged, and out of its
+// blame table. A log that holds ID 2^31-1 takes 8 GiB, so that ID is
+// checked through its side-log entry alone.
 func TestRecordLogRoundTripsLimits(t *testing.T) {
 	for _, f := range recordFields {
-		hi := int64(math.MaxUint32)
-		if f.name == "ID" {
-			hi = math.MaxInt32
-		}
-		for _, v := range []int64{0, 1, hi} {
+		for _, v := range []int64{0, 1, fieldMax(f.name)} {
 			for _, dropped := range []bool{false, true} {
 				r := QueryRecord{Dropped: dropped}
 				f.set(&r, v)
-				l := NewRecordLog(1)
+				if r.ID == math.MaxInt32 {
+					r.Queue = 1
+					var l RecordLog
+					l.addSide(&r)
+					l.eachSide(func(e []byte) {
+						got := QueryRecord{ID: int(binary.LittleEndian.Uint32(e) >> 1)}
+						unpackSide(&got, e)
+						if got != r {
+							t.Errorf("ID %d dropped=%v: side-log entry reads back %+v", r.ID, dropped, got)
+						}
+					})
+					continue
+				}
+				l := NewRecordLog(r.ID + 1)
 				l.Append(r)
-				if got := l.record(l.rows[0]); got != r {
-					t.Errorf("%s=%d dropped=%v: unpacked %+v", f.name, v, dropped, got)
+				if got := l.records(r.ID)[0]; got != r {
+					t.Errorf("%s=%d dropped=%v: read back %+v", f.name, v, dropped, got)
+				}
+				if cf := l.BlameTable(); cf.Queries != 1 || cf.Rows[3].Record != r {
+					t.Errorf("%s=%d dropped=%v: blame table %+v", f.name, v, dropped, cf)
 				}
 			}
 		}
 	}
 }
 
-// TestRecordLogAppendPanicsOutOfRange: Append refuses a value its row
-// cannot hold, naming the field.
+// panicOf returns what f panics with, or "<nil>".
+func panicOf(f func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	f()
+	return ""
+}
+
+// TestRecordLogAppendPanicsOutOfRange: Append refuses a duration the
+// log cannot hold, naming the field, and an ID outside the log's IDs
+// or already appended, naming the ID; NewRecordLog refuses a log of
+// more than 2^31 IDs.
 func TestRecordLogAppendPanicsOutOfRange(t *testing.T) {
-	for _, f := range recordFields {
-		over := int64(math.MaxUint32) + 1
-		if f.name == "ID" {
-			over = math.MaxInt32 + 1
-		}
-		for _, v := range []int64{-1, over, math.MinInt64, math.MaxInt64} {
+	for _, f := range recordFields[1:] {
+		for _, v := range []int64{-1, fieldMax(f.name) + 1, math.MinInt64, math.MaxInt64} {
 			r := QueryRecord{}
 			f.set(&r, v)
-			msg := func() (msg string) {
-				defer func() { msg = fmt.Sprint(recover()) }()
-				NewRecordLog(1).Append(r)
-				return ""
-			}()
+			msg := panicOf(func() { NewRecordLog(1).Append(r) })
 			if want := "record " + f.name + " "; !strings.Contains(msg, want) {
 				t.Errorf("%s=%d: panic %q, want one naming %q", f.name, v, msg, f.name)
 			}
+		}
+	}
+	for _, c := range []struct{ n, id int }{
+		{1, -1}, {1, 1}, {0, 0}, {3, 3}, {2, math.MinInt64}, {2, math.MaxInt64},
+		{2, math.MaxInt32}, {2, math.MaxInt32 + 1},
+	} {
+		msg := panicOf(func() { NewRecordLog(c.n).Append(QueryRecord{ID: c.id}) })
+		if want := fmt.Sprintf("record ID %d ", c.id); !strings.Contains(msg, want) {
+			t.Errorf("ID %d in a log of %d: panic %q, want one naming the ID", c.id, c.n, msg)
+		}
+	}
+	for _, id := range []int{0, 2, 3} {
+		l := NewRecordLog(4)
+		l.Append(QueryRecord{ID: id, Latency: 5, Service: 5})
+		msg := panicOf(func() { l.Append(QueryRecord{ID: id, Latency: 1, Dropped: true}) })
+		if want := fmt.Sprintf("record ID %d ", id); !strings.Contains(msg, want) {
+			t.Errorf("ID %d appended twice: panic %q, want one naming the ID", id, msg)
+		}
+		if got := l.records(id)[0]; got != (QueryRecord{ID: id, Latency: 5, Service: 5}) {
+			t.Errorf("ID %d appended twice: the log now holds %+v", id, got)
+		}
+	}
+	for _, n := range []int{-1, math.MaxInt32 + 2, math.MaxInt64, math.MinInt64} {
+		if msg := panicOf(func() { NewRecordLog(n) }); !strings.Contains(msg, fmt.Sprintf("log of %d IDs", n)) {
+			t.Errorf("a log of %d IDs: panic %q, want one naming the count", n, msg)
 		}
 	}
 }
@@ -96,9 +158,11 @@ func TestRecordLogAppendPanicsOutOfRange(t *testing.T) {
 // little-endian uint32.
 const recordBytes = 1 + 4 + 9*4
 
-// decodeRecords reads whole records from data. The ID is clamped into
-// [0, 2^31-1] by dropping its top bit, and a record repeating an
-// earlier ID is skipped, since the selection order needs unique IDs.
+// decodeRecords reads whole records from data. A record repeating an
+// earlier ID, once the ID's top bit is dropped, is skipped, since a log
+// takes each ID once. The IDs left map in order onto [0, n), as a
+// cell's query IDs run, and a latency above the log's 2^32-2 ns is
+// lowered to it.
 func decodeRecords(data []byte) []QueryRecord {
 	var out []QueryRecord
 	seen := map[int]bool{}
@@ -113,7 +177,16 @@ func decodeRecords(data []byte) []QueryRecord {
 			continue
 		}
 		seen[r.ID] = true
+		r.Latency = min(r.Latency, noRecord-1)
 		out = append(out, r)
+	}
+	ids := make([]int, 0, len(out))
+	for _, r := range out {
+		ids = append(ids, r.ID)
+	}
+	slices.Sort(ids)
+	for i := range out {
+		out[i].ID, _ = slices.BinarySearch(ids, out[i].ID)
 	}
 	return out
 }
@@ -137,12 +210,14 @@ func encodeRecords(records []QueryRecord) []byte {
 }
 
 // FuzzRecordLog requires every record decoded from the input to come
-// back out of the log unchanged, the side table to hold exactly the
-// records that are not all service, and the log's blame table to equal
-// the one a full sort picks. The committed corpus
-// (testdata/fuzz/FuzzRecordLog) holds the range limits: IDs 0 and
-// 2^31-1, durations 0 and 2^32-1 ns, and tied latencies; the seeds
-// below hold each way a record can use the side table or not.
+// back out of the log unchanged, the side log to hold exactly the
+// records that are dropped or not all service, once each and in append
+// order, and the log's blame table to equal the one a full sort picks.
+// The committed corpus (testdata/fuzz/FuzzRecordLog) holds the range
+// limits: IDs 0 and 2^31-1, which decode to the least and the
+// greatest of the log's IDs, durations 0 and 2^32-1 ns, and tied
+// latencies; the seeds below hold each way a record can use the side
+// log or not.
 func FuzzRecordLog(f *testing.F) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{1, 17, 64} {
@@ -177,13 +252,17 @@ func FuzzRecordLog(f *testing.F) {
 		{ID: 0, Latency: 2e6, Other: 2e6}, {ID: 1, Latency: 2e6, Service: 2e6, Other: 1},
 		{ID: 2, Latency: 2e6, Service: 2e6},
 	}))
-	// More records in the side table than one chunk holds.
+	// More side-log entries than one chunk holds, most with every cause
+	// nonzero.
 	var chunked []QueryRecord
-	for i := range sideChunk + sideChunk/2 + 1 {
-		lat := sim.Duration(rng.Intn(1e7))
+	for i := range sideChunk*3/2/sideEntryMax + 1 {
+		lat := sim.Duration(8 + rng.Intn(1e7))
 		r := QueryRecord{ID: i, Latency: lat, Service: lat}
 		if i%5 != 0 {
-			r.Service, r.Disk = lat-lat/3, lat/3
+			for _, c := range recordFields[2:] {
+				c.set(&r, int64(lat/8))
+			}
+			r.Other = lat - 7*(lat/8)
 		}
 		chunked = append(chunked, r)
 	}
@@ -204,17 +283,21 @@ func FuzzRecordLog(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		records := decodeRecords(data)
 		l := logOf(records)
-		side := 0
+		got, side := logged(l)
+		var wantSide []int
 		for i, r := range records {
-			if got := l.record(l.rows[i]); got != r {
-				t.Fatalf("record %d: appended %+v, unpacked %+v", i, r, got)
+			if got[r.ID] != r {
+				t.Fatalf("record %d: appended %+v, read back %+v", i, r, got[r.ID])
 			}
-			if r != (QueryRecord{ID: r.ID, Dropped: r.Dropped, Latency: r.Latency, Service: r.Latency}) {
-				side++
+			if r != (QueryRecord{ID: r.ID, Latency: r.Latency, Service: r.Latency}) {
+				wantSide = append(wantSide, r.ID)
 			}
 		}
-		if l.sideLen != side {
-			t.Fatalf("%d records in the side table, want %d", l.sideLen, side)
+		if len(got) != len(records) {
+			t.Fatalf("%d records appended, %d read back", len(records), len(got))
+		}
+		if !slices.Equal(side, wantSide) {
+			t.Fatalf("side log holds IDs %v, want %v", side, wantSide)
 		}
 		var want *CellForensics
 		if len(records) > 0 {
@@ -226,10 +309,32 @@ func FuzzRecordLog(f *testing.F) {
 	})
 }
 
+// logged reads every record in l back, by ID, and lists the IDs of the
+// side-log entries in append order. Unlike RecordLog.records, which
+// BlameTable reads its four records with, it reads the side log into
+// a map, so a large fuzz input costs linear time.
+func logged(l *RecordLog) (map[int]QueryRecord, []int) {
+	got := map[int]QueryRecord{}
+	for i, v := range l.lat {
+		if v != noRecord {
+			got[i] = QueryRecord{ID: i, Latency: sim.Duration(v), Service: sim.Duration(v)}
+		}
+	}
+	var side []int
+	l.eachSide(func(e []byte) {
+		id := int(binary.LittleEndian.Uint32(e) >> 1)
+		r := got[id]
+		unpackSide(&r, e)
+		got[id] = r
+		side = append(side, id)
+	})
+	return got, side
+}
+
 // recordShapes returns n records in two shapes. "cell" is shaped like
 // a measured cell: 84% of the records are all service, the rest wait
 // on the disk. In "side-table" every record has Queue and Other set, so
-// every row uses the side table.
+// every record uses the side log.
 func recordShapes(n int) (cell, side []QueryRecord) {
 	rng := rand.New(rand.NewSource(4))
 	side = make([]QueryRecord, n)
@@ -250,15 +355,15 @@ func recordShapes(n int) (cell, side []QueryRecord) {
 }
 
 // TestRecordLogBytesPerRecord bounds what a log allocates per record:
-// a 12-byte row, and a 32-byte side-table entry for a record that is
-// not all service.
+// a 4-byte latency, and a side-log entry of 5 bytes and 4 per nonzero
+// cause for a record that is dropped or not all service.
 func TestRecordLogBytesPerRecord(t *testing.T) {
 	cell, side := recordShapes(100_000)
 	for _, c := range []struct {
 		name    string
 		records []QueryRecord
 		limit   float64
-	}{{"cell", cell, 18}, {"side-table", side, 45}} {
+	}{{"cell", cell, 7}, {"side-table", side, 22}} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		l := logOf(c.records)
