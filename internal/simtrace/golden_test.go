@@ -2,6 +2,7 @@ package simtrace_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -31,8 +32,26 @@ func goldenTracer(t testing.TB) *simtrace.Tracer {
 }
 
 // tracedCell runs the golden cell's configuration for span of
-// simulated time with the given query deadline.
+// simulated time with the given query deadline, then adds the
+// synthetic events.
 func tracedCell(t testing.TB, span, deadline sim.Duration) *simtrace.Tracer {
+	tr := simulatedCell(t, span, deadline)
+	end := sim.Time(span)
+	tr.NameTrack(60, "core \"60\"\t\\ ☃ ")
+	tr.Instant(end, simtrace.TrackControl, "memory-evict", "controller",
+		simtrace.String("reason", "job over memory limit"))
+	tr.Instant(end, simtrace.TrackControl, "placement", "harvest",
+		simtrace.String("job", "batch \"q\"\n☃"), simtrace.Int("task", 12))
+	tr.Slice(end, 0, 60, "sl\\ice", "", simtrace.Bool("ok", true))
+	tr.Begin(-5, -3, "query", "query")
+	tr.End(end, -3, "query", "query", simtrace.Bool("dropped", true), simtrace.Int("latency_us", -1))
+	return tr
+}
+
+// simulatedCell runs the golden cell's configuration for span of
+// simulated time with the given query deadline. Its trace holds only
+// what the simulator's own call sites record.
+func simulatedCell(t testing.TB, span, deadline sim.Duration) *simtrace.Tracer {
 	t.Helper()
 	eng := sim.NewEngine()
 	cfg := node.DefaultConfig()
@@ -61,17 +80,7 @@ func tracedCell(t testing.TB, span, deadline sim.Duration) *simtrace.Tracer {
 	queries := int(span / (200 * sim.Microsecond))
 	trace := workload.GenerateTrace(workload.TraceConfig{Queries: queries, Rate: 4000, Seed: 7})
 	workload.NewClient(eng, func(q workload.QuerySpec) { n.Server.Submit(q) }).Replay(trace)
-	end := sim.Time(span)
-	eng.Run(end)
-
-	tr.NameTrack(60, "core \"60\"\t\\ ☃ ")
-	tr.Instant(end, simtrace.TrackControl, "memory-evict", "controller",
-		simtrace.String("reason", "job over memory limit"))
-	tr.Instant(end, simtrace.TrackControl, "placement", "harvest",
-		simtrace.String("job", "batch \"q\"\n☃"), simtrace.Int("task", 12))
-	tr.Slice(end, 0, 60, "sl\\ice", "", simtrace.Bool("ok", true))
-	tr.Begin(-5, -3, "query", "query")
-	tr.End(end, -3, "query", "query", simtrace.Bool("dropped", true), simtrace.Int("latency_us", -1))
+	eng.Run(sim.Time(span))
 	return tr
 }
 
@@ -103,6 +112,37 @@ func TestChromeGolden(t *testing.T) {
 	}
 	if err := simtrace.ValidateChrome(got); err != nil {
 		t.Errorf("golden trace fails validation: %v", err)
+	}
+}
+
+// TestValidateChromeReadsExportsCompact requires the validator's compact
+// path to read every element WriteChrome writes for the simulator's
+// call sites, so a drift in the export layout that turns the fast path
+// off fails here. The golden export's three synthetic elements whose
+// strings need escaping (a track name and two events, each holding a
+// backslash or a non-ASCII rune) are the only ones left to the general
+// scanner; the simulated cell has none.
+func TestValidateChromeReadsExportsCompact(t *testing.T) {
+	golden, err := os.ReadFile(goldenChrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := simtrace.WriteChrome(&buf, simulatedCell(t, 100*sim.Millisecond, indexserve.DefaultConfig().Deadline)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		data []byte
+		want int
+	}{{"golden export", golden, 3}, {"simulated cell", buf.Bytes(), 0}} {
+		n, err := simtrace.GeneralElements(c.data)
+		if err != nil {
+			t.Fatalf("%s fails validation: %v", c.name, err)
+		}
+		if n != c.want {
+			t.Errorf("%s: the general scanner read %d elements, want %d", c.name, n, c.want)
+		}
 	}
 }
 
@@ -170,17 +210,29 @@ func BenchmarkWriteChrome(b *testing.B) {
 	}
 }
 
+// BenchmarkValidateChrome checks each span's export as WriteChrome
+// writes it, which the compact path reads, and the same trace through
+// json.Indent (indented/<span>), which only the general scanner reads.
 func BenchmarkValidateChrome(b *testing.B) {
-	for _, s := range benchSpans {
-		b.Run(s.name, func(b *testing.B) {
-			_, data := benchTrace(b, s.span)
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for b.Loop() {
-				if err := simtrace.ValidateChrome(data); err != nil {
-					b.Fatal(err)
+	for _, layout := range []string{"", "indented/"} {
+		for _, s := range benchSpans {
+			b.Run(layout+s.name, func(b *testing.B) {
+				_, data := benchTrace(b, s.span)
+				if layout != "" {
+					var buf bytes.Buffer
+					if err := json.Indent(&buf, data, "", "  "); err != nil {
+						b.Fatal(err)
+					}
+					data = buf.Bytes()
 				}
-			}
-		})
+				b.SetBytes(int64(len(data)))
+				b.ReportAllocs()
+				for b.Loop() {
+					if err := simtrace.ValidateChrome(data); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

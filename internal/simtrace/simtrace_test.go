@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"os"
 	"reflect"
 	"slices"
 	"sort"
@@ -429,6 +430,39 @@ func TestValidateChromeCatchesDefects(t *testing.T) {
 	ok := `{"traceEvents":[{"name":"a","ph":"b","id":"1","ts":1}]}`
 	if err := ValidateChrome([]byte(ok)); err != nil {
 		t.Errorf("open async span at end of capture should be legal: %v", err)
+	}
+}
+
+// TestValidateChromeLayoutsAgree re-renders the golden export and each
+// defect that json.Indent accepts with white space inside every
+// element, which only the general scanner reads, and requires the
+// verdict of the compact form. A rule violation must also give the
+// same message; a parse error's offset moves with the white space.
+func TestValidateChromeLayoutsAgree(t *testing.T) {
+	golden, err := os.ReadFile(goldenChrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{"golden": golden}
+	for name, c := range chromeDefects {
+		cases[name] = []byte(c)
+	}
+	for name, data := range cases {
+		var buf bytes.Buffer
+		if json.Indent(&buf, data, "", "  ") != nil {
+			continue
+		}
+		v := newValidator(buf.Bytes(), false)
+		indented, compact := v.file(), ValidateChrome(data)
+		if v.general != v.n {
+			t.Errorf("%s: the general scanner read %d of the %d indented elements", name, v.general, v.n)
+		}
+		switch {
+		case (indented == nil) != (compact == nil):
+			t.Errorf("%s: indented gives %v, compact %v", name, indented, compact)
+		case compact != nil && !strings.HasPrefix(compact.Error(), "parse:") && indented.Error() != compact.Error():
+			t.Errorf("%s: indented gives %q, compact %q", name, indented, compact)
+		}
 	}
 }
 

@@ -81,6 +81,9 @@ type validator struct {
 	cur     chromeEvent
 	ruleErr error // the first rule violation while streaming
 	rules   rules
+	heads   [maxHeads]compactHead // compact's memo, most hit first
+	nheads  int
+	general int // elements event read rather than compact
 }
 
 func newValidator(data []byte, keep bool) *validator {
@@ -149,8 +152,11 @@ func (v *validator) events() error {
 		} else {
 			e.reset()
 		}
-		if err := v.event(e); err != nil {
-			return err
+		if v.keep || !v.compact(e) {
+			v.general++
+			if err := v.event(e); err != nil {
+				return err
+			}
 		}
 		if !v.keep && v.ruleErr == nil {
 			v.ruleErr = v.rules.check(i, e)
@@ -223,6 +229,251 @@ func (v *validator) event(e *chromeEvent) error {
 		more, err = v.nextMember('}')
 	}
 	return err
+}
+
+// Keys of the compact layout that event skips as fieldOther. With the
+// event fields, each key is one bit of an element's key set.
+const (
+	fieldS = fieldOther + 1 + iota
+	fieldArgs
+)
+
+// maxHeads bounds the event heads one validator memoizes.
+const maxHeads = 16
+
+// compactHead is a memoized event head: the bytes from an element's
+// '{' through its "tid" key and colon, and the fields and key set that
+// reading them left.
+type compactHead struct {
+	head []byte
+	ev   chromeEvent
+	keys uint16
+	hits int
+}
+
+// compact reads the element at pos when it is in the compact layout
+// WriteChrome writes, filling e, which is reset, exactly as event
+// would, and reports whether it did. The layout is one object with no
+// white space inside, whose keys are lower-case, come from name, cat,
+// ph, pid, tid, ts, dur, id, s and args, and appear at most once each;
+// its strings are plain ASCII, pid and tid unsigned integers of at
+// most 18 digits with no leading zero, ts and dur unsigned decimals of
+// at most 15 digits with no exponent, and args a non-empty object of
+// plain ASCII strings. On anything else compact leaves e reset and pos
+// at the element.
+//
+// A head, the bytes through the "tid" key, repeats verbatim across one
+// call site's events; an element whose head matches a memoized one
+// byte for byte takes that head's fields and key set and is read on
+// from its tid value.
+func (v *validator) compact(e *chromeEvent) bool {
+	if v.peek() != '{' {
+		return false
+	}
+	d, start := v.data, v.pos
+	p, keys, f := start+1, uint16(0), -1
+	if h := v.head(d[start:]); h != nil {
+		*e, keys, p, f = h.ev, h.keys, start+len(h.head), fieldTid
+	}
+	for {
+		if f < 0 {
+			if f, p = compactKey(d, p); f < 0 || keys&(1<<f) != 0 {
+				e.reset()
+				return false
+			}
+			keys |= 1 << f
+			if f == fieldTid && v.nheads < maxHeads {
+				v.heads[v.nheads] = compactHead{head: d[start:p], ev: *e, keys: keys}
+				v.nheads++
+			}
+		}
+		ok := false
+		switch f {
+		case fieldName:
+			p, ok = compactString(d, p, &e.name)
+		case fieldCat:
+			p, ok = compactString(d, p, &e.cat)
+		case fieldPh:
+			p, ok = compactString(d, p, &e.ph)
+		case fieldPid:
+			p, ok = compactInt(d, p, &e.pid)
+		case fieldTid:
+			p, ok = compactInt(d, p, &e.tid)
+		case fieldTS:
+			p, ok = compactFloat(d, p, &e.ts, &e.hasTS)
+		case fieldDur:
+			p, ok = compactFloat(d, p, &e.dur, &e.hasDur)
+		case fieldID:
+			if j := plainString(d, p); j > 0 {
+				e.id, p, ok = d[p:j], j, true
+			}
+		case fieldS:
+			if j := plainString(d, p); j > 0 {
+				p, ok = j, true
+			}
+		case fieldArgs:
+			p, ok = compactArgs(d, p)
+		}
+		if !ok || p >= len(d) || d[p] != ',' && d[p] != '}' {
+			e.reset()
+			return false
+		}
+		if d[p] == '}' {
+			v.pos = p + 1
+			return true
+		}
+		p, f = p+1, -1
+	}
+}
+
+// head returns the memoized head that rest starts with, or nil. A hit
+// moves its head ahead of the heads hit less often, so the memo stays
+// in the order of its call sites' event counts and the most common
+// head is tried first.
+func (v *validator) head(rest []byte) *compactHead {
+	for i := range v.heads[:v.nheads] {
+		h := &v.heads[i]
+		if len(rest) <= len(h.head) || string(rest[:len(h.head)]) != string(h.head) {
+			continue
+		}
+		h.hits++
+		for ; i > 0 && v.heads[i-1].hits < h.hits; i-- {
+			v.heads[i-1], v.heads[i] = v.heads[i], v.heads[i-1]
+			h = &v.heads[i-1]
+		}
+		return h
+	}
+	return nil
+}
+
+// compactKey matches the key at d[p], quotes and colon included,
+// against the compact layout's keys as literals, and returns its field
+// and the index past the colon; the field is -1 for any other key.
+func compactKey(d []byte, p int) (int, int) {
+	if p+1 >= len(d) || d[p] != '"' {
+		return -1, p
+	}
+	switch d[p+1] {
+	case 'n':
+		if hasLit(d, p, `"name":`) {
+			return fieldName, p + 7
+		}
+	case 'c':
+		if hasLit(d, p, `"cat":`) {
+			return fieldCat, p + 6
+		}
+	case 'p':
+		if hasLit(d, p, `"ph":`) {
+			return fieldPh, p + 5
+		}
+		if hasLit(d, p, `"pid":`) {
+			return fieldPid, p + 6
+		}
+	case 't':
+		if hasLit(d, p, `"ts":`) {
+			return fieldTS, p + 5
+		}
+		if hasLit(d, p, `"tid":`) {
+			return fieldTid, p + 6
+		}
+	case 'd':
+		if hasLit(d, p, `"dur":`) {
+			return fieldDur, p + 6
+		}
+	case 'i':
+		if hasLit(d, p, `"id":`) {
+			return fieldID, p + 5
+		}
+	case 's':
+		if hasLit(d, p, `"s":`) {
+			return fieldS, p + 4
+		}
+	case 'a':
+		if hasLit(d, p, `"args":`) {
+			return fieldArgs, p + 7
+		}
+	}
+	return -1, p
+}
+
+// hasLit reports whether d[p:] starts with lit.
+func hasLit(d []byte, p int, lit string) bool {
+	return len(d)-p >= len(lit) && string(d[p:p+len(lit)]) == lit
+}
+
+// compactString reads the plain ASCII string at d[p] into dst, as
+// stringField does, and returns the index past it.
+func compactString(d []byte, p int, dst *[]byte) (int, bool) {
+	j := plainString(d, p)
+	if j == 0 {
+		return p, false
+	}
+	*dst = d[p+1 : j-1]
+	return j, true
+}
+
+// compactInt reads the unsigned integer at d[p], of at most 18 digits
+// with no leading zero, into dst as intField would. The caller rejects
+// a '.', 'e' or 'E' after it.
+func compactInt(d []byte, p int, dst *int) (int, bool) {
+	i, m, k := decimalDigits(d, p, 0)
+	if k == 0 || k > 1 && d[p] == '0' {
+		return p, false
+	}
+	n, ok := jnum{mant: m, digits: k}.fastInt()
+	if !ok || int64(int(n)) != n {
+		return p, false
+	}
+	*dst = int(n)
+	return i, true
+}
+
+// compactFloat reads the unsigned decimal at d[p], with no leading
+// zero, no exponent and at most 15 digits, into dst as floatField
+// would. The caller rejects an 'e' or 'E' after it.
+func compactFloat(d []byte, p int, dst *float64, has *bool) (int, bool) {
+	i, m, k := decimalDigits(d, p, 0)
+	if k == 0 || k > 1 && d[p] == '0' {
+		return p, false
+	}
+	frac := 0
+	if i < len(d) && d[i] == '.' {
+		if i, m, frac = decimalDigits(d, i+1, m); frac == 0 {
+			return p, false
+		}
+	}
+	f, ok := jnum{mant: m, digits: k + frac, frac: frac}.fastFloat()
+	if !ok {
+		return p, false
+	}
+	*dst, *has = f, true
+	return i, true
+}
+
+// compactArgs reads the object at d[p] when it has members and they
+// are plain ASCII strings on both sides, and returns the index past it.
+func compactArgs(d []byte, p int) (int, bool) {
+	if p >= len(d) || d[p] != '{' {
+		return p, false
+	}
+	p++
+	for {
+		j := plainString(d, p)
+		if j == 0 || j >= len(d) || d[j] != ':' {
+			return p, false
+		}
+		if j = plainString(d, j+1); j == 0 || j >= len(d) {
+			return p, false
+		}
+		switch d[j] {
+		case '}':
+			return j + 1, true
+		case ',':
+			p = j + 1
+		default:
+			return p, false
+		}
+	}
 }
 
 // eventField returns the field key decodes into. Keys that are not
