@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"perfiso/internal/osmodel"
+	"perfiso/internal/sim"
 )
 
 // IOThrottler implements PerfIso's Deficit-Weighted-Round-Robin I/O
@@ -39,8 +40,8 @@ type throttledProc struct {
 	cfg IOProcConfig
 
 	lastOps   uint64 // cumulative op count at the previous sample
-	rateHist  []float64
-	demHist   []float64
+	rateHist  sim.FIFO[float64]
+	demHist   sim.FIFO[float64]
 	priority  int
 	deficit   float64
 	currIOPS  float64
@@ -169,17 +170,8 @@ func (t *IOThrottler) Sample() {
 		}
 		// Weighted share of this sample, then the ∆-windowed sum.
 		share := p.cfg.Weight * curr / totalWeight
-		p.demHist = append(p.demHist, share)
-		if len(p.demHist) > p.histLimit {
-			p.demHist = p.demHist[1:]
-		}
-		p.demand = mean(p.demHist)
-
-		p.rateHist = append(p.rateHist, p.currIOPS)
-		if len(p.rateHist) > p.histLimit {
-			p.rateHist = p.rateHist[1:]
-		}
-		smoothed := mean(p.rateHist)
+		p.demand = slide(&p.demHist, share, p.histLimit)
+		smoothed := slide(&p.rateHist, p.currIOPS, p.histLimit)
 
 		entitlement := p.demand
 		if p.cfg.MinIOPS > 0 && p.cfg.MinIOPS < entitlement {
@@ -230,15 +222,22 @@ func (t *IOThrottler) adjust(p *throttledProc) {
 	t.Adjustments++
 }
 
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
+// slide appends x to the window w, drops its oldest sample once w
+// holds more than limit, and returns the mean of what w holds, summed
+// oldest first.
+func slide(w *sim.FIFO[float64], x float64, limit int) float64 {
+	w.Push(x)
+	if w.Len() > limit {
+		w.Pop()
+	}
+	if w.Len() == 0 {
 		return 0
 	}
 	var s float64
-	for _, x := range xs {
-		s += x
+	for i := 0; i < w.Len(); i++ {
+		s += w.At(i)
 	}
-	return s / float64(len(xs))
+	return s / float64(w.Len())
 }
 
 // Snapshot summarizes the throttler state for debugging dumps, sorted by

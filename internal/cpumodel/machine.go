@@ -1,7 +1,9 @@
 package cpumodel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"perfiso/internal/sim"
 	"perfiso/internal/simtrace"
@@ -322,7 +324,8 @@ type Machine struct {
 	// any more; Spawn reuses them (see Release).
 	free []*Thread
 	// scratch collects the threads SetAffinity displaces and freeze
-	// parks, so neither allocates once it has grown.
+	// parks, and the copies CheckInvariants sorts, so none of them
+	// allocates once it has grown.
 	scratch []*Thread
 	// quantum is the engine lane quantum-expiry slices are armed on:
 	// every one fires exactly Config.Quantum after it was armed.
@@ -490,19 +493,22 @@ func (m *Machine) spawn(p *Process, burst sim.Duration, aff CPUSet, onDone func(
 	}
 	m.nextThread++
 	t := m.newThread()
-	*t = Thread{
-		ID:        m.nextThread,
-		Proc:      p,
-		Affinity:  aff,
-		Remaining: burst,
-		State:     StateParked,
-		OnDone:    onDone,
-		ideal:     m.nextThread % m.cfg.Cores,
-		core:      -1,
-		parkedAt:  m.eng.Now(),
-		gen:       t.gen + 1,
-		detached:  detached,
-	}
+	// Zero the recycled struct in place and then set its fields:
+	// assigning a composite literal builds it on the stack and copies
+	// all of it over the struct.
+	gen := t.gen + 1
+	*t = Thread{}
+	t.ID = m.nextThread
+	t.Proc = p
+	t.Affinity = aff
+	t.Remaining = burst
+	t.State = StateParked
+	t.OnDone = onDone
+	t.ideal = m.nextThread % m.cfg.Cores
+	t.core = -1
+	t.parkedAt = m.eng.Now()
+	t.gen = gen
+	t.detached = detached
 	p.addThread(t)
 	m.makeReady(t)
 	return t
@@ -1151,16 +1157,20 @@ func (m *Machine) freeze(p *Process) {
 }
 
 // CheckInvariants panics if internal bookkeeping is inconsistent; tests
-// call it after stress runs.
+// call it after stress runs, and every single-machine cell once at its
+// end. It allocates nothing once the machine's scratch has grown: a
+// listed thread is found by binary search in its process's list, and
+// the parked and free lists are checked for repeats by sorting a copy
+// of each by thread ID, which is unique per machine.
 func (m *Machine) CheckInvariants() {
 	// Thread lists: ID order, the listed flag and live counts; parked
-	// lists hold exactly their process's parked threads.
-	listed := make(map[*Thread]bool)
-	parked := make(map[*Thread]bool)
+	// lists hold exactly their process's parked threads. A thread listed
+	// twice breaks its list's ID order, or the Proc check in the other
+	// process's list.
 	for _, p := range m.procs {
 		live, nParked := 0, 0
 		for i, t := range p.threads {
-			if t.Proc != p || !t.listed || listed[t] || (i > 0 && t.ID <= p.threads[i-1].ID) {
+			if t.Proc != p || !t.listed || (i > 0 && t.ID <= p.threads[i-1].ID) {
 				panic(fmt.Sprintf("process %s: thread %d misfiled in its thread list", p.Name, t.ID))
 			}
 			if t.released && t.State != StateDone {
@@ -1169,7 +1179,6 @@ func (m *Machine) CheckInvariants() {
 			if t.detached && t.State == StateDone && !t.released {
 				panic(fmt.Sprintf("process %s: finished detached thread %d not released", p.Name, t.ID))
 			}
-			listed[t] = true
 			if t.State != StateDone {
 				live++
 			}
@@ -1184,25 +1193,29 @@ func (m *Machine) CheckInvariants() {
 			panic(fmt.Sprintf("process %s: %d parked entries for %d parked threads", p.Name, len(p.parked), nParked))
 		}
 		for _, t := range p.parked {
-			if t.Proc != p || t.State != StateParked || parked[t] {
+			if t.Proc != p || t.State != StateParked || !m.isListed(t) {
 				panic(fmt.Sprintf("process %s: parked list holds %v thread %d", p.Name, t.State, t.ID))
 			}
-			parked[t] = true
+		}
+		if t := m.repeated(p.parked); t != nil {
+			panic(fmt.Sprintf("process %s: parked list holds thread %d twice", p.Name, t.ID))
 		}
 	}
-	// The free list: released threads nothing else references.
-	free := make(map[*Thread]bool, len(m.free))
+	// The free list: released threads nothing else references. The
+	// checks above have seen every listed thread's listed flag and every
+	// parked one's state.
 	for _, t := range m.free {
-		if free[t] || !t.released || t.listed || t.State != StateDone || listed[t] || parked[t] {
+		if !t.released || t.listed || t.State != StateDone {
 			panic(fmt.Sprintf("free thread %d (%v) still referenced", t.ID, t.State))
 		}
-		free[t] = true
+	}
+	if t := m.repeated(m.free); t != nil {
+		panic(fmt.Sprintf("free list holds thread %d twice", t.ID))
 	}
 	queued := 0
-	perProc := make(map[*Process]int, len(m.procs))
 	for _, c := range m.core {
 		if c.running != nil {
-			if !listed[c.running] {
+			if !m.isListed(c.running) {
 				panic(fmt.Sprintf("core %d runs unlisted thread %d", c.id, c.running.ID))
 			}
 			if m.idleMask.Has(c.id) {
@@ -1220,12 +1233,11 @@ func (m *Machine) CheckInvariants() {
 			panic(fmt.Sprintf("core %d idle but not in idle mask", c.id))
 		}
 		for _, t := range c.queue {
-			if !listed[t] {
+			if !m.isListed(t) {
 				panic(fmt.Sprintf("core %d queues unlisted thread %d", c.id, t.ID))
 			}
 			if t.State == StateReady {
 				queued++
-				perProc[t.Proc]++
 			}
 		}
 	}
@@ -1233,8 +1245,46 @@ func (m *Machine) CheckInvariants() {
 		panic(fmt.Sprintf("queuedCount=%d but %d ready threads in queues", m.queuedCount, queued))
 	}
 	for _, p := range m.procs {
-		if p.queued != perProc[p] {
-			panic(fmt.Sprintf("process %s queued=%d but %d of its ready threads in queues", p.Name, p.queued, perProc[p]))
+		n := 0
+		for _, c := range m.core {
+			for _, t := range c.queue {
+				if t.Proc == p && t.State == StateReady {
+					n++
+				}
+			}
+		}
+		if p.queued != n {
+			panic(fmt.Sprintf("process %s queued=%d but %d of its ready threads in queues", p.Name, p.queued, n))
 		}
 	}
+}
+
+// isListed reports whether t is in the thread list of its process, and
+// that process is one of m's. CheckInvariants has found every list in
+// ascending ID order by the time it asks, so a binary search finds t.
+func (m *Machine) isListed(t *Thread) bool {
+	if !slices.Contains(m.procs, t.Proc) {
+		return false
+	}
+	ts := t.Proc.threads
+	i, ok := slices.BinarySearchFunc(ts, t.ID, func(x *Thread, id int) int { return cmp.Compare(x.ID, id) })
+	return ok && ts[i] == t
+}
+
+// repeated returns a thread that ts holds more than once, or nil. It
+// sorts a copy of ts by ID in the machine's scratch and compares
+// neighbours: IDs are unique per machine, so a repeated ID is a
+// repeated thread.
+func (m *Machine) repeated(ts []*Thread) *Thread {
+	s := append(m.scratch[:0], ts...)
+	slices.SortFunc(s, func(a, b *Thread) int { return cmp.Compare(a.ID, b.ID) })
+	var dup *Thread
+	for i := 1; i < len(s) && dup == nil; i++ {
+		if s[i].ID == s[i-1].ID {
+			dup = s[i]
+		}
+	}
+	clear(s)
+	m.scratch = s[:0]
+	return dup
 }

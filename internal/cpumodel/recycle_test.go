@@ -1,6 +1,8 @@
 package cpumodel
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"perfiso/internal/sim"
@@ -385,4 +387,101 @@ func mustPanic(t *testing.T, what string, fn func()) {
 		}
 	}()
 	fn()
+}
+
+// TestCheckInvariantsCatchesCorruption breaks a consistent machine's
+// bookkeeping one way at a time and requires CheckInvariants to panic
+// naming the fault.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	// setup returns a machine with running, queued, parked and free
+	// threads that passes the check.
+	setup := func() (m *Machine, svc, batch *Process) {
+		_, m = testMachine(2)
+		svc = m.NewProcess("svc", stats.ClassPrimary)
+		batch = m.NewProcess("batch", stats.ClassSecondary)
+		for i := 0; i < 4; i++ { // two run, two queue
+			m.Spawn(svc, Forever, AllCores(2), nil)
+		}
+		for i := 0; i < 3; i++ { // an empty affinity parks them
+			m.Spawn(batch, Forever, 0, nil)
+		}
+		done := make([]*Thread, 40)
+		for i := range done {
+			done[i] = m.Spawn(batch, Forever, AllCores(2), nil)
+		}
+		for _, th := range done { // compaction moves most to the free list
+			m.Cancel(th)
+			m.Release(th)
+		}
+		m.CheckInvariants()
+		if len(m.free) < 2 || len(batch.parked) != 3 {
+			t.Fatalf("setup: %d free and %d parked threads, want at least 2 and 3", len(m.free), len(batch.parked))
+		}
+		return m, svc, batch
+	}
+	for _, c := range []struct {
+		name, want string
+		corrupt    func(m *Machine, svc, batch *Process)
+	}{
+		{"thread listed twice", "misfiled", func(m *Machine, svc, batch *Process) {
+			svc.threads = append(svc.threads, svc.threads[len(svc.threads)-1])
+		}},
+		{"thread listed by two processes", "misfiled", func(m *Machine, svc, batch *Process) {
+			batch.threads = append(batch.threads, svc.threads[0])
+		}},
+		{"parked thread missing from its parked list", "3 parked threads", func(m *Machine, svc, batch *Process) {
+			batch.parked = batch.parked[:2]
+		}},
+		{"parked thread listed twice in place of another", "parked list holds thread", func(m *Machine, svc, batch *Process) {
+			batch.parked[2] = batch.parked[0]
+		}},
+		{"parked list holds an unlisted thread", "parked list holds parked thread", func(m *Machine, svc, batch *Process) {
+			f := m.free[len(m.free)-1]
+			m.free = m.free[:len(m.free)-1]
+			f.State, f.Proc, f.released = StateParked, batch, false
+			batch.parked[2] = f
+		}},
+		{"free-list thread still listed", "still referenced", func(m *Machine, svc, batch *Process) {
+			th := m.Spawn(svc, Forever, AllCores(2), nil)
+			m.Cancel(th)
+			m.Release(th) // a listed tombstone until compaction
+			m.free = append(m.free, th)
+		}},
+		{"free-list thread listed twice", "free list holds thread", func(m *Machine, svc, batch *Process) {
+			m.free = append(m.free, m.free[0])
+		}},
+		{"core running an unlisted thread", "runs unlisted thread", func(m *Machine, svc, batch *Process) {
+			svc.threads = svc.threads[1:]
+			svc.live--
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, svc, batch := setup()
+			c.corrupt(m, svc, batch)
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				m.CheckInvariants()
+				return ""
+			}()
+			if !strings.Contains(msg, c.want) {
+				t.Fatalf("CheckInvariants panicked with %q, want a message containing %q", msg, c.want)
+			}
+		})
+	}
+}
+
+// TestCheckInvariantsDoesNotAllocate: once the machine's scratch has
+// grown, checking a machine with queued, parked and free threads
+// allocates nothing.
+func TestCheckInvariantsDoesNotAllocate(t *testing.T) {
+	_, m := testMachine(2)
+	p := m.NewProcess("svc", stats.ClassPrimary)
+	for i := 0; i < 8; i++ {
+		m.Spawn(p, Forever, AllCores(2), nil)
+		m.Spawn(p, Forever, 0, nil)
+	}
+	churn(m, p, 40)
+	if allocs := testing.AllocsPerRun(10, m.CheckInvariants); allocs != 0 {
+		t.Fatalf("CheckInvariants made %v allocations, want 0", allocs)
+	}
 }

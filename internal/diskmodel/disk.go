@@ -99,7 +99,7 @@ type procState struct {
 	bytesTokens float64
 	opsTokens   float64
 	lastRefill  sim.Time
-	pending     []*Request // requests gated by the limiter
+	pending     sim.FIFO[*Request] // requests gated by the limiter
 	priority    int
 	gateArmed   bool
 	// retry is the gate's retry, bound once per process state, so a
@@ -246,7 +246,7 @@ func (v *Volume) Submit(r *Request) {
 	r.enqueued = v.eng.Now()
 	v.nextSeq++
 	r.seq = v.nextSeq
-	p.pending = append(p.pending, r)
+	p.pending.Push(r)
 	v.drainPending(p)
 }
 
@@ -254,8 +254,8 @@ func (v *Volume) Submit(r *Request) {
 // buckets allow, scheduling a retry when the bucket runs dry.
 func (v *Volume) drainPending(p *procState) {
 	v.refill(p)
-	for len(p.pending) > 0 {
-		r := p.pending[0]
+	for p.pending.Len() > 0 {
+		r := p.pending.Front()
 		needBytes := p.bytesPerSec > 0 && p.bytesTokens < float64(r.Bytes)
 		needOps := p.opsPerSec > 0 && p.opsTokens < 1
 		if needBytes || needOps {
@@ -268,15 +268,7 @@ func (v *Volume) drainPending(p *procState) {
 		if p.opsPerSec > 0 {
 			p.opsTokens--
 		}
-		// An emptied queue restarts at the start of its remaining
-		// storage, so one-at-a-time traffic reuses one array instead
-		// of sliding off its end and reallocating.
-		p.pending[0] = nil
-		if len(p.pending) == 1 {
-			p.pending = p.pending[:0]
-		} else {
-			p.pending = p.pending[1:]
-		}
+		p.pending.Pop()
 		v.admit(r, p)
 	}
 }

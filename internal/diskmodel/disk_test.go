@@ -279,3 +279,32 @@ func TestVolumeConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestThrottledGateDoesNotAllocate holds a rate-limited process's gated
+// queue at a steady depth, submitting each completed request again, and
+// checks that after a warm-up the volume allocates nothing per admitted
+// request: the gated queue stops growing once it holds that depth, and
+// the gate's retry is bound once. Each measured run admits about 128
+// requests, so a queue that reallocated every few dozen would show.
+func TestThrottledGateDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine()
+	v := NewVolume(eng, HDDStripeConfig())
+	v.SetRateLimit("bully", 1<<20, 0) // 1 MiB/s: 128 8 KiB requests a second
+	for i := 0; i < 16; i++ {
+		r := &Request{Proc: "bully", Kind: OpWrite, Bytes: 8 << 10, Sequential: true}
+		r.OnComplete = func() { v.Submit(r) }
+		v.Submit(r)
+	}
+	eng.Run(sim.Time(2 * sim.Second))
+	before, start := v.Stats("bully").Ops, eng.Now()
+	allocs := testing.AllocsPerRun(10, func() { eng.Run(eng.Now().Add(sim.Second)) })
+	if allocs != 0 {
+		t.Fatalf("%v allocations per second of throttled traffic, want 0", allocs)
+	}
+	// The gate, not the drives, must set the pace: 128 requests a
+	// second, plus at most the one-second burst.
+	ops, secs := v.Stats("bully").Ops-before, eng.Now().Sub(start).Seconds()
+	if rate := float64(ops) / secs; rate < 100 || rate > 160 {
+		t.Fatalf("%.0f requests a second, want about 128: the gate is not holding the queue", rate)
+	}
+}

@@ -24,7 +24,7 @@ func BenchmarkSchedulerTick(b *testing.B) {
 					for len(ms.running) > 0 {
 						t := ms.running[len(ms.running)-1]
 						s.preempt(t)
-						s.pending = append(s.pending, t)
+						s.pending.Push(t)
 					}
 				}
 				s.placements = s.placements[:0]

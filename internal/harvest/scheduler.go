@@ -130,7 +130,7 @@ type Scheduler struct {
 
 	machines []*machineState
 	byMach   map[*cluster.IndexMachine]*machineState
-	pending  []*Task
+	pending  sim.FIFO[*Task]
 	jobs     []*Job
 	// cands is the candidate buffer candidates rebuilds for each task
 	// it places.
@@ -211,7 +211,7 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	for i := 0; i < spec.Tasks; i++ {
 		t := &Task{Job: j, Index: i, remaining: spec.TaskWork, opsLeft: spec.TaskOps}
 		j.tasks = append(j.tasks, t)
-		s.pending = append(s.pending, t)
+		s.pending.Push(t)
 	}
 	s.jobs = append(s.jobs, j)
 	s.stats.JobsSubmitted++
@@ -308,7 +308,7 @@ func (s *Scheduler) shed() {
 			t := ms.running[len(ms.running)-1] // shed newest first
 			s.preempt(t)
 			s.stats.Preemptions++
-			s.pending = append(s.pending, t)
+			s.pending.Push(t)
 		}
 	}
 }
@@ -317,17 +317,17 @@ func (s *Scheduler) shed() {
 // is FIFO: a head-of-line task the policy declines to place blocks
 // the round, keeping placement order deterministic and fair.
 func (s *Scheduler) place() {
-	for len(s.pending) > 0 {
+	for s.pending.Len() > 0 {
 		cands := s.candidates()
 		if len(cands) == 0 {
 			return
 		}
-		t := s.pending[0]
+		t := s.pending.Front()
 		pick := s.policy.Pick(t, cands)
 		if pick < 0 {
 			return
 		}
-		s.pending = s.pending[1:]
+		s.pending.Pop()
 		s.start(s.machines[cands[pick].Index], t)
 	}
 }
@@ -544,7 +544,7 @@ func (s *Scheduler) failMachine(ms *machineState) {
 		t.remaining = t.Job.Spec.TaskWork
 		t.opsLeft = t.Job.Spec.TaskOps
 		s.stats.FailureRequeues++
-		s.pending = append(s.pending, t)
+		s.pending.Push(t)
 	}
 }
 
@@ -573,7 +573,7 @@ func (s *Scheduler) unlink(ms *machineState, t *Task) {
 // Stats returns the cumulative scheduler statistics.
 func (s *Scheduler) Stats() Stats {
 	st := s.stats
-	st.TasksPending = len(s.pending)
+	st.TasksPending = s.pending.Len()
 	for _, ms := range s.machines {
 		st.TasksRunning += len(ms.running)
 		if ms.proc != nil {

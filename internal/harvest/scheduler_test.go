@@ -234,7 +234,7 @@ func TestDiskTaskRestartWhileOpInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := j.Tasks()[0]
-	sched.pending = nil
+	sched.pending = sim.FIFO[*Task]{}
 	from, to := sched.machines[0], sched.machines[1]
 	served := func(ms *machineState) uint64 { return ms.m.Node.HDD.Stats("harvest-disk").Ops }
 

@@ -45,8 +45,8 @@ type NIC struct {
 	cfg NICConfig
 
 	busy bool
-	high []*Packet
-	low  []*Packet
+	high sim.FIFO[*Packet]
+	low  sim.FIFO[*Packet]
 	// cur is the packet on the wire; sent, bound once as sentFn, retires
 	// it. Only one transmission is ever in flight.
 	cur    *Packet
@@ -56,6 +56,9 @@ type NIC struct {
 	lowTokens float64
 	lastFill  sim.Time
 	gateArmed bool
+	// gateFn, bound once, is the retry armGate schedules, so a
+	// throttled low class arms its gate without allocating.
+	gateFn func()
 
 	class [2]ClassStats
 }
@@ -80,6 +83,7 @@ func NewNIC(eng *sim.Engine, cfg NICConfig) *NIC {
 	}
 	n := &NIC{eng: eng, cfg: cfg}
 	n.sentFn = n.sent
+	n.gateFn = n.gateOpen
 	return n
 }
 
@@ -98,7 +102,7 @@ func (n *NIC) SetLowPriorityRate(bytesPerSec float64) {
 func (n *NIC) ClassStats(c PriorityClass) ClassStats { return n.class[c] }
 
 // QueueDepth reports packets waiting (both classes).
-func (n *NIC) QueueDepth() int { return len(n.high) + len(n.low) }
+func (n *NIC) QueueDepth() int { return n.high.Len() + n.low.Len() }
 
 func (n *NIC) refill() {
 	now := n.eng.Now()
@@ -123,9 +127,9 @@ func (n *NIC) Send(p *Packet) {
 	}
 	p.enqueued = n.eng.Now()
 	if p.Class == PriorityHigh {
-		n.high = append(n.high, p)
+		n.high.Push(p)
 	} else {
-		n.low = append(n.low, p)
+		n.low.Push(p)
 	}
 	if !n.busy {
 		n.transmitNext()
@@ -135,29 +139,27 @@ func (n *NIC) Send(p *Packet) {
 // eligibleLow reports whether the head low-priority packet clears the
 // token bucket.
 func (n *NIC) eligibleLow() bool {
-	if len(n.low) == 0 {
+	if n.low.Len() == 0 {
 		return false
 	}
 	if n.lowRate <= 0 {
 		return true
 	}
 	n.refill()
-	return n.lowTokens >= float64(n.low[0].Bytes)
+	return n.lowTokens >= float64(n.low.Front().Bytes)
 }
 
 func (n *NIC) transmitNext() {
 	var p *Packet
 	switch {
-	case len(n.high) > 0:
-		p = n.high[0]
-		n.high = popFront(n.high)
+	case n.high.Len() > 0:
+		p = n.high.Pop()
 	case n.eligibleLow():
-		p = n.low[0]
-		n.low = popFront(n.low)
+		p = n.low.Pop()
 		if n.lowRate > 0 {
 			n.lowTokens -= float64(p.Bytes)
 		}
-	case len(n.low) > 0:
+	case n.low.Len() > 0:
 		// Low traffic exists but is throttled: retry when tokens accrue.
 		n.armGate()
 		return
@@ -187,31 +189,24 @@ func (n *NIC) sent() {
 	n.transmitNext()
 }
 
-// popFront drops the head of a FIFO. An emptied FIFO restarts at the
-// start of its remaining storage, so one-at-a-time traffic reuses one
-// array instead of sliding off its end and reallocating.
-func popFront(q []*Packet) []*Packet {
-	q[0] = nil
-	if len(q) == 1 {
-		return q[:0]
-	}
-	return q[1:]
-}
-
 func (n *NIC) armGate() {
-	if n.gateArmed || len(n.low) == 0 || n.lowRate <= 0 {
+	if n.gateArmed || n.low.Len() == 0 || n.lowRate <= 0 {
 		return
 	}
-	need := (float64(n.low[0].Bytes) - n.lowTokens) / n.lowRate
+	need := (float64(n.low.Front().Bytes) - n.lowTokens) / n.lowRate
 	wait := sim.Duration(need * float64(sim.Second))
 	if wait < sim.Microsecond {
 		wait = sim.Microsecond
 	}
 	n.gateArmed = true
-	n.eng.After(wait, func() {
-		n.gateArmed = false
-		if !n.busy {
-			n.transmitNext()
-		}
-	})
+	n.eng.After(wait, n.gateFn)
+}
+
+// gateOpen is the gate's retry: tokens have accrued for the head
+// low-priority packet.
+func (n *NIC) gateOpen() {
+	n.gateArmed = false
+	if !n.busy {
+		n.transmitNext()
+	}
 }

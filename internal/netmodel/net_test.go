@@ -224,3 +224,33 @@ func TestNICByteConservation(t *testing.T) {
 			nic.ClassStats(PriorityHigh).Bytes, nic.ClassStats(PriorityLow).Bytes, wantHigh, wantLow)
 	}
 }
+
+// TestThrottledLowQueueDoesNotAllocate holds the throttled low class at
+// a steady queue depth, sending each packet again once it is out, and
+// checks that after a warm-up the NIC allocates nothing per packet: the
+// low queue stops growing once it holds that depth, and the gate's
+// retry is bound once. Each measured run sends about ten packets
+// through the gate.
+func TestThrottledLowQueueDoesNotAllocate(t *testing.T) {
+	eng := sim.NewEngine()
+	n := nic(eng)
+	n.SetLowPriorityRate(100e3) // 100 KB/s: ten 10 KB packets a second
+	for i := 0; i < 16; i++ {
+		p := &Packet{Proc: "batch", Class: PriorityLow, Bytes: 10e3}
+		p.OnSent = func() { n.Send(p) }
+		n.Send(p)
+	}
+	eng.Run(sim.Time(2 * sim.Second))
+	before, start := n.ClassStats(PriorityLow).Packets, eng.Now()
+	allocs := testing.AllocsPerRun(10, func() { eng.Run(eng.Now().Add(sim.Second)) })
+	if allocs != 0 {
+		t.Fatalf("%v allocations per second of throttled traffic, want 0", allocs)
+	}
+	sent, secs := n.ClassStats(PriorityLow).Packets-before, eng.Now().Sub(start).Seconds()
+	if rate := float64(sent) / secs; rate < 8 || rate > 12 {
+		t.Fatalf("%.1f packets a second, want about 10: the gate is not holding the queue", rate)
+	}
+	if n.QueueDepth() < 10 {
+		t.Fatalf("queue depth %d, want the low class held at about 16", n.QueueDepth())
+	}
+}

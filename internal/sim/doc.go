@@ -76,7 +76,10 @@
 //   - Fixed-delay lanes (Delay, from Engine.NewDelay) hold those timers
 //     instead. A lane is a FIFO ring of (at, seq, slot) entries that all
 //     fire the same d after they were scheduled; NewDelay returns one
-//     shared lane per distinct d. Because the clock never goes back and
+//     shared lane per distinct d. The ring is FIFO (fifo.go), the one
+//     growable ring queue the models' disk, NIC, harvest and DWRR
+//     queues use too: power-of-two storage that doubles and never
+//     shrinks, so a queue held at a steady depth stops allocating. Because the clock never goes back and
 //     seq only grows, appending (now+d, seq) keeps each lane sorted by
 //     (at, seq) with no sorting. Step and Run take the lesser (at, seq)
 //     of the queue's minimum and the front lane's front: the engine

@@ -122,7 +122,7 @@ func (e *Engine) Counts() (pushed, popped uint64, maxDepth int) {
 	popped = e.executed + e.discarded
 	queued := e.events.Len()
 	for _, l := range e.lanes {
-		queued += l.n
+		queued += l.ring.Len()
 	}
 	return popped + uint64(queued), popped, e.events.peak
 }
@@ -201,7 +201,7 @@ func (e *Engine) Cancel(tm Timer) bool {
 	e.slotSeq[tm.slot] = 0
 	e.live--
 	for _, l := range e.lanes {
-		if l.n > 0 && l.buf[l.head].seq == tm.seq {
+		if l.ring.Len() > 0 && l.ring.Front().seq == tm.seq {
 			l.trim()
 			break
 		}
@@ -222,7 +222,7 @@ func (e *Engine) next() (ev event, lane *Delay, ok bool) {
 		ev, ok = e.events.min(), true
 	}
 	if l := e.front; l != nil {
-		if f := l.buf[l.head]; !ok || f.Less(ev) {
+		if f := l.ring.Front(); !ok || f.Less(ev) {
 			return f, l, true
 		}
 	}
@@ -234,7 +234,7 @@ func (e *Engine) next() (ev event, lane *Delay, ok bool) {
 func (e *Engine) frontLane() *Delay {
 	var best *Delay
 	for _, l := range e.lanes {
-		if l.n > 0 && (best == nil || l.buf[l.head].Less(best.buf[best.head])) {
+		if l.ring.Len() > 0 && (best == nil || l.ring.Front().Less(best.ring.Front())) {
 			best = l
 		}
 	}
@@ -395,11 +395,9 @@ func (a *Agenda) At(t Time, fn func()) {
 // through, and leaves its lane as soon as it and every timer armed
 // before it on the lane have fired or been cancelled.
 type Delay struct {
-	e   *Engine
-	d   Duration
-	buf []event // ring buffer; its length is zero or a power of two
-	// head indexes the front entry; n entries follow it, wrapping.
-	head, n int
+	e    *Engine
+	d    Duration
+	ring FIFO[event]
 }
 
 // NewDelay returns the engine's lane for delay d, creating it on first
@@ -431,14 +429,10 @@ func (l *Delay) After(fn func()) Timer {
 	seq := e.seq
 	slot := e.takeSlot(fn, seq)
 	e.live++
-	if l.n == len(l.buf) {
-		l.grow()
-	}
 	ev := event{at: e.now.Add(l.d), seq: seq, slot: slot}
-	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
-	l.n++
-	if l.n == 1 {
-		if f := e.front; f == nil || ev.Less(f.buf[f.head]) {
+	l.ring.Push(ev)
+	if l.ring.Len() == 1 {
+		if f := e.front; f == nil || ev.Less(f.ring.Front()) {
 			e.front = l
 		}
 	}
@@ -448,8 +442,7 @@ func (l *Delay) After(fn func()) Timer {
 // pop removes the front entry, which next has just returned, and the
 // cancelled entries that uncovers.
 func (l *Delay) pop() {
-	l.head = (l.head + 1) & (len(l.buf) - 1)
-	l.n--
+	l.ring.Pop()
 	l.trim()
 }
 
@@ -459,8 +452,8 @@ func (l *Delay) pop() {
 // stays behind the front lane.
 func (l *Delay) trim() {
 	e := l.e
-	for l.n > 0 {
-		f := l.buf[l.head]
+	for l.ring.Len() > 0 {
+		f := l.ring.Front()
 		if e.slotSeq[f.slot] == f.seq {
 			break
 		}
@@ -468,24 +461,11 @@ func (l *Delay) trim() {
 		// alias a newer event.
 		e.free = append(e.free, f.slot)
 		e.discarded++
-		l.head = (l.head + 1) & (len(l.buf) - 1)
-		l.n--
+		l.ring.Pop()
 	}
 	if l == e.front {
 		e.front = e.frontLane()
 	}
-}
-
-// grow doubles the full ring, unwrapping it so the front is at index 0.
-func (l *Delay) grow() {
-	size := 2 * len(l.buf)
-	if size == 0 {
-		size = 16
-	}
-	buf := make([]event, size)
-	k := copy(buf, l.buf[l.head:])
-	copy(buf[k:], l.buf[:l.head])
-	l.buf, l.head = buf, 0
 }
 
 // Ticker invokes fn every period until it returns false. The first call

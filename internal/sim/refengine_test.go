@@ -538,12 +538,12 @@ func TestLaneHoldsOnlyLiveTimers(t *testing.T) {
 		k := i % finishIn
 		prev := armed[k]
 		armed[k] = lane.After(func() { t.Error("a cancelled deadline fired") })
-		peak = max(peak, lane.n)
+		peak = max(peak, lane.ring.Len())
 		if i >= finishIn && !e.Cancel(prev) {
 			t.Fatalf("step %d: deadline armed %d steps earlier was not pending", i, finishIn)
 		}
 		e.Run(e.Now().Add(step))
-		peak = max(peak, lane.n)
+		peak = max(peak, lane.ring.Len())
 	}
 	if peak > finishIn+1 {
 		t.Fatalf("lane held %d entries, want at most %d", peak, finishIn+1)

@@ -466,6 +466,86 @@ func TestValidateChromeLayoutsAgree(t *testing.T) {
 	}
 }
 
+// TestAsyncSpanIDsMatchAsRawBytes pairs async begins and ends whose ids
+// are spelled differently. An end matches a begin only when cat, name
+// and the id's raw JSON bytes are all equal, which is what the reference
+// reads, whether the validator keys the span by the id's value or by
+// its bytes.
+func TestAsyncSpanIDsMatchAsRawBytes(t *testing.T) {
+	// span writes one async event; cat, name and id are raw JSON.
+	span := func(ph, cat, name, id string) string {
+		return fmt.Sprintf(`{"name":%s,"cat":%s,"ph":"%s","ts":1,"id":%s}`, name, cat, ph, id)
+	}
+	trace := func(events ...string) string {
+		return `{"traceEvents":[` + strings.Join(events, ",") + `]}`
+	}
+	pair := func(b, e string) string {
+		return trace(span("b", `"c"`, `"q"`, b), span("e", `"c"`, `"q"`, e))
+	}
+	for _, c := range []struct {
+		name  string
+		trace string
+		ok    bool
+	}{
+		{"bare ids", pair(`7`, `7`), true},
+		{"string ids", pair(`"-7"`, `"-7"`), true},
+		{"bare begin, string end", pair(`7`, `"7"`), false},
+		{"string begin, bare end", pair(`"7"`, `7`), false},
+		{"minus zero", pair(`"-0"`, `"-0"`), true},
+		{"minus zero against zero", pair(`"-0"`, `"0"`), false},
+		{"bare minus zero against zero", pair(`-0`, `0`), false},
+		{"leading zero", pair(`"007"`, `"7"`), false},
+		{"18 digits", pair(`"999999999999999999"`, `"999999999999999999"`), true},
+		{"19 digits", pair(`"1234567890123456789"`, `"1234567890123456789"`), true},
+		{"19 digits, last differs", pair(`"1234567890123456789"`, `"1234567890123456788"`), false},
+		{"exponent against integer", pair(`1e3`, `1000`), false},
+		{"escaped digit", pair(`"\u0037"`, `"7"`), false},
+		{"other name", trace(span("b", `"c"`, `"q"`, `"1"`), span("e", `"c"`, `"r"`, `"1"`)), false},
+		{"other cat", trace(span("b", `"c"`, `"q"`, `"1"`), span("e", `"d"`, `"q"`, `"1"`)), false},
+		{"nested twice", trace(span("b", `"c"`, `"q"`, `"1"`), span("b", `"c"`, `"q"`, `"1"`),
+			span("e", `"c"`, `"q"`, `"1"`), span("e", `"c"`, `"q"`, `"1"`)), true},
+		{"ended once too often", trace(span("b", `"c"`, `"q"`, `"1"`), span("e", `"c"`, `"q"`, `"1"`),
+			span("e", `"c"`, `"q"`, `"1"`)), false},
+		// cat and name join with a NUL, so a NUL moved between them names
+		// the same span, in the reference as here.
+		{"NUL between cat and name", trace(span("b", `"a\u0000b"`, `"c"`, `"1"`),
+			span("e", `"a"`, `"b\u0000c"`, `"1"`)), true},
+	} {
+		got, want := ValidateChrome([]byte(c.trace)), refValidateChrome([]byte(c.trace))
+		if (got == nil) != c.ok || (want == nil) != c.ok {
+			t.Errorf("%s: ValidateChrome = %v, reference = %v, want ok=%v on %s", c.name, got, want, c.ok, c.trace)
+		}
+	}
+}
+
+// TestAsyncSpansDoNotAllocate validates traces of 100 and 10,000 async
+// spans, each begun and ended in turn under its own integer id, and
+// requires the same allocations for both: keying an open span allocates
+// nothing once its cat and name have been seen.
+func TestAsyncSpansDoNotAllocate(t *testing.T) {
+	allocs := func(spans int) float64 {
+		var b strings.Builder
+		b.WriteString(`{"traceEvents":[`)
+		for i := 0; i < spans; i++ {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{"name":"q","cat":"query","ph":"b","pid":0,"tid":1,"ts":%d,"id":"%d"},`, i, i)
+			fmt.Fprintf(&b, `{"name":"q","cat":"query","ph":"e","pid":0,"tid":1,"ts":%d,"id":"%d"}`, i, i)
+		}
+		b.WriteString(`]}`)
+		data := []byte(b.String())
+		return testing.AllocsPerRun(5, func() {
+			if err := ValidateChrome(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(100), allocs(10_000); many != few {
+		t.Fatalf("%v allocations for 10,000 spans against %v for 100, want the same", many, few)
+	}
+}
+
 func TestBlameTableSelectsDeterministicQuantiles(t *testing.T) {
 	var records []QueryRecord
 	for i := 0; i < 1000; i++ {

@@ -90,7 +90,12 @@ func newValidator(data []byte, keep bool) *validator {
 	v := &validator{
 		scanner: scanner{data: data},
 		keep:    keep,
-		rules:   rules{lastTS: map[[2]int]float64{}, open: map[string]int{}},
+		rules: rules{
+			lastTS: map[[2]int]float64{},
+			names:  map[string]int32{},
+			spans:  map[spanKey]int{},
+			open:   map[string]int{},
+		},
 	}
 	for i := range v.rules.tidTS {
 		v.rules.tidTS[i] = math.Inf(-1)
@@ -630,8 +635,88 @@ type rules struct {
 	// lastTS holds the other tracks'.
 	tidTS  [1024]float64
 	lastTS map[[2]int]float64
-	open   map[string]int // async spans begun and not yet ended
-	key    []byte
+	// Async spans begun and not yet ended, counted per (cat, name, id),
+	// where ids match as raw JSON bytes. spans keys an id that plainID
+	// reads by its value, beside the index of cat\x00name in names, so
+	// a begin allocates nothing once its cat and name have been seen;
+	// open keys any other id by the string cat\x00name\x00id.
+	names map[string]int32
+	spans map[spanKey]int
+	open  map[string]int
+	key   []byte
+}
+
+// spanKey names an async span whose id plainID reads.
+type spanKey struct {
+	name   int32 // cat\x00name's index in rules.names
+	quoted bool  // the id is a JSON string
+	id     int64
+}
+
+// plainID reads a raw id that is a decimal integer with one spelling,
+// bare or as a JSON string: an optional minus sign, then 0 or 1–18
+// digits with no leading zero, and not -0. Distinct such ids have
+// distinct values, so keying them by value keeps ids matching as raw
+// bytes.
+func plainID(raw []byte) (quoted bool, v int64, ok bool) {
+	if len(raw) >= 2 && raw[0] == '"' {
+		quoted, raw = true, raw[1:len(raw)-1]
+	}
+	digits := raw
+	neg := len(raw) > 0 && raw[0] == '-'
+	if neg {
+		digits = raw[1:]
+	}
+	if len(digits) == 0 || len(digits) > 18 || (digits[0] == '0' && (len(digits) > 1 || neg)) {
+		return false, 0, false
+	}
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return false, 0, false
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if neg {
+		v = -v
+	}
+	return quoted, v, true
+}
+
+// span counts e's async span as begun, or as ended unless begin is
+// set, and reports false for an end with no span open.
+func (r *rules) span(e *chromeEvent, begin bool) bool {
+	r.key = append(r.key[:0], e.cat...)
+	r.key = append(r.key, 0)
+	r.key = append(r.key, e.name...)
+	quoted, id, ok := plainID(e.id)
+	if !ok {
+		r.key = append(r.key, 0)
+		r.key = append(r.key, e.id...)
+		return count(r.open, string(r.key), begin)
+	}
+	name, seen := r.names[string(r.key)]
+	if !seen {
+		name = int32(len(r.names))
+		r.names[string(r.key)] = name
+	}
+	return count(r.spans, spanKey{name: name, quoted: quoted, id: id}, begin)
+}
+
+// count adds a begin or an end to k's count in m, dropping k when its
+// count returns to zero, and reports false for an end with none open.
+func count[K comparable](m map[K]int, k K, begin bool) bool {
+	n := m[k]
+	switch {
+	case begin:
+		m[k] = n + 1
+	case n == 0:
+		return false
+	case n == 1:
+		delete(m, k)
+	default:
+		m[k] = n - 1
+	}
+	return true
 }
 
 func (r *rules) check(i int, e *chromeEvent) error {
@@ -652,21 +737,8 @@ func (r *rules) check(i int, e *chromeEvent) error {
 		if !e.hasTS || e.id == nil {
 			return fmt.Errorf("event %d (%s): async event missing ts/id", i, e.name)
 		}
-		r.key = append(r.key[:0], e.cat...)
-		r.key = append(r.key, 0)
-		r.key = append(r.key, e.name...)
-		r.key = append(r.key, 0)
-		r.key = append(r.key, e.id...)
-		n := r.open[string(r.key)]
-		switch {
-		case e.ph[0] == 'b':
-			r.open[string(r.key)] = n + 1
-		case n == 0:
+		if !r.span(e, e.ph[0] == 'b') {
 			return fmt.Errorf("event %d (%s): async end without begin", i, e.name)
-		case n == 1:
-			delete(r.open, string(r.key))
-		default:
-			r.open[string(r.key)] = n - 1
 		}
 	case "i":
 		if !e.hasTS {
