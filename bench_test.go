@@ -10,7 +10,6 @@ package perfiso_test
 // (timing.json) and by the repository benchmark under bench/.
 
 import (
-	"bytes"
 	"fmt"
 	"regexp"
 	"runtime"
@@ -208,43 +207,6 @@ func BenchmarkAblationQuantum(b *testing.B) {
 			b.ReportMetric(p99, "noiso-p99ms")
 		})
 	}
-}
-
-// BenchmarkTraceIO measures trace-file serialization throughput — at
-// the paper's 500k-query scale (and the PIBT batch traces riding the
-// same encoder style) the per-record cost dominates trace tooling.
-func BenchmarkTraceIO(b *testing.B) {
-	const queries = 200000
-	trace := workload.GenerateTrace(workload.TraceConfig{Queries: queries, Rate: 2000, Seed: 2017})
-	var buf bytes.Buffer
-	if err := workload.WriteTrace(&buf, trace); err != nil {
-		b.Fatal(err)
-	}
-	encoded := buf.Bytes()
-
-	b.Run("write", func(b *testing.B) {
-		b.SetBytes(int64(len(encoded)))
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := workload.WriteTrace(&buf, trace); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(queries), "records")
-	})
-	b.Run("read", func(b *testing.B) {
-		b.SetBytes(int64(len(encoded)))
-		for i := 0; i < b.N; i++ {
-			back, err := workload.ReadTrace(bytes.NewReader(encoded))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(back) != queries {
-				b.Fatalf("read %d records, want %d", len(back), queries)
-			}
-		}
-		b.ReportMetric(float64(queries), "records")
-	})
 }
 
 // BenchmarkRenderFigures measures the cost of the whole figure

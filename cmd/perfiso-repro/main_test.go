@@ -13,6 +13,7 @@ import (
 	"perfiso/internal/dispatch"
 	"perfiso/internal/experiments"
 	"perfiso/internal/shard"
+	"perfiso/internal/simtrace"
 )
 
 func TestListExperiments(t *testing.T) {
@@ -480,6 +481,47 @@ func TestSimTraceWritesAreAtomic(t *testing.T) {
 	}
 	if got := list(dir); strings.Join(got, " ") != strings.Join(traces, " ") {
 		t.Errorf("simtrace dir holds %v after the failed rename, want only the blocking directories %v", got, traces)
+	}
+}
+
+// TestTracecheckNamesInvalidFiles feeds tracecheck a directory holding
+// a WriteChrome export, its json.Indent copy (which the validator
+// decodes with encoding/json) and a trace with an unknown phase. Only
+// the defective file may fail, and stderr must name it alone.
+func TestTracecheckNamesInvalidFiles(t *testing.T) {
+	tr := simtrace.New()
+	tr.NameTrack(0, "core 0")
+	tr.Slice(0, 900, 0, "indexserve", "cpu", simtrace.Int("tid", 1))
+	tr.Begin(100, 7, "query", "query", simtrace.Int("workers", 4))
+	tr.Instant(500, simtrace.TrackControl, "buffer-grow", "controller", simtrace.Int("allocated", 8))
+	tr.End(2000, 7, "query", "query", simtrace.Bool("dropped", false))
+	var export, indented bytes.Buffer
+	if err := simtrace.WriteChrome(&export, tr); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Indent(&indented, export.Bytes(), "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"export.json":   export.Bytes(),
+		"indented.json": indented.Bytes(),
+		"defect.json":   []byte(`{"traceEvents":[{"name":"a","ph":"Z","ts":1}]}`),
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"tracecheck", dir}, &out, &errb); code != 1 {
+		t.Fatalf("exit %d, want 1; stderr: %s", code, errb.String())
+	}
+	if want := "validated 3 trace files (1 invalid)\n"; out.String() != want {
+		t.Errorf("stdout %q, want %q", out.String(), want)
+	}
+	lines := strings.Split(strings.TrimSpace(errb.String()), "\n")
+	if len(lines) != 1 || !strings.Contains(lines[0], "defect.json") || !strings.Contains(lines[0], "unknown phase") {
+		t.Errorf("stderr must name only defect.json and its fault:\n%s", errb.String())
 	}
 }
 

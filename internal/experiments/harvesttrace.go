@@ -10,8 +10,8 @@ import (
 )
 
 // The trace-replay frontier re-runs the batch-harvest frontier with the
-// secondary workload replayed from a PIBT batch-task trace instead of a
-// synthetic backlog dumped at time zero: submissions arrive in bursts
+// secondary workload replayed from a generated batch-task trace instead
+// of a synthetic backlog dumped at time zero: submissions arrive in bursts
 // over the run and per-task CPU demand is heavy-tailed, the §5.3
 // production regime the parameter sweep cannot produce. Each placement
 // policy is measured under both sources, so the table answers whether a

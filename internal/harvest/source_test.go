@@ -99,7 +99,7 @@ func TestTraceFeederStartTwicePanics(t *testing.T) {
 	f.Start()
 }
 
-// TestTraceFeederGeneratedTrace replays a generated PIBT-style trace
+// TestTraceFeederGeneratedTrace replays a generated batch-task trace
 // end to end and checks the scheduler drains it.
 func TestTraceFeederGeneratedTrace(t *testing.T) {
 	eng, _, sched := newTestCluster(t, 3, PolicyHarvestAware)

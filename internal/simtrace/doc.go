@@ -94,69 +94,65 @@
 // (TS, Seq). The quotes around each string are part of the constant
 // runs between them, and args are read in place rather than copied.
 //
-// ValidateChrome reads a trace in one pass. It checks JSON syntax and
-// applies the per-event rules as each event goes by, without building
-// the event list. It accepts exactly the inputs that a json.Unmarshal
-// of the whole file plus the same rules would accept, down to
-// encoding/json's quirks: case-folded keys, duplicate keys, null
-// fields and its nesting limit. A repeated traceEvents key makes
-// encoding/json decode later arrays over earlier elements, and only
-// that case gets a second, element-keeping pass. The Unmarshal-based
-// validator lives on in validate_ref_test.go as the oracle of
-// FuzzValidateChrome, which requires the two to agree on every input.
+// ValidateChrome has two readers, and accepts exactly the inputs that
+// a json.Unmarshal of the whole file into a slice of events, plus the
+// per-event rules, would accept. The Unmarshal-based validator lives
+// on in validate_ref_test.go as the oracle of FuzzValidateChrome,
+// which requires ValidateChrome to agree with it on every input.
 //
-// Outside that second pass, each element first meets the compact path,
-// which reads only the layout WriteChrome writes: one object with no
-// white space inside, whose keys are lower-case, come from name, cat,
-// ph, pid, tid, ts, dur, id, s and args, and appear at most once each;
-// whose strings are plain ASCII (args a non-empty object of them);
-// whose pid and tid are unsigned integers of at most 18 digits with no
-// leading zero; and whose ts and dur are unsigned decimals of at most
-// 15 digits with no exponent. In that layout none of encoding/json's
-// quirks comes into play: no key folds or repeats, no value is null or
-// escaped, and every number takes a fast path below. The compact path
-// fills the event as the general scanner would. At any other byte it
-// gives the element back untouched, and the general scanner reads it
-// from its start. Every element WriteChrome writes for the simulator's
-// call sites is compact (TestValidateChromeReadsExportsCompact), and
-// an indented copy of a trace, which only the general scanner reads,
-// gets the same verdicts (TestValidateChromeLayoutsAgree).
+// The first reader takes one pass over a file in the layout
+// WriteChrome writes, applying the rules to each element as it goes by
+// without building the event list: {"traceEvents":[, then elements,
+// each after an optional newline and separated by commas, then an
+// optional newline, ]} and trailing white space. Each element is one
+// object with no white space inside, whose keys are lower-case, come
+// from name, cat, ph, pid, tid, ts, dur, id, s and args, and appear at
+// most once each; whose pid and tid are unsigned integers of at most
+// 18 digits with no leading zero; whose ts and dur are unsigned
+// decimals of at most 15 digits with no exponent; whose id and s are
+// strings; and whose args is a non-empty object of strings. In that
+// layout none of encoding/json's quirks comes into play: no key folds
+// or repeats, and no value is null. A plain ASCII string is its own
+// value, read in place. Any other string (an escape, a non-ASCII rune)
+// is found by its closing quote and handed to encoding/json alone:
+// decoded for name, cat and ph, only checked for id, s and args; one
+// that encoding/json rejects, such as a string holding a raw control
+// byte, is outside the layout. So every file WriteChrome writes,
+// escaped strings included, takes this reader
+// (TestValidateChromeReadsExportsCompact).
 //
-// The fast paths, each exact:
+// At the first byte outside that layout, the second reader decodes the
+// whole file with one json.Unmarshal into a slice of events and runs
+// the same rules over it. That is the cost of any other layout:
+// decoding a json.Indent copy of an export takes over twenty times as
+// long as the one pass over the export itself, and allocates about 530
+// bytes per event. An indented copy gets the same verdicts and rule
+// messages as the compact original (TestValidateChromeLayoutsAgree).
+//
+// The one pass is exact in these ways:
 //
 //   - A head, the bytes from an element's '{' through its "tid" key,
 //     repeats verbatim across one call site's events: a colocated
-//     cell's export of 296,409 events has 11. The validator memoizes
-//     up to 16 heads per call, as slices of the input, each with the
+//     cell's export of 296,409 events has 11. The reader memoizes up
+//     to 16 heads per file, as slices of the input, each with the
 //     fields and the key set that reading it left, and keeps the most
 //     often hit first. An element that starts with a memoized head's
 //     bytes takes those fields and that key set, which is what reading
 //     the same bytes again would leave, and is read on from its tid
-//     value. The key set sends a later repeat of a head's key to the
-//     general scanner, as it would without the memo.
-//   - A compact key is one of ten literals, quotes and colon included,
-//     so it is told by its first letter and one comparison with that
-//     literal rather than scanned and looked up.
-//   - In the general scanner, field names dispatch on the key's length
-//     and bytes. For an ASCII key, encoding/json's case folding is
-//     ASCII case folding, and a byte ORed with 0x20 equals a lower-case
-//     letter only when it is that letter in either case, so the key's
-//     ORed bytes, packed into one word, name the field. Other keys fold
-//     with bytes.EqualFold.
-//   - A number literal's digits are read into an integer as its syntax
-//     is checked. An integer of at most 18 digits fits an int64
-//     exactly. A decimal of at most 15 digits with no exponent is
-//     m/10^k with m < 10^15 < 2^53 and k <= 14, so m and 10^k are
-//     exact float64s, and IEEE 754 division rounds their quotient
-//     correctly: it is the float64 nearest the decimal, which is what
-//     strconv.ParseFloat returns, sign of zero included. The compact
-//     path values its numbers with the same two functions. Every other
-//     literal goes to strconv. TestNumberFastPathsMatchStrconv and
-//     FuzzNumberFastPaths pin the fast paths to strconv bit for bit.
-//   - A string of plain ASCII ends in one tight loop. The general
-//     scanner's event loop reads such a key, with no space around its
-//     colon, and the comma after a value in place, rather than through
-//     a call each.
+//     value. The key set still sends a repeated key to encoding/json.
+//   - A key is one of ten literals, quotes and colon included, so it is
+//     told by its first letter and one comparison with that literal
+//     rather than scanned and looked up.
+//   - An integer of at most 18 digits fits an int64 exactly. A decimal
+//     of at most 15 digits with no exponent is m/10^k with m < 10^15 <
+//     2^53 and k <= 14, so m and 10^k are exact float64s, and IEEE 754
+//     division rounds their quotient correctly: it is the float64
+//     nearest the decimal, which is what strconv.ParseFloat returns.
+//     TestNumberFastPathsMatchStrconv and FuzzNumberFastPaths pin the
+//     two number readers to strconv bit for bit.
+//   - The reader keeps going past the first rule violation, so that a
+//     file that leaves the layout later still goes to encoding/json,
+//     whose verdict on its syntax comes first.
 //   - Each event clears only the fields the rules read, and tracks with
 //     pid 0 and a tid below 1024, which covers every track WriteChrome
 //     writes, keep their last timestamp in a table rather than a map.

@@ -1,10 +1,10 @@
 package simtrace
 
-// GeneralElements validates data as ValidateChrome does and returns
-// how many traceEvents elements the general scanner read, the ones
-// not in the compact layout WriteChrome writes.
-func GeneralElements(data []byte) (int, error) {
-	v := newValidator(data, false)
-	err := v.file()
-	return v.general, err
-}
+// ReadsCompact validates data on ValidateChrome's one-pass reader alone
+// and reports whether that reader took the whole file, which it does
+// only when data is in the layout WriteChrome writes.
+func ReadsCompact(data []byte) (bool, error) { return readCompact(data) }
+
+// EscapeInputs are strings whose export needs escapes, keyed by what
+// they exercise; TestWriteChromeEscapesAsJSON round-trips them.
+var EscapeInputs = escapeInputs

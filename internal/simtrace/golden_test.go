@@ -115,33 +115,41 @@ func TestChromeGolden(t *testing.T) {
 	}
 }
 
-// TestValidateChromeReadsExportsCompact requires the validator's compact
-// path to read every element WriteChrome writes for the simulator's
-// call sites, so a drift in the export layout that turns the fast path
-// off fails here. The golden export's three synthetic elements whose
-// strings need escaping (a track name and two events, each holding a
-// backslash or a non-ASCII rune) are the only ones left to the general
-// scanner; the simulated cell has none.
+// TestValidateChromeReadsExportsCompact requires ValidateChrome's
+// one-pass reader to take whole every file WriteChrome writes, so a
+// drift in the export layout that would send exports to encoding/json
+// fails here: the golden export, a simulated cell, and each of
+// EscapeInputs as an event's name, cat, track name, arg key and arg
+// value.
 func TestValidateChromeReadsExportsCompact(t *testing.T) {
 	golden, err := os.ReadFile(goldenChrome)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := simtrace.WriteChrome(&buf, simulatedCell(t, 100*sim.Millisecond, indexserve.DefaultConfig().Deadline)); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		name string
-		data []byte
-		want int
-	}{{"golden export", golden, 3}, {"simulated cell", buf.Bytes(), 0}} {
-		n, err := simtrace.GeneralElements(c.data)
-		if err != nil {
-			t.Fatalf("%s fails validation: %v", c.name, err)
+	export := func(tr *simtrace.Tracer) []byte {
+		var buf bytes.Buffer
+		if err := simtrace.WriteChrome(&buf, tr); err != nil {
+			t.Fatal(err)
 		}
-		if n != c.want {
-			t.Errorf("%s: the general scanner read %d elements, want %d", c.name, n, c.want)
+		return buf.Bytes()
+	}
+	cases := map[string][]byte{
+		"golden export":  golden,
+		"simulated cell": export(simulatedCell(t, 100*sim.Millisecond, indexserve.DefaultConfig().Deadline)),
+	}
+	for label, in := range simtrace.EscapeInputs {
+		tr := simtrace.New()
+		tr.NameTrack(3, in)
+		tr.Instant(1, 3, in, in, simtrace.String(in, in))
+		cases[label] = export(tr)
+	}
+	for name, data := range cases {
+		ok, err := simtrace.ReadsCompact(data)
+		if err != nil {
+			t.Errorf("%s fails validation: %v", name, err)
+		}
+		if !ok {
+			t.Errorf("%s: the one-pass reader gave the file to encoding/json", name)
 		}
 	}
 }
@@ -211,8 +219,8 @@ func BenchmarkWriteChrome(b *testing.B) {
 }
 
 // BenchmarkValidateChrome checks each span's export as WriteChrome
-// writes it, which the compact path reads, and the same trace through
-// json.Indent (indented/<span>), which only the general scanner reads.
+// writes it, which the one-pass reader takes, and the same trace
+// through json.Indent (indented/<span>), which encoding/json decodes.
 func BenchmarkValidateChrome(b *testing.B) {
 	for _, layout := range []string{"", "indented/"} {
 		for _, s := range benchSpans {

@@ -359,18 +359,21 @@ func TestOrderMatchesStableSort(t *testing.T) {
 	}
 }
 
+// escapeInputs hold what strconv.Quote escapes in ways JSON lacks, raw
+// invalid UTF-8 and runes WriteChrome keeps as they are.
+var escapeInputs = map[string]string{
+	"control": "a\x00\x01\a\b\f\n\r\t\v\x1f\x7f z",
+	"invalid": "x\xff\xfe y\xc3 \xe2\x98",
+	"astral":  "tag\U000E0001 emoji\U0001F600 max\U0010FFFF",
+	"kept":    "q\"b\\s \u2028 \u00e9 \u2603",
+}
+
 // TestWriteChromeEscapesAsJSON exports strings that strconv.Quote
 // renders with escapes JSON lacks (\a, \v, \xNN, \UXXXXXXXX) in an
 // event's name, its cat and a string arg. The export must validate and
 // decode back to the input, each invalid UTF-8 byte read as U+FFFD.
 func TestWriteChromeEscapesAsJSON(t *testing.T) {
-	inputs := map[string]string{
-		"control": "a\x00\x01\a\b\f\n\r\t\v\x1f\x7f z",
-		"invalid": "x\xff\xfe y\xc3 \xe2\x98",
-		"astral":  "tag\U000E0001 emoji\U0001F600 max\U0010FFFF",
-		"kept":    "q\"b\\s \u2028 \u00e9 \u2603",
-	}
-	for label, in := range inputs {
+	for label, in := range escapeInputs {
 		tr := New()
 		tr.Instant(1, TrackControl, in, in, String("s", in))
 		var buf bytes.Buffer
@@ -431,13 +434,20 @@ func TestValidateChromeCatchesDefects(t *testing.T) {
 	if err := ValidateChrome([]byte(ok)); err != nil {
 		t.Errorf("open async span at end of capture should be legal: %v", err)
 	}
+	// A syntax error after a rule violation is what the reference
+	// reports, so it must be what ValidateChrome reports too.
+	both := `{"traceEvents":[{"name":"a","ph":"Z","ts":1},{"name":"b"]}`
+	if err := ValidateChrome([]byte(both)); err == nil || !strings.HasPrefix(err.Error(), "parse:") {
+		t.Errorf("rule violation before a syntax error: got %v, want the parse error", err)
+	}
 }
 
 // TestValidateChromeLayoutsAgree re-renders the golden export and each
 // defect that json.Indent accepts with white space inside every
-// element, which only the general scanner reads, and requires the
-// verdict of the compact form. A rule violation must also give the
-// same message; a parse error's offset moves with the white space.
+// element, which the one-pass reader gives to encoding/json, and
+// requires the verdict of the compact form. A rule violation must also
+// give the same message; a parse error's offset moves with the white
+// space.
 func TestValidateChromeLayoutsAgree(t *testing.T) {
 	golden, err := os.ReadFile(goldenChrome)
 	if err != nil {
@@ -452,11 +462,10 @@ func TestValidateChromeLayoutsAgree(t *testing.T) {
 		if json.Indent(&buf, data, "", "  ") != nil {
 			continue
 		}
-		v := newValidator(buf.Bytes(), false)
-		indented, compact := v.file(), ValidateChrome(data)
-		if v.general != v.n {
-			t.Errorf("%s: the general scanner read %d of the %d indented elements", name, v.general, v.n)
+		if ok, _ := readCompact(buf.Bytes()); ok {
+			t.Errorf("%s: the one-pass reader took the indented copy", name)
 		}
+		indented, compact := ValidateChrome(buf.Bytes()), ValidateChrome(data)
 		switch {
 		case (indented == nil) != (compact == nil):
 			t.Errorf("%s: indented gives %v, compact %v", name, indented, compact)

@@ -10,9 +10,9 @@ import (
 
 // refValidateChrome is the validator ValidateChrome replaced: one
 // json.Unmarshal of the whole file into a slice, then the per-event
-// rules. It stays as FuzzValidateChrome's oracle, which pins the
-// streaming scanner to accept and reject exactly what encoding/json
-// and these rules do.
+// rules. It stays as FuzzValidateChrome's oracle, which pins
+// ValidateChrome's one-pass reader to accept and reject exactly what
+// encoding/json and these rules do.
 func refValidateChrome(data []byte) error {
 	var f refChromeFile
 	if err := json.Unmarshal(data, &f); err != nil {
@@ -89,7 +89,9 @@ const goldenChrome = "testdata/cell.chrome.json"
 // agree on every input. The seeds are the golden export, the defect
 // table and the edge cases under testdata/fuzz/FuzzValidateChrome:
 // case-folded and duplicate keys, null and out-of-range numbers,
-// non-object tops, trailing garbage and invalid UTF-8.
+// non-object tops, trailing garbage, invalid UTF-8, and (the string-*
+// files) escaped, non-ASCII and malformed strings in WriteChrome's
+// layout.
 func FuzzValidateChrome(f *testing.F) {
 	golden, err := os.ReadFile(goldenChrome)
 	if err != nil {
@@ -101,7 +103,7 @@ func FuzzValidateChrome(f *testing.F) {
 	}
 	// Nesting at and one past encoding/json's depth limit of 10000:
 	// the top object, the array and the event take three levels.
-	for _, depth := range []int{maxNesting - 3, maxNesting - 2} {
+	for _, depth := range []int{10000 - 3, 10000 - 2} {
 		f.Add([]byte(`{"traceEvents":[{"name":"a","ph":"i","ts":1,"args":` +
 			strings.Repeat("[", depth) + strings.Repeat("]", depth) + `}]}`))
 	}

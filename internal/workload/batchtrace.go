@@ -146,7 +146,8 @@ func cpuDemand(r *sim.RNG, mean sim.Duration, alpha float64) sim.Duration {
 	return sim.Duration(x)
 }
 
-// BatchStats summarizes a batch trace for inspection tooling.
+// BatchStats summarizes a batch trace, as the harvest-trace-frontier
+// table prints it.
 type BatchStats struct {
 	Tasks     int
 	DiskTasks int

@@ -1,11 +1,7 @@
 package workload
 
 import (
-	"bytes"
-	"math/rand"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"perfiso/internal/sim"
 )
@@ -108,154 +104,5 @@ func TestGenerateBatchTraceDeterminismAndEdges(t *testing.T) {
 			}()
 			GenerateBatchTrace(cfg)
 		}()
-	}
-}
-
-func TestBatchTraceRoundTrip(t *testing.T) {
-	trace := GenerateBatchTrace(testBatchConfig())
-	var buf bytes.Buffer
-	if err := WriteBatchTrace(&buf, trace); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	back, err := ReadBatchTrace(&buf)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	if len(back) != len(trace) {
-		t.Fatalf("length %d != %d", len(back), len(trace))
-	}
-	for i := range trace {
-		if back[i] != trace[i] {
-			t.Fatalf("record %d: %+v != %+v", i, back[i], trace[i])
-		}
-	}
-}
-
-func TestBatchTraceRejectsGarbage(t *testing.T) {
-	valid := func(mutate func([]byte) []byte) []byte {
-		var buf bytes.Buffer
-		if err := WriteBatchTrace(&buf, []BatchTaskSpec{{Submit: 10, CPU: sim.Second}}); err != nil {
-			t.Fatal(err)
-		}
-		return mutate(buf.Bytes())
-	}
-	cases := map[string][]byte{
-		"bad magic":  []byte("XXXX" + strings.Repeat("\x00", 12)),
-		"pitr magic": []byte("PITR" + strings.Repeat("\x00", 12)),
-		"bad version": valid(func(b []byte) []byte {
-			b[4] = 9
-			return b
-		}),
-		"truncated header": valid(func(b []byte) []byte { return b[:10] }),
-		"truncated record": valid(func(b []byte) []byte { return b[:len(b)-3] }),
-		"zero demand": valid(func(b []byte) []byte {
-			for i := 24; i < 36; i++ {
-				b[i] = 0 // cpu and ops both zero
-			}
-			return b
-		}),
-		"huge count": append([]byte("PIBT\x01\x00\x00\x00"),
-			0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f),
-	}
-	for name, data := range cases {
-		if _, err := ReadBatchTrace(bytes.NewReader(data)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-func TestBatchTraceRejectsNonMonotonic(t *testing.T) {
-	trace := []BatchTaskSpec{
-		{ID: 0, Submit: sim.Time(100), CPU: sim.Second},
-		{ID: 1, Submit: sim.Time(50), CPU: sim.Second},
-	}
-	if err := WriteBatchTrace(&bytes.Buffer{}, trace); err == nil {
-		t.Fatal("writer accepted non-monotonic submits")
-	}
-	// The reader must reject the same stream even when it arrives from
-	// elsewhere: write a sorted trace, then swap the two records'
-	// submit fields in the encoded bytes.
-	var buf bytes.Buffer
-	if err := WriteBatchTrace(&buf, []BatchTaskSpec{
-		{ID: 0, Submit: sim.Time(50), CPU: sim.Second},
-		{ID: 1, Submit: sim.Time(100), CPU: sim.Second},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	const header, record = 16, 20
-	for i := 0; i < 8; i++ {
-		data[header+i], data[header+record+i] = data[header+record+i], data[header+i]
-	}
-	if _, err := ReadBatchTrace(bytes.NewReader(data)); err == nil {
-		t.Fatal("non-monotonic batch trace accepted")
-	}
-}
-
-func TestWriteBatchTraceRejectsBadRecords(t *testing.T) {
-	for name, trace := range map[string][]BatchTaskSpec{
-		"negative cpu": {{Submit: 1, CPU: -sim.Second}},
-		"negative ops": {{Submit: 1, DiskOps: -1}},
-		"huge ops":     {{Submit: 1, DiskOps: 1 << 40}},
-		"zero demand":  {{Submit: 1}},
-	} {
-		if err := WriteBatchTrace(&bytes.Buffer{}, trace); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}
-
-// TestTraceFormatsRoundTripProperty is the shared round-trip property
-// over both record versions: arbitrary seeded PITR query traces and
-// PIBT batch traces must survive write→read bit-exactly.
-func TestTraceFormatsRoundTripProperty(t *testing.T) {
-	check := func(seed uint64, n uint16, rate uint16, burst uint8) bool {
-		count := int(n%500) + 1
-		queries := GenerateTrace(TraceConfig{
-			Queries: count,
-			Rate:    float64(rate%5000) + 1,
-			Seed:    seed,
-		})
-		var qbuf bytes.Buffer
-		if err := WriteTrace(&qbuf, queries); err != nil {
-			return false
-		}
-		qback, err := ReadTrace(&qbuf)
-		if err != nil || len(qback) != len(queries) {
-			return false
-		}
-		for i := range queries {
-			if qback[i] != queries[i] {
-				return false
-			}
-		}
-
-		batch := GenerateBatchTrace(BatchTraceConfig{
-			Tasks:        count,
-			Rate:         float64(rate%200) + 1,
-			BurstMean:    float64(burst % 8),
-			MeanCPU:      sim.Second,
-			TailAlpha:    1 + float64(seed%20)/10, // sweeps exponential and Pareto
-			DiskFraction: float64(seed%4) / 4,
-			MeanOps:      int(rate%1000) + 1,
-			Seed:         seed,
-		})
-		var bbuf bytes.Buffer
-		if err := WriteBatchTrace(&bbuf, batch); err != nil {
-			return false
-		}
-		bback, err := ReadBatchTrace(&bbuf)
-		if err != nil || len(bback) != len(batch) {
-			return false
-		}
-		for i := range batch {
-			if bback[i] != batch[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(1))}); err != nil {
-		t.Fatal(err)
 	}
 }

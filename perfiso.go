@@ -34,8 +34,6 @@
 package perfiso
 
 import (
-	"io"
-
 	"perfiso/internal/core"
 	"perfiso/internal/cpumodel"
 	"perfiso/internal/isolation"
@@ -227,12 +225,6 @@ type NetFlowConfig = workload.NetFlowConfig
 func NewNetFlow(n *Node, cfg NetFlowConfig) *NetFlow {
 	return workload.NewNetFlow(n.Eng, n.NIC, cfg)
 }
-
-// WriteTrace serializes a trace in the binary trace-file format.
-func WriteTrace(w io.Writer, trace []QuerySpec) error { return workload.WriteTrace(w, trace) }
-
-// ReadTrace deserializes a binary trace file.
-func ReadTrace(r io.Reader) ([]QuerySpec, error) { return workload.ReadTrace(r) }
 
 // NIC egress priority classes.
 const (
