@@ -664,6 +664,8 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 		}
 		timing.Source = "dispatched"
 		timing.Dispatch = &dt
+		h := experiments.HostOf()
+		timing.Host = &h
 		return out.emit(res, timing, rec, *runPat != "", p.Spans, stdout, stderr)
 	}
 

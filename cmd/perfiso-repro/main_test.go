@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -394,6 +395,25 @@ func TestSmokeArtifacts(t *testing.T) {
 	}
 	if !strings.Contains(string(md), "Headline") || !strings.Contains(string(md), "## Full tables") {
 		t.Errorf("report malformed:\n%s", md)
+	}
+
+	// timing.json names the host that ran the cells.
+	blob, err = os.ReadFile(filepath.Join(results, "test", "timing.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var timing experiments.RunTiming
+	if err := json.Unmarshal(blob, &timing); err != nil {
+		t.Fatalf("timing.json: %v", err)
+	}
+	if timing.Host == nil {
+		t.Fatalf("timing.json has no host: %s", blob)
+	}
+	if *timing.Host != experiments.HostOf() {
+		t.Errorf("timing.json host = %+v, want %+v", *timing.Host, experiments.HostOf())
+	}
+	if runtime.GOARCH == "amd64" && !strings.HasPrefix(timing.Host.GOAMD64, "v") {
+		t.Errorf("timing.json host has no GOAMD64 level: %s", blob)
 	}
 }
 

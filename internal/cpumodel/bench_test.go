@@ -125,3 +125,42 @@ func BenchmarkIdleStealFutile(b *testing.B) {
 		b.Fatalf("%d threads queued, want the bully's 8", m.QueuedThreads())
 	}
 }
+
+// BenchmarkSaturatedMachine measures the overload path of Fig. 4's
+// unrestricted bully: 48 cores under a 48-thread bully while 250
+// primary bursts churn, each completion spawning the next, so 250
+// threads always wait in the run queues. One op is one primary
+// completion and its replacement spawn, with the dispatches,
+// quantum expiries and steals around them.
+func BenchmarkSaturatedMachine(b *testing.B) {
+	const primaries = 250
+	eng := sim.NewEngine()
+	m := New(eng, sim.NewRNG(1), DefaultConfig())
+	all := AllCores(48)
+	bully := m.NewProcess("bully", stats.ClassSecondary)
+	for i := 0; i < 48; i++ {
+		m.Spawn(bully, Forever, all, nil)
+	}
+	p := m.NewProcess("svc", stats.ClassPrimary)
+	rng := sim.NewRNG(2)
+	completed := 0
+	var respawn func()
+	respawn = func() {
+		completed++
+		m.SpawnDetached(p, sim.Duration(rng.IntBetween(20, 500))*sim.Microsecond, all, respawn)
+	}
+	for i := 0; i < primaries; i++ {
+		m.SpawnDetached(p, sim.Duration(rng.IntBetween(20, 500))*sim.Microsecond, all, respawn)
+	}
+	eng.Run(sim.Time(sim.Second)) // past a quantum, so the bully has been requeued
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for done := completed; completed == done && eng.Step(); {
+		}
+	}
+	b.StopTimer()
+	if q := m.QueuedThreads(); q != primaries {
+		b.Fatalf("%d threads queued, want %d", q, primaries)
+	}
+}

@@ -356,13 +356,13 @@ func TestDelayedEvictionSkipsNextIncarnation(t *testing.T) {
 	a := m.NewProcess("a", stats.ClassSecondary)
 	b := m.NewProcess("b", stats.ClassSecondary)
 	th := m.Spawn(a, Forever, AllCores(4), nil)
-	c := th.core
+	c := int(th.core)
 	m.SetAffinity(a, AllCores(4).Without(c)) // eviction due at 1 ms
 	m.Cancel(th)
 	m.Release(th)
 	churn(m, a, 40)
 	next := m.Spawn(b, Forever, CPUSet(0).With(c), nil)
-	if next != th || next.State != StateRunning || next.core != c {
+	if next != th || next.State != StateRunning || int(next.core) != c {
 		t.Fatalf("reuse did not put the thread back on core %d", c)
 	}
 	eng.Run(sim.Time(500 * sim.Microsecond))

@@ -13,7 +13,7 @@ import (
 )
 
 // OpKind distinguishes reads from writes.
-type OpKind int
+type OpKind uint8
 
 const (
 	// OpRead is a read request.
@@ -29,16 +29,17 @@ func (k OpKind) String() string {
 	return "write"
 }
 
-// Request is one I/O operation.
+// Request is one I/O operation. Kind, Sequential and priority share one
+// word, which keeps it at 64 bytes (TestRequestSizeClass).
 type Request struct {
 	Proc       string // owning process (for accounting and throttling)
-	Kind       OpKind
 	Bytes      int64
-	Sequential bool
 	OnComplete func()
+	Kind       OpKind
+	Sequential bool
 
+	priority int32
 	enqueued sim.Time
-	priority int
 	seq      uint64     // FIFO tiebreak within a priority level
 	proc     *procState // Proc's state on the volume, found at Submit
 }
@@ -206,7 +207,8 @@ func (v *Volume) SetRateLimit(proc string, bytesPerSec, opsPerSec float64) {
 }
 
 // SetPriority orders proc's requests relative to others: higher runs
-// first. The DWRR throttler adjusts this continuously.
+// first. prio must fit in an int32. The DWRR throttler adjusts this
+// continuously.
 func (v *Volume) SetPriority(proc string, prio int) {
 	v.proc(proc).priority = prio
 }
@@ -300,7 +302,7 @@ func (v *Volume) armGate(p *procState, r *Request) {
 // admit puts a request in the device queue (priority order) and starts
 // service if a drive is free.
 func (v *Volume) admit(r *Request, p *procState) {
-	r.priority = p.priority
+	r.priority = int32(p.priority)
 	v.queue = append(v.queue, r)
 	if v.busyDrives < v.cfg.Drives {
 		v.startNext()

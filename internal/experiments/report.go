@@ -280,15 +280,21 @@ type RunTiming struct {
 	// Stats is the run-wide recording's counter snapshot (populated
 	// with -stats).
 	Stats *obs.Snapshot `json:"stats,omitempty"`
+	// Host is the machine and build that ran the cells, recorded when
+	// they all ran in this process (single and run -dispatch); a merged
+	// run's shards may have run anywhere.
+	Host *Host `json:"host,omitempty"`
 }
 
 // TimingOf projects a single-process run's timing.
 func TimingOf(res RunResult) RunTiming {
+	h := HostOf()
 	return RunTiming{
 		Source:            "single",
 		Workers:           res.Workers,
 		ElapsedSeconds:    res.Elapsed.Seconds(),
 		SequentialSeconds: res.SequentialSeconds,
+		Host:              &h,
 	}
 }
 

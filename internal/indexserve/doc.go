@@ -25,7 +25,10 @@
 // phases — the wake event, then an SSD index read on a cache miss, then
 // the running matcher, whose thread's OnDone is the same callback.
 // Slots are made lazily, up to the widest burst the record has served,
-// and a slot's read request on its first miss; both are reused after.
+// and reused after; a slot takes its SSD index read from the server's
+// pool on each miss. The slices holding the slots and the threads are
+// made with their final capacity with the record (Config.WorkersMax
+// slots; matchers, rank and speculative workers), so they never regrow.
 //
 // A record serves one query at a time:
 //

@@ -160,17 +160,10 @@ func (s *Server) AttachNIC(nic *netmodel.NIC) { s.nic = nic }
 // threads and its deadline and spec timers, so only the callbacks refs
 // counts can still arrive after it.
 type query struct {
-	s           *Server
-	id          int
-	arrival     sim.Time
-	rng         sim.RNG
-	outstanding int
-	done        bool
-	// refs counts the record's wake events that have not fired and its
-	// SSD reads in flight. A deadline drop can leave a read queued on a
-	// slow SSD; recycling the record before it completes would start a
-	// matcher for whichever query held the record next.
-	refs     int
+	s        *Server
+	id       int
+	arrival  sim.Time
+	rng      sim.RNG
 	threads  []*cpumodel.Thread
 	observer func(Response)
 	// deadline and spec are cancelled at finish; both events were pure
@@ -190,13 +183,23 @@ type query struct {
 	// queries. critical is the index of the worker whose completion
 	// released ranking (-1 until known); rank is the serial aggregation
 	// thread.
-	k        int
-	workers  []*qworker
-	critical int
-	rank     *cpumodel.Thread
+	workers []*qworker
+	rank    *cpumodel.Thread
 
 	// Callbacks bound once per record.
 	onDeadline, onSpec, onRanked func()
+
+	// The counters are int32 so that they share the last two words with
+	// done, which keeps the record at 176 bytes (TestRecordSizeClasses).
+	outstanding int32
+	// refs counts the record's wake events that have not fired and its
+	// SSD reads in flight. A deadline drop can leave a read queued on a
+	// slow SSD; recycling the record before it completes would start a
+	// matcher for whichever query held the record next.
+	refs     int32
+	k        int32
+	critical int32
+	done     bool
 }
 
 // qworker tracks one matcher burst for critical-path attribution.
@@ -204,20 +207,22 @@ type query struct {
 // its SSD read in that same event, so started-planned is precisely
 // the disk gate and planned-arrival the deliberate wake spread.
 type qworker struct {
-	q        *query
-	idx      int
-	phase    workerPhase
-	demand   sim.Duration
-	miss     bool
-	t        *cpumodel.Thread // nil until the burst is spawned
-	planned  sim.Time
-	started  sim.Time
-	finished bool
+	q       *query
+	demand  sim.Duration
+	t       *cpumodel.Thread // nil until the burst is spawned
+	planned sim.Time
+	started sim.Time
 	// read is the slot's SSD index read while one is in flight.
 	read *diskmodel.Request
 	// step is advance bound once: the wake event, the read's
 	// completion and the thread's OnDone all call it.
 	step func()
+	// The small fields share the last word, which keeps the slot at
+	// 64 bytes (TestRecordSizeClasses).
+	idx      int32
+	phase    workerPhase
+	miss     bool
+	finished bool
 }
 
 // workerPhase is where a matcher slot stands; advance moves it along.
@@ -288,10 +293,10 @@ func (s *Server) SubmitObserved(spec workload.QuerySpec, fn func(Response)) {
 	s.inFlight++
 
 	k := q.rng.IntBetween(s.cfg.WorkersMin, s.cfg.WorkersMax)
-	q.outstanding = k
-	q.k = k
+	q.outstanding = int32(k)
+	q.k = int32(k)
 	for len(q.workers) < k {
-		w := &qworker{q: q, idx: len(q.workers)}
+		w := &qworker{q: q, idx: int32(len(q.workers))}
 		w.step = w.advance
 		q.workers = append(q.workers, w)
 	}
@@ -331,8 +336,10 @@ func (s *Server) workerDemand(q *query, i int) sim.Duration {
 	return q.rng.LogNormalDuration(s.cfg.HelperMedian, s.cfg.HelperSigma)
 }
 
-// newQuery takes a record from the pool, or makes one and binds its
-// callbacks.
+// newQuery takes a record from the pool, or makes one, binds its
+// callbacks and sizes its slices for the widest query: WorkersMax
+// matchers, plus the rank thread and the speculative workers among
+// its threads.
 func (s *Server) newQuery() *query {
 	if n := len(s.free); n > 0 {
 		q := s.free[n-1]
@@ -340,7 +347,11 @@ func (s *Server) newQuery() *query {
 		return q
 	}
 	s.records++
-	q := &query{s: s}
+	q := &query{
+		s:       s,
+		workers: make([]*qworker, 0, s.cfg.WorkersMax),
+		threads: make([]*cpumodel.Thread, 0, s.cfg.WorkersMax+1+s.cfg.SpecWorkers),
+	}
 	q.onDeadline = q.deadlineFired
 	q.onSpec = q.specFired
 	q.onRanked = q.ranked
@@ -558,7 +569,7 @@ func (s *Server) forensics(q *query, latency sim.Duration, dropped bool) simtrac
 	// earlier drops the first still-unfinished matcher — every
 	// unfinished matcher spans the whole latency window, so index order
 	// is a deterministic and exact choice.
-	idx := q.critical
+	idx := int(q.critical)
 	if idx < 0 {
 		for i, w := range q.workers[:q.k] {
 			if !w.finished {
