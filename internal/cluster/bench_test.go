@@ -17,8 +17,8 @@ type steadyCluster struct {
 // newSteadyCluster builds a 6×2 cluster — every machine with PerfIso,
 // the HDFS tenant and OS housekeeping — and warms it with 4000 queries,
 // two simulated seconds, so the fan-out and query record pools, the
-// tenants' request pools, the machines' thread lists and free lists and
-// the engine's storage have all grown to their steady-state size.
+// tenants' request pools, the machines' thread free lists and the
+// engine's storage have all grown to their steady-state size.
 func newSteadyCluster(tb testing.TB) *steadyCluster {
 	tb.Helper()
 	c := New(sim.NewEngine(), ScaledConfig(6))

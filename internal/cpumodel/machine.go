@@ -48,20 +48,21 @@ const Forever = sim.Duration(1) << 58
 // sensitive services spawn one thread per unit of parallel work; bullies
 // spawn Forever threads.
 //
-// A finished thread is reclaimed in one of three ways:
-//   - its owner hands it back with Machine.Release once it is Done, and
-//     must not use it again (IndexServe's query records do this);
+// A thread leaves its process's thread list the moment it is Done, and
+// is then reclaimed in one of three ways:
+//   - its owner hands it back with Machine.Release, and must not use it
+//     again (IndexServe's query records do this);
 //   - it was started with Machine.SpawnDetached, which returns no handle,
 //     and the machine releases it itself when it completes or is killed
 //     (background bursts and MLA aggregations);
 //   - its owner keeps it and never releases it, leaving the struct to the
 //     garbage collector (bully workers, harvest task threads).
 //
-// A released struct is reused by a later spawn only once it is Done and
-// no longer listed in its process's threads.
+// A released struct goes on the machine's free list at once, and the
+// next spawn reuses it.
 //
-// The small fields share the struct's last two words, which keeps it at
-// 112 bytes, exactly one of Go's size classes (TestThreadSizeClass).
+// The small fields share the struct's last word, which keeps it at 112
+// bytes, exactly one of Go's size classes (TestThreadSizeClass).
 type Thread struct {
 	ID        int
 	Proc      *Process
@@ -70,7 +71,14 @@ type Thread struct {
 	// OnDone fires when the burst completes (not when killed).
 	OnDone func()
 
-	readyAt sim.Time // when the thread last became ready (for FIFO pulls)
+	// prev and next link the thread into its process's list while it is
+	// not Done; once it is released, next chains the machine's free list.
+	prev, next *Thread
+
+	// since is when the thread last became ready while it is Ready (its
+	// ready wait, and the order of idle pulls), and when it was parked
+	// while it is Parked.
+	since sim.Time
 
 	// Forensic accumulators: how long the thread has spent running and
 	// waiting, with ready waits classified by blame at enqueue time.
@@ -82,20 +90,14 @@ type Thread struct {
 	fxHarvest sim.Duration // ready behind batch threads on eligible cores
 	fxEvict   sim.Duration // ready while a delayed eviction was pending
 	fxPark    sim.Duration // parked (freeze or empty affinity)
-	parkedAt  sim.Time
 
-	// Recycling state (see Machine.Release). gen counts incarnations of
-	// the struct, so a delayed eviction armed for an earlier one can
-	// tell; listed means Proc.threads still holds the thread, live or
-	// as a tombstone; released means the owner handed it back, or, for
-	// a detached thread, that it finished.
-	gen uint32
 	// Core indices fit in int16: New allows at most 64 cores.
 	ideal    int16 // preferred core for placement
 	core     int16 // core currently running or queued on (-1 otherwise)
 	State    ThreadState
 	waitKind uint8
-	listed   bool
+	// released means the owner handed the thread back, or, for a
+	// detached thread, that it finished (see Machine.Release).
 	released bool
 	detached bool
 }
@@ -129,18 +131,15 @@ type Process struct {
 
 	m        *Machine
 	affinity CPUSet
-	// threads holds the process's threads in ascending ID order (IDs
-	// are allocated monotonically, so append preserves the order every
-	// scheduling sweep relies on). Completed threads linger as
-	// StateDone tombstones and are compacted in batches: removal is
-	// O(1) amortized where the old map+sort("thread-map") layout paid
-	// an allocation and an O(n log n) sort on every affinity sweep.
-	// Compaction alternates between two buffers, threads and spare.
-	threads []*Thread
-	spare   []*Thread
-	live    int          // threads not yet Done (tombstones excluded)
-	queued  int          // run-queue entries (this process's share of queuedCount)
-	cpuTime sim.Duration // total CPU consumed (progress metric)
+	// head and tail end the list of the process's threads that are not
+	// Done, linked through Thread.prev and next. Spawn links each thread
+	// at the tail and IDs grow monotonically, so the list is in
+	// ascending ID order, the order every scheduling sweep relies on; a
+	// thread is unlinked in O(1) the moment it is Done.
+	head, tail *Thread
+	live       int          // linked threads
+	queued     int          // run-queue entries (this process's share of queuedCount)
+	cpuTime    sim.Duration // total CPU consumed (progress metric)
 
 	// Windowed cycle budget (CPU rate control). capFrac <= 0 disables.
 	capFrac     float64
@@ -166,54 +165,41 @@ func (p *Process) CPUTime() sim.Duration {
 // LiveThreads reports how many threads are not Done.
 func (p *Process) LiveThreads() int { return p.live }
 
-// addThread records a freshly spawned thread. Spawn allocates IDs
-// monotonically, so appending keeps p.threads in ID order.
-func (p *Process) addThread(t *Thread) {
-	p.threads = append(p.threads, t)
-	t.listed = true
+// link appends a freshly spawned thread to the list. Spawn allocates
+// IDs monotonically, so the tail keeps the list in ID order.
+func (p *Process) link(t *Thread) {
+	t.prev = p.tail
+	if p.tail == nil {
+		p.head = t
+	} else {
+		p.tail.next = t
+	}
+	p.tail = t
 	p.live++
 }
 
-// dropThread retires a thread that has just entered StateDone. The
-// entry stays behind as a tombstone until enough accumulate, then one
-// pass copies the survivors into the spare buffer — never in place, so
-// a scheduling sweep ranging over the old header mid-drop still sees a
-// stable snapshot. The old storage becomes the spare, overwritten only
-// by the next compaction, so compacting allocates nothing once both
-// buffers have grown. Dropping a tombstone is what lets a released
-// thread be reused.
-func (p *Process) dropThread() {
+// unlink takes a thread that has just entered StateDone out of the list.
+func (p *Process) unlink(t *Thread) {
+	if t.prev == nil {
+		p.head = t.next
+	} else {
+		t.prev.next = t.next
+	}
+	if t.next == nil {
+		p.tail = t.prev
+	} else {
+		t.next.prev = t.prev
+	}
+	t.prev, t.next = nil, nil
 	p.live--
-	if len(p.threads) >= 32 && p.live*2 < len(p.threads) {
-		kept := p.spare[:0]
-		for _, t := range p.threads {
-			if t.State != StateDone {
-				kept = append(kept, t)
-				continue
-			}
-			p.m.unlist(t)
-		}
-		p.spare = p.threads[:0]
-		p.threads = kept
-	}
-}
-
-// unlist records that t, a Done thread, has left its process's thread
-// list; if its owner already released it, it becomes reusable now.
-func (m *Machine) unlist(t *Thread) {
-	t.listed = false
-	if t.released {
-		m.free = append(m.free, t)
-	}
 }
 
 // unpark removes t from the parked list, keeping the others' order.
+// slices.Delete zeroes the vacated last slot, so the spare capacity
+// names no thread, which may be reused.
 func (p *Process) unpark(t *Thread) {
-	for i, x := range p.parked {
-		if x == t {
-			p.parked = append(p.parked[:i], p.parked[i+1:]...)
-			return
-		}
+	if i := slices.Index(p.parked, t); i >= 0 {
+		p.parked = slices.Delete(p.parked, i, i+1)
 	}
 }
 
@@ -325,12 +311,12 @@ type Machine struct {
 	nextThread  int
 	queuedCount int // total threads sitting in run queues
 	slicePool   []*sliceEvent
-	// free holds released threads that no machine structure references
-	// any more; Spawn reuses them (see Release).
-	free []*Thread
+	// free heads the released threads, chained through Thread.next;
+	// Spawn reuses them (see Release).
+	free *Thread
 	// scratch collects the threads SetAffinity displaces and freeze
-	// parks, and the copies CheckInvariants sorts, so none of them
-	// allocates once it has grown.
+	// parks, and the copy of a parked list CheckInvariants sorts, so
+	// none of them allocates once it has grown.
 	scratch []*Thread
 	// quantum is the engine lane quantum-expiry slices are armed on:
 	// every one fires exactly Config.Quantum after it was armed.
@@ -485,9 +471,10 @@ func (m *Machine) Spawn(p *Process, burst sim.Duration, aff CPUSet, onDone func(
 
 // SpawnDetached starts a fire-and-forget burst: it schedules exactly as
 // Spawn does, but returns no handle, and the machine releases the
-// thread itself when it completes (after reading OnDone) or is killed.
-// Loads that never look at their threads again use it, so their bursts
-// draw from and refill the free list that Release feeds.
+// thread itself when it completes (after reading OnDone, so OnDone's
+// own spawns may reuse it) or is killed. Loads that never look at
+// their threads again use it, so their bursts draw from and refill the
+// free list that Release feeds.
 func (m *Machine) SpawnDetached(p *Process, burst sim.Duration, aff CPUSet, onDone func()) {
 	m.spawn(p, burst, aff, onDone, true)
 }
@@ -497,11 +484,15 @@ func (m *Machine) spawn(p *Process, burst sim.Duration, aff CPUSet, onDone func(
 		panic("cpumodel: non-positive burst")
 	}
 	m.nextThread++
-	t := m.newThread()
+	t := m.free
+	if t != nil {
+		m.free = t.next
+	} else {
+		t = new(Thread)
+	}
 	// Zero the recycled struct in place and then set its fields:
 	// assigning a composite literal builds it on the stack and copies
 	// all of it over the struct.
-	gen := t.gen + 1
 	*t = Thread{}
 	t.ID = m.nextThread
 	t.Proc = p
@@ -511,35 +502,23 @@ func (m *Machine) spawn(p *Process, burst sim.Duration, aff CPUSet, onDone func(
 	t.OnDone = onDone
 	t.ideal = int16(m.nextThread % m.cfg.Cores)
 	t.core = -1
-	t.parkedAt = m.eng.Now()
-	t.gen = gen
+	t.since = m.eng.Now()
 	t.detached = detached
-	p.addThread(t)
+	p.link(t)
 	m.makeReady(t)
 	return t
-}
-
-// newThread returns a released thread for reuse, or a fresh one.
-func (m *Machine) newThread() *Thread {
-	if n := len(m.free); n > 0 {
-		t := m.free[n-1]
-		m.free = m.free[:n-1]
-		return t
-	}
-	return new(Thread)
 }
 
 // Release hands a finished thread back for reuse by a later Spawn.
 // t must be Done — completed, cancelled or killed — and released at
 // most once; Release panics otherwise. After Release the caller must
-// not touch t: Spawn may return the same pointer as a new thread.
+// not touch t: the next Spawn returns the same pointer as a new thread.
 // Detached threads are released by the machine (see SpawnDetached).
 //
-// Reuse waits until no machine structure refers to t: a thread still
-// listed as a tombstone in its process's thread list becomes reusable
-// when the list is compacted. Cancel takes a parked thread off the
-// parked list, and a delayed eviction armed for t checks its
-// incarnation before acting, so neither can reach a later one.
+// A Done thread is already out of every machine structure: its process
+// unlinked it, and Cancel took it off the parked list. A delayed
+// eviction armed for it compares the thread's ID, which is never reused
+// on a machine, before acting, so it cannot reach a later incarnation.
 func (m *Machine) Release(t *Thread) {
 	if t.Proc.m != m {
 		panic("cpumodel: release of another machine's thread")
@@ -550,11 +529,15 @@ func (m *Machine) Release(t *Thread) {
 	if t.released {
 		panic(fmt.Sprintf("cpumodel: thread %d released twice", t.ID))
 	}
+	m.recycle(t)
+}
+
+// recycle pushes a Done, unlinked thread onto the free list.
+func (m *Machine) recycle(t *Thread) {
 	t.released = true
 	t.OnDone = nil
-	if !t.listed {
-		m.free = append(m.free, t)
-	}
+	t.next = m.free
+	m.free = t
 }
 
 // makeReady places a thread: an idle core in its effective affinity if
@@ -565,9 +548,9 @@ func (m *Machine) makeReady(t *Thread) {
 	}
 	now := m.eng.Now()
 	if t.State == StateParked {
-		t.fxPark += now.Sub(t.parkedAt)
+		t.fxPark += now.Sub(t.since)
 	}
-	t.readyAt = now
+	t.since = now
 	if t.Proc.frozen {
 		m.park(t)
 		return
@@ -644,14 +627,14 @@ func (p *Process) boosted() bool {
 func (m *Machine) park(t *Thread) {
 	t.State = StateParked
 	t.core = -1
-	t.parkedAt = m.eng.Now()
+	t.since = m.eng.Now()
 	t.Proc.parked = append(t.Proc.parked, t)
 }
 
 // accrueWait charges the ready wait that ends now to the blame bucket
 // chosen when the wait began, and restarts the wait clock.
 func (m *Machine) accrueWait(t *Thread, now sim.Time) {
-	d := now.Sub(t.readyAt)
+	d := now.Sub(t.since)
 	if d <= 0 {
 		return
 	}
@@ -663,7 +646,7 @@ func (m *Machine) accrueWait(t *Thread, now sim.Time) {
 	default:
 		t.fxQueue += d
 	}
-	t.readyAt = now
+	t.since = now
 }
 
 // classifyWait picks the blame bucket for a ready wait beginning now:
@@ -745,15 +728,13 @@ func (m *Machine) completeSlice(c *core) {
 	t.Remaining = 0
 	t.State = StateDone
 	t.core = -1
-	// Read OnDone first: a detached thread is released here, and the
-	// compaction dropThread may run can put it on the free list, where
-	// OnDone's own spawns may reuse it.
+	t.Proc.unlink(t)
+	// Read OnDone first: a detached thread goes on the free list here,
+	// where OnDone's own spawns may reuse it.
 	onDone := t.OnDone
 	if t.detached {
-		t.released = true
-		t.OnDone = nil
+		m.recycle(t)
 	}
-	t.Proc.dropThread()
 	c.running = nil
 	c.epoch++
 	m.pickNext(c)
@@ -788,7 +769,7 @@ func (m *Machine) expireQuantum(c *core) {
 	c.running = nil
 	c.epoch++
 	t.State = StateReady
-	t.readyAt = now
+	t.since = now
 	t.waitKind = m.classifyWait(t)
 	c.queue = append(c.queue, t)
 	m.queuedCount++
@@ -839,8 +820,8 @@ func (m *Machine) pickNext(c *core) {
 	c.idleStart = m.eng.Now()
 }
 
-// oldestEligible finds the queued thread with the earliest readyAt whose
-// effective affinity admits the given core.
+// oldestEligible finds the queued thread that became ready earliest
+// whose effective affinity admits the given core.
 //
 // A thread's effective affinity is a subset of its process's mask, so
 // when no process with queued threads admits the core the scan cannot
@@ -857,7 +838,7 @@ func (m *Machine) oldestEligible(coreID int) *Thread {
 			if t.State != StateReady || !t.eff().Has(coreID) {
 				continue
 			}
-			if best == nil || t.readyAt < best.readyAt {
+			if best == nil || t.since < best.since {
 				best = t
 			}
 		}
@@ -883,18 +864,12 @@ func (m *Machine) remove(t *Thread) {
 		panic("cpumodel: remove of non-queued thread")
 	}
 	c := m.core[t.core]
-	q := c.queue
-	idx := -1
-	for i, x := range q {
-		if x == t {
-			idx = i
-			break
-		}
-	}
+	idx := slices.Index(c.queue, t)
 	if idx < 0 {
 		panic("cpumodel: queued thread not found in its queue")
 	}
-	c.queue = append(q[:idx], q[idx+1:]...)
+	// slices.Delete zeroes the vacated last slot (see unpark).
+	c.queue = slices.Delete(c.queue, idx, idx+1)
 	m.queuedCount--
 	t.Proc.queued--
 	m.accrueWait(t, m.eng.Now())
@@ -944,11 +919,11 @@ func (m *Machine) preempt(t *Thread) {
 func (m *Machine) SetAffinity(p *Process, mask CPUSet) {
 	p.affinity = mask
 	displaced := m.scratch[:0]
-	// p.threads is kept in ID order (tombstones skipped), so the sweep
-	// visits threads exactly as the old sorted snapshot did — thread
-	// handling order reaches scheduling decisions, and any other order
-	// would break bit-identical reproduction.
-	for _, t := range p.threads {
+	// The sweep visits threads in ID order: handling order reaches
+	// scheduling decisions, and any other order would break
+	// bit-identical reproduction. Nothing the sweep calls links or
+	// unlinks a thread.
+	for t := p.head; t != nil; t = t.next {
 		switch t.State {
 		case StateRunning:
 			if !t.eff().Has(int(t.core)) {
@@ -983,14 +958,15 @@ func (m *Machine) SetAffinity(p *Process, mask CPUSet) {
 // thread. The check re-validates at fire time: the thread may have
 // finished, been killed, or had its affinity restored meanwhile.
 //
-// The thread may also have been released and reused meanwhile; the
-// incarnation check keeps the eviction from reaching the new thread.
+// The thread may also have been released and reused meanwhile; IDs are
+// never reused on a machine, so the ID check keeps the eviction from
+// reaching the new thread.
 func (m *Machine) evictLater(t *Thread) {
-	coreAt, gen := t.core, t.gen
+	coreAt, id := t.core, t.ID
 	m.pendingEvictions++
 	m.eng.After(m.cfg.EvictionLatency, func() {
 		m.pendingEvictions--
-		if t.gen != gen || t.State != StateRunning || t.core != coreAt || t.eff().Has(int(t.core)) {
+		if t.ID != id || t.State != StateRunning || t.core != coreAt || t.eff().Has(int(t.core)) {
 			return
 		}
 		m.preempt(t)
@@ -1051,17 +1027,17 @@ func (m *Machine) Cancel(t *Thread) {
 	case StateReady:
 		m.remove(t)
 	case StateParked:
-		t.fxPark += m.eng.Now().Sub(t.parkedAt)
+		t.fxPark += m.eng.Now().Sub(t.since)
 		t.Proc.unpark(t)
 	}
 	t.State = StateDone
-	t.Proc.dropThread()
+	t.Proc.unlink(t)
 }
 
 // Kill terminates every thread of p without firing OnDone; detached
 // threads are released.
 func (m *Machine) Kill(p *Process) {
-	for _, t := range p.threads {
+	for t := p.head; t != nil; {
 		switch t.State {
 		case StateRunning:
 			m.preempt(t)
@@ -1069,14 +1045,13 @@ func (m *Machine) Kill(p *Process) {
 			m.remove(t)
 		}
 		t.State = StateDone
+		next := t.next
+		p.unlink(t)
 		if t.detached {
-			t.released = true
-			t.OnDone = nil
+			m.recycle(t)
 		}
-		m.unlist(t)
+		t = next
 	}
-	p.threads = nil
-	p.live = 0
 	p.parked = nil
 }
 
@@ -1145,7 +1120,7 @@ func (m *Machine) runThrottle(p *Process) {
 func (m *Machine) freeze(p *Process) {
 	p.frozen = true
 	victims := m.scratch[:0]
-	for _, t := range p.threads {
+	for t := p.head; t != nil; t = t.next {
 		switch t.State {
 		case StateRunning:
 			m.preempt(t)
@@ -1164,42 +1139,54 @@ func (m *Machine) freeze(p *Process) {
 
 // CheckInvariants panics if internal bookkeeping is inconsistent; tests
 // call it after stress runs, and every single-machine cell once at its
-// end. It allocates nothing once the machine's scratch has grown: a
-// listed thread is found by binary search in its process's list, and
-// the parked and free lists are checked for repeats by sorting a copy
-// of each by thread ID, which is unique per machine.
+// end. It walks the thread and free lists and allocates nothing once
+// the machine's scratch has grown: a parked list is checked for repeats
+// by sorting a copy of it by thread ID, which is unique per machine.
 func (m *Machine) CheckInvariants() {
-	// Thread lists: ID order, the listed flag and live counts; parked
-	// lists hold exactly their process's parked threads. A thread listed
-	// twice breaks its list's ID order, or the Proc check in the other
-	// process's list.
+	// Thread lists: owner, back-links and ID order (either ends a
+	// cycle), only threads that are not Done and not released, and the
+	// live, queued and parked counts. Parked lists hold exactly their
+	// process's parked threads.
+	running, ready := 0, 0
 	for _, p := range m.procs {
-		live, nParked := 0, 0
-		for i, t := range p.threads {
-			if t.Proc != p || !t.listed || (i > 0 && t.ID <= p.threads[i-1].ID) {
-				panic(fmt.Sprintf("process %s: thread %d misfiled in its thread list", p.Name, t.ID))
+		live, nReady, nParked := 0, 0, 0
+		var last *Thread
+		for t := p.head; t != nil; last, t = t, t.next {
+			switch {
+			case t.Proc != p:
+				panic(fmt.Sprintf("process %s: thread %d of process %s misfiled in its list", p.Name, t.ID, t.Proc.Name))
+			case t.prev != last:
+				panic(fmt.Sprintf("process %s: thread %d has a broken back-link", p.Name, t.ID))
+			case last != nil && t.ID <= last.ID:
+				panic(fmt.Sprintf("process %s: thread %d linked after thread %d, out of ID order", p.Name, t.ID, last.ID))
+			case t.State == StateDone || t.released:
+				panic(fmt.Sprintf("process %s: %v thread %d still linked (released %v)", p.Name, t.State, t.ID, t.released))
 			}
-			if t.released && t.State != StateDone {
-				panic(fmt.Sprintf("process %s: released thread %d is %v", p.Name, t.ID, t.State))
-			}
-			if t.detached && t.State == StateDone && !t.released {
-				panic(fmt.Sprintf("process %s: finished detached thread %d not released", p.Name, t.ID))
-			}
-			if t.State != StateDone {
-				live++
-			}
-			if t.State == StateParked {
+			live++
+			switch t.State {
+			case StateRunning:
+				running++
+			case StateReady:
+				nReady++
+			case StateParked:
 				nParked++
 			}
 		}
-		if live != p.live {
-			panic(fmt.Sprintf("process %s live=%d but %d live threads listed", p.Name, p.live, live))
+		if p.tail != last {
+			panic(fmt.Sprintf("process %s: tail is not its last linked thread", p.Name))
 		}
+		if live != p.live {
+			panic(fmt.Sprintf("process %s live=%d but %d threads linked", p.Name, p.live, live))
+		}
+		if nReady != p.queued {
+			panic(fmt.Sprintf("process %s queued=%d but %d ready threads linked", p.Name, p.queued, nReady))
+		}
+		ready += nReady
 		if len(p.parked) != nParked {
 			panic(fmt.Sprintf("process %s: %d parked entries for %d parked threads", p.Name, len(p.parked), nParked))
 		}
 		for _, t := range p.parked {
-			if t.Proc != p || t.State != StateParked || !m.isListed(t) {
+			if t.Proc != p || t.State != StateParked || (t.prev == nil && p.head != t) {
 				panic(fmt.Sprintf("process %s: parked list holds %v thread %d", p.Name, t.State, t.ID))
 			}
 		}
@@ -1207,23 +1194,27 @@ func (m *Machine) CheckInvariants() {
 			panic(fmt.Sprintf("process %s: parked list holds thread %d twice", p.Name, t.ID))
 		}
 	}
-	// The free list: released threads nothing else references. The
-	// checks above have seen every listed thread's listed flag and every
-	// parked one's state.
-	for _, t := range m.free {
-		if !t.released || t.listed || t.State != StateDone {
+	if ready != m.queuedCount {
+		panic(fmt.Sprintf("queuedCount=%d but %d ready threads linked", m.queuedCount, ready))
+	}
+	// The free list: released Done threads that no list holds, none
+	// twice. A repeat in a chain is a cycle, which the fast pointer of a
+	// two-speed walk meets.
+	for slow, fast := m.free, m.free; fast != nil && fast.next != nil; {
+		slow, fast = slow.next, fast.next.next
+		if slow == fast {
+			panic(fmt.Sprintf("free list holds thread %d twice", slow.ID))
+		}
+	}
+	for t := m.free; t != nil; t = t.next {
+		if !t.released || t.State != StateDone || t.prev != nil {
 			panic(fmt.Sprintf("free thread %d (%v) still referenced", t.ID, t.State))
 		}
 	}
-	if t := m.repeated(m.free); t != nil {
-		panic(fmt.Sprintf("free list holds thread %d twice", t.ID))
-	}
-	queued := 0
+	busy, queued := 0, 0
 	for _, c := range m.core {
 		if c.running != nil {
-			if !m.isListed(c.running) {
-				panic(fmt.Sprintf("core %d runs unlisted thread %d", c.id, c.running.ID))
-			}
+			busy++
 			if m.idleMask.Has(c.id) {
 				panic(fmt.Sprintf("core %d running but marked idle", c.id))
 			}
@@ -1239,42 +1230,17 @@ func (m *Machine) CheckInvariants() {
 			panic(fmt.Sprintf("core %d idle but not in idle mask", c.id))
 		}
 		for _, t := range c.queue {
-			if !m.isListed(t) {
-				panic(fmt.Sprintf("core %d queues unlisted thread %d", c.id, t.ID))
-			}
 			if t.State == StateReady {
 				queued++
 			}
 		}
 	}
+	if busy != running {
+		panic(fmt.Sprintf("%d cores busy but %d running threads linked", busy, running))
+	}
 	if queued != m.queuedCount {
 		panic(fmt.Sprintf("queuedCount=%d but %d ready threads in queues", m.queuedCount, queued))
 	}
-	for _, p := range m.procs {
-		n := 0
-		for _, c := range m.core {
-			for _, t := range c.queue {
-				if t.Proc == p && t.State == StateReady {
-					n++
-				}
-			}
-		}
-		if p.queued != n {
-			panic(fmt.Sprintf("process %s queued=%d but %d of its ready threads in queues", p.Name, p.queued, n))
-		}
-	}
-}
-
-// isListed reports whether t is in the thread list of its process, and
-// that process is one of m's. CheckInvariants has found every list in
-// ascending ID order by the time it asks, so a binary search finds t.
-func (m *Machine) isListed(t *Thread) bool {
-	if !slices.Contains(m.procs, t.Proc) {
-		return false
-	}
-	ts := t.Proc.threads
-	i, ok := slices.BinarySearchFunc(ts, t.ID, func(x *Thread, id int) int { return cmp.Compare(x.ID, id) })
-	return ok && ts[i] == t
 }
 
 // repeated returns a thread that ts holds more than once, or nil. It

@@ -2,6 +2,7 @@ package cpumodel
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,8 +10,8 @@ import (
 	"perfiso/internal/stats"
 )
 
-// churn spawns n Forever threads in p and cancels them, which leaves
-// p's thread list long and mostly tombstones, so it compacts.
+// churn spawns n Forever threads in p and cancels them without
+// releasing them, so each is linked into p's list and then unlinked.
 func churn(m *Machine, p *Process, n int) {
 	ts := make([]*Thread, n)
 	for i := range ts {
@@ -25,9 +26,9 @@ func churn(m *Machine, p *Process, n int) {
 // SetAffinity, freezing and unfreezing cycle caps, Kill and
 // engine-advance sequences, with immediate and delayed eviction, and
 // checks the bookkeeping after every step — CheckInvariants verifies
-// that no free-list thread is running, queued, listed in its process's
-// threads or parked. OnDone must never fire for a released thread, and
-// released threads must actually come back from Spawn.
+// that no free-list thread is running, queued, linked into its
+// process's list or parked. OnDone must never fire for a released
+// thread, and released threads must actually come back from Spawn.
 func TestRecycleRandomized(t *testing.T) {
 	const cores = 8
 	all := AllCores(cores)
@@ -135,8 +136,7 @@ func TestRecycleRandomized(t *testing.T) {
 // releases, affinity changes, cycle caps, kills and engine advances,
 // with CheckInvariants after every step. Every detached burst must
 // fire its OnDone exactly once if it completes and never if it is
-// killed, and a spawn may only reuse a struct that is Done and no
-// longer listed in its process's threads.
+// killed, and a spawn may only reuse a struct that is Done.
 func TestDetachedRecycleRandomized(t *testing.T) {
 	const cores = 8
 	all := AllCores(cores)
@@ -167,8 +167,8 @@ func TestDetachedRecycleRandomized(t *testing.T) {
 			var bursts []*burst
 			seen := map[*Thread]bool{}
 			// spawned checks a fresh spawn's struct against every
-			// tracked one: reusing a struct still listed or not Done
-			// would alias a live thread.
+			// tracked one: reusing a struct that is not Done would
+			// alias a live thread.
 			spawned := func(th *Thread, inUse map[*Thread]bool, step int) {
 				if inUse[th] {
 					t.Fatalf("seed %d step %d: spawn reused thread %d's struct while it was in use", seed, step, th.ID)
@@ -181,7 +181,7 @@ func TestDetachedRecycleRandomized(t *testing.T) {
 			inUse := func() map[*Thread]bool {
 				u := map[*Thread]bool{}
 				for _, b := range bursts {
-					if b.t.ID == b.id && (b.t.State != StateDone || b.t.listed) {
+					if b.t.ID == b.id && b.t.State != StateDone {
 						u[b.t] = true
 					}
 				}
@@ -200,7 +200,7 @@ func TestDetachedRecycleRandomized(t *testing.T) {
 						detach(p, step, r.Intn(2) == 0)
 					}
 				})
-				b.t = p.threads[len(p.threads)-1]
+				b.t = p.tail
 				b.id = b.t.ID
 				spawned(b.t, u, step)
 				bursts = append(bursts, b)
@@ -287,30 +287,49 @@ func TestReleaseMisusePanics(t *testing.T) {
 	mustPanic(t, "release on another machine", func() { m.Release(foreign) })
 }
 
-// TestReleasedTombstoneWaitsForCompaction: a thread released while its
-// process's thread list still holds it as a tombstone is not reused
-// until compaction drops it — reusing it earlier would list one
-// pointer twice, once as a live thread out of ID order.
-func TestReleasedTombstoneWaitsForCompaction(t *testing.T) {
-	_, m := testMachine(4)
+// TestSpawnReusesReleasedThread: a thread leaves its process's list the
+// moment it is Done, so the next Spawn after a Release reuses it at
+// once, whether it was cancelled or completed, as the newest thread at
+// the list's tail. A thread that is not Done, or Done but not released,
+// is never reused.
+func TestSpawnReusesReleasedThread(t *testing.T) {
+	eng, m := testMachine(2)
 	p := m.NewProcess("svc", stats.ClassPrimary)
-	th := m.Spawn(p, Forever, AllCores(4), nil)
-	keep := m.Spawn(p, Forever, AllCores(4), nil)
-	m.Cancel(th)
-	m.Release(th)
-	if got := m.Spawn(p, Forever, AllCores(4), nil); got == th {
-		t.Fatal("a released tombstone was reused before compaction")
+	held := map[*Thread]bool{} // spawned and not released
+	spawn := func(burst sim.Duration) *Thread {
+		th := m.Spawn(p, burst, AllCores(2), nil)
+		if held[th] {
+			t.Fatalf("spawn returned thread %d's struct, which was never released", th.ID)
+		}
+		held[th] = true
+		m.CheckInvariants()
+		return th
 	}
-	m.CheckInvariants()
-	churn(m, p, 40)
-	m.CheckInvariants()
-	if got := m.Spawn(p, Forever, AllCores(4), nil); got != th {
-		t.Fatal("the released thread was not reused after compaction")
+	for i := 0; i < 4; i++ { // two run, two queue
+		spawn(Forever)
 	}
-	if keep.State != StateRunning {
-		t.Fatalf("unrelated thread is %v, want running", keep.State)
+	cancelled := spawn(Forever)
+	m.Cancel(cancelled)
+	spawn(Forever) // cancelled is Done but not released
+	m.Release(cancelled)
+	delete(held, cancelled)
+	if got := spawn(Forever); got != cancelled || got.State != StateReady || p.tail != got {
+		t.Fatal("the cancelled and released thread was not reused by the next spawn")
 	}
-	m.CheckInvariants()
+
+	short := spawn(sim.Millisecond)
+	for th := p.head; th != short; th = p.head { // so short runs
+		m.Cancel(th)
+	}
+	eng.Run(sim.Time(5 * sim.Millisecond))
+	if short.State != StateDone {
+		t.Fatalf("the short burst is %v, want done", short.State)
+	}
+	m.Release(short)
+	delete(held, short)
+	if got := spawn(Forever); got != short || p.tail != got || got.ID != m.nextThread {
+		t.Fatal("the completed and released thread was not reused as the newest thread")
+	}
 }
 
 // TestCancelledParkedThreadLeavesParkedList: a parked thread that is
@@ -327,7 +346,6 @@ func TestCancelledParkedThreadLeavesParkedList(t *testing.T) {
 	m.Cancel(th)
 	m.CheckInvariants()
 	m.Release(th)
-	churn(m, a, 40)
 	next := m.Spawn(b, Forever, AllCores(4), nil)
 	if next != th {
 		t.Fatal("the released thread was not reused")
@@ -360,7 +378,6 @@ func TestDelayedEvictionSkipsNextIncarnation(t *testing.T) {
 	m.SetAffinity(a, AllCores(4).Without(c)) // eviction due at 1 ms
 	m.Cancel(th)
 	m.Release(th)
-	churn(m, a, 40)
 	next := m.Spawn(b, Forever, CPUSet(0).With(c), nil)
 	if next != th || next.State != StateRunning || int(next.core) != c {
 		t.Fatalf("reuse did not put the thread back on core %d", c)
@@ -405,29 +422,50 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		for i := 0; i < 3; i++ { // an empty affinity parks them
 			m.Spawn(batch, Forever, 0, nil)
 		}
-		done := make([]*Thread, 40)
+		done := make([]*Thread, 4)
 		for i := range done {
 			done[i] = m.Spawn(batch, Forever, AllCores(2), nil)
 		}
-		for _, th := range done { // compaction moves most to the free list
+		for _, th := range done {
 			m.Cancel(th)
 			m.Release(th)
 		}
 		m.CheckInvariants()
-		if len(m.free) < 2 || len(batch.parked) != 3 {
-			t.Fatalf("setup: %d free and %d parked threads, want at least 2 and 3", len(m.free), len(batch.parked))
+		if m.free == nil || m.free.next == nil || len(batch.parked) != 3 || svc.live != 4 {
+			t.Fatal("setup: want several free threads, 3 parked and 4 svc threads linked")
 		}
 		return m, svc, batch
+	}
+	lastFree := func(m *Machine) *Thread {
+		f := m.free
+		for f.next != nil {
+			f = f.next
+		}
+		return f
 	}
 	for _, c := range []struct {
 		name, want string
 		corrupt    func(m *Machine, svc, batch *Process)
 	}{
-		{"thread listed twice", "misfiled", func(m *Machine, svc, batch *Process) {
-			svc.threads = append(svc.threads, svc.threads[len(svc.threads)-1])
+		{"thread listed twice", "broken back-link", func(m *Machine, svc, batch *Process) {
+			svc.tail.next = svc.head.next // the walk meets the second thread again
+		}},
+		{"broken back-link", "broken back-link", func(m *Machine, svc, batch *Process) {
+			svc.head.next.prev = nil
+		}},
+		{"two threads out of ID order", "out of ID order", func(m *Machine, svc, batch *Process) {
+			a, b := svc.head, svc.head.next // relink as b, a, ...
+			a.next, a.prev, b.next, b.prev = b.next, b, a, nil
+			a.next.prev, svc.head = a, b
+		}},
+		{"done thread still linked", "done thread", func(m *Machine, svc, batch *Process) {
+			svc.tail.State = StateDone
 		}},
 		{"thread listed by two processes", "misfiled", func(m *Machine, svc, batch *Process) {
-			batch.threads = append(batch.threads, svc.threads[0])
+			batch.tail.next = svc.tail
+		}},
+		{"tail behind the last thread", "tail", func(m *Machine, svc, batch *Process) {
+			svc.tail = svc.tail.prev
 		}},
 		{"parked thread missing from its parked list", "3 parked threads", func(m *Machine, svc, batch *Process) {
 			batch.parked = batch.parked[:2]
@@ -436,23 +474,28 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			batch.parked[2] = batch.parked[0]
 		}},
 		{"parked list holds an unlisted thread", "parked list holds parked thread", func(m *Machine, svc, batch *Process) {
-			f := m.free[len(m.free)-1]
-			m.free = m.free[:len(m.free)-1]
+			f := m.free
+			m.free = f.next
 			f.State, f.Proc, f.released = StateParked, batch, false
 			batch.parked[2] = f
 		}},
 		{"free-list thread still listed", "still referenced", func(m *Machine, svc, batch *Process) {
-			th := m.Spawn(svc, Forever, AllCores(2), nil)
-			m.Cancel(th)
-			m.Release(th) // a listed tombstone until compaction
-			m.free = append(m.free, th)
+			lastFree(m).next = svc.tail
+		}},
+		{"free-list thread not done", "still referenced", func(m *Machine, svc, batch *Process) {
+			m.free.next.State = StateReady
 		}},
 		{"free-list thread listed twice", "free list holds thread", func(m *Machine, svc, batch *Process) {
-			m.free = append(m.free, m.free[0])
+			lastFree(m).next = m.free.next
 		}},
-		{"core running an unlisted thread", "runs unlisted thread", func(m *Machine, svc, batch *Process) {
-			svc.threads = svc.threads[1:]
-			svc.live--
+		{"cyclic free list", "free list holds thread", func(m *Machine, svc, batch *Process) {
+			lastFree(m).next = m.free
+		}},
+		{"core running an unlisted thread", "running threads linked", func(m *Machine, svc, batch *Process) {
+			svc.unlink(svc.head)
+		}},
+		{"core queueing an unlinked thread", "ready threads linked", func(m *Machine, svc, batch *Process) {
+			svc.unlink(svc.tail)
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -483,5 +526,42 @@ func TestCheckInvariantsDoesNotAllocate(t *testing.T) {
 	churn(m, p, 40)
 	if allocs := testing.AllocsPerRun(10, m.CheckInvariants); allocs != 0 {
 		t.Fatalf("CheckInvariants made %v allocations, want 0", allocs)
+	}
+}
+
+// TestDeletesClearVacatedSlots: taking a thread out of the middle of a
+// run queue (remove) or a parked list (unpark) leaves no pointer in the
+// storage past the slice's end, where it would name the struct's next
+// incarnation once the thread is released and reused.
+func TestDeletesClearVacatedSlots(t *testing.T) {
+	_, m := testMachine(1)
+	p := m.NewProcess("svc", stats.ClassPrimary)
+	batch := m.NewProcess("batch", stats.ClassSecondary)
+	m.SetAffinity(batch, 0)
+	var queued, parked []*Thread
+	m.Spawn(p, Forever, AllCores(1), nil) // runs
+	for i := 0; i < 3; i++ {
+		queued = append(queued, m.Spawn(p, Forever, AllCores(1), nil))
+		parked = append(parked, m.Spawn(batch, Forever, AllCores(1), nil))
+	}
+	m.Cancel(queued[1]) // remove
+	m.Cancel(parked[1]) // unpark
+	m.CheckInvariants()
+	for _, s := range []struct {
+		name string
+		got  []*Thread
+		want []*Thread
+	}{
+		{"run queue", m.core[0].queue, []*Thread{queued[0], queued[2]}},
+		{"parked list", batch.parked, []*Thread{parked[0], parked[2]}},
+	} {
+		if !slices.Equal(s.got, s.want) {
+			t.Fatalf("%s holds %v threads, want the other two in order", s.name, len(s.got))
+		}
+		for i, th := range s.got[len(s.got):cap(s.got)] {
+			if th != nil {
+				t.Fatalf("%s keeps thread %d in vacated slot %d", s.name, th.ID, len(s.got)+i)
+			}
+		}
 	}
 }

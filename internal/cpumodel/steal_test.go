@@ -17,7 +17,7 @@ func scanOldestEligible(m *Machine, coreID int) *Thread {
 			if t.State != StateReady || !t.eff().Has(coreID) {
 				continue
 			}
-			if best == nil || t.readyAt < best.readyAt {
+			if best == nil || t.since < best.since {
 				best = t
 			}
 		}
