@@ -64,6 +64,9 @@ func BenchmarkSpawnEnqueueSaturated(b *testing.B) {
 
 // BenchmarkSetAffinityShrink measures the blind-isolation actuator: a
 // full-width affinity change over a process with many live threads.
+// The engine runs 1 ms past each flip, so the quantum expiries a flip
+// cancels or arms come due and leave the lane; without it the lane and
+// the engine's slot pool grow for the whole run.
 func BenchmarkSetAffinityShrink(b *testing.B) {
 	eng := sim.NewEngine()
 	m := New(eng, sim.NewRNG(1), DefaultConfig())
@@ -79,6 +82,7 @@ func BenchmarkSetAffinityShrink(b *testing.B) {
 		} else {
 			m.SetAffinity(p, AllCores(48))
 		}
+		eng.Run(eng.Now().Add(sim.Millisecond))
 	}
 }
 

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/bits"
+	"testing"
+)
 
 func TestEngineCounts(t *testing.T) {
 	e := NewEngine()
@@ -100,6 +103,30 @@ type trimmedTimer struct {
 	op  int
 }
 
+// each calls fn on every queued entry, in no particular order.
+func (q *queue) each(fn func(event)) {
+	for _, w := range [2]*wheel{&q.coarse, &q.fine} {
+		if w.s == nil {
+			continue
+		}
+		for j, word := range w.s.occ {
+			for ; word != 0; word &= word - 1 {
+				i := j<<6 + bits.TrailingZeros64(word)
+				for k, t := w.s.tails[i], w.s.tails[i]; ; {
+					k = q.pool[k].next
+					fn(q.pool[k].event())
+					if k == t {
+						break
+					}
+				}
+			}
+		}
+	}
+	for _, ev := range q.far {
+		fn(ev)
+	}
+}
+
 func runLanes(data []byte, viaHeap bool) laneRun {
 	e := NewEngine()
 	timers := make([][]*laneTimer, len(progDelays))
@@ -116,16 +143,8 @@ func runLanes(data []byte, viaHeap bool) laneRun {
 				}
 			}
 		}
-		q := &e.events
 		in := map[uint64]bool{}
-		for k, b := range q.buckets {
-			if k == 0 {
-				b = b[q.head0:]
-			}
-			for _, ev := range b {
-				in[ev.seq] = true
-			}
-		}
+		e.events.each(func(ev event) { in[ev.seq] = true })
 		r.queued = append(r.queued, in)
 	}
 	r.log = runProgram(trackedAPI{newEngineAPI(e, viaHeap), timers}, data, snap)

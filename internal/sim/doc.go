@@ -10,42 +10,59 @@
 // The scheduler core is built for the per-event cost a half-million-query
 // replay pays millions of times over:
 //
-//   - Events live in a monotone radix queue (queue.go; Ahuja, Mehlhorn,
-//     Orlin and Tarjan, J. ACM 1990). Entries are pointer-free 24-byte
-//     values — (at, seq, slot) — so pushes never allocate once the
-//     buckets have grown, and the GC never scans the queue. The engine
-//     never schedules before its clock, so events leave in
-//     nondecreasing time, which is what a radix heap needs: it keeps a
-//     base time, bucket 0 holds the entries at the base in seq order,
-//     and bucket k holds those whose time first differs from the base
-//     at bit k-1. A push is an append; a pop that finds bucket 0 empty
-//     moves the base to the lowest nonempty bucket's minimum and spreads
-//     that bucket over the buckets below it, and a 64-bit mask finds
-//     that bucket. The (at, seq) order is exactly the one a binary heap
-//     gives.
+//   - Events live in a hashed timing wheel (queue.go; Varghese and
+//     Lauck, SOSP 1987). Entries are pointer-free 24-byte values — (at,
+//     seq, slot) — so pushes never allocate once the node pool has
+//     grown, and the GC never scans the queue. Nearly every event is due
+//     a few µs to a few ms ahead: in a colocated cell 34% are matcher
+//     wakes at most 5 µs out, 40% slice completions and 10% 100 µs
+//     polls. So 4,096 slots of 1,024 ns, about 4.19 ms from the cursor,
+//     hold almost all of them, and a plain binary min-heap holds the
+//     rest. A slot is a circular list in (at, seq) order through one
+//     free-listed node pool, reached by its tail, so an entry that does
+//     not precede the tail appends in O(1): 94% of the pushes in the
+//     benchmark's cluster-harvest cells, same-instant poll groups (12
+//     machines there, 44 at paper scale) and wake bursts included. An
+//     out-of-order push due within 4,096 ns goes to a fine wheel of
+//     1 ns slots, where each slot is one instant and seq only grows, so
+//     it appends there; a farther one walks at most 8 entries of its
+//     slot, and past that, or past the span, goes to the heap. A
+//     one-slot burst in no time order (TestEngineBurstGrowthAndReuse)
+//     therefore costs O(1) a push, where sorted insertion alone is
+//     quadratic. An occupancy bitmap, 64 words under a summary word,
+//     finds each wheel's first slot from the cursor in O(1); the
+//     queue's minimum is the least of the two wheels' and the heap's,
+//     and is cached from a peek to the pop that follows it. The (at,
+//     seq) order is exactly the one a binary heap gives.
 //
-//     The base must never pass the clock, or an event scheduled between
-//     them could not be queued; a push below the base panics as a bug.
-//     Three rules keep it there. A peek does not move the base: next
-//     compares the queue's minimum with the front lane's front, and a
-//     lane event that wins may schedule below that minimum, so the peek
-//     remembers where the minimum is instead. A cancelled entry that
-//     Run discards past its until is taken out without moving the base,
-//     since the clock stops at until. And an empty queue takes the
-//     engine clock as its base on its next push, not the pushed time,
-//     since a later push (a model's start-up, say) may be earlier.
+//     The cursor must never pass the clock, or an event scheduled
+//     between them could not be queued; a push below the cursor panics
+//     as a bug. Three rules keep it there. A peek does not move the
+//     cursor: next compares the queue's minimum with the front lane's
+//     front, and a lane event that wins may schedule below that minimum.
+//     A cancelled entry that Run discards past its until is taken out
+//     without moving the cursor, since the clock stops at until. And an
+//     empty queue takes the engine clock as its cursor on its next push,
+//     not the pushed time, since a later push (a model's start-up, say)
+//     may be earlier.
 //
-//     The flat 4-ary heap this replaced sifted an entry through
-//     log4(depth) levels on every pop. The queue holds about 50 events
-//     on average in a single-machine cell and 320–340 in a 12-machine
-//     cluster cell, and there the heap was the engine's largest cost:
-//     in the benchmark's traced cluster-harvest run (seed 1) its Pop
-//     and up took 34% of the CPU profile, 42% of what the obs observer
-//     left. BenchmarkEventHeap prices one step of the engine's traffic
-//     at those depths (pop the minimum, push an entry an exponential
-//     delay later): on a 2-vCPU Xeon, 115 and 127 ns for the radix
-//     queue against 160 and 221 ns for the 4-ary heap, with the
-//     exponential draw included.
+//     The wheel replaced a monotone radix heap (Ahuja, Mehlhorn, Orlin
+//     and Tarjan, J. ACM 1990), which had replaced a flat 4-ary heap.
+//     The radix heap's per-bucket arrays kept 8,985 entries of capacity
+//     for a peak of 716 live ones in cluster-harvest, a quarter of that
+//     workload's alloc_mb, and its advance, min and push took about 30%
+//     of a traced cluster-harvest profile. The wheel's node pool grows
+//     only to the live entries, and cluster-harvest's alloc_mb fell from
+//     9.42 to 7.30 MB (10 interleaved pairs). BenchmarkEventHeap prices one
+//     step of the engine's traffic (pop the minimum, push an entry an
+//     exponential delay later) at the depths cells run at, about 50 on
+//     one machine and 320 in a 12-machine cluster: on a 2-vCPU Xeon,
+//     medians of 8 interleaved runs, 93 ns against 120 for the radix
+//     heap at depth 50 and 93 against 127 at depth 320, the exponential
+//     draw included. At 10k, a stress point whose slots near the cursor
+//     hold about 10 entries each, it reads 159 against 148: the walks
+//     through scattered nodes cost more than the radix heap's appends
+//     to contiguous bucket arrays.
 //
 //   - Ordering is the total order (at, seq): seq is a monotone counter
 //     stamped at scheduling time, so events at the same instant run in
@@ -116,8 +133,9 @@
 //     trimmed entries the test itself finds still queued in the
 //     AfterTimer run.
 //
-//     The lanes stay beside the radix queue: sending every lane timer
-//     through the queue instead (no lanes at all) measured, over 4
+//     The lanes stay beside the event queue: sending every lane timer
+//     through the radix heap the wheel replaced (no lanes at all)
+//     measured, over 4
 //     interleaved pairs per workload, 1.3% faster on colocated (2 of 4
 //     pairs) but 3.8% slower on cluster-harvest and 5.1% slower on
 //     standalone, with 2.2–4.7% more allocation.

@@ -42,8 +42,8 @@ func (d Duration) String() string { return fmt.Sprintf("%.6fs", d.Seconds()) }
 // pool. seq breaks ties so that events scheduled earlier at the same
 // timestamp run first (stable FIFO ordering) — the contract
 // bit-identical reproduction rests on. The struct is pointer-free on
-// purpose: the queue's buckets are never scanned by the GC and moving
-// entries incurs no write barriers.
+// purpose: the queue's node pool and heap are never scanned by the GC
+// and moving entries incurs no write barriers.
 type event struct {
 	at   Time
 	seq  uint64
@@ -242,7 +242,7 @@ func (e *Engine) frontLane() *Delay {
 }
 
 // drop removes the entry next just returned from its queue. Taking it
-// out of the event queue moves the queue's base to its time, unless
+// out of the event queue moves the queue's cursor to its time, unless
 // hold is set because the clock will not follow.
 func (e *Engine) drop(lane *Delay, hold bool) {
 	switch {
@@ -302,7 +302,7 @@ func (e *Engine) Run(until Time) uint64 {
 		if ok && e.slotSeq[ev.slot] != ev.seq {
 			// Cancelled head, always a queue entry: discard without
 			// touching the clock. Past until the clock stops short of
-			// it, so the queue must not move its base there: events may
+			// it, so the queue must not move its cursor there: events may
 			// yet be scheduled between until and ev.at.
 			e.drop(lane, ev.at > until)
 			e.free = append(e.free, ev.slot)

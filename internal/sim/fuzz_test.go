@@ -6,7 +6,7 @@ import (
 	"testing"
 )
 
-// FuzzEventHeap drives the engine's radix queue with an arbitrary
+// FuzzEventHeap drives the engine's event queue with an arbitrary
 // encoded sequence of operations and checks it against a brute-force
 // model, then runs the same bytes as an engine program (runProgram:
 // lane and queue timers, agendas, cancels, Step and Run cut-offs)
@@ -26,9 +26,16 @@ import (
 //	3  pop; the clock follows unless the queue is left empty (Step
 //	   discarding its last, cancelled entry)
 //
-// So the fuzzer freely explores interleavings, equal-time runs, time
-// spans up to the top bucket, and growth/shrink cycles. Invariants
-// checked:
+// So the fuzzer freely explores interleavings, equal-time runs, entries
+// in the coarse wheel, the fine wheel and the heap, times out to the
+// largest Time, and growth/shrink cycles. Named seeds overfill one
+// coarse slot past its walk bound and one slot near the cursor out of
+// order (slot-overfill), push past the coarse wheel's span and advance
+// the clock until that heap entry undercuts wheel entries
+// (horizon-undercut), carry the cursor round the wheel's last index
+// with entries on both sides of it (cursor-wrap), and discard an entry
+// at a slot boundary without moving the cursor, then push below it
+// (discard-at-slot-boundary). Invariants checked:
 //
 //   - every min, pop and remove takes exactly the model's minimum
 //     (at, seq) — which for equal times is the FIFO (insertion-order)

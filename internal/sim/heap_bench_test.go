@@ -13,17 +13,29 @@ import (
 // real cells: about 50 live events on one machine, about 320 in the
 // 12-machine cluster, and 10k as a stress point.
 //
-//	radix — the engine's radix queue over pointer-free entries;
+//	wheel — the engine's queue (timing wheel and far heap) over
+//	        pointer-free entries;
 //	ref   — the test-only reference: boxed *refEvent elements through
 //	        container/heap (one allocation per push).
 //
-// CI's micro-benchmark smoke step runs both once so they keep
+// Two more shapes price the queue alone on traffic that fills single
+// wheel slots:
+//
+//	wheel/same-instant=44 — 44 entries due at one instant, each
+//	        re-armed 100 µs later as it pops: the paper-scale cluster's
+//	        polls;
+//	wheel/one-slot=100k — bursts of 100k entries inside one µs (times
+//	        now + i%977 ns), each pushed and then drained: what
+//	        TestEngineBurstGrowthAndReuse schedules. One op is one
+//	        entry's push and pop.
+//
+// CI's micro-benchmark smoke step runs every shape once so they keep
 // building; compare them with repeated runs on one host.
 func BenchmarkEventHeap(b *testing.B) {
 	const mean = float64(Millisecond)
 	for _, depth := range []int{50, 320, 10_000} {
 		name := fmt.Sprintf("depth=%d", depth)
-		b.Run("radix/"+name, func(b *testing.B) {
+		b.Run("wheel/"+name, func(b *testing.B) {
 			var q queue
 			rng := NewRNG(1)
 			for i := 0; i < depth; i++ {
@@ -50,6 +62,35 @@ func BenchmarkEventHeap(b *testing.B) {
 			}
 		})
 	}
+	b.Run("wheel/same-instant=44", func(b *testing.B) {
+		const group = 44
+		var q queue
+		for i := 0; i < group; i++ {
+			q.push(event{seq: uint64(i)}, 0)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ev := q.pop()
+			q.push(event{at: ev.at.Add(100 * Microsecond), seq: uint64(group + i)}, ev.at)
+		}
+	})
+	b.Run("wheel/one-slot=100k", func(b *testing.B) {
+		const burst = 100_000
+		var q queue
+		var now Time
+		seq := uint64(0)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i += burst {
+			for j := 0; j < burst && i+j < b.N; j++ {
+				seq++
+				q.push(event{at: now + Time(j%977), seq: seq}, now)
+			}
+			for q.Len() > 0 {
+				now = q.pop().at
+			}
+		}
+	})
 }
 
 // BenchmarkEngineFixedDelayCancel prices IndexServe's deadline pattern:
