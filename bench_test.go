@@ -1,8 +1,8 @@
 package perfiso_test
 
 // Benchmarks for what the registered experiments do not already time:
-// the whole registry run (BenchmarkReproAll), the observability and
-// dispatch overheads, the ablations that are not registered (quantum,
+// the whole registry run (BenchmarkReproAll), the observability
+// overhead, the ablations that are not registered (quantum,
 // eviction latency, burstiness), trace and figure I/O, the engine and
 // scheduler hot paths, and Fig. 8's comparison at peak load. Each
 // reports its headline metric via b.ReportMetric. The registered
@@ -17,13 +17,11 @@ import (
 
 	"perfiso"
 	"perfiso/internal/cpumodel"
-	"perfiso/internal/dispatch"
 	"perfiso/internal/experiments"
 	"perfiso/internal/isolation"
 	"perfiso/internal/node"
 	"perfiso/internal/obs"
 	"perfiso/internal/report"
-	"perfiso/internal/shard"
 	"perfiso/internal/sim"
 	"perfiso/internal/simtrace"
 	"perfiso/internal/workload"
@@ -141,47 +139,6 @@ func BenchmarkStatsOverhead(b *testing.B) {
 			b.ReportMetric(r.Latency.P99Ms, "p99ms")
 		})
 	}
-}
-
-// BenchmarkDispatchOverhead prices the work-stealing dispatcher
-// against the static plan at equal worker counts: static is one shard
-// (the whole manifest) on an in-process pool, dispatch is the same
-// units claimed by N workers over loopback HTTP with leases and
-// heartbeats. The ns/op gap is the protocol's overhead — it should be
-// noise next to simulation time.
-func BenchmarkDispatchOverhead(b *testing.B) {
-	const workers = 4
-	b.Run(fmt.Sprintf("static/workers=%d", workers), func(b *testing.B) {
-		var p shard.Partial
-		for i := 0; i < b.N; i++ {
-			var err error
-			p, err = shard.RunShard(experiments.DefaultRegistry(), shard.RunShardOptions{
-				Spec:    reproSpec(),
-				Shard:   0,
-				Shards:  1,
-				Workers: workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(p.Cells)), "units")
-	})
-	b.Run(fmt.Sprintf("dispatch/workers=%d", workers), func(b *testing.B) {
-		var p shard.Partial
-		for i := 0; i < b.N; i++ {
-			var err error
-			plan, m, err := shard.BuildPlan(experiments.DefaultRegistry(), reproSpec(), "")
-			if err != nil {
-				b.Fatal(err)
-			}
-			p, _, err = dispatch.RunLocal(plan, m, workers, dispatch.Options{}, nil, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(len(p.Cells)), "units")
-	})
 }
 
 // BenchmarkAblationQuantum sweeps the scheduler quantum: the

@@ -21,32 +21,17 @@
 // partials covers the manifest exactly and reassembles artifacts
 // byte-identical to a single-process run.
 //
-// Instead of the static plan, the same manifest can be executed
-// dynamically by a work-stealing fleet (see internal/dispatch): a
-// coordinator leases units to workers, requeues the units of crashed
-// or stalled workers, and emits the same byte-identical artifacts:
-//
-//	perfiso-repro serve -manifest FILE -addr HOST:PORT [flags]
-//	perfiso-repro work -coordinator URL [-workers N] [flags]
-//	perfiso-repro run -dispatch N [flags]
-//
-// serve owns the manifest's unit queue and writes the merged outputs
-// when the last unit lands; work executes claim→heartbeat→upload
-// loops against a coordinator; run -dispatch N is the in-process
-// convenience mode (coordinator plus N workers over loopback HTTP).
-//
-// run, run -dispatch N, merge and serve share one set of output flags
-// (-results, -report, -tolerance, -tables) and one output path: the
-// same artifacts, figures, timing.json and report, byte-identical
-// whichever way the cells ran.
+// run and merge share one set of output flags (-results, -report,
+// -tolerance, -tables) and one output path: the same artifacts,
+// figures, timing.json and report, byte-identical whichever way the
+// cells ran.
 //
 // Observability is opt-in and changes no committed artifact: run
 // -stats folds hot-path counters plus phase and top-cell cost
 // breakdowns into timing.json, run -trace writes a per-cell
 // trace.jsonl (shards embed spans in their partials and merge
-// reassembles the run-wide trace), and serve exposes the coordinator's
-// schedule as Prometheus text on /metrics (plus net/http/pprof with
-// -pprof).
+// reassembles the run-wide trace), and run -pprof-addr serves
+// net/http/pprof for the duration of the run.
 //
 // ctl is the §4 local debugging client: it drives a live controller
 // through a script of timed runtime commands while a colocation
@@ -67,21 +52,15 @@
 //	perfiso-repro manifest -scale paper -plan 4
 //	perfiso-repro run -scale test -shard 0/3
 //	perfiso-repro merge -scale test -shards results/test/shards
-//	perfiso-repro run -scale test -dispatch 4  # work stealing, one process
 //	perfiso-repro run -scale test -stats -trace
-//	perfiso-repro manifest -scale test -o m.json
-//	perfiso-repro serve -manifest m.json -addr 0.0.0.0:7413 -trace -pprof
-//	perfiso-repro work -coordinator http://host:7413
 //	perfiso-repro ctl -script ops.txt -qps 2000 -seconds 10
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -91,10 +70,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"perfiso/internal/dispatch"
 	"perfiso/internal/experiments"
 	"perfiso/internal/obs"
 	"perfiso/internal/report"
@@ -120,10 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return manifestCmd(rest, stdout, stderr)
 		case "merge":
 			return mergeCmd(rest, stdout, stderr)
-		case "serve":
-			return serveCmd(rest, stdout, stderr)
-		case "work":
-			return workCmd(rest, stdout, stderr)
 		case "report":
 			return reportCmd(rest, stdout, stderr)
 		case "tracecheck":
@@ -131,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case "ctl":
 			return ctlCmd(rest, stdout, stderr)
 		default:
-			fmt.Fprintf(stderr, "perfiso-repro: unknown subcommand %q (want run, manifest, merge, serve, work, report, tracecheck or ctl)\n", sub)
+			fmt.Fprintf(stderr, "perfiso-repro: unknown subcommand %q (want run, manifest, merge, report, tracecheck or ctl)\n", sub)
 			return 2
 		}
 	}
@@ -186,25 +159,20 @@ func parseShard(s string) (idx, count int, err error) {
 // by -stats.
 const topCellsN = 10
 
-// mountPprof registers the net/http/pprof handlers under /debug/pprof/.
-func mountPprof(mux *http.ServeMux) {
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-}
-
-// startPprof serves net/http/pprof on its own listener when addr is
-// non-empty, so run and work expose profiles without carrying the
-// coordinator's HTTP mux. The returned stop closes the server; a
-// requested-but-unbindable endpoint is a loud failure, never silent.
+// startPprof serves the net/http/pprof handlers under /debug/pprof/
+// on their own listener when addr is non-empty. The returned stop
+// closes the server; a requested-but-unbindable endpoint is a loud
+// failure, never silent.
 func startPprof(addr string, stderr io.Writer) (stop func(), ok bool) {
 	if addr == "" {
 		return func() {}, true
 	}
 	mux := http.NewServeMux()
-	mountPprof(mux)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: -pprof-addr %s: %v\n", addr, err)
@@ -269,7 +237,7 @@ func figureLinks(scale string, figs []report.Figure) []experiments.FigureLink {
 	return links
 }
 
-// outputFlags are the output flags run, merge and serve share.
+// outputFlags are the output flags run and merge share.
 type outputFlags struct {
 	fs         *flag.FlagSet
 	resultsDir *string
@@ -288,7 +256,7 @@ func addOutputFlags(fs *flag.FlagSet) outputFlags {
 	}
 }
 
-// emit is the one output path of run, run -dispatch, merge and serve.
+// emit is the one output path of run and merge.
 // It folds the -stats counters (rec; nil leaves the timing untouched,
 // so the sidecar stays byte-compatible with uninstrumented runs), the
 // phase breakdown and the most expensive cells into the timing, prints
@@ -304,9 +272,6 @@ func (o outputFlags) emit(res experiments.RunResult, timing experiments.RunTimin
 		timing.Stats = &s
 		timing.Phases = res.Phases
 		timing.TopCells = experiments.TopCells(res.CellTimings, topCellsN)
-	}
-	if timing.Dispatch != nil {
-		printDispatch(*timing.Dispatch, stdout)
 	}
 	printRun(res, timing, *o.tables, stdout)
 
@@ -525,7 +490,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	out := addOutputFlags(fs)
 	shardSpec := fs.String("shard", "", "execute one shard i/N (zero-based) and write a partial artifact instead of reports")
 	partialPath := fs.String("partial", "", "partial artifact path for -shard (default results/<scale>/shards/shard-<i>-of-<N>.json)")
-	dispatchN := fs.Int("dispatch", 0, "execute via the work-stealing coordinator with N in-process workers (0 = static pool)")
 	stats := fs.Bool("stats", false, "count sim, controller and scheduler decisions per cell and fold them (plus phase and top-cell cost breakdowns) into timing.json; not with -shard, whose partial carries no counters")
 	traceFlag := fs.Bool("trace", false, "collect one span per executed cell; full runs write trace.jsonl next to timing.json, -shard embeds the spans in the partial")
 	simtraceFlag := fs.Bool("simtrace", false, "write per-cell sim-domain Chrome trace-event JSON under results/<scale>/simtrace/ (in-process pool only)")
@@ -537,16 +501,8 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if !out.checkTolerance(stderr) {
 		return 2
 	}
-	if *dispatchN < 0 {
-		fmt.Fprintf(stderr, "perfiso-repro: -dispatch %d, want >= 1 (or 0 for the static pool)\n", *dispatchN)
-		return 2
-	}
-	if *dispatchN > 0 && *shardSpec != "" {
-		fmt.Fprintf(stderr, "perfiso-repro: -dispatch and -shard are mutually exclusive (the dispatcher replaces the static plan)\n")
-		return 2
-	}
-	if *simtraceFlag && (*shardSpec != "" || *dispatchN > 0) {
-		fmt.Fprintf(stderr, "perfiso-repro: -simtrace needs the in-process pool (trace events do not ride shard or dispatch partials)\n")
+	if *simtraceFlag && *shardSpec != "" {
+		fmt.Fprintf(stderr, "perfiso-repro: -simtrace needs the in-process pool (trace events do not ride shard partials)\n")
 		return 2
 	}
 	if *stats && *shardSpec != "" {
@@ -640,33 +596,13 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The manifest hash stamps the artifacts' provenance, and the plan
-	// it hashes is the one that runs, in process or dispatched;
-	// building it also turns a zero-match -run pattern into a loud
-	// failure (exit 2) listing the valid names. Failures past this
-	// point are runtime errors (exit 1).
+	// it hashes is the one that runs; building it also turns a
+	// zero-match -run pattern into a loud failure (exit 2) listing the
+	// valid names. Failures past this point are runtime errors (exit 1).
 	plan, m, err := shard.BuildPlan(reg, spec, *runPat)
 	if err != nil {
 		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 		return 2
-	}
-
-	if *dispatchN > 0 {
-		p, dt, err := dispatch.RunLocal(plan, m, *dispatchN,
-			dispatch.Options{Tracer: tracer}, rec, onCell)
-		if err != nil {
-			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-			return 1
-		}
-		res, timing, err := shard.Merge(plan, m, []shard.Partial{p})
-		if err != nil {
-			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-			return 1
-		}
-		timing.Source = "dispatched"
-		timing.Dispatch = &dt
-		h := experiments.HostOf()
-		timing.Host = &h
-		return out.emit(res, timing, rec, *runPat != "", p.Spans, stdout, stderr)
 	}
 
 	runOpts := experiments.RunOptions{Workers: *workers, OnCell: onCell, Tracer: tracer}
@@ -823,276 +759,4 @@ func mergeCmd(args []string, stdout, stderr io.Writer) int {
 	// Shards run with -trace embed spans in their partials; the merge
 	// reassembles them into the run-wide trace automatically.
 	return out.emit(res, timing, nil, *runPat != "", shard.CollectSpans(partials), stdout, stderr)
-}
-
-// printDispatch one-lines how the work-stealing schedule played out.
-func printDispatch(dt experiments.DispatchTiming, stdout io.Writer) {
-	fmt.Fprintf(stdout, "dispatched %d units to %d workers (%d requeues, %d steals, %d stale uploads)\n",
-		dt.Units, len(dt.Workers), dt.Requeues, dt.Steals, dt.StaleUploads)
-	for _, w := range dt.Workers {
-		fmt.Fprintf(stdout, "  worker %-16s %3d units (%d claims, %d steals, %d requeues)\n",
-			w.Worker, w.Units, w.Claims, w.Steals, w.Requeues)
-	}
-}
-
-// serveCmd runs the dispatch coordinator: it owns the manifest's unit
-// queue, leases units to workers, requeues the units of crashed or
-// stalled workers, and — once the last unit lands — merges and emits
-// the same outputs as a single-process run.
-func serveCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("perfiso-repro serve", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	manifestPath := fs.String("manifest", "", "cell manifest to serve (from `manifest -o FILE`); empty builds one from -scale/-run")
-	runPat := fs.String("run", "", "regexp selecting experiments when building the manifest in-process (unused with -manifest)")
-	scaleName := fs.String("scale", "test", "scale when building the manifest in-process (unused with -manifest)")
-	addr := fs.String("addr", "127.0.0.1:7413", "listen address for the worker protocol")
-	lease := fs.Duration("lease", dispatch.DefaultLeaseTTL, "per-unit lease TTL; a worker silent this long loses its unit")
-	maxAttempts := fs.Int("max-attempts", dispatch.DefaultMaxAttempts, "lease grants per unit before the run fails")
-	linger := fs.Duration("linger", 3*time.Second, "keep answering workers this long after the run ends, so their final claim sees done/failed instead of a torn-down socket")
-	out := addOutputFlags(fs)
-	traceFlag := fs.Bool("trace", false, "collect one span per completed unit and write trace.jsonl next to timing.json")
-	pprofFlag := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on -addr")
-	quiet := fs.Bool("quiet", false, "suppress scheduling events on stderr")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if !out.checkTolerance(stderr) {
-		return 2
-	}
-
-	reg := experiments.DefaultRegistry()
-	var m shard.Manifest
-	var plan *experiments.Plan
-	if *manifestPath != "" {
-		var err error
-		if m, err = shard.ReadManifest(*manifestPath); err != nil {
-			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-			return 2
-		}
-		// The file names its own scale and filter; refuse to serve a
-		// manifest this binary's registry would not reproduce — workers
-		// verify the same way, and the final merge would reject the
-		// mismatch anyway, so fail before any work.
-		spec, ok := parseScale(m.Scale, stderr)
-		if !ok {
-			return 2
-		}
-		var fresh shard.Manifest
-		if plan, fresh, err = shard.BuildPlan(reg, spec, m.Filter); err != nil {
-			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-			return 2
-		}
-		if fresh.Hash != m.Hash {
-			fmt.Fprintf(stderr, "perfiso-repro: manifest %s was built by a different registry (this binary builds %s for scale %q filter %q) — regenerate it with `perfiso-repro manifest`\n",
-				m.Hash, fresh.Hash, m.Scale, m.Filter)
-			return 2
-		}
-	} else {
-		spec, ok := parseScale(*scaleName, stderr)
-		if !ok {
-			return 2
-		}
-		var err error
-		if plan, m, err = shard.BuildPlan(reg, spec, *runPat); err != nil {
-			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-			return 2
-		}
-	}
-
-	opts := dispatch.Options{LeaseTTL: *lease, MaxAttempts: *maxAttempts}
-	if !*quiet {
-		opts.Log = slog.New(slog.NewTextHandler(stderr, nil))
-	}
-	var tracer *obs.TraceBuffer
-	if *traceFlag {
-		tracer = obs.NewTraceBuffer()
-		opts.Tracer = tracer
-	}
-	c, err := dispatch.NewCoordinator(m, plan.CheckResult, opts)
-	if err != nil {
-		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-		return 2
-	}
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-		return 1
-	}
-	units, _ := m.Units() // validated by ReadManifest/Build
-	fmt.Fprintf(stdout, "serving manifest %s: %d units at scale %s on %s\n", m.Hash, len(units), m.Scale, ln.Addr())
-	// The worker protocol and the observability endpoints share -addr:
-	// /metrics always answers with the coordinator's own book-keeping
-	// (one lock), and the pprof handlers mount only on request.
-	mux := http.NewServeMux()
-	mux.Handle("/", c.Handler())
-	mux.Handle("GET /metrics", obs.PromHandler(c.Metrics))
-	if *pprofFlag {
-		mountPprof(mux)
-	}
-	srv := &http.Server{Handler: mux}
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	// Claims and heartbeats reap expired leases, but a fleet that died
-	// wholesale sends neither — tick the reaper so those leases still
-	// requeue and an exhausted unit still fails the run.
-	reaper := time.NewTicker(*lease/2 + time.Millisecond) //perfiso:allow walltime lease expiry is wall-clock by design
-	defer reaper.Stop()
-	go func() {
-		for {
-			select {
-			case <-c.Done():
-				return
-			case <-reaper.C:
-				c.Reap()
-			}
-		}
-	}()
-
-	<-c.Done()
-	// Registered after srv.Close's defer, so it runs first: the server
-	// stays up through the linger window and workers polling claim get
-	// the terminal done/failed answer instead of connection refused.
-	defer func() { time.Sleep(*linger) }() //perfiso:allow walltime linger window holds the real HTTP server open
-	if err := c.Err(); err != nil {
-		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-		return 1
-	}
-	p, err := c.Partial()
-	if err != nil {
-		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-		return 1
-	}
-	if tracer != nil {
-		p.Spans = tracer.Spans()
-	}
-	res, timing, err := shard.Merge(plan, m, []shard.Partial{p})
-	if err != nil {
-		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-		return 1
-	}
-	dt := c.Timing()
-	timing.Source = "dispatched"
-	timing.Dispatch = &dt
-	return out.emit(res, timing, nil, m.Filter != "", p.Spans, stdout, stderr)
-}
-
-// workCmd runs claim→heartbeat→upload loops against a coordinator
-// until the run completes. The worker rebuilds the coordinator's
-// manifest from its own registry and refuses to execute under a
-// mismatched hash — version skew produces a loud error, never wrong
-// bytes.
-func workCmd(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("perfiso-repro work", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	coordinator := fs.String("coordinator", "", "coordinator base URL (e.g. http://host:7413)")
-	name := fs.String("name", "", "worker name in leases and timing (default host-pid)")
-	loops := fs.Int("workers", 0, "concurrent claim loops in this process (0 = GOMAXPROCS)")
-	metricsAddr := fs.String("metrics-addr", "", "expose this worker's accepted uploads and their latencies as Prometheus text on this address (empty disables)")
-	pprofAddr := fs.String("pprof-addr", "", "expose net/http/pprof on this address for the duration of the run (empty disables)")
-	quiet := fs.Bool("quiet", false, "suppress per-unit progress on stderr")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *coordinator == "" {
-		fmt.Fprintf(stderr, "perfiso-repro: work needs -coordinator URL\n")
-		return 2
-	}
-	stopPprof, okPprof := startPprof(*pprofAddr, stderr)
-	if !okPprof {
-		return 1
-	}
-	defer stopPprof()
-
-	// -metrics-addr mirrors the coordinator's /metrics for one worker
-	// process: a private recording counts the uploads of every claim
-	// loop in this process, so the endpoint needs no cross-process
-	// state.
-	var workRec *obs.Recording
-	if *metricsAddr != "" {
-		workRec = obs.NewRecording()
-		mux := http.NewServeMux()
-		mux.Handle("GET /metrics", obs.PromHandler(func() []obs.Metric {
-			return workRec.Snapshot().Metrics()
-		}))
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fmt.Fprintf(stderr, "perfiso-repro: -metrics-addr %s: %v\n", *metricsAddr, err)
-			return 1
-		}
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-	}
-	if *name == "" {
-		host, err := os.Hostname()
-		if err != nil {
-			host = "worker"
-		}
-		*name = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-
-	ctx := context.Background()
-	m, err := dispatch.FetchManifest(ctx, nil, *coordinator)
-	if err != nil {
-		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-		return 1
-	}
-	spec, ok := parseScale(m.Scale, stderr)
-	if !ok {
-		return 2
-	}
-	plan, mine, err := shard.BuildPlan(experiments.DefaultRegistry(), spec, m.Filter)
-	if err != nil {
-		fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
-		return 2
-	}
-	runner := shard.NewUnitRunner(plan, mine)
-	if runner.Manifest.Hash != m.Hash {
-		fmt.Fprintf(stderr, "perfiso-repro: coordinator serves manifest %s but this binary builds %s for scale %q filter %q — version skew, rebuild the worker or regenerate the manifest\n",
-			m.Hash, runner.Manifest.Hash, m.Scale, m.Filter)
-		return 2
-	}
-
-	var onUnit func(exp, cell string, elapsed time.Duration)
-	if !*quiet {
-		logger := slog.New(slog.NewTextHandler(stderr, nil)).With("worker", *name)
-		onUnit = func(exp, cell string, elapsed time.Duration) {
-			logger.Info("unit done", "experiment", exp, "cell", cell, "seconds", elapsed.Seconds())
-		}
-	}
-	n := experiments.PoolSize(*loops, len(runner.Units()))
-	workers := make([]*dispatch.Worker, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range workers {
-		workers[i] = &dispatch.Worker{
-			Coordinator: *coordinator,
-			Name:        fmt.Sprintf("%s/%d", *name, i),
-			Runner:      runner,
-			OnUnit:      onUnit,
-			Tracker:     workRec,
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = workers[i].Run(ctx)
-		}(i)
-	}
-	wg.Wait()
-
-	units, stale := 0, 0
-	for _, w := range workers {
-		units += w.Units
-		stale += w.Stale
-	}
-	fmt.Fprintf(stdout, "worker %s: %d loops completed %d units (%d stale uploads)\n", *name, n, units, stale)
-	code := 0
-	for i, err := range errs {
-		if err != nil {
-			fmt.Fprintf(stderr, "perfiso-repro: %s: %v\n", workers[i].Name, err)
-			code = 1
-		}
-	}
-	return code
 }

@@ -4,16 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
-	"perfiso/internal/dispatch"
 	"perfiso/internal/experiments"
-	"perfiso/internal/shard"
 	"perfiso/internal/simtrace"
 )
 
@@ -51,9 +48,6 @@ func TestBadFlags(t *testing.T) {
 	if code := run([]string{"run", "-shard", "0/2", "-results", ""}, &out, &errb); code != 2 {
 		t.Fatalf("-shard without partial or results dir: exit %d", code)
 	}
-	if code := run([]string{"run", "-shard", "0/2", "-dispatch", "3"}, &out, &errb); code != 2 {
-		t.Fatalf("-shard with -dispatch: exit %d", code)
-	}
 	// A shard's partial carries no counters, so -stats would count and
 	// throw the counts away.
 	errb.Reset()
@@ -61,24 +55,22 @@ func TestBadFlags(t *testing.T) {
 		!strings.Contains(errb.String(), "-stats") {
 		t.Fatalf("-shard with -stats: exit %d, stderr %q; want 2 naming -stats", code, errb.String())
 	}
-	if code := run([]string{"run", "-dispatch", "-1"}, &out, &errb); code != 2 {
-		t.Fatalf("negative -dispatch: exit %d", code)
-	}
-	if code := run([]string{"work"}, &out, &errb); code != 2 {
-		t.Fatalf("work without -coordinator: exit %d", code)
-	}
-	if code := run([]string{"serve", "-manifest", "/does/not/exist.json"}, &out, &errb); code != 2 {
-		t.Fatalf("serve with a missing manifest: exit %d", code)
-	}
-	if code := run([]string{"serve", "-scale", "huge"}, &out, &errb); code != 2 {
-		t.Fatalf("serve with a bad scale: exit %d", code)
+	// serve, work and -dispatch are not part of the CLI: an unknown
+	// subcommand or flag is a usage error.
+	for _, args := range [][]string{
+		{"serve"},
+		{"work", "-coordinator", "http://127.0.0.1:7413"},
+		{"run", "-dispatch", "2"},
+	} {
+		if code := run(args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit %d, want 2", args, code)
+		}
 	}
 	// A negative or non-finite -tolerance is refused before any cell
-	// runs or any socket opens.
+	// runs.
 	for _, sub := range [][]string{
 		{"run", "-run", "^fig10$", "-results", "", "-report", ""},
 		{"merge", "-shards", t.TempDir(), "-results", "", "-report", ""},
-		{"serve", "-addr", "127.0.0.1:0", "-results", "", "-report", ""},
 	} {
 		for _, tol := range []string{"-0.1", "NaN", "+Inf"} {
 			errb.Reset()
@@ -96,7 +88,6 @@ func TestZeroMatchFilterListsNames(t *testing.T) {
 	for _, args := range [][]string{
 		{"-run", "^nothing$", "-report", ""},
 		{"run", "-run", "^nothing$", "-shard", "0/2"},
-		{"run", "-run", "^nothing$", "-dispatch", "2"},
 		{"manifest", "-run", "^nothing$"},
 		{"merge", "-run", "^nothing$", "-shards", t.TempDir()},
 	} {
@@ -211,115 +202,6 @@ func TestShardMergeRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(string(a), "## Provenance") || !strings.Contains(string(a), "sha256:") {
 		t.Error("report missing provenance line")
-	}
-}
-
-// TestDispatchCLIRoundTrip: run -dispatch N produces artifacts
-// byte-identical to the static single-process run, and timing.json
-// carries the dispatch section.
-func TestDispatchCLIRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real experiments")
-	}
-	tmp := t.TempDir()
-	const filter = "^(fig10|headline)$"
-	var out, errb bytes.Buffer
-	code := run([]string{"run", "-scale", "test", "-run", filter, "-quiet", "-dispatch", "2",
-		"-results", filepath.Join(tmp, "dispatched"), "-report", filepath.Join(tmp, "DISPATCHED.md")}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("dispatch: exit %d, stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "dispatched") {
-		t.Errorf("missing dispatch summary on stdout: %s", out.String())
-	}
-	out.Reset()
-	code = run([]string{"-scale", "test", "-run", filter, "-quiet", "-workers", "2",
-		"-results", filepath.Join(tmp, "single"), "-report", filepath.Join(tmp, "SINGLE.md")}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("single: exit %d, stderr: %s", code, errb.String())
-	}
-	for _, f := range []string{"test/summary.json", "test/cells.csv"} {
-		a, err := os.ReadFile(filepath.Join(tmp, "dispatched", f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(filepath.Join(tmp, "single", f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Errorf("%s differs between dispatched and single-process run", f)
-		}
-	}
-	a, _ := os.ReadFile(filepath.Join(tmp, "DISPATCHED.md"))
-	b, _ := os.ReadFile(filepath.Join(tmp, "SINGLE.md"))
-	if len(a) == 0 || !bytes.Equal(a, b) {
-		t.Error("reports differ between dispatched and single-process run")
-	}
-
-	blob, err := os.ReadFile(filepath.Join(tmp, "dispatched", "test", "timing.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var timing struct {
-		Source   string `json:"source"`
-		Dispatch *struct {
-			Units   int `json:"units"`
-			Workers []struct {
-				Worker string `json:"worker"`
-				Units  int    `json:"units"`
-			} `json:"workers"`
-		} `json:"dispatch"`
-	}
-	if err := json.Unmarshal(blob, &timing); err != nil {
-		t.Fatal(err)
-	}
-	if timing.Source != "dispatched" || timing.Dispatch == nil || timing.Dispatch.Units == 0 {
-		t.Errorf("timing.json missing dispatch section: %s", blob)
-	}
-}
-
-// TestWorkCLI drives the work subcommand against a live coordinator:
-// the worker fetches the manifest, verifies the hash, executes every
-// unit, and the coordinator's partial merges byte-identical to the
-// single-process run.
-func TestWorkCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real experiments")
-	}
-	spec := experiments.TestSpec()
-	reg := experiments.DefaultRegistry()
-	const filter = "^fig10$"
-	plan, m, err := shard.BuildPlan(reg, spec, filter)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := dispatch.NewCoordinator(m, plan.CheckResult, dispatch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(c.Handler())
-	defer srv.Close()
-
-	var out, errb bytes.Buffer
-	code := run([]string{"work", "-coordinator", srv.URL, "-name", "cliw", "-workers", "2", "-quiet"}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("work: exit %d, stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(out.String(), "completed 1 units") {
-		t.Errorf("work summary: %s", out.String())
-	}
-	select {
-	case <-c.Done():
-	default:
-		t.Fatal("run not complete after work exited")
-	}
-	p, err := c.Partial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := shard.Merge(plan, m, []shard.Partial{p}); err != nil {
-		t.Fatalf("merge of worked partial: %v", err)
 	}
 }
 

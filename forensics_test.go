@@ -2,11 +2,11 @@ package perfiso_test
 
 // End-to-end invariants of the tail-forensics subsystem: tracing is
 // observation only (artifacts are byte-identical with a live tracer
-// attached), the forensics.csv artifact rides shard and dispatch
-// merges byte-identically, the per-cell trace accounts for every
-// query exactly once, and the blame table actually explains the tail
-// (≥90% of the P99 query's latency attributed to named causes on the
-// fig4 headline cell).
+// attached), the forensics.csv artifact rides shard merges
+// byte-identically, the per-cell trace accounts for every query
+// exactly once, and the blame table actually explains the tail (≥90%
+// of the P99 query's latency attributed to named causes on the fig4
+// headline cell).
 
 import (
 	"bytes"
@@ -15,7 +15,6 @@ import (
 	"regexp"
 	"testing"
 
-	"perfiso/internal/dispatch"
 	"perfiso/internal/experiments"
 	"perfiso/internal/shard"
 	"perfiso/internal/simtrace"
@@ -108,9 +107,8 @@ func TestSimtraceObservationOnly(t *testing.T) {
 }
 
 // TestForensicsMergeByteIdentical proves forensics.csv rides partial
-// merges like cells.csv: a two-way shard merge and a three-worker
-// dispatched run must both render the byte-identical artifact of a
-// single-process run.
+// merges like cells.csv: a two-way shard merge must render the
+// byte-identical artifact of a single-process run.
 func TestForensicsMergeByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real experiments")
@@ -146,18 +144,6 @@ func TestForensicsMergeByteIdentical(t *testing.T) {
 	}
 	if got := experiments.RenderForensicsCSV(merged); got != want {
 		t.Errorf("2-way shard merge forensics.csv differs from single-process run")
-	}
-
-	p, _, err := dispatch.RunLocal(plan, m, 3, dispatch.Options{}, nil, nil)
-	if err != nil {
-		t.Fatalf("dispatch: %v", err)
-	}
-	dispatched, _, err := shard.Merge(plan, m, []shard.Partial{p})
-	if err != nil {
-		t.Fatalf("dispatch merge: %v", err)
-	}
-	if got := experiments.RenderForensicsCSV(dispatched); got != want {
-		t.Errorf("3-worker dispatched forensics.csv differs from single-process run")
 	}
 }
 

@@ -4,8 +4,8 @@ import "testing"
 
 // TestAblationSweepCellsShareBaselines: the three ablation sweeps'
 // standalone baselines carry the same keys as the figure-family
-// baselines at matching load, so a registry run (or a shard plan, or a
-// dispatched run) executes each baseline exactly once. Cell
+// baselines at matching load, so a registry run (or a shard plan)
+// executes each baseline exactly once. Cell
 // construction is side-effect free, so this runs no simulations.
 func TestAblationSweepCellsShareBaselines(t *testing.T) {
 	reg, spec := DefaultRegistry(), TestSpec()

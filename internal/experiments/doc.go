@@ -22,16 +22,15 @@
 // enumerates the selected experiments' cells once, as CellRefs (the
 // lines of a shard manifest), and groups the cells sharing a Key into
 // one executable Unit (GroupUnits). CostOrder, a stable sort by cost,
-// is the launch order of the pool, the shard planner's LPT order and
-// the dispatch queue's claim order. Plan.Execute runs a list of units
-// on the pool and does the per-cell timing, span and OnCell
-// book-keeping, and hands each unit's sim trace to OnSimTrace as the
-// unit ends; Plan.Assemble folds one result per unit back into each
-// experiment through its Assemble hook, giving a shared unit's wall
-// time to the experiment of its first cell. Plan.Run is Execute and
-// Assemble in one process, and Registry.Run is Registry.Plan then
-// Plan.Run; internal/shard runs units and merges partials, and
-// internal/dispatch workers run claimed units, through the same three.
+// is the launch order of the pool and the shard planner's LPT order.
+// Plan.Execute runs a list of units on the pool and does the per-cell
+// timing, span and OnCell book-keeping, and hands each unit's sim
+// trace to OnSimTrace as the unit ends; Plan.Assemble folds one result
+// per unit back into each experiment through its Assemble hook, giving
+// a shared unit's wall time to the experiment of its first cell.
+// Plan.Run is Execute and Assemble in one process, and Registry.Run is
+// Registry.Plan then Plan.Run; internal/shard runs units and merges
+// partials through the same three.
 //
 // Reports flow out three ways: the classic ASCII tables, flat JSON/CSV
 // artifact rows (WriteArtifacts), and the committed markdown

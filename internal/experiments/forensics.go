@@ -62,8 +62,8 @@ func ForensicsStats(rec simtrace.QueryRecord) []Metric {
 // long-format row per blame-table stat, in experiment → cell →
 // quantile → stat order. Every value derives from exact int64
 // sim-domain durations carried inside the cells' JSON results, so the
-// file is byte-identical across worker counts and shard/dispatch
-// merges, like cells.csv and series.csv.
+// file is byte-identical across worker counts and shard merges, like
+// cells.csv and series.csv.
 func RenderForensicsCSV(res RunResult) string {
 	var csv strings.Builder
 	csv.WriteString("experiment,cell,quantile,stat,value\n")

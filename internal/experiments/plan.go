@@ -69,9 +69,9 @@ func GroupUnits(cells []CellRef) ([]Unit, error) {
 
 // CostOrder returns unit indices sorted expensive-first. The sort is
 // stable, so equal costs keep first-occurrence order. It is the launch
-// order of the pool, the shard planner's LPT order and the dispatch
-// queue's claim order: with a balanced pool the wall clock is bounded
-// by the last unit to start, so the big simulations go first.
+// order of the pool and the shard planner's LPT order: with a balanced
+// pool the wall clock is bounded by the last unit to start, so the big
+// simulations go first.
 func CostOrder(units []Unit) []int {
 	order := make([]int, len(units))
 	for i := range order {
@@ -95,8 +95,8 @@ func PoolSize(workers, units int) int {
 
 // Plan is a filtered run enumerated once: the selected experiments,
 // the cells each returned, and those cells grouped into executable
-// units. Registry.Run, the shard runner, the shard merger and the
-// dispatch workers all execute and assemble through a Plan.
+// units. Registry.Run, the shard runner and the shard merger all
+// execute and assemble through a Plan.
 type Plan struct {
 	// Refs lists every logical cell, experiment by experiment, in
 	// registration order.
@@ -286,33 +286,6 @@ func (p *Plan) Execute(units []int, opts RunOptions, worker string) ([]UnitRun, 
 		panic(panicked)
 	}
 	return runs, elapsed
-}
-
-// CheckResult decodes data as the result of the unit with the given
-// ID, through the DecodeResult hook of the experiment of each cell in
-// that unit, as merging the run will, and returns the first error.
-func (p *Plan) CheckResult(unit string, data []byte) error {
-	for _, u := range p.Units {
-		if u.ID != unit {
-			continue
-		}
-		for _, ri := range u.Cells {
-			ref := p.Refs[ri]
-			for _, e := range p.exps {
-				if e.Name != ref.Experiment {
-					continue
-				}
-				if e.DecodeResult == nil {
-					return fmt.Errorf("experiments: experiment %q has no DecodeResult", e.Name)
-				}
-				if _, err := e.DecodeResult(data); err != nil {
-					return fmt.Errorf("experiments: decoding %s/%s: %w", e.Name, ref.Cell, err)
-				}
-			}
-		}
-		return nil
-	}
-	return fmt.Errorf("experiments: unknown unit %s", unit)
 }
 
 // Assemble folds one run per unit (index-aligned with p.Units) back

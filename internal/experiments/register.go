@@ -188,7 +188,7 @@ func DefaultRegistry() *Registry {
 	r.MustRegister(Experiment{
 		Name:         "harvest-trace-frontier",
 		DecodeResult: DecodeJSONResult[HarvestPoint],
-		Describe:     "extension — harvest frontier under a replayed PIBT batch trace vs the synthetic backlog",
+		Describe:     "extension — harvest frontier under a replayed bursty, heavy-tailed batch trace vs the synthetic backlog",
 		Cells:        harvestTraceCells,
 		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
 			f := assembleHarvestTraceFrontier(s, cells, results)

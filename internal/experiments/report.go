@@ -163,66 +163,13 @@ type ShardTiming struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 }
 
-// DispatchWorker is one worker's share of a dispatched run.
-type DispatchWorker struct {
-	// Worker is the name the worker claimed under.
-	Worker string `json:"worker"`
-	// Units is the number of units this worker completed (its upload
-	// was the one accepted).
-	Units int `json:"units"`
-	// Claims counts leases granted, including ones later lost.
-	Claims int `json:"claims"`
-	// Steals counts claims of a unit another worker previously held.
-	Steals int `json:"steals"`
-	// Requeues counts leases this worker let expire.
-	Requeues int `json:"requeues"`
-	// Seconds is the summed execution wall time of this worker's
-	// accepted units.
-	Seconds float64 `json:"seconds"`
-}
-
-// DispatchUnit is one unit's execution record in a dispatched run, so
-// steal/requeue cost is attributable to specific units.
-type DispatchUnit struct {
-	Unit       string `json:"unit"`
-	Experiment string `json:"experiment"`
-	Cell       string `json:"cell"`
-	// Worker is the worker whose upload was accepted.
-	Worker string `json:"worker"`
-	// Attempts counts lease grants this unit needed (>1 means a lease
-	// expired or the unit was stolen along the way).
-	Attempts int `json:"attempts"`
-	// Seconds is the accepted execution's wall time.
-	Seconds float64 `json:"seconds"`
-}
-
-// DispatchTiming records the dynamic scheduling of a dispatched run:
-// how the coordinator's work-stealing queue actually played out. Like
-// the rest of timing.json it is observational — claim order and worker
-// counts never change the merged artifacts.
-type DispatchTiming struct {
-	// LeaseSeconds is the configured per-unit lease TTL.
-	LeaseSeconds float64 `json:"lease_seconds"`
-	// Units is the number of executable units dispatched.
-	Units int `json:"units"`
-	// Requeues counts lease expirations that returned a unit to the
-	// queue; Steals counts re-claims by a different worker.
-	Requeues int `json:"requeues"`
-	Steals   int `json:"steals"`
-	// StaleUploads counts uploads rejected because another worker had
-	// already completed the unit.
-	StaleUploads int              `json:"stale_uploads"`
-	Workers      []DispatchWorker `json:"workers"`
-	// UnitTimings lists per-unit execution records in manifest order.
-	UnitTimings []DispatchUnit `json:"unit_timings,omitempty"`
-}
-
 // CellTiming is one cell's wall-clock cost within a run.
 type CellTiming struct {
 	Experiment string `json:"experiment"`
 	Cell       string `json:"cell"`
-	// Worker identifies who executed the cell: a pool goroutine index
-	// for in-process runs, a worker name for dispatched ones.
+	// Worker identifies who executed the cell: the pool goroutine
+	// ("pool/<i>") of an in-process run, or the shard ("shard-<i>/<N>")
+	// of a merged one.
 	Worker  string  `json:"worker,omitempty"`
 	Seconds float64 `json:"seconds"`
 }
@@ -260,17 +207,13 @@ func TopCells(cells []CellTiming, n int) []CellTiming {
 // as timing.json next to the deterministic artifacts and deliberately
 // excluded from the byte-identical guarantee.
 type RunTiming struct {
-	// Source is "single" for an in-process run, "merged" for a run
-	// reassembled from shard partials, or "dispatched" for a run
-	// executed through the internal/dispatch coordinator.
+	// Source is "single" for an in-process run or "merged" for a run
+	// reassembled from shard partials.
 	Source            string        `json:"source"`
 	Workers           int           `json:"workers,omitempty"`
 	ElapsedSeconds    float64       `json:"elapsed_seconds"`
 	SequentialSeconds float64       `json:"sequential_seconds"`
 	Shards            []ShardTiming `json:"shards,omitempty"`
-	// Dispatch, for dispatched runs, records the work-stealing
-	// schedule: per-worker unit counts and steal/requeue totals.
-	Dispatch *DispatchTiming `json:"dispatch,omitempty"`
 	// Phases breaks the run's wall time down by phase (populated with
 	// -stats).
 	Phases []PhaseTiming `json:"phases,omitempty"`
@@ -281,8 +224,8 @@ type RunTiming struct {
 	// with -stats).
 	Stats *obs.Snapshot `json:"stats,omitempty"`
 	// Host is the machine and build that ran the cells, recorded when
-	// they all ran in this process (single and run -dispatch); a merged
-	// run's shards may have run anywhere.
+	// they all ran in this process; a merged run's shards may have run
+	// anywhere.
 	Host *Host `json:"host,omitempty"`
 }
 
@@ -535,13 +478,9 @@ count), ` + "`-scale paper`" + ` runs the full published trace sizes, and
 across machines: ` + "`perfiso-repro manifest`" + ` enumerates the cells,
 ` + "`perfiso-repro run -shard i/N`" + ` executes one cost-balanced shard, and
 ` + "`perfiso-repro merge -shards DIR`" + ` reassembles artifacts byte-identical
-to a single-process run. The same manifest also executes dynamically:
-` + "`perfiso-repro serve`" + ` dispatches units to work-stealing
-` + "`perfiso-repro work`" + ` processes under lease-based fault tolerance
-(` + "`run -dispatch N`" + ` is the one-process version), with identical bytes
-again. CI regenerates this report at test scale — single-process, via
-a 3-way shard merge, and via a dispatched run with an injected worker
-failure — and fails if any of them drifts from the committed copy.
+to a single-process run. CI regenerates this report at test scale —
+single-process and via a 3-way shard merge — and fails if either
+drifts from the committed copy.
 
 `)
 

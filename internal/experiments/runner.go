@@ -90,7 +90,7 @@ type SingleResult struct {
 	// critical-path latency decomposition of the P50/P90/P99/P99.9
 	// queries over the measured window. Durations are exact int64
 	// nanoseconds, so the table round-trips through JSON and rides
-	// shard/dispatch merges byte-identically.
+	// shard merges byte-identically.
 	Forensics *simtrace.CellForensics `json:"Forensics,omitempty"`
 }
 

@@ -28,7 +28,7 @@ type SeriesPoint struct {
 // "alloc_cores", …). Tracks are captured at simulated-clock window
 // boundaries by a seeded cell's own engine, so they are as
 // deterministic as the scalar metrics: bit-identical at any worker
-// count and across shard/dispatch merges (they ride in the cell's
+// count and across shard merges (they ride in the cell's
 // JSON result, which round-trips floats exactly).
 type SeriesTrack struct {
 	Name   string        `json:"name"`

@@ -129,10 +129,10 @@ func prefixMatch(prefixes []string, path string) bool {
 // cells: everything a cell's result is computed from must be a pure
 // function of the cell seed, so goroutines and unbuffered channel
 // handoffs are banned here outright (concurrency belongs to the
-// experiments pool and the dispatch layer, which parallelize across
-// whole cells, never inside one). The module root package "perfiso" is
-// matched exactly, not as a prefix — cmd/, examples/, and the
-// dispatcher layers below it are pool-side code.
+// experiments pool, which parallelizes across whole cells, never
+// inside one). The module root package "perfiso" is matched exactly,
+// not as a prefix — cmd/, examples/, and the harness packages below it
+// are pool-side code.
 var cellPackages = []string{
 	"perfiso/internal/sim",
 	"perfiso/internal/core",

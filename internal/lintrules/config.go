@@ -19,8 +19,8 @@ import (
 //	allow <analyzer|*> <import-path-prefix>
 //
 // The prefix matches the package itself and everything below it
-// (path-segment-wise: "perfiso/internal/dispatch" matches
-// "perfiso/internal/dispatch/x" but not "perfiso/internal/dispatcher").
+// (path-segment-wise: "perfiso/internal/shard" matches
+// "perfiso/internal/shard/x" but not "perfiso/internal/sharding").
 // "*" allowlists the package for every analyzer.
 type Config struct {
 	// allow maps analyzer name ("*" for all) to package path prefixes.

@@ -10,7 +10,7 @@ import (
 func TestParseConfig(t *testing.T) {
 	conf, err := ParseConfig(strings.NewReader(`
 # comment line
-allow walltime perfiso/internal/dispatch  # trailing comment
+allow walltime perfiso/internal/shard  # trailing comment
 allow * perfiso/examples
 `))
 	if err != nil {
@@ -20,11 +20,11 @@ allow * perfiso/examples
 		analyzer, pkg string
 		want          bool
 	}{
-		{"walltime", "perfiso/internal/dispatch", true},
-		{"walltime", "perfiso/internal/dispatch/sub", true},
-		{"walltime", "perfiso/internal/dispatcher", false}, // segment boundary
-		{"maporder", "perfiso/internal/dispatch", false},   // other analyzers unaffected
-		{"walltime", "perfiso/examples/quickstart", true},  // * covers every analyzer
+		{"walltime", "perfiso/internal/shard", true},
+		{"walltime", "perfiso/internal/shard/sub", true},
+		{"walltime", "perfiso/internal/sharding", false},  // segment boundary
+		{"maporder", "perfiso/internal/shard", false},     // other analyzers unaffected
+		{"walltime", "perfiso/examples/quickstart", true}, // * covers every analyzer
 		{"maporder", "perfiso/examples/quickstart", true},
 		{"walltime", "perfiso/internal/sim", false},
 	}

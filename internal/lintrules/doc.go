@@ -1,8 +1,8 @@
 // Package lintrules implements perfiso-lint, the repo's determinism
 // linter: five static analyzers that enforce the
 // bit-identical-reproduction contract at compile time. Every layer of
-// the reproduction — the experiment registry, shard merge, dispatch
-// fleet, and the engine's (at, seq) event order — rests on one
+// the reproduction — the experiment registry, the cell pool, shard
+// merge, and the engine's (at, seq) event order — rests on one
 // invariant: a cell's result is a pure function of its seed, so
 // results/ is byte-identical at any worker count. The differential,
 // fuzz, and golden tests enforce that dynamically, after a violation
@@ -16,8 +16,8 @@
 // or passed as a value. Simulated code gets time from sim.Engine.Now;
 // a host clock read anywhere in a cell's data flow makes the result a
 // function of the machine, not the seed. The rule is module-wide on
-// purpose: real timing code (the dispatch protocol, shard/pool wall
-// costs for timing.json) annotates each read with //perfiso:allow
+// purpose: real timing code (shard/pool wall costs for timing.json,
+// the benchmark's host timing) annotates each read with //perfiso:allow
 // walltime <reason>, so every clock read in the tree is auditable.
 //
 // globalrand — forbids the top-level math/rand and math/rand/v2
@@ -43,9 +43,8 @@
 // cellPackages in analysis.go). A cell is a single-threaded
 // deterministic computation; the scheduler's goroutine interleaving
 // is nondeterministic, and an unbuffered channel is a handoff that
-// implies one. Concurrency belongs to the experiments pool and the
-// dispatch layer, which parallelize across whole cells — the pool's
-// own goroutine carries the //perfiso:allow nogoroutine annotation
+// implies one. Concurrency belongs to the experiments pool, which
+// parallelizes across whole cells — the pool's own goroutine carries the //perfiso:allow nogoroutine annotation
 // marking that boundary.
 //
 // seqcontract — forbids re-stamping engine sequencing fields (at,

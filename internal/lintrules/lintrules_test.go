@@ -65,9 +65,10 @@ func TestNoGoroutine(t *testing.T) {
 }
 
 func TestNoGoroutineOutOfScope(t *testing.T) {
-	// The dispatch layer owns concurrency: the same violations must not
+	// Harness code outside the cell packages may use concurrency (the
+	// CLI serves pprof from a goroutine): the same violations must not
 	// be reported there.
-	linttest.RunClean(t, "testdata/nogoroutine/basic", "perfiso/internal/dispatch", nil, lintrules.NoGoroutine)
+	linttest.RunClean(t, "testdata/nogoroutine/basic", "perfiso/cmd/perfiso-repro", nil, lintrules.NoGoroutine)
 }
 
 func TestSeqContract(t *testing.T) {

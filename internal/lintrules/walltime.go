@@ -16,8 +16,8 @@ var walltimeBanned = map[string]bool{
 // Walltime forbids reading the wall clock. A simulated cell's result
 // must be a pure function of its seed; time.Now (and friends) smuggle
 // host state into the computation, so virtual time must come from
-// sim.Engine.Now. The rule is module-wide: even coordinator/shard
-// timing code must annotate its legitimate wall-clock reads with
+// sim.Engine.Now. The rule is module-wide: even pool/shard timing
+// code must annotate its legitimate wall-clock reads with
 // //perfiso:allow walltime <reason>, keeping every clock read auditable.
 var Walltime = &Analyzer{
 	Name: "walltime",

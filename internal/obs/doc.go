@@ -5,11 +5,10 @@
 // # The recording
 //
 // Recording holds the run's counters as lock-free atomics, safe for
-// every cell goroutine and dispatch worker in a process to share.
-// Snapshot projects them into a JSON-serializable struct (folded into
-// timing.json by `perfiso-repro run -stats`), and Snapshot.Metrics
-// renders them for the Prometheus-text /metrics endpoint of
-// `perfiso-repro work -metrics-addr`. Counting is a pure
+// every cell goroutine in a process to share. Snapshot projects them
+// into a JSON-serializable struct (folded into timing.json by
+// `perfiso-repro run -stats`), and Snapshot.Metrics renders them as
+// Prometheus metrics for WriteProm and PromHandler. Counting is a pure
 // observation: results are byte-identical with or without a recording.
 //
 // # The nil contract
@@ -17,13 +16,8 @@
 // Every Recording method does nothing on a nil receiver, so a holder
 // keeps a plain *Recording that stays nil unless counting was asked
 // for — the same contract *simtrace.Tracer uses. There is no interface
-// and no no-op implementation. A recording counts two things: the
-// sim-domain counters each finished cell folds in (below), and the
-// uploads a dispatch worker had accepted, with their latencies
-// (dispatch.Worker.Tracker). Claims, steals, lease expiries and stale
-// uploads are the dispatch coordinator's own book-keeping, which
-// timing.json's dispatch section and the coordinator's /metrics both
-// read; a recording does not copy them.
+// and no no-op implementation. A recording counts the sim-domain
+// counters each finished cell folds in (below).
 //
 // # The per-cell fold
 //
@@ -46,10 +40,9 @@
 //
 // # Trace spans
 //
-// Span is one cell execution: which experiment/cell (and, for
-// dispatched runs, which unit and worker) ran when and for how long.
-// The experiment pool, the static shard runner and the dispatch
-// coordinator append spans to a TraceBuffer when tracing is enabled
+// Span is one cell execution: which experiment, cell, unit and worker
+// ran when and for how long. The experiment pool (in process or on a
+// shard) appends spans to a TraceBuffer when tracing is enabled
 // (`-trace`), and the merge step reassembles the buffers of a sharded
 // run into one run-wide trace.jsonl. Like timing.json, traces are
 // observational: they never feed back into results and carry no

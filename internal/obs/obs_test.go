@@ -14,7 +14,6 @@ func TestNilRecordingCountsNothing(t *testing.T) {
 	// Every method must be callable on a nil recording.
 	var rec *Recording
 	rec.AddCell(CellCounts{EventsPushed: 1, MaxHeapDepth: 3})
-	rec.Upload(0.5)
 	if s := rec.Snapshot(); s != (Snapshot{}) {
 		t.Fatalf("nil recording snapshot = %+v, want zero", s)
 	}
@@ -30,9 +29,9 @@ func TestDefaultRecording(t *testing.T) {
 	if Default() != rec {
 		t.Fatal("recording not installed")
 	}
-	Default().Upload(0.5)
-	if got := rec.Snapshot().DispatchUploads; got != 1 {
-		t.Fatalf("uploads = %d, want 1", got)
+	Default().AddCell(CellCounts{EventsPushed: 1})
+	if got := rec.Snapshot().SimEventsPushed; got != 1 {
+		t.Fatalf("events pushed = %d, want 1", got)
 	}
 	SetDefault(nil)
 	if Default() != nil {
@@ -48,8 +47,6 @@ func TestRecordingCounters(t *testing.T) {
 		Placements: 1, Preemptions: 1, Requeues: 1,
 	})
 	rec.AddCell(CellCounts{EventsPushed: 1, MaxHeapDepth: 4, SimNs: 500_000_000})
-	rec.Upload(0.25)
-	rec.Upload(0.75)
 
 	s := rec.Snapshot()
 	if s.SimEventsPushed != 3 || s.SimEventsPopped != 1 {
@@ -70,15 +67,6 @@ func TestRecordingCounters(t *testing.T) {
 	if s.HarvestPlacements != 1 || s.HarvestPreemptions != 1 || s.HarvestRequeues != 1 {
 		t.Fatalf("harvest counters = %d/%d/%d", s.HarvestPlacements, s.HarvestPreemptions, s.HarvestRequeues)
 	}
-	if s.DispatchUploads != 2 {
-		t.Fatalf("uploads = %d, want 2", s.DispatchUploads)
-	}
-	if s.DispatchUploadMeanSeconds != 0.5 {
-		t.Fatalf("upload mean = %v, want 0.5", s.DispatchUploadMeanSeconds)
-	}
-	if s.DispatchUploadMaxSeconds != 0.75 {
-		t.Fatalf("upload max = %v, want 0.75", s.DispatchUploadMaxSeconds)
-	}
 }
 
 func TestRecordingConcurrent(t *testing.T) {
@@ -90,14 +78,13 @@ func TestRecordingConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				rec.AddCell(CellCounts{EventsPushed: 1, EventsPopped: 1, MaxHeapDepth: g*1000 + i})
-				rec.Upload(1)
 			}
 		}(g)
 	}
 	wg.Wait()
 	s := rec.Snapshot()
-	if s.SimEventsPushed != 8000 || s.SimEventsPopped != 8000 || s.DispatchUploads != 8000 {
-		t.Fatalf("concurrent counts = %d/%d/%d, want 8000 each", s.SimEventsPushed, s.SimEventsPopped, s.DispatchUploads)
+	if s.SimEventsPushed != 8000 || s.SimEventsPopped != 8000 {
+		t.Fatalf("concurrent counts = %d/%d, want 8000 each", s.SimEventsPushed, s.SimEventsPopped)
 	}
 	if s.SimMaxHeapDepth != 7999 {
 		t.Fatalf("max heap depth = %d, want 7999", s.SimMaxHeapDepth)
@@ -106,7 +93,7 @@ func TestRecordingConcurrent(t *testing.T) {
 
 // TestSimDomainDoesNotImportObs pins the split the package docs
 // describe: the simulated system keeps plain counters of its own, and
-// only the harness (internal/experiments, dispatch, the CLI) imports
+// only the harness (internal/experiments, shard, the CLI) imports
 // obs.
 func TestSimDomainDoesNotImportObs(t *testing.T) {
 	for _, pkg := range []string{
@@ -193,7 +180,7 @@ func TestWriteProm(t *testing.T) {
 
 func TestSnapshotMetricsMatch(t *testing.T) {
 	rec := NewRecording()
-	rec.Upload(0.5)
+	rec.AddCell(CellCounts{Placements: 3})
 	s := rec.Snapshot()
 	s.RNGDraws = 42
 	found := map[string]float64{}
@@ -205,5 +192,8 @@ func TestSnapshotMetricsMatch(t *testing.T) {
 	}
 	if found["perfiso_sim_events_pushed_total"] != 0 {
 		t.Fatalf("events pushed metric = %v", found["perfiso_sim_events_pushed_total"])
+	}
+	if found["perfiso_harvest_placements_total"] != 3 {
+		t.Fatalf("placements metric = %v", found["perfiso_harvest_placements_total"])
 	}
 }

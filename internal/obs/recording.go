@@ -2,14 +2,12 @@ package obs
 
 import "sync/atomic"
 
-// Recording is the run-wide set of counters behind `-stats`, the work
-// subcommand's /metrics endpoint and the benchmark's per-layer counts:
-// the sim-domain counters of every finished cell (AddCell) and the
-// uploads dispatch workers had accepted (Upload). Every update is a
-// lock-free atomic, so all cell goroutines and dispatch workers in a
-// process can share one instance. Every method does nothing on a nil
-// *Recording: holders keep a plain pointer that stays nil unless
-// counting was asked for.
+// Recording is the run-wide set of counters behind `-stats` and the
+// benchmark's per-layer counts: the sim-domain counters of every
+// finished cell (AddCell). Every update is a lock-free atomic, so all
+// cell goroutines in a process can share one instance. Every method
+// does nothing on a nil *Recording: holders keep a plain pointer that
+// stays nil unless counting was asked for.
 type Recording struct {
 	eventsPushed atomic.Uint64
 	eventsPopped atomic.Uint64
@@ -24,10 +22,6 @@ type Recording struct {
 	placements   atomic.Uint64
 	preemptions  atomic.Uint64
 	taskRequeues atomic.Uint64
-
-	uploads     atomic.Uint64
-	uploadNs    atomic.Int64
-	uploadMaxNs atomic.Int64
 }
 
 // NewRecording returns a zeroed recording.
@@ -87,18 +81,6 @@ func (r *Recording) AddCell(c CellCounts) {
 	r.taskRequeues.Add(c.Requeues)
 }
 
-// Upload counts one accepted result upload and its transport latency
-// in seconds (worker side).
-func (r *Recording) Upload(seconds float64) {
-	if r == nil {
-		return
-	}
-	r.uploads.Add(1)
-	ns := int64(seconds * 1e9)
-	r.uploadNs.Add(ns)
-	storeMax(&r.uploadMaxNs, ns)
-}
-
 // storeMax raises m to v if v is larger.
 func storeMax(m *atomic.Int64, v int64) {
 	for {
@@ -129,10 +111,6 @@ type Snapshot struct {
 	HarvestPlacements  uint64 `json:"harvest_placements"`
 	HarvestPreemptions uint64 `json:"harvest_preemptions"`
 	HarvestRequeues    uint64 `json:"harvest_requeues"`
-
-	DispatchUploads           uint64  `json:"dispatch_uploads"`
-	DispatchUploadMeanSeconds float64 `json:"dispatch_upload_mean_seconds"`
-	DispatchUploadMaxSeconds  float64 `json:"dispatch_upload_max_seconds"`
 }
 
 // Snapshot reads the counters, all zero for a nil recording. It is
@@ -142,25 +120,19 @@ func (r *Recording) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	s := Snapshot{
-		SimEventsPushed:          r.eventsPushed.Load(),
-		SimEventsPopped:          r.eventsPopped.Load(),
-		SimMaxHeapDepth:          r.maxHeapDepth.Load(),
-		SimSeconds:               float64(r.simNs.Load()) / 1e9,
-		CoreBufferGrows:          r.bufferGrows.Load(),
-		CoreBufferShrinks:        r.bufferShrinks.Load(),
-		CoreHoldoffDeferrals:     r.holdoffDeferrals.Load(),
-		CoreEvictions:            r.evictions.Load(),
-		HarvestPlacements:        r.placements.Load(),
-		HarvestPreemptions:       r.preemptions.Load(),
-		HarvestRequeues:          r.taskRequeues.Load(),
-		DispatchUploads:          r.uploads.Load(),
-		DispatchUploadMaxSeconds: float64(r.uploadMaxNs.Load()) / 1e9,
+	return Snapshot{
+		SimEventsPushed:      r.eventsPushed.Load(),
+		SimEventsPopped:      r.eventsPopped.Load(),
+		SimMaxHeapDepth:      r.maxHeapDepth.Load(),
+		SimSeconds:           float64(r.simNs.Load()) / 1e9,
+		CoreBufferGrows:      r.bufferGrows.Load(),
+		CoreBufferShrinks:    r.bufferShrinks.Load(),
+		CoreHoldoffDeferrals: r.holdoffDeferrals.Load(),
+		CoreEvictions:        r.evictions.Load(),
+		HarvestPlacements:    r.placements.Load(),
+		HarvestPreemptions:   r.preemptions.Load(),
+		HarvestRequeues:      r.taskRequeues.Load(),
 	}
-	if s.DispatchUploads > 0 {
-		s.DispatchUploadMeanSeconds = float64(r.uploadNs.Load()) / 1e9 / float64(s.DispatchUploads)
-	}
-	return s
 }
 
 // Metrics renders the snapshot as Prometheus metrics.
@@ -178,7 +150,5 @@ func (s Snapshot) Metrics() []Metric {
 		{Name: "perfiso_harvest_placements_total", Type: "counter", Help: "Harvest tasks placed.", Value: float64(s.HarvestPlacements)},
 		{Name: "perfiso_harvest_preemptions_total", Type: "counter", Help: "Harvest tasks preempted on buffer squeeze.", Value: float64(s.HarvestPreemptions)},
 		{Name: "perfiso_harvest_requeues_total", Type: "counter", Help: "Harvest tasks requeued after machine failure.", Value: float64(s.HarvestRequeues)},
-		{Name: "perfiso_dispatch_upload_seconds_mean", Type: "gauge", Help: "Mean worker upload latency.", Value: s.DispatchUploadMeanSeconds},
-		{Name: "perfiso_dispatch_upload_seconds_max", Type: "gauge", Help: "Max worker upload latency.", Value: s.DispatchUploadMaxSeconds},
 	}
 }

@@ -9,10 +9,9 @@ import (
 	"sync"
 )
 
-// Span is one traced cell execution. For dispatched runs Unit and
-// Worker identify which manifest unit ran it and which worker claimed
-// the unit; for in-process runs Worker is the pool goroutine index and
-// Unit is empty.
+// Span is one traced cell execution. Unit is the manifest unit that
+// ran it, and Worker the pool goroutine ("pool/<i>") of an in-process
+// run or the shard ("shard-<i>/<N>") of a sharded one.
 type Span struct {
 	Experiment string  `json:"experiment"`
 	Cell       string  `json:"cell"`

@@ -52,5 +52,5 @@
 // figure specs (Figs. 4–10 plus the repo's extensions); WriteFigures
 // renders them under results/<scale>/figures/ and prunes stale files.
 // CI regenerates the directory and fails on any byte drift, at test
-// scale on every push and across shard/dispatch merges.
+// scale on every push and across shard merges.
 package report

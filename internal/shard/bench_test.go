@@ -69,8 +69,8 @@ func BenchmarkMerge(b *testing.B) {
 }
 
 // BenchmarkCellCodec encodes and decodes one cell result the way a
-// partial carries it: json.Marshal on the worker that ran the unit
-// (UnitRunner.RunUnits), the experiment's DecodeResult on merge.
+// partial carries it: json.Marshal on the shard that ran the unit
+// (runUnits), the experiment's DecodeResult on merge.
 // "single" is a Fig. 4 single-machine cell, with its forensic blame
 // table and 40-window series; "harvest" is a harvest-frontier
 // HarvestPoint. Each cell runs once, at test scale, off the clock.
@@ -81,14 +81,15 @@ func BenchmarkCellCodec(b *testing.B) {
 		{"harvest", "harvest-frontier"},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			plan, m, err := BuildPlan(reg, experiments.TestSpec(), "^"+tc.experiment+"$")
+			plan, _, err := BuildPlan(reg, experiments.TestSpec(), "^"+tc.experiment+"$")
 			if err != nil {
 				b.Fatal(err)
 			}
-			pc, err := NewUnitRunner(plan, m).RunUnit(plan.Units[0].ID)
+			cells, err := runUnits(plan, []string{plan.Units[0].ID}, experiments.RunOptions{Workers: 1}, "")
 			if err != nil {
 				b.Fatal(err)
 			}
+			pc := cells[0]
 			e, _ := reg.Get(tc.experiment)
 			v, err := e.DecodeResult(pc.Result)
 			if err != nil {

@@ -29,9 +29,6 @@
 // same code Registry.Run uses: Build, RunShard and Merge each plan the
 // registry once, and BuildPlan returns the plan with its manifest, so
 // an in-process run hashes and executes one enumeration. The
-// manifest's lines are experiments.CellRefs and its
-// units experiments.Units. UnitRunner binds a plan to unit IDs and
-// serializes each executed unit as a PartialCell, so the same cells
-// can run from a static plan or be claimed from a work-stealing
-// coordinator (internal/dispatch), with identical bytes either way.
+// manifest's lines are experiments.CellRefs and its units
+// experiments.Units.
 package shard

@@ -77,7 +77,6 @@ func RunShard(reg *experiments.Registry, opts RunShardOptions) (Partial, error) 
 	if err != nil {
 		return Partial{}, err
 	}
-	r := NewUnitRunner(p, m)
 	plan, err := PlanShards(m, opts.Shards)
 	if err != nil {
 		return Partial{}, err
@@ -88,7 +87,7 @@ func RunShard(reg *experiments.Registry, opts RunShardOptions) (Partial, error) 
 		run.Tracer = obs.NewTraceBuffer()
 	}
 	start := time.Now() //perfiso:allow walltime shard wall time feeds timing.json only
-	cells, err := r.RunUnits(mine, run, fmt.Sprintf("shard-%d/%d", opts.Shard, opts.Shards))
+	cells, err := runUnits(p, mine, run, fmt.Sprintf("shard-%d/%d", opts.Shard, opts.Shards))
 	if err != nil {
 		return Partial{}, err
 	}
@@ -98,7 +97,7 @@ func RunShard(reg *experiments.Registry, opts RunShardOptions) (Partial, error) 
 	}
 	return Partial{
 		Version:        PartialVersion,
-		ManifestHash:   r.Manifest.Hash,
+		ManifestHash:   m.Hash,
 		Scale:          opts.Spec.Name,
 		Filter:         opts.Filter,
 		Shard:          opts.Shard,
@@ -108,6 +107,43 @@ func RunShard(reg *experiments.Registry, opts RunShardOptions) (Partial, error) 
 		Cells:          cells,
 		Spans:          spans,
 	}, nil
+}
+
+// runUnits executes the units named by ids on the plan's pool
+// (Plan.Execute: expensive first, opts.OnCell and opts.Tracer as
+// there, runs labeled worker) and serializes their results in ids
+// order. A cell's bytes depend only on its unit (its seed and
+// parameters), never on which process or worker ran it.
+func runUnits(p *experiments.Plan, ids []string, opts experiments.RunOptions, worker string) ([]PartialCell, error) {
+	byID := make(map[string]int, len(p.Units))
+	for i, u := range p.Units {
+		byID[u.ID] = i
+	}
+	units := make([]int, len(ids))
+	for i, id := range ids {
+		u, ok := byID[id]
+		if !ok {
+			return nil, fmt.Errorf("shard: unknown unit %s", id)
+		}
+		units[i] = u
+	}
+	runs, _ := p.Execute(units, opts, worker)
+	var out []PartialCell
+	for i, run := range runs {
+		ref := p.Refs[p.Units[units[i]].Cells[0]]
+		blob, err := json.Marshal(run.Value)
+		if err != nil {
+			return nil, fmt.Errorf("shard: encoding %s/%s: %w", ref.Experiment, ref.Cell, err)
+		}
+		out = append(out, PartialCell{
+			Unit:       ids[i],
+			Experiment: ref.Experiment,
+			Cell:       ref.Cell,
+			Result:     blob,
+			Seconds:    run.Seconds,
+		})
+	}
+	return out, nil
 }
 
 // WritePartial writes a partial as indented JSON, atomically, creating

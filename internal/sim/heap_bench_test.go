@@ -6,12 +6,18 @@ import (
 	"testing"
 )
 
+// delayRing is how many hold-model delays BenchmarkEventHeap draws
+// before timing: a power of two, so the index is a mask.
+const delayRing = 4096
+
 // BenchmarkEventHeap prices one hold-model step, the engine's own
 // traffic: pop the minimum, then push one entry at its time plus a
 // seeded exponential delay (mean 1 ms), so the queue stays at a fixed
 // depth and times only move forward. The depths are those measured in
 // real cells: about 50 live events on one machine, about 320 in the
-// 12-machine cluster, and 10k as a stress point.
+// 12-machine cluster, and 10k as a stress point. The delays are drawn
+// before the timer starts, into a ring of delayRing values that the
+// loop cycles through, so the loop times the queue and not the draw.
 //
 //	wheel — the engine's queue (timing wheel and far heap) over
 //	        pointer-free entries;
@@ -33,6 +39,15 @@ import (
 // building; compare them with repeated runs on one host.
 func BenchmarkEventHeap(b *testing.B) {
 	const mean = float64(Millisecond)
+	// delays draws the hold model's delays after the initial fill, from
+	// the same stream.
+	delays := func(rng *RNG) []Time {
+		d := make([]Time, delayRing)
+		for i := range d {
+			d[i] = Time(rng.Exp(mean))
+		}
+		return d
+	}
 	for _, depth := range []int{50, 320, 10_000} {
 		name := fmt.Sprintf("depth=%d", depth)
 		b.Run("wheel/"+name, func(b *testing.B) {
@@ -41,11 +56,12 @@ func BenchmarkEventHeap(b *testing.B) {
 			for i := 0; i < depth; i++ {
 				q.push(event{at: Time(rng.Exp(mean)), seq: uint64(i)}, 0)
 			}
+			d := delays(rng)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := q.pop()
-				q.push(event{at: ev.at + Time(rng.Exp(mean)), seq: uint64(depth + i)}, ev.at)
+				q.push(event{at: ev.at + d[i&(delayRing-1)], seq: uint64(depth + i)}, ev.at)
 			}
 		})
 		b.Run("ref/"+name, func(b *testing.B) {
@@ -54,11 +70,12 @@ func BenchmarkEventHeap(b *testing.B) {
 			for i := 0; i < depth; i++ {
 				heap.Push(&q, &refEvent{at: Time(rng.Exp(mean)), seq: uint64(i)})
 			}
+			d := delays(rng)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ev := heap.Pop(&q).(*refEvent)
-				heap.Push(&q, &refEvent{at: ev.at + Time(rng.Exp(mean)), seq: uint64(depth + i)})
+				heap.Push(&q, &refEvent{at: ev.at + d[i&(delayRing-1)], seq: uint64(depth + i)})
 			}
 		})
 	}

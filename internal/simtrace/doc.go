@@ -183,7 +183,7 @@
 // (latency, id) order. Ids are unique, so that order is total, and an
 // exact radix selection over the latencies finds the records a full
 // sort would put at those ranks in linear time. The table rides inside
-// each cell's result, so shard and dispatch merges reassemble
+// each cell's result, so shard merges reassemble
 // forensics.csv byte-identically with no extra plumbing.
 //
 // # Record storage

@@ -19,7 +19,7 @@ var Causes = []string{
 // QueryRecord is the critical-path latency decomposition of one
 // query. All fields are exact sim durations (int64 nanoseconds), so
 // records round-trip through JSON byte-identically — the property
-// that lets forensics ride shard/dispatch merges for free.
+// that lets forensics ride shard merges for free.
 type QueryRecord struct {
 	ID      int
 	Dropped bool
