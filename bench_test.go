@@ -11,11 +11,9 @@ package perfiso_test
 
 import (
 	"fmt"
-	"regexp"
 	"runtime"
 	"testing"
 
-	"perfiso"
 	"perfiso/internal/cpumodel"
 	"perfiso/internal/experiments"
 	"perfiso/internal/isolation"
@@ -35,24 +33,24 @@ func benchScale() experiments.Scale {
 
 // BenchmarkSecondaryProgress runs Fig. 8's comparison at peak load:
 // §6.1.4's progress discussion also references 4,000 QPS, where the
-// registered fig8 runs at the paper's 2,000.
+// registered fig8 runs at the paper's 2,000. It runs fig8's four
+// high-bully cells and reports each isolated bar's progress as a share
+// of the unrestricted bully's.
 func BenchmarkSecondaryProgress(b *testing.B) {
-	spec := reproSpec()
-	spec.Fig8QPS = 4000
 	b.Run("qps=4000", func(b *testing.B) {
-		var v experiments.SweepResult
+		var progress [4]float64 // no isolation, then blind, cores, cycles
 		for i := 0; i < b.N; i++ {
-			res, err := experiments.DefaultRegistry().Run(experiments.RunOptions{
-				Spec:   spec,
-				Filter: regexp.MustCompile(`^fig8$`),
-			})
-			if err != nil {
-				b.Fatal(err)
+			for j, pol := range []isolation.Policy{
+				nil,
+				&isolation.Blind{BufferCores: 8},
+				isolation.StaticCores{Cores: 8},
+				isolation.CycleCap{Fraction: 0.05},
+			} {
+				progress[j] = experiments.RunSingle(4000, experiments.BullyHigh, pol, benchScale()).BullyProgress
 			}
-			v = res.Value("fig8").(experiments.SweepResult)
 		}
-		for _, bar := range []string{"blind", "cores", "cycles"} {
-			b.ReportMetric(100*v[bar].BullyProgress/v["no-isolation"].BullyProgress, bar+"%")
+		for j, bar := range []string{"blind", "cores", "cycles"} {
+			b.ReportMetric(100*progress[j+1]/progress[0], bar+"%")
 		}
 	})
 }
@@ -104,7 +102,7 @@ func BenchmarkReproAll(b *testing.B) {
 func BenchmarkStatsOverhead(b *testing.B) {
 	const qps = 4000 // peak load (§5.3)
 	runPlain := func() experiments.SingleResult {
-		return experiments.RunSingle(qps, experiments.BullyHigh, perfiso.PolicyBlind(8), benchScale())
+		return experiments.RunSingle(qps, experiments.BullyHigh, &isolation.Blind{BufferCores: 8}, benchScale())
 	}
 	for _, mode := range []struct {
 		name  string
@@ -125,7 +123,7 @@ func BenchmarkStatsOverhead(b *testing.B) {
 			}
 		}, runPlain},
 		{"simtrace", func() func() { return func() {} }, func() experiments.SingleResult {
-			return experiments.RunSingleTraced(qps, experiments.BullyHigh, perfiso.PolicyBlind(8), benchScale(), simtrace.New())
+			return experiments.RunSingleTraced(qps, experiments.BullyHigh, &isolation.Blind{BufferCores: 8}, benchScale(), simtrace.New())
 		}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {

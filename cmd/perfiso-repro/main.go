@@ -11,20 +11,19 @@
 // The run also shards across processes and machines without losing
 // determinism (see internal/shard):
 //
-//	perfiso-repro manifest [-scale S] [-run REGEX] [-plan N] [-o FILE]
+//	perfiso-repro manifest [-scale S] [-run REGEX] [-plan N]
 //	perfiso-repro run -shard i/N [-partial FILE] [flags]
 //	perfiso-repro merge -shards DIR [flags]
 //
-// manifest enumerates the cells of a filtered run without executing
-// anything; run -shard i/N executes the i-th of N cost-balanced shards
-// (zero-based) and writes a partial artifact; merge verifies a set of
-// partials covers the manifest exactly and reassembles artifacts
-// byte-identical to a single-process run.
+// manifest prints the cells of a filtered run to stdout without
+// executing anything; run -shard i/N executes the i-th of N
+// cost-balanced shards (zero-based) and writes a partial artifact;
+// merge verifies a set of partials covers the manifest exactly and
+// reassembles artifacts byte-identical to a single-process run.
 //
 // run and merge share one set of output flags (-results, -report,
-// -tolerance, -tables) and one output path: the same artifacts,
-// figures, timing.json and report, byte-identical whichever way the
-// cells ran.
+// -tables) and one output path: the same artifacts, figures,
+// timing.json and report, byte-identical whichever way the cells ran.
 //
 // Observability is opt-in and changes no committed artifact: run
 // -stats folds hot-path counters plus phase and top-cell cost
@@ -61,7 +60,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -121,19 +119,6 @@ func parseScale(name string, stderr io.Writer) (experiments.ScaleSpec, bool) {
 	}
 	fmt.Fprintf(stderr, "perfiso-repro: unknown scale %q\n", name)
 	return experiments.ScaleSpec{}, false
-}
-
-// checkTolerance rejects a -tolerance the report cannot honour: a
-// negative band flags every row, NaN flags none, and an infinite one
-// is no band at all. Zero keeps the default.
-func (o outputFlags) checkTolerance(stderr io.Writer) bool {
-	tol := *o.tolerance
-	if tol >= 0 && !math.IsInf(tol, 1) {
-		return true
-	}
-	fmt.Fprintf(stderr, "perfiso-repro: bad -tolerance %v, want a finite value >= 0 (0 = default %g)\n",
-		tol, experiments.DefaultTolerance)
-	return false
 }
 
 // parseShard parses -shard "i/N" (zero-based i). The whole token must
@@ -242,7 +227,6 @@ type outputFlags struct {
 	fs         *flag.FlagSet
 	resultsDir *string
 	reportPath *string
-	tolerance  *float64
 	tables     *bool
 }
 
@@ -251,7 +235,6 @@ func addOutputFlags(fs *flag.FlagSet) outputFlags {
 		fs:         fs,
 		resultsDir: fs.String("results", "results", "artifact directory (empty disables)"),
 		reportPath: fs.String("report", "RESULTS.md", "reproduction report path (empty disables)"),
-		tolerance:  fs.Float64("tolerance", 0, "relative-error band of the paper-vs-reproduced table (0 = default 0.25); out-of-band rows are flagged"),
 		tables:     fs.Bool("tables", false, "print each experiment's table to stdout"),
 	}
 }
@@ -326,8 +309,7 @@ func (o outputFlags) emit(res experiments.RunResult, timing experiments.RunTimin
 			fmt.Fprintf(stderr, "perfiso-repro: -scale %s; not overwriting the test-scale %s (pass -report to force)\n", spec.Name, reportPath)
 		default:
 			md := experiments.RenderMarkdownWith(res, experiments.ReportOptions{
-				Figures:   figureLinks(spec.Name, figs),
-				Tolerance: *o.tolerance,
+				Figures: figureLinks(spec.Name, figs),
 			})
 			if err := writeString(reportPath, md); err != nil {
 				fmt.Fprintf(stderr, "perfiso-repro: writing report: %v\n", err)
@@ -498,9 +480,6 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !out.checkTolerance(stderr) {
-		return 2
-	}
 	if *simtraceFlag && *shardSpec != "" {
 		fmt.Fprintf(stderr, "perfiso-repro: -simtrace needs the in-process pool (trace events do not ride shard partials)\n")
 		return 2
@@ -651,15 +630,14 @@ func runCmd(args []string, stdout, stderr io.Writer) int {
 	return out.emit(res, experiments.TimingOf(res), rec, *runPat != "", spans, stdout, stderr)
 }
 
-// manifestCmd emits the cell manifest (or a shard plan of it) without
-// executing anything.
+// manifestCmd prints the cell manifest (or a shard plan of it) to
+// stdout without executing anything.
 func manifestCmd(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("perfiso-repro manifest", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	runPat := fs.String("run", "", "regexp selecting experiments (default: all)")
 	scaleName := fs.String("scale", "test", `experiment scale: "test" or "paper"`)
 	planN := fs.Int("plan", 0, "emit the N-shard plan instead of the manifest")
-	out := fs.String("o", "", "output path (default stdout)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -678,15 +656,6 @@ func manifestCmd(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "perfiso-repro: %v\n", err)
 			return 2
 		}
-	}
-	if *out != "" {
-		// The writer behind shard.WriteManifest, which a -plan also
-		// goes through.
-		if err := experiments.WriteJSONFile(*out, v); err != nil {
-			fmt.Fprintf(stderr, "perfiso-repro: writing manifest: %v\n", err)
-			return 1
-		}
-		return 0
 	}
 	blob, err := json.MarshalIndent(v, "", "  ")
 	if err == nil {
@@ -709,9 +678,6 @@ func mergeCmd(args []string, stdout, stderr io.Writer) int {
 	shardsDir := fs.String("shards", "", "directory holding the shard partials (*.json); positional args name individual partials")
 	out := addOutputFlags(fs)
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if !out.checkTolerance(stderr) {
 		return 2
 	}
 	spec, ok := parseScale(*scaleName, stderr)

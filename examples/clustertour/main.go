@@ -16,7 +16,9 @@ import (
 	"fmt"
 	"log"
 
-	"perfiso"
+	"perfiso/internal/cluster"
+	"perfiso/internal/core"
+	"perfiso/internal/sim"
 )
 
 func main() {
@@ -24,19 +26,19 @@ func main() {
 	queries := flag.Int("queries", 3000, "trace length")
 	flag.Parse()
 
-	run := func(colocate bool) perfiso.ClusterResult {
-		eng := perfiso.NewEngine()
-		c := perfiso.NewCluster(eng, perfiso.ScaledClusterConfig(*columns))
+	run := func(colocate bool) cluster.Result {
+		eng := sim.NewEngine()
+		c := cluster.New(eng, cluster.ScaledConfig(*columns))
 		if colocate {
-			if err := c.InstallPerfIso(perfiso.DefaultConfig()); err != nil {
+			if err := c.InstallPerfIso(core.DefaultConfig()); err != nil {
 				log.Fatalf("installing PerfIso: %v", err)
 			}
-			c.StartSecondary(perfiso.SecondaryCPU)
+			c.StartSecondary(cluster.CPUSecondary)
 		}
 		return c.Run(*queries, *queries/6, 2000, 11)
 	}
 
-	show := func(label string, r perfiso.ClusterResult) {
+	show := func(label string, r cluster.Result) {
 		fmt.Printf("%s\n", label)
 		fmt.Printf("  %-22s avg %6.2f ms   p95 %6.2f ms   p99 %6.2f ms\n",
 			"local IndexServe", r.Server.MeanMs, r.Server.P95Ms, r.Server.P99Ms)

@@ -16,23 +16,26 @@ import (
 	"fmt"
 	"log"
 
-	"perfiso"
+	"perfiso/internal/core"
+	"perfiso/internal/node"
+	"perfiso/internal/sim"
+	"perfiso/internal/workload"
 )
 
 func main() {
 	noIso := flag.Bool("no-isolation", false, "colocate without PerfIso")
 	flag.Parse()
 
-	eng := perfiso.NewEngine()
-	node := perfiso.NewNode(eng, perfiso.DefaultNodeConfig())
+	eng := sim.NewEngine()
+	n := node.New(eng, node.DefaultConfig())
 
 	// The batch job: a 48-thread integer-summing bully, the paper's
 	// worst-case secondary.
-	bully := perfiso.NewCPUBully(node, 48)
+	bully := workload.NewCPUBully(n.CPU, "cpu-bully", 48)
 	bully.Start()
 
 	if !*noIso {
-		ctrl, err := perfiso.NewController(node.OS, perfiso.DefaultConfig())
+		ctrl, err := core.NewController(n.OS, core.DefaultConfig())
 		if err != nil {
 			log.Fatalf("building controller: %v", err)
 		}
@@ -42,13 +45,13 @@ func main() {
 
 	// Replay 20k queries at average load (2,000 QPS), with a warmup
 	// prefix excluded from measurement.
-	trace := perfiso.GenerateTrace(perfiso.TraceConfig{Queries: 20000, Rate: 2000, Seed: 42})
-	node.ReplayTrace(trace, 4000)
+	trace := workload.GenerateTrace(workload.TraceConfig{Queries: 20000, Rate: 2000, Seed: 42})
+	n.ReplayTrace(trace, 4000)
 	last := trace[len(trace)-1].Arrival
-	eng.Run(last.Add(2 * perfiso.Second))
+	eng.Run(last.Add(2 * sim.Second))
 
-	sum := node.Server.Latency.Summary()
-	b := node.CPU.Breakdown()
+	sum := n.Server.Latency.Summary()
+	b := n.CPU.Breakdown()
 	mode := "with PerfIso (blind isolation, 8 buffer cores)"
 	if *noIso {
 		mode = "WITHOUT isolation"
@@ -56,9 +59,9 @@ func main() {
 	fmt.Printf("colocation %s\n", mode)
 	fmt.Printf("  query latency: P50 %.2f ms   P95 %.2f ms   P99 %.2f ms\n",
 		sum.P50Ms, sum.P95Ms, sum.P99Ms)
-	fmt.Printf("  dropped queries: %.2f%%\n", 100*node.Server.DropRate())
+	fmt.Printf("  dropped queries: %.2f%%\n", 100*n.Server.DropRate())
 	fmt.Printf("  CPU: primary %.1f%%  secondary %.1f%%  os %.1f%%  idle %.1f%%\n",
 		b.PrimaryPct, b.SecondaryPct, b.OSPct, b.IdlePct)
 	fmt.Printf("  batch progress: %.1f CPU-seconds\n", bully.Progress())
-	fmt.Printf("  idle cores now: %d\n", node.OS.IdleCores())
+	fmt.Printf("  idle cores now: %d\n", n.OS.IdleCores())
 }

@@ -15,7 +15,8 @@ import (
 	"flag"
 	"fmt"
 
-	"perfiso"
+	"perfiso/internal/experiments"
+	"perfiso/internal/isolation"
 )
 
 func main() {
@@ -23,26 +24,26 @@ func main() {
 	queries := flag.Int("queries", 20000, "trace length")
 	flag.Parse()
 
-	scale := perfiso.Scale{Queries: *queries, Warmup: *queries / 5, Seed: 2017}
+	scale := experiments.Scale{Queries: *queries, Warmup: *queries / 5, Seed: 2017}
 
 	cells := []struct {
 		label  string
-		bully  int
-		policy perfiso.Policy
+		bully  experiments.BullyMode
+		policy isolation.Policy
 	}{
-		{"standalone", 0, nil},
-		{"no isolation", 48, nil},
-		{"blind isolation B=8", 48, perfiso.PolicyBlind(8)},
-		{"static 8 cores", 48, perfiso.PolicyStaticCores(8)},
-		{"cycle cap 5%", 48, perfiso.PolicyCycleCap(0.05)},
+		{"standalone", experiments.BullyOff, nil},
+		{"no isolation", experiments.BullyHigh, nil},
+		{"blind isolation B=8", experiments.BullyHigh, &isolation.Blind{BufferCores: 8}},
+		{"static 8 cores", experiments.BullyHigh, isolation.StaticCores{Cores: 8}},
+		{"cycle cap 5%", experiments.BullyHigh, isolation.CycleCap{Fraction: 0.05}},
 	}
 
 	fmt.Printf("IndexServe at %.0f QPS vs a 48-thread CPU bully\n\n", *qps)
 	fmt.Printf("%-22s %8s %8s %8s %7s %7s %9s\n",
 		"policy", "p50ms", "p99ms", "drop%", "idle%", "sec%", "progress")
-	var baseline perfiso.SingleResult
+	var baseline experiments.SingleResult
 	for i, c := range cells {
-		r := perfiso.RunColocation(*qps, c.bully, c.policy, scale)
+		r := experiments.RunSingle(*qps, c.bully, c.policy, scale)
 		if i == 0 {
 			baseline = r
 		}

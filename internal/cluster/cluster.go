@@ -284,13 +284,6 @@ func (c *Cluster) StartSecondary(kind Secondary) {
 	c.EachMachine(func(m *IndexMachine) { c.startSecondaryOn(m, kind) })
 }
 
-// StartSecondaryOn launches the selected batch workload on one index
-// machine — the per-machine control a cluster-level harvest scheduler
-// needs (it decides per machine, not fleet-wide).
-func (c *Cluster) StartSecondaryOn(row, col int, kind Secondary) {
-	c.startSecondaryOn(c.machineAt(row, col), kind)
-}
-
 func (c *Cluster) startSecondaryOn(m *IndexMachine, kind Secondary) {
 	switch kind {
 	case NoSecondary:
@@ -313,19 +306,6 @@ func (c *Cluster) startSecondaryOn(m *IndexMachine, kind Secondary) {
 		d := workload.NewDiskBully(m.Node.HDD, cfg)
 		d.Start()
 		m.DiskBully = d
-	}
-}
-
-// StopSecondaryOn halts the batch workloads on one index machine
-// (running bully threads are killed; disk streams drain).
-func (c *Cluster) StopSecondaryOn(row, col int) {
-	m := c.machineAt(row, col)
-	if m.CPUBully != nil {
-		m.CPUBully.Stop()
-	}
-	if m.DiskBully != nil {
-		m.DiskBully.Stop()
-		m.DiskBully = nil
 	}
 }
 

@@ -264,7 +264,7 @@ func TestSweepsMatchCommittedReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := RenderMarkdown(res)
+	got := RenderMarkdownWith(res, ReportOptions{})
 	for _, sw := range allSweeps() {
 		block := "\n### " + sw.name + " — "
 		if g, w := mdBlock(got, block, "\n```\n"), mdBlock(string(committed), block, "\n```\n"); g == "" || g != w {
@@ -307,7 +307,7 @@ func TestMissingProbedCellRendersMissingRow(t *testing.T) {
 			}
 		}
 		full := SweepResult{}
-		for _, p := range sw.points(TestSpec()) {
+		for _, p := range sw.points() {
 			full[p.cell] = SingleResult{Latency: stats.LatencySummary{Count: 1}}
 		}
 		want := sw.comparison(full)
@@ -321,7 +321,7 @@ func TestMissingProbedCellRendersMissingRow(t *testing.T) {
 		}
 		res := RunResult{Spec: TestSpec(), Experiments: []ExperimentResult{{Name: tc.sweep, Value: full}}}
 		row := fmt.Sprintf("| %s | %s | %s |%s", miss.Figure, miss.Paper, miss.Reproduced, tc.tail)
-		if md := RenderMarkdown(res); !strings.Contains(md, "\n"+row+"\n") {
+		if md := RenderMarkdownWith(res, ReportOptions{}); !strings.Contains(md, "\n"+row+"\n") {
 			t.Errorf("%s without %s: report lacks the missing-cell row %q\n%s", tc.sweep, tc.drop, row, md)
 		}
 	}

@@ -34,7 +34,7 @@
 //
 // Reports flow out three ways: the classic ASCII tables, flat JSON/CSV
 // artifact rows (WriteArtifacts), and the committed markdown
-// reproduction report (RenderMarkdown → RESULTS.md), which CI
+// reproduction report (RenderMarkdownWith → RESULTS.md), which CI
 // regenerates and diffs as an evaluation-regression gate. Every
 // artifact writer goes through WriteAtomic (temp file, rename), so a
 // failed run leaves no half-written file.

@@ -46,6 +46,10 @@ cpu: used %.1f%% (secondary %.1f%%)
 		r.UsedPct, r.SecondaryPct)
 }
 
+// fullStackQPS is the load of the registered full-stack scenario at
+// every scale: the paper's average load of 2,000 QPS.
+const fullStackQPS float64 = 2000
+
 // RunFullStack executes the combined scenario at the given load.
 func RunFullStack(qps float64, scale Scale) FullStackResult {
 	eng := sim.NewEngine()

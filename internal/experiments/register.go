@@ -103,14 +103,14 @@ func DefaultRegistry() *Registry {
 		Describe:     "extension — every governor engaged against all secondaries at once",
 		Cells: func(s ScaleSpec) []Cell {
 			return []Cell{{
-				Name: fmt.Sprintf("qps=%.0f", s.FullStackQPS),
+				Name: fmt.Sprintf("qps=%.0f", fullStackQPS),
 				Cost: float64(s.Single.Queries),
-				Run:  func() any { return RunFullStack(s.FullStackQPS, s.Single) },
+				Run:  func() any { return RunFullStack(fullStackQPS, s.Single) },
 			}}
 		},
 		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
 			f := results[0].(FullStackResult)
-			rows := []Row{{Cell: fmt.Sprintf("qps=%.0f", s.FullStackQPS), Metrics: []Metric{
+			rows := []Row{{Cell: fmt.Sprintf("qps=%.0f", fullStackQPS), Metrics: []Metric{
 				{"p50ms", f.Latency.P50Ms},
 				{"p95ms", f.Latency.P95Ms},
 				{"p99ms", f.Latency.P99Ms},

@@ -24,11 +24,6 @@ type ScaleSpec struct {
 	// Single sizes the single-machine cells (Figs. 4–8, headline,
 	// full stack).
 	Single Scale
-	// Fig8QPS is the load of the Fig. 8 comparison (the paper uses
-	// 2,000 QPS).
-	Fig8QPS float64
-	// FullStackQPS is the load of the everything-at-once scenario.
-	FullStackQPS float64
 	// Cluster sizes the Fig. 9 discrete-event cluster.
 	Cluster Fig9Scale
 	// Harvest sizes the batch-harvest frontier.
@@ -45,28 +40,24 @@ type ScaleSpec struct {
 // at.
 func TestSpec() ScaleSpec {
 	return ScaleSpec{
-		Name:         "test",
-		Single:       TestScale(),
-		Fig8QPS:      2000,
-		FullStackQPS: 2000,
-		Cluster:      TestFig9Scale(),
-		Harvest:      DefaultHarvestScale(),
-		BatchTrace:   DefaultBatchTraceConfig(),
-		Timeline:     DefaultTimelineConfig(),
+		Name:       "test",
+		Single:     TestScale(),
+		Cluster:    TestFig9Scale(),
+		Harvest:    DefaultHarvestScale(),
+		BatchTrace: DefaultBatchTraceConfig(),
+		Timeline:   DefaultTimelineConfig(),
 	}
 }
 
 // PaperSpec sizes every experiment at the published §5.3 scale.
 func PaperSpec() ScaleSpec {
 	return ScaleSpec{
-		Name:         "paper",
-		Single:       PaperScale(),
-		Fig8QPS:      2000,
-		FullStackQPS: 2000,
-		Cluster:      PaperFig9Scale(),
-		Harvest:      PaperHarvestScale(),
-		BatchTrace:   PaperBatchTraceConfig(),
-		Timeline:     PaperTimelineConfig(),
+		Name:       "paper",
+		Single:     PaperScale(),
+		Cluster:    PaperFig9Scale(),
+		Harvest:    PaperHarvestScale(),
+		BatchTrace: PaperBatchTraceConfig(),
+		Timeline:   PaperTimelineConfig(),
 	}
 }
 
@@ -292,7 +283,7 @@ type RunResult struct {
 	// covers (see internal/shard). It is a pure function of the
 	// registry contents, scale and filter, so a single-process run and
 	// a merged sharded run of the same selection carry the same hash —
-	// the provenance line RenderMarkdown emits stays byte-identical.
+	// the provenance line RenderMarkdownWith emits stays byte-identical.
 	ManifestHash string
 	// CellCount is the number of simulations actually executed.
 	CellCount int

@@ -226,7 +226,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Errorf("%s: reports differ between workers=1 and workers=8", s.Name)
 		}
 	}
-	if RenderMarkdown(seq) != RenderMarkdown(par) {
+	if RenderMarkdownWith(seq, ReportOptions{}) != RenderMarkdownWith(par, ReportOptions{}) {
 		t.Error("rendered reports differ between workers=1 and workers=8")
 	}
 
@@ -279,7 +279,7 @@ func TestRenderMarkdownShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	md := RenderMarkdown(res)
+	md := RenderMarkdownWith(res, ReportOptions{})
 	for _, want := range []string{
 		"# PerfIso reproduction report",
 		"## How to regenerate",

@@ -266,18 +266,18 @@ func (c comparison) RelErr() float64 {
 }
 
 // DefaultTolerance is the relative-error band marking a paper-vs-
-// reproduced row out-of-band (⚠) in the report; -tolerance overrides
-// it. It is deliberately loose: the simulator reproduces shapes, not
-// the Bing testbed's absolute numbers.
+// reproduced row out-of-band (⚠) in the report. It is deliberately
+// loose: the simulator reproduces shapes, not the Bing testbed's
+// absolute numbers.
 const DefaultTolerance = 0.25
 
 // relErrCell renders one row's relative-error column.
-func relErrCell(c comparison, tolerance float64) string {
+func relErrCell(c comparison) string {
 	if !c.HasRel {
 		return "—"
 	}
 	cell := fmt.Sprintf("%.0f%%", 100*c.RelErr())
-	if c.RelErr() > tolerance {
+	if c.RelErr() > DefaultTolerance {
 		cell += " ⚠"
 	}
 	return cell
@@ -406,9 +406,6 @@ type FigureLink struct {
 type ReportOptions struct {
 	// Figures lists the rendered figures to embed, in order.
 	Figures []FigureLink
-	// Tolerance is the relative-error band of the paper-vs-reproduced
-	// table; zero means DefaultTolerance.
-	Tolerance float64
 }
 
 // Figure-block markers: the `report` subcommand re-renders figures
@@ -443,22 +440,11 @@ func PatchFigureBlock(md string, figs []FigureLink) (string, bool) {
 	return md[:begin] + RenderFigureBlock(figs) + md[end+len(figuresEnd):], true
 }
 
-// RenderMarkdown renders the reproduction report with default options
-// (no figure gallery, DefaultTolerance) — the compatibility form used
-// where only internal consistency matters.
-func RenderMarkdown(res RunResult) string {
-	return RenderMarkdownWith(res, ReportOptions{})
-}
-
 // RenderMarkdownWith renders the reproduction report committed as
 // RESULTS.md. The output is a pure function of the simulation results
 // and options — no timings, timestamps or host details — so CI can
 // regenerate it and fail on drift.
 func RenderMarkdownWith(res RunResult, opts ReportOptions) string {
-	tolerance := opts.Tolerance
-	if tolerance == 0 {
-		tolerance = DefaultTolerance
-	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "# PerfIso reproduction report (scale: %s)\n\n", res.Spec.Name)
 	b.WriteString(`Generated by ` + "`perfiso-repro`" + ` from the deterministic discrete-event
@@ -499,10 +485,10 @@ manifest it covers.
 
 	if cmps := comparisons(res); len(cmps) > 0 {
 		b.WriteString("## Paper vs reproduced\n\n")
-		fmt.Fprintf(&b, "**Rel. err** compares the row's headline number against the paper's, where\nthe claim reduces to one; values above ±%.0f%% are flagged ⚠ (tune with\n`-tolerance`). Shape-only rows show —.\n\n", 100*tolerance)
+		fmt.Fprintf(&b, "**Rel. err** compares the row's headline number against the paper's, where\nthe claim reduces to one; values above ±%.0f%% are flagged ⚠.\nShape-only rows show —.\n\n", 100*DefaultTolerance)
 		b.WriteString("| Figure | Paper | Reproduced | Rel. err | Match |\n|---|---|---|---|---|\n")
 		for _, c := range cmps {
-			fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n", c.Figure, c.Paper, c.Reproduced, relErrCell(c, tolerance), mark(c.Match))
+			fmt.Fprintf(&b, "| %s | %s | %s | %s | %s |\n", c.Figure, c.Paper, c.Reproduced, relErrCell(c), mark(c.Match))
 		}
 		b.WriteString("\n")
 	}
@@ -520,7 +506,7 @@ manifest it covers.
 		b.WriteString("## Figures\n\n")
 		b.WriteString(`Rendered by the deterministic SVG pipeline (` + "`internal/report`" + `) from
 the committed CSV artifacts — bit-identical across runs, worker counts
-and shard/dispatch merges, and drift-gated by CI like every other
+and shard merges, and drift-gated by CI like every other
 artifact. Re-render without re-simulating via ` + "`perfiso-repro report`" + `.
 
 `)

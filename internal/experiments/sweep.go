@@ -16,6 +16,10 @@ import (
 // generic path builds its cells, assembles its rows, series and
 // forensics, renders its table and answers its report row.
 
+// fig8QPS is the load of the Fig. 8 comparison at every scale: the
+// paper's 2,000 QPS (§6.1.4).
+const fig8QPS float64 = 2000
+
 // SweepResult is a sweep's assembled value: every point's result keyed
 // by cell name.
 type SweepResult map[string]SingleResult
@@ -69,11 +73,10 @@ type sweep struct {
 	width int
 	// series emits the cells' time series into series.csv.
 	series bool
-	// points lists the cells in table order. It takes the spec because
-	// Fig. 8's load is a spec knob, and it builds fresh policies on
-	// every call because an installed blind-isolation policy holds its
-	// governor.
-	points func(s ScaleSpec) []point
+	// points lists the cells in table order. It is a func because it
+	// builds fresh policies on every call: an installed
+	// blind-isolation policy holds its governor.
+	points func() []point
 	// compare answers the sweep's report row, reading cells by name
 	// through get; see sweep.comparison for the missing-cell guard.
 	compare func(get func(cell string) SingleResult) comparison
@@ -87,7 +90,7 @@ var paperSweeps = []sweep{
 		describe: "Figs. 4a/4b — standalone vs unrestricted mid/high secondary at both loads",
 		title:    "Fig. 4 — IndexServe standalone vs unrestricted secondary (no isolation)",
 		series:   true,
-		points: func(ScaleSpec) []point {
+		points: func() []point {
 			return []point{
 				{cell: "bully=standalone/qps=2000", label: "standalone", qps: 2000},
 				{cell: "bully=standalone/qps=4000", label: "standalone", qps: 4000},
@@ -118,7 +121,7 @@ var paperSweeps = []sweep{
 		describe: "Figs. 5a/5b — blind isolation with 4 and 8 buffer cores under the high secondary",
 		title:    "Fig. 5 — blind isolation, high secondary (degradation vs standalone)",
 		series:   true,
-		points: func(ScaleSpec) []point {
+		points: func() []point {
 			return []point{
 				{cell: "standalone/qps=2000", qps: 2000},
 				{cell: "standalone/qps=4000", qps: 4000},
@@ -143,7 +146,7 @@ var paperSweeps = []sweep{
 		name:     "fig6",
 		describe: "Figs. 6a/6b — secondary statically restricted to 24/16/8 cores",
 		title:    "Fig. 6 — static CPU cores, high secondary",
-		points: func(ScaleSpec) []point {
+		points: func() []point {
 			return []point{
 				{cell: "standalone/qps=2000", qps: 2000},
 				{cell: "standalone/qps=4000", qps: 4000},
@@ -171,7 +174,7 @@ var paperSweeps = []sweep{
 		name:     "fig7",
 		describe: "Figs. 7a–7c — secondary capped at 45%/25%/5% of CPU cycles",
 		title:    "Fig. 7 — static CPU cycles, high secondary",
-		points: func(ScaleSpec) []point {
+		points: func() []point {
 			return []point{
 				{cell: "standalone/qps=2000", qps: 2000},
 				{cell: "standalone/qps=4000", qps: 4000},
@@ -199,15 +202,15 @@ var paperSweeps = []sweep{
 		describe: "Figs. 8a–8c — five-way isolation comparison at the paper's 2,000 QPS",
 		title:    "Fig. 8 — isolation comparison (high secondary)",
 		layout:   progressTable,
-		points: func(s ScaleSpec) []point {
+		points: func() []point {
 			// The no-isolation run doubles as the baseline the paper
 			// normalizes "progress under isolation" against (§6.1.4).
 			return []point{
-				{cell: "standalone", label: "standalone", qps: s.Fig8QPS},
-				{cell: "no-isolation", label: "no isolation", qps: s.Fig8QPS, bully: BullyHigh},
-				{cell: "blind", label: "blind isolation", qps: s.Fig8QPS, bully: BullyHigh, policy: &isolation.Blind{BufferCores: 8}, baseline: "no-isolation"},
-				{cell: "cores", label: "cpu cores", qps: s.Fig8QPS, bully: BullyHigh, policy: isolation.StaticCores{Cores: 8}, baseline: "no-isolation"},
-				{cell: "cycles", label: "cpu cycles", qps: s.Fig8QPS, bully: BullyHigh, policy: isolation.CycleCap{Fraction: 0.05}, baseline: "no-isolation"},
+				{cell: "standalone", label: "standalone", qps: fig8QPS},
+				{cell: "no-isolation", label: "no isolation", qps: fig8QPS, bully: BullyHigh},
+				{cell: "blind", label: "blind isolation", qps: fig8QPS, bully: BullyHigh, policy: &isolation.Blind{BufferCores: 8}, baseline: "no-isolation"},
+				{cell: "cores", label: "cpu cores", qps: fig8QPS, bully: BullyHigh, policy: isolation.StaticCores{Cores: 8}, baseline: "no-isolation"},
+				{cell: "cycles", label: "cpu cycles", qps: fig8QPS, bully: BullyHigh, policy: isolation.CycleCap{Fraction: 0.05}, baseline: "no-isolation"},
 			}
 		},
 		compare: func(get func(string) SingleResult) comparison {
@@ -229,7 +232,7 @@ var paperSweeps = []sweep{
 		describe: "§1 headline — average CPU utilization standalone vs colocated (21% → 66%)",
 		title:    "headline — avg CPU used",
 		layout:   summaryTable,
-		points: func(ScaleSpec) []point {
+		points: func() []point {
 			return []point{
 				{cell: "standalone", qps: 2000},
 				{cell: "colocated", qps: 2000, bully: BullyHigh, policy: &isolation.Blind{BufferCores: 8}, baseline: "standalone"},
@@ -261,7 +264,7 @@ var ablationSweeps = []sweep{
 		describe: "ablation — blind-isolation buffer size swept beyond the paper's {4,8} at peak load",
 		title:    "Blind-isolation buffer ablation — high bully at 4000 QPS (buffer=0 is no isolation)",
 		layout:   ablationTable, axis: "buffer", width: 8,
-		points: func(ScaleSpec) []point {
+		points: func() []point {
 			const base = "standalone/qps=4000"
 			return []point{
 				{cell: base, label: "alone", qps: 4000},
@@ -294,7 +297,7 @@ var ablationSweeps = []sweep{
 		describe: "ablation — governor poll cadence swept around the §4.1 100 µs loop at peak load",
 		title:    "Governor poll-interval ablation — B=8 blind isolation, high bully at 4000 QPS",
 		layout:   ablationTable, axis: "poll", width: 10,
-		points: func(ScaleSpec) []point {
+		points: func() []point {
 			const base = "standalone/qps=4000"
 			return []point{
 				{cell: base, label: "alone", qps: 4000},
@@ -323,7 +326,7 @@ var ablationSweeps = []sweep{
 		describe: "ablation — blind-isolation grow holdoff swept: harvest bought vs tail risked",
 		title:    "Grow-holdoff ablation — B=8 blind isolation, high bully at 2000 QPS",
 		layout:   ablationTable, axis: "holdoff", width: 10,
-		points: func(ScaleSpec) []point {
+		points: func() []point {
 			const base = "standalone/qps=2000"
 			return []point{
 				{cell: base, label: "alone", qps: 2000},
@@ -386,7 +389,7 @@ func (sw sweep) experiment() Experiment {
 		Describe:     sw.describe,
 		DecodeResult: DecodeJSONResult[SingleResult],
 		Cells: func(s ScaleSpec) []Cell {
-			pts := sw.points(s)
+			pts := sw.points()
 			cells := make([]Cell, len(pts))
 			for i, p := range pts {
 				cells[i] = singleCell(p.cell, p.qps, p.bully, p.policy, s.Single)
@@ -394,7 +397,7 @@ func (sw sweep) experiment() Experiment {
 			return cells
 		},
 		Assemble: func(s ScaleSpec, cells []Cell, results []any) (any, Report) {
-			return sw.assemble(sw.points(s), cells, results)
+			return sw.assemble(sw.points(), cells, results)
 		},
 	}
 }

@@ -130,9 +130,7 @@ func prefixMatch(prefixes []string, path string) bool {
 // function of the cell seed, so goroutines and unbuffered channel
 // handoffs are banned here outright (concurrency belongs to the
 // experiments pool, which parallelizes across whole cells, never
-// inside one). The module root package "perfiso" is matched exactly,
-// not as a prefix — cmd/, examples/, and the harness packages below it
-// are pool-side code.
+// inside one).
 var cellPackages = []string{
 	"perfiso/internal/sim",
 	"perfiso/internal/core",
@@ -155,5 +153,5 @@ var cellPackages = []string{
 // inCellPackages is the InScope predicate for analyzers confined to
 // cell-executing code.
 func inCellPackages(pkgPath string) bool {
-	return pkgPath == "perfiso" || prefixMatch(cellPackages, pkgPath)
+	return prefixMatch(cellPackages, pkgPath)
 }

@@ -57,11 +57,9 @@ func (b *TraceBuffer) Len() int {
 }
 
 // SortSpans orders spans by start time, breaking ties by experiment,
-// cell, unit, then worker. The worker tiebreak matters for merged
-// traces: partials arrive in whatever order the fleet finished, and
-// retried units can leave same-start same-unit spans from different
-// workers — without it the merged trace.jsonl bytes would depend on
-// arrival order.
+// cell, unit, then worker. Merged traces need the full order: shard
+// partials arrive in any order, and a total order on the span's fields
+// keeps the merged trace.jsonl bytes independent of it.
 func SortSpans(spans []Span) {
 	sort.Slice(spans, func(i, j int) bool {
 		a, b := spans[i], spans[j]

@@ -6,60 +6,8 @@ import (
 	"reflect"
 	"testing"
 
-	"perfiso/internal/experiments"
 	"perfiso/internal/obs"
 )
-
-// FuzzReadManifest feeds ReadManifest's decoder arbitrary bytes. It
-// must never panic, and a manifest it accepts, written back with
-// WriteManifest and read again with ReadManifest, must come back equal.
-// Each input that decodes as JSON is tried a second time with its hash
-// recomputed, so the fuzzer also reaches the version and unit checks
-// behind the hash.
-func FuzzReadManifest(f *testing.F) {
-	m, err := Build(experiments.DefaultRegistry(), experiments.TestSpec(), "^(fig10|headline)$")
-	if err != nil {
-		f.Fatal(err)
-	}
-	blob, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(blob)
-	f.Add([]byte(`{"version":1,"scale":"test","cells":[{"experiment":"a","cell":"x","cost":1}],"hash":""}`))
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		roundTripManifest(t, blob)
-		var m Manifest
-		if json.Unmarshal(blob, &m) == nil {
-			m.Hash = m.hash()
-			rehashed, err := json.Marshal(m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			roundTripManifest(t, rehashed)
-		}
-	})
-}
-
-// roundTripManifest decodes blob and, if it is accepted, writes it back
-// and reads it again.
-func roundTripManifest(t *testing.T, blob []byte) {
-	m, err := decodeManifest("fuzz", blob)
-	if err != nil {
-		return
-	}
-	path := filepath.Join(t.TempDir(), "m.json")
-	if err := WriteManifest(path, m); err != nil {
-		t.Fatal(err)
-	}
-	again, err := ReadManifest(path)
-	if err != nil {
-		t.Fatalf("accepted manifest fails to re-read: %v\n%s", err, blob)
-	}
-	if !reflect.DeepEqual(again, m) {
-		t.Fatalf("manifest changed across a write and re-read:\n%+v\n%+v", m, again)
-	}
-}
 
 // FuzzReadPartial feeds ReadPartial's decoder arbitrary bytes. It must
 // never panic, and a partial it accepts, written back with WritePartial

@@ -5,14 +5,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"regexp"
 
 	"perfiso/internal/experiments"
 )
 
 // ManifestVersion is bumped whenever the manifest encoding changes
-// incompatibly; Merge refuses partials built against another version.
+// incompatibly. The hash covers it, so Merge refuses partials planned
+// against another version as a manifest-hash mismatch.
 const ManifestVersion = 1
 
 // Manifest is the deterministic enumeration of a filtered run: every
@@ -68,42 +68,6 @@ func (m Manifest) hash() string {
 	}
 	sum := sha256.Sum256(blob)
 	return "sha256:" + hex.EncodeToString(sum[:])
-}
-
-// WriteManifest writes a manifest as indented JSON, atomically,
-// creating parent directories.
-func WriteManifest(path string, m Manifest) error {
-	return experiments.WriteJSONFile(path, m)
-}
-
-// ReadManifest loads a manifest artifact and verifies its integrity:
-// the version must be current, the embedded hash must match a
-// recomputation over the loaded cells (a hand-edited or truncated file
-// fails loudly), and the cells must group into valid units.
-func ReadManifest(path string) (Manifest, error) {
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		return Manifest{}, err
-	}
-	return decodeManifest(path, blob)
-}
-
-// decodeManifest decodes and verifies the manifest blob read from path.
-func decodeManifest(path string, blob []byte) (Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(blob, &m); err != nil {
-		return Manifest{}, fmt.Errorf("shard: %s: %w", path, err)
-	}
-	if m.Version != ManifestVersion {
-		return Manifest{}, fmt.Errorf("shard: %s is manifest version %d, this binary speaks %d", path, m.Version, ManifestVersion)
-	}
-	if got := m.hash(); got != m.Hash {
-		return Manifest{}, fmt.Errorf("shard: %s: embedded hash %s does not match recomputed %s (file edited or corrupted)", path, m.Hash, got)
-	}
-	if _, err := m.Units(); err != nil {
-		return Manifest{}, err
-	}
-	return m, nil
 }
 
 // Units groups the manifest's cells into executable units, in

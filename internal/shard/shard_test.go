@@ -171,7 +171,7 @@ func artifactBytes(t *testing.T, res experiments.RunResult) (summary, csv, md []
 	if err != nil {
 		t.Fatal(err)
 	}
-	return summary, csv, []byte(experiments.RenderMarkdown(res))
+	return summary, csv, []byte(experiments.RenderMarkdownWith(res, experiments.ReportOptions{}))
 }
 
 // TestMergeByteIdentical is the subsystem's acceptance property: a
@@ -345,45 +345,6 @@ func TestEmptyShardPartial(t *testing.T) {
 	gotSummary, gotCSV, gotMD := artifactBytes(t, merged)
 	if !bytes.Equal(gotSummary, wantSummary) || !bytes.Equal(gotCSV, wantCSV) || !bytes.Equal(gotMD, wantMD) {
 		t.Error("artifacts differ between empty-shard merge and single-process run")
-	}
-}
-
-// TestManifestFileRoundTrip: WriteManifest/ReadManifest round-trip,
-// and ReadManifest rejects tampered or version-skewed files.
-func TestManifestFileRoundTrip(t *testing.T) {
-	m, err := Build(experiments.DefaultRegistry(), experiments.TestSpec(), "^fig10$")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "sub", "m.json")
-	if err := WriteManifest(path, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Error("manifest changed across the disk round-trip")
-	}
-
-	tampered := m
-	tampered.Scale = "paper" // cells no longer match the embedded hash
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := WriteManifest(bad, tampered); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadManifest(bad); err == nil || !strings.Contains(err.Error(), "hash") {
-		t.Errorf("tampered manifest accepted: %v", err)
-	}
-
-	skewed := m
-	skewed.Version = ManifestVersion + 1
-	if err := WriteManifest(bad, skewed); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadManifest(bad); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Errorf("version-skewed manifest accepted: %v", err)
 	}
 }
 

@@ -185,11 +185,6 @@ func (h *Histogram) P50() float64 { return h.Quantile(0.50) }
 func (h *Histogram) P95() float64 { return h.Quantile(0.95) }
 func (h *Histogram) P99() float64 { return h.Quantile(0.99) }
 
-// QuantileDuration reports Quantile(q) as a sim.Duration.
-func (h *Histogram) QuantileDuration(q float64) sim.Duration {
-	return sim.Duration(h.Quantile(q))
-}
-
 // Reset discards all observations.
 func (h *Histogram) Reset() {
 	for i := range h.counts {
